@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -164,46 +164,88 @@ class DataSet:
 class Params:
     """Named-block real vector with an optional per-entry fixed mask.
 
-    Blocks are ordered (name, vector) pairs; the flattened vector is their
-    concatenation.  ``fixed_mask`` marks pinned entries, which estimation and
-    transforms treat as constants.  Concatenation of two Params is the
-    Cartesian product of their parameter spaces and is associative.
+    The values live in one flat float vector whose blocks are named by an
+    immutable layout of (name, slice) pairs, shared by every ``replace``,
+    ``with_free``, ``copy`` and ``pin`` result.  ``fixed_mask`` (read-only)
+    marks pinned entries, which estimation and transforms treat as
+    constants.  ``product`` joins parameter spaces, a Cartesian product
+    that is associative up to block names; ``split`` cuts a joined vector
+    back into its parts.
     """
 
     def __init__(self, blocks: Iterable[tuple[str, Sequence[float]]],
                  fixed_mask=None):
-        self.blocks = [(str(n), np.atleast_1d(np.asarray(v, dtype=float)))
-                       for n, v in blocks]
-        total = sum(len(v) for _, v in self.blocks)
+        names, values, i = [], [], 0
+        for n, v in blocks:
+            v = np.atleast_1d(np.asarray(v, dtype=float))
+            names.append((str(n), slice(i, i + len(v))))
+            values.append(v)
+            i += len(v)
+        self._layout = tuple(names)
+        self._vec = np.concatenate(values) if values else np.empty(0)
         if fixed_mask is None:
-            self.fixed_mask = np.zeros(total, dtype=bool)
+            mask = np.zeros(i, dtype=bool)
         else:
-            m = np.asarray(fixed_mask, dtype=bool)
-            if m.shape != (total,):
-                raise ModelError(f"fixed_mask length {m.shape} != {total}")
-            self.fixed_mask = m
+            mask = np.array(fixed_mask, dtype=bool)
+            if mask.shape != (i,):
+                raise ModelError(f"fixed_mask length {mask.shape} != {i}")
+        mask.flags.writeable = False
+        self.fixed_mask = mask
+
+    def _derive(self, vec: np.ndarray, mask: np.ndarray) -> "Params":
+        """A Params over this layout that takes ownership of vec and mask."""
+        out = object.__new__(Params)
+        out._layout = self._layout
+        out._vec = vec
+        out.fixed_mask = mask
+        return out
 
     @classmethod
     def scalars(cls, **kw: float) -> "Params":
         return cls([(k, [v]) for k, v in kw.items()])
 
+    @classmethod
+    def product(cls, parts) -> "Params":
+        """Join (prefix, Params) parts: blocks renamed prefix + name, masks kept."""
+        parts = list(parts)
+        blocks = [(prefix + n, p._vec[s]) for prefix, p in parts
+                  for n, s in p._layout]
+        masks = [p.fixed_mask for _, p in parts]
+        return cls(blocks, np.concatenate(masks) if masks else None)
+
+    def split(self, shapes) -> list["Params"]:
+        """Cut the vector into one piece per shape, each with its shape's mask."""
+        out, i = [], 0
+        for shape in shapes:
+            j = i + len(shape)
+            out.append(shape.replace(self._vec[i:j]))
+            i = j
+        if i != len(self):
+            raise ModelError(f"split: parts cover {i} of {len(self)} values")
+        return out
+
+    @property
+    def blocks(self) -> list[tuple[str, np.ndarray]]:
+        return [(n, self._vec[s].copy()) for n, s in self._layout]
+
     def flatten(self) -> np.ndarray:
-        if not self.blocks:
-            return np.empty(0)
-        return np.concatenate([v for _, v in self.blocks])
+        return self._vec.copy()
 
     def __len__(self) -> int:
-        return sum(len(v) for _, v in self.blocks)
+        return len(self._vec)
 
     @property
     def names(self) -> list[str]:
-        return [n for n, _ in self.blocks]
+        return [n for n, _ in self._layout]
+
+    def _slice(self, name: str) -> slice:
+        for n, s in self._layout:
+            if n == name:
+                return s
+        raise KeyError(name)
 
     def block(self, name: str) -> np.ndarray:
-        for n, v in self.blocks:
-            if n == name:
-                return v
-        raise KeyError(name)
+        return self._vec[self._slice(name)]
 
     def scalar(self, name: str) -> float:
         v = self.block(name)
@@ -213,62 +255,63 @@ class Params:
 
     def labels(self) -> list[str]:
         out = []
-        for n, v in self.blocks:
-            if len(v) == 1:
-                out.append(n)
-            else:
-                out.extend(f"{n}[{i}]" for i in range(len(v)))
+        for n, s in self._layout:
+            k = s.stop - s.start
+            out.extend([n] if k == 1 else [f"{n}[{i}]" for i in range(k)])
         return out
 
     def replace(self, vec) -> "Params":
         """Same shape and mask, values taken from the flat vector."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (len(self),):
+        vec = np.array(vec, dtype=float)
+        if vec.shape != self._vec.shape:
             raise ModelError(f"expected {len(self)} values, got {vec.shape}")
-        out, i = [], 0
-        for n, v in self.blocks:
-            out.append((n, vec[i:i + len(v)].copy()))
-            i += len(v)
-        return Params(out, self.fixed_mask.copy())
+        return self._derive(vec, self.fixed_mask)
 
     def with_free(self, free_vec) -> "Params":
         """Fill only the unmasked entries from free_vec."""
-        vec = self.flatten()
+        vec = self._vec.copy()
         vec[~self.fixed_mask] = np.asarray(free_vec, dtype=float)
-        return self.replace(vec)
+        return self._derive(vec, self.fixed_mask)
 
     def free_values(self) -> np.ndarray:
-        return self.flatten()[~self.fixed_mask]
+        return self._vec[~self.fixed_mask]
+
+    def with_blocks(self, **values) -> "Params":
+        """Copy with the named blocks set; the mask is unchanged."""
+        unknown = sorted(set(values) - set(self.names))
+        if unknown:
+            raise KeyError(f"unknown parameter block(s): {unknown}")
+        vec = self._vec.copy()
+        for name, v in values.items():
+            s = self._slice(name)
+            v = np.atleast_1d(np.asarray(v, dtype=float))
+            if len(v) != s.stop - s.start:
+                raise ModelError(
+                    f"parameter {name!r} expects {s.stop - s.start} value(s)")
+            vec[s] = v
+        return self._derive(vec, self.fixed_mask)
 
     def pin(self, **kw: float) -> "Params":
         """Copy with the named scalar blocks set and marked fixed."""
-        vec = self.flatten()
         mask = self.fixed_mask.copy()
-        i = 0
-        want = dict(kw)
-        for n, v in self.blocks:
-            if n in want:
-                if len(v) != 1:
-                    raise ModelError(f"block {n!r} is not scalar; pin via mask")
-                vec[i] = float(want.pop(n))
-                mask[i] = True
-            i += len(v)
-        if want:
-            raise KeyError(f"unknown parameter block(s): {sorted(want)}")
-        return Params(self.blocks, mask).replace(vec)
+        for name, s in self._layout:
+            if name in kw:
+                if s.stop - s.start != 1:
+                    raise ModelError(f"block {name!r} is not scalar; pin via mask")
+                mask[s] = True
+        mask.flags.writeable = False
+        return self._derive(self.with_blocks(**kw)._vec, mask)
 
     def concat(self, other: "Params", prefix: tuple[str, str] | None = None) -> "Params":
-        a, b = self.blocks, other.blocks
-        if prefix is not None:
-            a = [(f"{prefix[0]}{n}", v) for n, v in a]
-            b = [(f"{prefix[1]}{n}", v) for n, v in b]
-        return Params(a + b, np.concatenate([self.fixed_mask, other.fixed_mask]))
+        a, b = prefix or ("", "")
+        return Params.product([(a, self), (b, other)])
 
     def copy(self) -> "Params":
-        return Params([(n, v.copy()) for n, v in self.blocks], self.fixed_mask.copy())
+        return self._derive(self._vec.copy(), self.fixed_mask)
 
     def __repr__(self):
-        parts = ", ".join(f"{n}={np.array2string(v, precision=6)}" for n, v in self.blocks)
+        parts = ", ".join(f"{n}={np.array2string(self._vec[s], precision=6)}"
+                          for n, s in self._layout)
         return f"Params({parts})"
 
 

@@ -345,20 +345,14 @@ def _apply_param_kwargs(m: Model, kwargs: dict) -> Model:
     if not kwargs:
         return m
     shape = m.param_shape
-    vec = shape.flatten()
-    labels = shape.labels()
-    i = 0
-    want = dict(kwargs)
-    for n, v in shape.blocks:
-        if n in want:
-            val = np.atleast_1d(np.asarray(want.pop(n), dtype=float))
-            if len(val) != len(v):
-                raise ExprError(f"parameter {n!r} expects {len(v)} value(s)")
-            vec[i:i + len(v)] = val
-        i += len(v)
-    if want:
-        raise ExprError(f"{m.label}: unknown parameter(s) {sorted(want)}; "
-                        f"have {labels}")
+    unknown = sorted(set(kwargs) - set(shape.names))
+    if unknown:
+        raise ExprError(f"{m.label}: unknown parameter(s) {unknown}; "
+                        f"have {shape.labels()}")
+    try:
+        shape = shape.with_blocks(**kwargs)
+    except ModelError as e:
+        raise ExprError(str(e))
     import dataclasses
 
-    return dataclasses.replace(m, param_shape=shape.replace(vec))
+    return dataclasses.replace(m, param_shape=shape)

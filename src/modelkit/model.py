@@ -10,7 +10,7 @@ CDFs from empirical draw fractions, estimators from black-box MLE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -57,15 +57,12 @@ class Model:
                 and self.cdf is None):
             raise ModelError(
                 f"model {self.label!r} needs at least one of likelihood, sampler, CDF")
-        self.settings.setdefault("_cache", {})
+        # every model, dataclasses.replace copies included, owns its settings
+        # dict and starts with an empty cache
+        self.settings = {**self.settings, "_cache": {}}
 
     def with_settings(self, **kw) -> "Model":
-        new = dict(self.settings)
-        new.pop("_cache", None)
-        new.update(kw)
-        return Model(self.label, self.data_dim, self.param_shape, self.logl,
-                     self.logl_joint, self.est, self.rng, self.cdf,
-                     self.constraint, new, self.discrete)
+        return replace(self, settings={**self.settings, **kw})
 
     def __repr__(self):
         return f"Model({self.label!r}, data_dim={self.data_dim}, params={len(self.param_shape)})"
@@ -337,14 +334,10 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
     if resolve(m)["L"] == "unresolvable":
         raise UnresolvableElementError(f"{m.label}: unresolvable element L")
 
-    def objective(p: Params) -> float:
-        v = _violation(m, p)
-        if v > 0:
-            return -1e12 * (1.0 + v)
-        return log_likelihood(m, d, p)
-
     if st.method == "coordinate_cycle":
         return solvers.coordinate_cycle(m, d, st)
+
+    objective = _mle_objective(m, d)
 
     best = None
     for r in range(st.restarts):
@@ -366,6 +359,16 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
         raise ModelError(f"{m.label}: no feasible MLE start point")
     return FittedModel(m, best.params, best.value, best.iterations,
                        best.converged, _violation(m, best.params))
+
+
+def _mle_objective(m: Model, d: DataSet) -> Callable[[Params], float]:
+    """Log-likelihood of d, with a steep penalty wherever p breaks the constraint."""
+    def objective(p: Params) -> float:
+        v = _violation(m, p)
+        if v > 0:
+            return -1e12 * (1.0 + v)
+        return log_likelihood(m, d, p)
+    return objective
 
 
 def _violation(m: Model, p: Params) -> float:

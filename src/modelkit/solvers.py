@@ -113,17 +113,19 @@ def coordinate_cycle(m: Model, d: DataSet, st: MleSettings | None = None):
     rotate, and repeat until a full cycle improves by less than tolerance."""
     st = st or MleSettings()
     shape = m.param_shape
-    vec = shape.flatten().copy()
-    base_mask = shape.fixed_mask
-    free_idx = np.flatnonzero(~base_mask)
+    vec = shape.flatten()
+    free_idx = np.flatnonzero(~shape.fixed_mask)
     if free_idx.size == 0:
         return core.estimate(m, d)
+    objective = core._mle_objective(m, d)
 
-    def objective(p: Params) -> float:
-        v = float(m.constraint(p)) if m.constraint is not None else 0.0
-        if v > 0:
-            return -1e12 * (1.0 + v)
-        return core.log_likelihood(m, d, p)
+    def along(j):
+        """The objective as a function of coordinate j alone."""
+        def f(x: Params) -> float:
+            v = vec.copy()
+            v[j] = x.scalar("x")
+            return objective(shape.replace(v))
+        return f
 
     inner = MleSettings(method="nelder_mead", tolerance=max(st.tolerance, 1e-10),
                         max_iter=st.max_iter)
@@ -133,19 +135,16 @@ def coordinate_cycle(m: Model, d: DataSet, st: MleSettings | None = None):
     for cycle in range(50):
         start = cur
         for j in free_idx:
-            mask = np.ones(len(shape), dtype=bool)
-            mask[j] = False
-            pinned = Params(shape.replace(vec).blocks, mask)
-            res = nelder_mead(objective, pinned, inner)
-            vec = res.params.flatten().copy()
+            res = nelder_mead(along(j), Params.scalars(x=vec[j]), inner)
+            vec[j] = res.params.scalar("x")
             cur = res.value
             total_iter += res.iterations
         if cur - start < st.tolerance * max(1.0, abs(cur)):
             converged = True
             break
-    params = Params(shape.blocks, base_mask).replace(vec)
+    params = shape.replace(vec)
     return core.FittedModel(m, params, cur, total_iter, converged,
-                            float(m.constraint(params)) if m.constraint else 0.0)
+                            core._violation(m, params))
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +284,12 @@ def kde_smooth(pmf: Model, st: KdeSettings | None = None) -> Model:
         bw = _silverman_bandwidth(kernel, support)
     weights = pmf.param_shape.block("w")
     weights = weights / weights.sum()
+    # non-location blocks come from the bandwidth params
+    scaled = kernel.param_shape.with_blocks(
+        **{n: bw.block(n) for n in kernel.param_shape.names if n != "mu"})
     kparams = []
-    for i in range(len(support)):
-        kp = kernel.param_shape.copy()
-        vec = kp.flatten()
-        # overwrite non-location blocks from the bandwidth params
-        off = 0
-        for name, v in kp.blocks:
-            if name != "mu":
-                vec[off:off + len(v)] = bw.block(name)
-            else:
-                vec[off:off + len(v)] = support.rows[i]
-            off += len(v)
-        kp = kp.replace(vec)
+    for row in support.rows:
+        kp = scaled.with_blocks(mu=row)
         if kernel.constraint is not None and kernel.constraint(kp) > 0:
             raise ModelError("kde_smooth: kernel covariance is not positive definite")
         kparams.append(kp)
@@ -333,7 +325,7 @@ def _silverman_bandwidth(kernel: Model, support: DataSet) -> Params:
     sd = np.std(support.rows, axis=0, ddof=1)
     sd = np.where(sd > 0, sd, 1.0)
     h = 1.06 * sd * n ** (-1 / 5)
-    names = [nm for nm, _ in kernel.param_shape.blocks if nm != "mu"]
+    names = kernel.param_shape.names
     if "sigma" in names:
         return Params([("sigma", [float(h[0])])])
     if "cov" in names:

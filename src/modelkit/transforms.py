@@ -30,9 +30,10 @@ class TransformRecord:
     data: dict = field(default_factory=dict)
 
 
-def _carry_settings(m: Model) -> dict:
-    out = {k: v for k, v in m.settings.items() if k != "_cache"}
-    return out
+def _violation_sum(ms, ps) -> float:
+    """Summed constraint violation of each part at its own parameters."""
+    return sum(float(m.constraint(q)) for m, q in zip(ms, ps)
+               if m.constraint is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +53,8 @@ def fix(m: Model, pinned: Params) -> Model:
             f"fix: pinned length {len(pinned)} != parameter length {len(m.param_shape)}")
     if not pinned.fixed_mask.any():
         raise ModelError("fix: at least one entry must be pinned")
-    settings = _carry_settings(m)
-    settings["transform"] = TransformRecord("fix", [m], {"pinned": pinned})
+    settings = {**m.settings,
+                "transform": TransformRecord("fix", [m], {"pinned": pinned})}
     return Model(f"fix({m.label})", m.data_dim, pinned.copy(),
                  logl=m.logl, logl_joint=m.logl_joint, est=m.est, rng=m.rng,
                  cdf=m.cdf, constraint=m.constraint, settings=settings,
@@ -75,33 +76,24 @@ def cross(ms: list[Model]) -> Model:
     if len(ms) < 2:
         raise ModelError("cross needs at least two models")
     d_off = np.cumsum([0] + [m.data_dim for m in ms])
-    p_off = np.cumsum([0] + [len(m.param_shape) for m in ms])
     dim = int(d_off[-1])
-
-    shape = Params([])
-    for i, m in enumerate(ms):
-        shape = shape.concat(Params([(f"{i}.{n}", v) for n, v in m.param_shape.blocks],
-                                    m.param_shape.fixed_mask))
-
-    def split_p(p: Params) -> list[Params]:
-        vec = p.flatten()
-        return [ms[i].param_shape.replace(vec[p_off[i]:p_off[i + 1]])
-                for i in range(len(ms))]
+    shapes = [m.param_shape for m in ms]
+    shape = Params.product((f"{i}.", s) for i, s in enumerate(shapes))
 
     def logl(rows, p):
-        ps = split_p(p)
+        ps = p.split(shapes)
         out = np.zeros(rows.shape[0])
         for i, m in enumerate(ms):
             out += core.row_log_likelihood(m, rows[:, d_off[i]:d_off[i + 1]], ps[i])
         return out
 
     def rng(p, stream, n):
-        ps = split_p(p)
+        ps = p.split(shapes)
         return np.hstack([core.draw(m, ps[i], stream, n).reshape(n, -1)
                           for i, m in enumerate(ms)])
 
     def cdf(points, p):
-        ps = split_p(p)
+        ps = p.split(shapes)
         out = np.ones(points.shape[0])
         for i, m in enumerate(ms):
             sl = points[:, d_off[i]:d_off[i + 1]]
@@ -111,17 +103,12 @@ def cross(ms: list[Model]) -> Model:
     est = None
     if all(m.est is not None for m in ms):
         def est(d):
-            out = None
-            for i, m in enumerate(ms):
-                sub = m.est(DataSet(d.rows[:, d_off[i]:d_off[i + 1]], d.weights))
-                sub = Params([(f"{i}.{n}", v) for n, v in sub.blocks], sub.fixed_mask)
-                out = sub if out is None else out.concat(sub)
-            return out
+            return Params.product(
+                (f"{i}.", m.est(DataSet(d.rows[:, d_off[i]:d_off[i + 1]], d.weights)))
+                for i, m in enumerate(ms))
 
     def constraint(p):
-        ps = split_p(p)
-        return sum(float(m.constraint(q)) for m, q in zip(ms, ps)
-                   if m.constraint is not None)
+        return _violation_sum(ms, p.split(shapes))
 
     label = f"cross({', '.join(m.label for m in ms)})"
     return Model(label, dim, shape, logl=logl, est=est, rng=rng, cdf=cdf,
@@ -157,23 +144,11 @@ def mix(ms: list[Model], weights=None) -> Model:
     if len(wblock) != k:
         raise ModelError(f"mix: {k} components but {len(wblock)} weights")
 
-    p_off = np.cumsum([0] + [len(m.param_shape) for m in ms])
-    shape = Params([])
-    for i, m in enumerate(ms):
-        shape = shape.concat(Params(
-            [(f"{i}.{n}", v) for n, v in m.param_shape.blocks],
-            m.param_shape.fixed_mask))
-    shape = shape.concat(wblock)
-
-    def split_p(p: Params):
-        vec = p.flatten()
-        ps = [ms[i].param_shape.replace(vec[p_off[i]:p_off[i + 1]])
-              for i in range(k)]
-        w = vec[p_off[-1]:]
-        return ps, w
+    shapes = [m.param_shape for m in ms] + [wblock]
+    shape = Params.product(zip([f"{i}." for i in range(k)] + [""], shapes))
 
     def logl(rows, p):
-        ps, w = split_p(p)
+        ps, w = p.split(shapes), p.block("w")
         wsum = w.sum()
         comp = np.full((rows.shape[0], k), -np.inf)
         for i in range(k):
@@ -187,7 +162,7 @@ def mix(ms: list[Model], weights=None) -> Model:
         return out
 
     def rng(p, stream, n):
-        ps, w = split_p(p)
+        ps, w = p.split(shapes), p.block("w")
         idx = stream.choice(k, p=w / w.sum(), size=n)
         out = np.empty((n, dim))
         for i in range(k):
@@ -197,7 +172,7 @@ def mix(ms: list[Model], weights=None) -> Model:
         return out
 
     def cdf(points, p):
-        ps, w = split_p(p)
+        ps, w = p.split(shapes), p.block("w")
         w = w / w.sum()
         out = np.zeros(points.shape[0])
         for i in range(k):
@@ -205,9 +180,8 @@ def mix(ms: list[Model], weights=None) -> Model:
         return out
 
     def constraint(p):
-        ps, w = split_p(p)
-        v = sum(float(m.constraint(q)) for m, q in zip(ms, ps)
-                if m.constraint is not None)
+        ps, w = p.split(shapes), p.block("w")
+        v = _violation_sum(ms, ps)
         v += float(np.sum(np.clip(-w, 0, None)) + np.sum(np.clip(w - 1, 0, None)))
         v += abs(float(w.sum()) - 1.0)
         return v if v > 1e-12 else 0.0
@@ -215,7 +189,7 @@ def mix(ms: list[Model], weights=None) -> Model:
     est = None
     if all(m.est is not None for m in ms):
         def est(d):
-            return _em(ms, d, shape, p_off, logl)
+            return _em(ms, d, shape)
 
     label = f"mix({', '.join(m.label for m in ms)})"
     return Model(label, dim, shape, logl=logl, est=est, rng=rng, cdf=cdf,
@@ -224,14 +198,13 @@ def mix(ms: list[Model], weights=None) -> Model:
                                                         {"weights": wblock})})
 
 
-def _em(ms, d: DataSet, shape: Params, p_off, mix_logl, max_iter=200, tol=1e-8):
+def _em(ms, d: DataSet, shape: Params, max_iter=200, tol=1e-8):
     """Expectation-maximization with closed-form weighted M-steps.
 
     Initialized by splitting the data into k chunks along the sort order of
     the first coordinate and fitting one component per chunk.
     """
     k = len(ms)
-    n = len(d)
     order = np.argsort(d.rows[:, 0], kind="stable")
     chunks = np.array_split(order, k)
     ps = [ms[i].est(DataSet(d.rows[chunks[i]], d.weights[chunks[i]]))
@@ -353,8 +326,9 @@ def truncate(m: Model, region) -> Model:
     mc = m.settings.get("trunc_mc") or TruncMcSettings()
 
     def mass(p: Params) -> float:
+        # keyed on the truncated model: each region has its own mass
         key = ("trunc_mass", p.flatten().tobytes())
-        cache = m.settings["_cache"]
+        cache = trunc.settings["_cache"]
         if key not in cache:
             if interval and m.cdf is not None:
                 top = core.cdf(m, np.array([hi]), p) if hi is not None else 1.0
@@ -415,11 +389,12 @@ def truncate(m: Model, region) -> Model:
             out[below] = 0.0
             return out
 
-    settings = _carry_settings(m)
-    settings["transform"] = TransformRecord("truncate", [m], {"region": region})
-    return Model(f"truncate({m.label})", m.data_dim, m.param_shape.copy(),
-                 logl=logl, rng=rng, cdf=cdf, constraint=m.constraint,
-                 settings=settings, discrete=m.discrete)
+    settings = {**m.settings,
+                "transform": TransformRecord("truncate", [m], {"region": region})}
+    trunc = Model(f"truncate({m.label})", m.data_dim, m.param_shape.copy(),
+                  logl=logl, rng=rng, cdf=cdf, constraint=m.constraint,
+                  settings=settings, discrete=m.discrete)
+    return trunc
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +459,7 @@ def jacobian(m: Model, f, f_inv, jac="numeric") -> Model:
         def est(d):
             return m.est(DataSet(pullback(d.rows), d.weights))
 
-    settings = _carry_settings(m)
-    settings.pop("pmf_support", None)
+    settings = {k: v for k, v in m.settings.items() if k != "pmf_support"}
     settings["transform"] = TransformRecord("jacobian", [m],
                                             {"f": f, "f_inv": f_inv, "jac": jac})
     return Model(f"jacobian({m.label})", dim, m.param_shape.copy(),
@@ -549,21 +523,12 @@ def d_compose(from_model: Model, to_model: Model, nseq=None,
     # live draws come from a stream the caller can reseed through the
     # transform record; pinned mode replays nseq's sequence every call
     live_stream = {"s": RandomStream((COMPOSE_SEED, 1))}
-    n_to = len(to_model.param_shape)
-
-    shape = Params([(f"to.{n}", v) for n, v in to_model.param_shape.blocks],
-                   to_model.param_shape.fixed_mask)
-    shape = shape.concat(Params(
-        [(f"from.{n}", v) for n, v in from_model.param_shape.blocks],
-        from_model.param_shape.fixed_mask))
-
-    def split_p(p: Params):
-        vec = p.flatten()
-        return (to_model.param_shape.replace(vec[:n_to]),
-                from_model.param_shape.replace(vec[n_to:]))
+    models = [to_model, from_model]
+    shapes = [m.param_shape for m in models]
+    shape = Params.product(zip(("to.", "from."), shapes))
 
     def logl_joint(d, p):
-        p_to, p_from = split_p(p)
+        p_to, p_from = p.split(shapes)
         stream = live_stream["s"] if live else RandomStream(nseq._path)
         rows = core.draw(from_model, p_from, stream, n_draws)
         if flatten:
@@ -571,13 +536,7 @@ def d_compose(from_model: Model, to_model: Model, nseq=None,
         return core.log_likelihood(to_model, DataSet(rows), p_to)
 
     def constraint(p):
-        p_to, p_from = split_p(p)
-        v = 0.0
-        if to_model.constraint is not None:
-            v += float(to_model.constraint(p_to))
-        if from_model.constraint is not None:
-            v += float(from_model.constraint(p_from))
-        return v
+        return _violation_sum(models, p.split(shapes))
 
     settings = {"transform": TransformRecord(
         "d_compose", [from_model, to_model],
@@ -696,14 +655,13 @@ def _conjugate_normal(prior, like, rho):
         base = rec.bases[0]
     if base.label != "normal":
         return None
-    names = shape.labels()
+    fixed = shape.replace(shape.fixed_mask)  # 1.0 on pinned entries
     try:
-        i_mu, i_s = names.index("mu"), names.index("sigma")
-    except ValueError:
+        if fixed.scalar("mu") or not fixed.scalar("sigma"):
+            return None
+    except (KeyError, ModelError):
         return None
-    if shape.fixed_mask[i_mu] or not shape.fixed_mask[i_s]:
-        return None
-    return rho.scalar("mu"), rho.scalar("sigma"), float(shape.flatten()[i_s])
+    return rho.scalar("mu"), rho.scalar("sigma"), shape.scalar("sigma")
 
 
 # ---------------------------------------------------------------------------

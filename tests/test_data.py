@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modelkit import DataSet, ModelError, Params, RandomStream
 
@@ -73,6 +74,84 @@ def test_params_concat_prefixes():
     c = a.concat(b, prefix=("l.", "r."))
     assert c.labels() == ["l.x", "r.x"]
     assert c.fixed_mask.tolist() == [False, True]
+
+
+def test_params_with_blocks_sets_values_and_keeps_mask():
+    p = Params([("mu", [1.0, 2.0]), ("sigma", [3.0])]).pin(sigma=3.0)
+    q = p.with_blocks(mu=[5.0, 6.0])
+    assert q.flatten().tolist() == [5.0, 6.0, 3.0]
+    assert q.fixed_mask.tolist() == [False, False, True]
+    assert p.flatten().tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ModelError, match="expects 2"):
+        p.with_blocks(mu=1.0)
+    with pytest.raises(KeyError):
+        p.with_blocks(nu=1.0)
+    with pytest.raises(ModelError, match="not scalar"):
+        p.pin(mu=1.0)
+
+
+def test_params_split_checks_coverage():
+    p = Params.scalars(a=1.0, b=2.0)
+    with pytest.raises(ModelError, match="cover"):
+        p.split([Params.scalars(a=0.0)])
+
+
+_value = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _params(draw):
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    blocks = [(f"b{i}", draw(st.lists(_value, min_size=k, max_size=k)))
+              for i, k in enumerate(sizes)]
+    mask = draw(st.lists(st.booleans(), min_size=sum(sizes), max_size=sum(sizes)))
+    return Params(blocks, mask)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_params(), min_size=1, max_size=3))
+def test_product_then_split_gives_back_the_parts_property(parts):
+    joined = Params.product((f"{i}.", p) for i, p in enumerate(parts))
+    assert joined.labels() == [f"{i}.{lab}" for i, p in enumerate(parts)
+                               for lab in p.labels()]
+    assert joined.fixed_mask.tolist() == [b for p in parts for b in p.fixed_mask]
+    for p, q in zip(parts, joined.split(parts)):
+        assert q.labels() == p.labels()
+        assert np.array_equal(q.flatten(), p.flatten())
+        assert np.array_equal(q.fixed_mask, p.fixed_mask)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_params(), st.data())
+def test_replace_with_free_pin_with_blocks_round_trip_property(p, data):
+    before = p.flatten()
+    vec = np.array(data.draw(st.lists(_value, min_size=len(p), max_size=len(p))),
+                   dtype=float)
+    q = p.replace(vec)
+    assert np.array_equal(q.flatten(), vec)
+    assert q.labels() == p.labels()
+    assert np.array_equal(q.fixed_mask, p.fixed_mask)
+    assert np.array_equal(q.replace(before).flatten(), before)
+    # with_free fills the free entries and keeps the pinned ones
+    r = p.with_free(q.free_values())
+    assert np.array_equal(r.free_values(), q.free_values())
+    assert np.array_equal(r.flatten()[p.fixed_mask], before[p.fixed_mask])
+    assert np.array_equal(p.with_free(p.free_values()).flatten(), before)
+    # with_blocks of another point's blocks moves to that point, mask kept
+    s = p.with_blocks(**dict(q.blocks))
+    assert np.array_equal(s.flatten(), vec)
+    assert np.array_equal(s.fixed_mask, p.fixed_mask)
+    # pin = with_blocks plus the mask
+    scalars = {n: v[0] for n, v in q.blocks if len(v) == 1}
+    pinned = p.pin(**scalars)
+    assert np.array_equal(pinned.flatten(), p.with_blocks(**scalars).flatten())
+    for n in scalars:
+        assert pinned.fixed_mask[pinned.labels().index(n)]
+    assert np.array_equal(pinned.with_free(pinned.free_values()).flatten(),
+                          pinned.flatten())
+    # no result shares storage with its source
+    assert np.array_equal(p.flatten(), before)
+    assert np.array_equal(p.copy().flatten(), before)
 
 
 def test_stream_reproducible_and_split_independent():

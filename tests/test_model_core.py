@@ -82,6 +82,19 @@ def test_likelihood_from_rng_memoized_pmf():
     assert ratio == pytest.approx(stats.norm.pdf(0) / stats.norm.pdf(1), rel=0.1)
 
 
+def test_replace_copies_keep_their_own_cache():
+    import dataclasses
+
+    m = normal_model()
+    p = m.param_shape
+    l_only = dataclasses.replace(m, rng=None, cdf=None, est=None)
+    rng_backed = dataclasses.replace(m, cdf=None)
+    assert rng_backed.settings is not m.settings
+    core.cdf(l_only, [0.5], p)  # fills l_only's cache with Metropolis draws
+    fresh = dataclasses.replace(normal_model(), cdf=None)
+    assert core.cdf(rng_backed, [0.5], p) == core.cdf(fresh, [0.5], p)
+
+
 def test_empirical_cdf_from_draws():
     m = rng_only_normal()
     p = Params.scalars(mu=0.0)

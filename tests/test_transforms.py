@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from modelkit import (DataSet, ModelError, Params, RandomStream, builtin,
@@ -51,6 +52,27 @@ def test_cross_componentwise_estimation():
     assert fit.params.scalar("1.mu") == pytest.approx(2.0, abs=1e-12)
 
 
+_CROSS_PARTS = ("normal", "exponential", "poisson", "beta", "uniform", "weibull")
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from(_CROSS_PARTS), min_size=3, max_size=3),
+       st.lists(st.floats(0.5, 2.0), min_size=6, max_size=6),
+       st.integers(0, 2 ** 16))
+def test_cross_is_associative_property(names, scale, seed):
+    a, b, c = (builtin(n) for n in names)
+    left = cross([a, cross([b, c])])
+    right = cross([cross([a, b]), c])
+    # positive multiples of the catalog defaults stay feasible
+    vec = left.param_shape.flatten() * np.resize(scale, len(left.param_shape))
+    pl, pr = left.param_shape.replace(vec), right.param_shape.replace(vec)
+    rows = core.draw(left, pl, RandomStream(seed), 4)
+    assert row_log_likelihood(left, rows, pl) == pytest.approx(
+        row_log_likelihood(right, rows, pr), rel=1e-12)
+    assert core.cdf(left, rows, pl) == pytest.approx(
+        core.cdf(right, rows, pr), rel=1e-12)
+
+
 def test_mix_likelihood_is_convex_combination():
     m = mix([builtin("normal"), builtin("normal")], weights=[0.25, 0.75])
     p = m.param_shape.replace([0.0, 1.0, 3.0, 1.0, 0.25, 0.75])
@@ -80,6 +102,16 @@ def test_truncate_renormalizes():
     assert logl1(t, -0.5, p) == -np.inf
     draws = core.draw(t, p, RandomStream(5), 2000)
     assert draws.min() >= 0.0
+
+
+def test_truncations_of_one_base_keep_their_own_mass():
+    m = normal_model()
+    p = Params.scalars(mu=0.0, sigma=1.0)
+    at0, at1 = truncate(m, (0.0, None)), truncate(m, (1.0, None))
+    logl1(at0, 1.5, p)
+    # ln[ phi(1.5) / (1 - Phi(1)) ], not the mass of the region x >= 0
+    want = stats.norm.logpdf(1.5) - stats.norm.logsf(1.0)
+    assert logl1(at1, 1.5, p) == pytest.approx(want, abs=1e-9)
 
 
 def test_truncate_tiny_region_errors():
