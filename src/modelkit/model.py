@@ -38,6 +38,11 @@ class Model:
       rng(p, stream, n)     -> (n,d) draws
       cdf(points (n,d), p)  -> (n,) orthant probabilities
       constraint(p)         -> violation distance (0 when satisfied)
+
+    The dispatch layer relies on the row contract: it passes logl and cdf a
+    whole (n,d) array at once (every bisection step of n inversion draws,
+    every corner of n finite-difference rows) and expects row i of the
+    result to depend on row i of the input alone.
     """
 
     label: str
@@ -181,23 +186,23 @@ def _logl_from_cdf(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
     the unit forward difference (point mass at x is CDF(x) - CDF(x - 1)).
     """
     n, dim = rows.shape
-    out = np.empty(n)
     if m.discrete:
         lo = rows - 1.0
         out_mass = np.asarray(m.cdf(rows, p)) - np.asarray(m.cdf(lo, p))
         return np.log(np.clip(out_mass, 1e-300, None))
-    for i in range(n):
-        x = rows[i]
-        h = np.maximum(1e-5, 1e-5 * np.abs(x))
-        total = 0.0
-        # inclusion-exclusion over the 2^dim orthant corners
-        for corner in range(1 << dim):
-            signs = np.array([1.0 if corner >> j & 1 else -1.0 for j in range(dim)])
-            pt = x + signs * h
-            total += np.prod(signs) * float(m.cdf(pt.reshape(1, -1), p)[0])
-        dens = total / np.prod(2.0 * h)
-        out[i] = math.log(dens) if dens > 0 else LOG_NEG_INF
-    return out
+    h = np.maximum(1e-5, 1e-5 * np.abs(rows))
+    # inclusion-exclusion over the 2^dim orthant corners: one CDF call over
+    # every corner of every row, summed corner by corner
+    signs = np.array([[1.0 if corner >> j & 1 else -1.0 for j in range(dim)]
+                      for corner in range(1 << dim)])
+    corners = (rows[None, :, :] + signs[:, None, :] * h[None, :, :]).reshape(-1, dim)
+    vals = np.asarray(m.cdf(corners, p), dtype=float).reshape(1 << dim, n)
+    total = np.zeros(n)
+    for corner in range(1 << dim):
+        total += np.prod(signs[corner]) * vals[corner]
+    dens = total / np.prod(2.0 * h, axis=1)
+    # math.log, not np.log: the vectorized log rounds differently on some inputs
+    return np.array([math.log(d) if d > 0 else LOG_NEG_INF for d in dens])
 
 
 def memoized_pmf(m: Model, p: Params, n: int | None = None) -> Model:
@@ -243,16 +248,19 @@ def draw(m: Model, p: Params, stream: RandomStream, n: int | None = None):
     elif strategy == "cdf-inversion":
         from . import solvers
 
-        def scalar_cdf(x):
-            return float(m.cdf(np.array([[x]]), p)[0])
+        def array_cdf(xs):
+            return np.asarray(m.cdf(xs.reshape(-1, 1), p), dtype=float)
 
-        rows = np.array([[solvers.invert_cdf_draw(scalar_cdf, p, stream)]
-                         for _ in range(n)])
+        rows = solvers.invert_cdf(array_cdf, stream.uniform(size=n)).reshape(n, 1)
     elif strategy == "metropolis":
         rows = _draw_metropolis(m, p, stream, n)
     else:
         raise UnresolvableElementError(f"{m.label}: unresolvable element RNG")
     return rows[0] if single else rows
+
+
+# offsets tried in turn when the metropolis start point has zero likelihood
+_START_LADDER = tuple(s * 2.0 ** k for k in range(-1, 11) for s in (1.0, -1.0))
 
 
 def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.ndarray:
@@ -267,10 +275,20 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
         v = row_log_likelihood(m, x.flatten().reshape(1, -1), p)[0]
         return float(v)
 
-    x0 = Params([("d", np.zeros(dim))])
     start = m.settings.get("mcmc_start")
-    if start is not None:
-        x0 = Params([("d", np.asarray(start, dtype=float))])
+    origin = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
+    x0 = Params([("d", origin)])
+    if not np.isfinite(target(x0)):
+        # the start lies off the support: walk a fixed ladder of offsets,
+        # every coordinate shifted alike, until the likelihood is positive
+        for step in _START_LADDER:
+            x0 = Params([("d", origin + step)])
+            if np.isfinite(target(x0)):
+                break
+        else:
+            raise ModelError(
+                f"{m.label}: element RNG: metropolis found no start point with "
+                f"a finite likelihood; set settings['mcmc_start']")
     chain = solvers.metropolis(target, x0, st, stream, n_samples=n)
     return chain.samples
 
@@ -285,7 +303,13 @@ def cdf(m: Model, point, p: Params) -> float:
         vals = np.asarray(m.cdf(pts, p), dtype=float)
     elif strategy == "empirical draws":
         draws = _cdf_draws(m, p)
-        vals = np.array([np.mean(np.all(draws <= pt + 1e-12, axis=1)) for pt in pts])
+        # share of draws dominated by each point, in blocks of points so the
+        # comparison temporary stays near a million entries
+        vals = np.empty(pts.shape[0])
+        step = max(1, (1 << 20) // max(draws.size, 1))
+        for i in range(0, pts.shape[0], step):
+            below = draws[None, :, :] <= pts[i:i + step, None, :] + 1e-12
+            vals[i:i + step] = np.all(below, axis=2).sum(axis=1) / draws.shape[0]
     else:
         raise UnresolvableElementError(f"{m.label}: unresolvable element CDF")
     out = np.clip(vals, 0.0, 1.0)
@@ -331,8 +355,16 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
         fitted.log_likelihood_at_optimum = _safe_ll(fitted.model, d, p)
         return fitted
 
-    if resolve(m)["L"] == "unresolvable":
+    strategy = resolve(m)["L"]
+    if strategy == "unresolvable":
         raise UnresolvableElementError(f"{m.label}: unresolvable element L")
+    if (strategy == "memoized PMF" and not m.discrete
+            and m.settings.get("kde") is None):
+        # raw memoized draws put no mass between the draws, so continuous
+        # data scores -inf everywhere
+        raise ModelError(
+            f"{m.label}: element L is a memoized PMF of draws, which gives "
+            f"continuous data zero likelihood; set settings['kde'] to smooth it")
 
     if st.method == "coordinate_cycle":
         return solvers.coordinate_cycle(m, d, st)

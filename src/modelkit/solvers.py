@@ -201,48 +201,76 @@ def metropolis(target_log_density: Callable[[Params], float], x0: Params,
 # CDF inversion
 
 
+def invert_cdf(cdf: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
+    """Solve cdf(x) = u for every uniform in u: bracket, bisect, secant-refine.
+
+    ``cdf`` maps an array of points to an array of probabilities.  Each
+    element runs its own scalar algorithm: double the bracket [-1, 1] until it
+    holds u, bisect until |cdf(mid) - u| < 1e-10 or the bracket is narrower
+    than 1e-14 relative, then refine by secant steps that stay inside the
+    bracket, falling back to its midpoint.  Elements still working share one
+    cdf call per step, so a batch costs about as many calls as one element.
+    """
+    r = np.asarray(u, dtype=float).ravel()
+    lo, hi = np.full(r.size, -1.0), np.full(r.size, 1.0)
+    for bound, holds, side in ((lo, np.less_equal, "lower"),
+                               (hi, np.greater_equal, "upper")):
+        todo = np.arange(r.size)
+        for _ in range(1024 + 1):
+            todo = todo[~holds(cdf(bound[todo]), r[todo])]
+            if todo.size == 0:
+                break
+            with np.errstate(over="ignore"):  # a runaway bracket reaches inf
+                bound[todo] *= 2.0
+        else:
+            raise ModelError(f"unbracketable: {side} bracket expansion exhausted")
+    out = np.empty(r.size)
+    todo = np.arange(r.size)
+    refine = []
+    for _ in range(200):
+        if todo.size == 0:
+            break
+        mid = 0.5 * (lo[todo] + hi[todo])
+        v = cdf(mid)
+        hit = np.abs(v - r[todo]) < 1e-10
+        out[todo[hit]] = mid[hit]
+        todo, mid, v = todo[~hit], mid[~hit], v[~hit]
+        below = v < r[todo]
+        lo[todo[below]] = mid[below]
+        hi[todo[~below]] = mid[~below]
+        narrow = hi[todo] - lo[todo] < 1e-14 * np.maximum(1.0, np.abs(hi[todo]))
+        refine.append(todo[narrow])
+        todo = todo[~narrow]
+    todo = np.concatenate(refine + [todo])
+    # secant refinement on the residual; elements that leave without a root
+    # take their bracket's midpoint
+    out[todo] = 0.5 * (lo[todo] + hi[todo])
+    if todo.size == 0:
+        return out
+    x0, x1 = lo[todo], hi[todo]
+    f = cdf(np.concatenate([x0, x1])) - np.concatenate([r[todo], r[todo]])
+    f0, f1 = f[:todo.size], f[todo.size:]
+    for _ in range(50):
+        keep = f1 != f0
+        todo, x0, x1, f0, f1 = (a[keep] for a in (todo, x0, x1, f0, f1))
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        keep = (lo[todo] <= x2) & (x2 <= hi[todo])
+        todo, x0, x1, f0, f1, x2 = (a[keep] for a in (todo, x0, x1, f0, f1, x2))
+        if todo.size == 0:
+            break
+        f2 = cdf(x2) - r[todo]
+        hit = np.abs(f2) < 1e-10
+        out[todo[hit]] = x2[hit]
+        todo, x0, f0, x1, f1 = (a[~hit] for a in (todo, x1, f1, x2, f2))
+    return out
+
+
 def invert_cdf_draw(cdf: Callable[[float], float], p: Params | None,
                     stream: RandomStream) -> float:
-    """Draw by inverting a scalar CDF: bracket, bisect, then secant-refine."""
-    r = stream.uniform()
-    lo, hi = -1.0, 1.0
-    for _ in range(1024 + 1):
-        if cdf(lo) <= r:
-            break
-        lo *= 2.0
-    else:
-        raise ModelError("unbracketable: lower bracket expansion exhausted")
-    for _ in range(1024 + 1):
-        if cdf(hi) >= r:
-            break
-        hi *= 2.0
-    else:
-        raise ModelError("unbracketable: upper bracket expansion exhausted")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = cdf(mid)
-        if abs(v - r) < 1e-10:
-            return mid
-        if v < r:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(hi)):
-            break
-    # secant refinement on the residual
-    x0, x1 = lo, hi
-    f0, f1 = cdf(x0) - r, cdf(x1) - r
-    for _ in range(50):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo <= x2 <= hi):
-            break
-        f2 = cdf(x2) - r
-        if abs(f2) < 1e-10:
-            return x2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return 0.5 * (lo + hi)
+    """Draw one value by inverting a scalar CDF with invert_cdf."""
+    def array_cdf(xs):
+        return np.array([cdf(x) for x in xs], dtype=float)
+    return float(invert_cdf(array_cdf, [stream.uniform()])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +294,11 @@ def memoize_rng_to_pmf(m: Model, p: Params, n: int, stream: RandomStream) -> Mod
 def kde_smooth(pmf: Model, st: KdeSettings | None = None) -> Model:
     """Mixture of one kernel per PMF support point, kernel centered there.
 
-    The kernel must have a closed-form likelihood; its location block is
-    named "mu" and the remaining blocks come from st.bandwidth.
+    The kernel must have a closed-form likelihood and be a location family in
+    its "mu" block: its density, CDF and draws at mu = c are those at mu = 0
+    shifted by c.  Every element is therefore evaluated once, at mu = 0, on
+    the differences between the points and all support points.  The remaining
+    blocks come from st.bandwidth.
     """
     from .distributions import normal_model, mvn_model
 
@@ -285,36 +316,34 @@ def kde_smooth(pmf: Model, st: KdeSettings | None = None) -> Model:
     weights = pmf.param_shape.block("w")
     weights = weights / weights.sum()
     # non-location blocks come from the bandwidth params
-    scaled = kernel.param_shape.with_blocks(
+    kp = kernel.param_shape.with_blocks(
+        mu=np.zeros(dim),
         **{n: bw.block(n) for n in kernel.param_shape.names if n != "mu"})
-    kparams = []
-    for row in support.rows:
-        kp = scaled.with_blocks(mu=row)
-        if kernel.constraint is not None and kernel.constraint(kp) > 0:
-            raise ModelError("kde_smooth: kernel covariance is not positive definite")
-        kparams.append(kp)
+    if kernel.constraint is not None and kernel.constraint(kp) > 0:
+        raise ModelError("kde_smooth: kernel covariance is not positive definite")
+    centres = support.rows
+    k = centres.shape[0]
     logw = np.log(np.clip(weights, 1e-300, None))
 
+    def at_offsets(element, rows):
+        """element(x - centre, kp) for every row and centre, as an (n, k) array."""
+        diff = (rows[:, None, :] - centres[None, :, :]).reshape(-1, dim)
+        return np.asarray(element(diff, kp), dtype=float).reshape(-1, k)
+
     def logl(rows, p):
-        comp = np.column_stack([
-            np.asarray(kernel.logl(rows, kp), dtype=float) for kp in kparams])
+        comp = at_offsets(kernel.logl, rows)
         mx = np.max(comp + logw, axis=1, keepdims=True)
         return (mx[:, 0]
                 + np.log(np.sum(np.exp(comp + logw - mx), axis=1)))
 
     def rng(p, stream, n):
-        idx = stream.choice(len(kparams), p=weights, size=n)
-        out = np.empty((n, dim))
-        for j in range(n):
-            out[j] = core.draw(kernel, kparams[idx[j]], stream)
-        return out
+        idx = stream.choice(k, p=weights, size=n)
+        return core.draw(kernel, kp, stream, n).reshape(n, dim) + centres[idx]
 
     cdf = None
     if kernel.cdf is not None:
         def cdf(points, p):
-            comp = np.column_stack([
-                np.asarray(kernel.cdf(points, kp), dtype=float) for kp in kparams])
-            return comp @ weights
+            return at_offsets(kernel.cdf, points) @ weights
 
     return Model(f"kde({pmf.label})", dim, Params([]), logl=logl, rng=rng,
                  cdf=cdf, settings={"kde_support": support})

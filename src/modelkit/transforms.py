@@ -96,8 +96,7 @@ def cross(ms: list[Model]) -> Model:
         ps = p.split(shapes)
         out = np.ones(points.shape[0])
         for i, m in enumerate(ms):
-            sl = points[:, d_off[i]:d_off[i + 1]]
-            out *= np.array([core.cdf(m, pt, ps[i]) for pt in sl])
+            out *= core.cdf(m, points[:, d_off[i]:d_off[i + 1]], ps[i])
         return out
 
     est = None
@@ -176,7 +175,7 @@ def mix(ms: list[Model], weights=None) -> Model:
         w = w / w.sum()
         out = np.zeros(points.shape[0])
         for i in range(k):
-            out += w[i] * np.array([core.cdf(ms[i], pt, ps[i]) for pt in points])
+            out += w[i] * core.cdf(ms[i], points, ps[i])
         return out
 
     def constraint(p):
@@ -283,7 +282,7 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
     def cdf(points, p):
         w = w0(p)
         x = points[:, 0]
-        base = np.array([core.cdf(trunc, np.array([v]), p) for v in x])
+        base = core.cdf(trunc, points[:, :1], p)
         return np.where(x >= loc - 1e-12, w + (1 - w) * base, 0.0)
 
     return Model(f"mix_cdf({trunc.label}, {point.label})", trunc.data_dim,
@@ -378,7 +377,7 @@ def truncate(m: Model, region) -> Model:
             z = mass(p)
             x = points[:, 0]
             capped = np.minimum(x, hi) if hi is not None else x
-            top = np.array([core.cdf(m, np.array([v]), p) for v in capped])
+            top = core.cdf(m, capped.reshape(-1, 1), p)
             if lo is not None:
                 lo_pt = lo - 1.0 if m.discrete else lo
                 bot = core.cdf(m, np.array([lo_pt]), p)

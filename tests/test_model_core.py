@@ -58,6 +58,86 @@ def test_rng_from_cdf_inversion():
     assert stats.kstest(draws, lambda x: 1 - np.exp(-x / 2)).statistic < 0.03
 
 
+def _logl_from_cdf_loop(m, rows, p):
+    """Reference: the cdf-delta density one row and one corner at a time."""
+    out = []
+    for x in rows:
+        h = np.maximum(1e-5, 1e-5 * np.abs(x))
+        total = 0.0
+        for corner in range(1 << len(x)):
+            signs = np.array([1.0 if corner >> j & 1 else -1.0 for j in range(len(x))])
+            total += np.prod(signs) * float(m.cdf((x + signs * h).reshape(1, -1), p)[0])
+        dens = total / np.prod(2.0 * h)
+        out.append(math.log(dens) if dens > 0 else -math.inf)
+    return np.array(out)
+
+
+def test_likelihood_from_cdf_matches_the_per_row_loop():
+    import dataclasses
+
+    from modelkit import cross
+
+    one = cdf_only_exponential()
+    p1 = Params.scalars(mu=2.0)
+    rows1 = np.concatenate([RandomStream(5).uniform(-1.0, 9.0, size=(300, 1)),
+                            [[0.0], [1e-7]]])
+    two = dataclasses.replace(cross([normal_model(), builtin("exponential")]),
+                              logl=None, rng=None, est=None)
+    p2 = two.param_shape.replace([1.0, 1.0, 2.0])
+    s = RandomStream(6)
+    rows2 = np.column_stack([s.uniform(-1.0, 3.0, 100), s.uniform(-0.5, 6.0, 100)])
+    for m, rows, p in ((one, rows1, p1), (two, rows2, p2)):
+        assert np.array_equal(core.row_log_likelihood(m, rows, p),
+                              _logl_from_cdf_loop(m, rows, p))
+
+
+def test_empirical_cdf_matches_the_per_point_loop():
+    import dataclasses
+
+    from modelkit import cross
+
+    for m, p in ((rng_only_normal(), Params.scalars(mu=0.0)),
+                 (dataclasses.replace(cross([normal_model(), builtin("exponential")]),
+                                      cdf=None),
+                  Params.scalars(**{"0.mu": 0.0, "0.sigma": 1.0, "1.mu": 1.0}))):
+        pts = RandomStream(7).normal(size=(300, m.data_dim))
+        draws = core._cdf_draws(m, p)
+        want = [np.mean(np.all(draws <= pt + 1e-12, axis=1)) for pt in pts]
+        assert np.array_equal(core.cdf(m, pts, p), np.clip(want, 0.0, 1.0))
+
+
+def _ess(x):
+    """Single-chain effective sample size: Geyer's initial positive sequence."""
+    c = x - x.mean()
+    n = c.size
+    rho = np.correlate(c, c, "full")[n - 1:] / (c @ c)
+    tau = -1.0
+    for k in range(0, n - 1, 2):
+        pair = rho[k] + rho[k + 1]
+        if pair < 0:
+            break
+        tau += 2.0 * pair
+    return n / tau
+
+
+def test_metropolis_starts_inside_a_support_that_excludes_the_origin():
+    import dataclasses
+
+    beta = builtin("beta")
+    m = dataclasses.replace(beta, rng=None, cdf=None, est=None)
+    x = core.draw(m, Params.scalars(alpha=2.0, beta=3.0), RandomStream(9), 2000)[:, 0]
+    assert np.all((x > 0.0) & (x < 1.0))
+    # Beta(2, 3): mean 0.4, standard deviation 0.2
+    assert abs(x.mean() - 0.4) <= 5 * 0.2 / math.sqrt(_ess(x))
+
+
+def test_metropolis_without_a_finite_start_names_the_model():
+    m = Model("nowhere", 1, Params.scalars(mu=0.0),
+              logl=lambda rows, p: np.full(rows.shape[0], -np.inf))
+    with pytest.raises(ModelError, match="nowhere: element RNG"):
+        core.draw(m, m.param_shape, RandomStream(1), 10)
+
+
 def test_rng_from_likelihood_metropolis():
     m = Model("logl_only", 1, Params.scalars(mu=1.0),
               logl=lambda rows, p: stats.norm.logpdf(rows[:, 0], p.scalar("mu")))
@@ -93,6 +173,12 @@ def test_replace_copies_keep_their_own_cache():
     core.cdf(l_only, [0.5], p)  # fills l_only's cache with Metropolis draws
     fresh = dataclasses.replace(normal_model(), cdf=None)
     assert core.cdf(rng_backed, [0.5], p) == core.cdf(fresh, [0.5], p)
+
+
+def test_sampler_only_continuous_estimate_asks_for_kde():
+    d = DataSet(RandomStream(3).normal(size=(50, 1)))
+    with pytest.raises(ModelError, match=r"rng_only: element L .*settings\['kde'\]"):
+        estimate(rng_only_normal(), d)
 
 
 def test_empirical_cdf_from_draws():

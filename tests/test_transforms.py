@@ -120,6 +120,46 @@ def test_truncate_tiny_region_errors():
         core.draw(t, Params.scalars(mu=0.0, sigma=1.0), RandomStream(1), 10)
 
 
+def _counting_cdf(m, calls):
+    """m with its CDF wrapped to record the number of rows of every call."""
+    import dataclasses
+
+    def cdf(points, p):
+        calls.append(points.shape[0])
+        return m.cdf(points, p)
+    return dataclasses.replace(m, cdf=cdf)
+
+
+def test_transform_cdfs_call_each_base_once_per_batch():
+    n = 2000
+    s = RandomStream(12)
+    x, y = s.uniform(-3.0, 5.0, n), s.uniform(0.0, 8.0, n)
+    a_calls, b_calls, c_calls, t_calls, k_calls = [], [], [], [], []
+    a = _counting_cdf(normal_model(), a_calls)
+    b = _counting_cdf(builtin("exponential"), b_calls)
+    cr = cross([a, b])
+    got = core.cdf(cr, np.column_stack([x, y]), cr.param_shape.replace([1.0, 1.0, 2.0]))
+    want = stats.norm.cdf(x, 1.0, 1.0) * stats.expon.cdf(y, scale=2.0)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    c = _counting_cdf(normal_model(), c_calls)
+    mx = mix([a, c], weights=[0.3, 0.7])
+    got = core.cdf(mx, x.reshape(-1, 1), mx.param_shape.replace([-1.0, 1.0, 2.0, 0.5, 0.3, 0.7]))
+    want = 0.3 * stats.norm.cdf(x, -1.0, 1.0) + 0.7 * stats.norm.cdf(x, 2.0, 0.5)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    tr = truncate(_counting_cdf(normal_model(), t_calls), (0.0, 3.0))
+    got = core.cdf(tr, x.reshape(-1, 1), Params.scalars(mu=1.0, sigma=1.0))
+    lo, hi = stats.norm.cdf([0.0, 3.0], 1.0, 1.0)
+    want = np.clip((stats.norm.cdf(np.minimum(x, 3.0), 1.0, 1.0) - lo) / (hi - lo), 0, 1)
+    assert np.max(np.abs(np.where(x < 0.0, 0.0, want) - got)) <= 1e-12
+    body = truncate(_counting_cdf(normal_model(), k_calls), (0.0, None))
+    mc = mix_cdf(body, pmf_model(DataSet(np.zeros((1, 1)))))
+    core.cdf(mc, x.reshape(-1, 1), Params.scalars(mu=1.0, sigma=1.0))
+    # one call over all n points per use of the base, plus the region mass
+    assert max(a_calls) == max(b_calls) == max(c_calls) == n
+    assert len(b_calls) <= 2 and len(c_calls) <= 2 and len(a_calls) <= 4
+    assert len(t_calls) <= 5 and len(k_calls) <= 5
+
+
 def test_mix_cdf_atom_and_body():
     t = truncate(normal_model(), (0.0, None))
     m = mix_cdf(t, pmf_model(DataSet(np.zeros((1, 1)))))
