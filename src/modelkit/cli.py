@@ -7,18 +7,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import distributions, expr, inference, sims, transforms
+from . import distributions, expr, sims, transforms
 from . import model as core
 from .data import (DataSet, EMPTY_PARAMS, MleSettings, ModelError, Params,
                    RandomStream)
-
-EXAMPLES = ("roundtrip", "network-cdf", "sigma-fit", "poisson-update",
-            "demand", "search", "weibull-fuzz")
 
 
 def _fmt(x) -> str:
@@ -70,22 +69,25 @@ def _ecdf(values: np.ndarray, cap: int = 500) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-class _CheckFailure(Exception):
-    pass
+@dataclass
+class _Result:
+    """What one example pipeline computed, for ``run_example`` to render:
+    headline values by name, (headers, rows) of ``<name>.csv``, the blocks of
+    ``<name>.dat``, (ok, message) gates in run order, and (headers, rows) of
+    the printed table, by default one (quantity, value) row per value."""
 
-
-def _check(ok: bool, message: str, enabled: bool):
-    tag = "ok" if ok else "FAILED"
-    print(f"check [{tag}]: {message}")
-    if enabled and not ok:
-        raise _CheckFailure(message)
+    values: dict
+    csv: tuple
+    series: list
+    checks: list
+    table: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
 # Example pipelines
 
 
-def _ex_roundtrip(seed, draws, out, check, fmt):
+def _ex_roundtrip(seed, draws):
     draws = draws or 10000
     cases = [
         ("normal", "normal(mu=1, sigma=1)", 0.05),
@@ -93,28 +95,25 @@ def _ex_roundtrip(seed, draws, out, check, fmt):
         ("beta", "beta(alpha=0.7, beta=1.7)", 0.08),
         ("trunc_beta", "truncate(beta(alpha=0.7, beta=1.7), min=0.2)", 0.08),
     ]
-    rows, series = [], []
+    rows, series, values = [], [], {}
     for i, (name, text, tol) in enumerate(cases):
         m = expr.eval_model_expr(expr.parse_model_expr(text))
         truth = m.param_shape
         data = core.draw(m, truth, RandomStream((seed, i)), draws)
         fit = core.estimate(m, DataSet(data))
         series.append(_ecdf(data[:, 0]))
-        for lab, t, e in zip(truth.labels(), truth.flatten(),
-                             fit.params.flatten()):
+        values[name] = (truth.flatten(), fit.params.flatten())
+        for lab, t, e in zip(truth.labels(), *values[name]):
             rows.append([name, lab, t, e, abs(e - t), tol])
-    _print_table(["model", "param", "truth", "estimate", "abs_err", "tol"],
-                 rows, fmt)
-    _write_csv(out / "roundtrip.csv",
-               ["model", "param", "truth", "estimate"],
-               [r[:4] for r in rows])
-    _write_gnuplot(out / "roundtrip.dat", series)
-    for name, lab, t, e, err, tol in rows:
-        _check(err <= tol, f"{name} {lab}: |{_fmt(e)} - {_fmt(t)}| <= {tol}",
-               check)
+    return _Result(
+        values, (["model", "param", "truth", "estimate"], [r[:4] for r in rows]),
+        series,
+        [(err <= tol, f"{name} {lab}: |{_fmt(e)} - {_fmt(t)}| <= {tol}")
+         for name, lab, t, e, err, tol in rows],
+        table=(["model", "param", "truth", "estimate", "abs_err", "tol"], rows))
 
 
-def _ex_network_cdf(seed, draws, out, check, fmt):
+def _ex_network_cdf(seed, draws):
     draws = draws or 10000
     net = sims.network_sim_model()
     data = core.draw(net, EMPTY_PARAMS, RandomStream((seed, 0x2E7)), draws)
@@ -126,15 +125,13 @@ def _ex_network_cdf(seed, draws, out, check, fmt):
     point = np.full(a, float(a - 1))
     point[0] = 5.0
     val = float(np.mean(np.all(data <= point, axis=1)))
-    rows = [["orthant_cdf", val], ["runs", float(draws)]]
-    _print_table(["quantity", "value"], rows, fmt)
     pairs, counts = np.unique(data[:, :2], axis=0, return_counts=True)
-    _write_csv(out / "network-cdf.csv", ["most_links", "second_most", "runs"],
-               np.column_stack([pairs, counts]))
-    _write_gnuplot(out / "network-cdf.dat",
-                   [np.column_stack([pairs, counts])])
-    _check(abs(val - 0.0533) <= 0.010,
-           f"orthant cdf {_fmt(val)} within 0.0533 +/- 0.010", check)
+    return _Result(
+        {"orthant_cdf": val, "runs": float(draws)},
+        (["most_links", "second_most", "runs"], np.column_stack([pairs, counts])),
+        [np.column_stack([pairs, counts])],
+        [(abs(val - 0.0533) <= 0.010,
+          f"orthant cdf {_fmt(val)} within 0.0533 +/- 0.010")])
 
 
 def _sigma_fit_once(seed: int) -> float:
@@ -154,21 +151,19 @@ def _sigma_fit_once(seed: int) -> float:
     return float(fit.params.scalar("from.sigma"))
 
 
-def _ex_sigma_fit(seed, draws, out, check, fmt):
+def _ex_sigma_fit(seed, draws):
     sigma = _sigma_fit_once(seed)
-    _print_table(["quantity", "value"], [["sigma_opt", sigma]], fmt)
-    _write_csv(out / "sigma-fit.csv", ["seed", "sigma_opt"], [[seed, sigma]])
     net = sims.network_sim_model(sigma_free=True)
     deg = core.draw(net, Params.scalars(sigma=sigma),
                     RandomStream((seed, 0x51)), 200).ravel()
     x = np.linspace(0, 9, 50)
-    _write_gnuplot(out / "sigma-fit.dat",
-                   [_ecdf(deg), np.column_stack([x, 1 - np.exp(-x)])])
-    _check(0.41 <= sigma <= 0.61,
-           f"sigma_opt {_fmt(sigma)} in [0.41, 0.61]", check)
+    return _Result(
+        {"sigma_opt": sigma}, (["seed", "sigma_opt"], [[seed, sigma]]),
+        [_ecdf(deg), np.column_stack([x, 1 - np.exp(-x)])],
+        [(0.41 <= sigma <= 0.61, f"sigma_opt {_fmt(sigma)} in [0.41, 0.61]")])
 
 
-def _ex_poisson_update(seed, draws, out, check, fmt):
+def _ex_poisson_update(seed, draws):
     draws = draws or 10000
     w = 1.0 / 3.0
     src = expr.eval_model_expr(expr.parse_model_expr(
@@ -183,16 +178,15 @@ def _ex_poisson_update(seed, draws, out, check, fmt):
     fit = core.estimate(distributions.normal_model(),
                         DataSet(sup.rows, weights=pd.param_shape.block("w")))
     mu, sg = fit.params.scalar("mu"), fit.params.scalar("sigma")
-    _print_table(["quantity", "value"],
-                 [["posterior_mean", mu], ["posterior_sigma", sg]], fmt)
-    _write_csv(out / "poisson-update.csv",
-               ["posterior_mean", "posterior_sigma"], [[mu, sg]])
-    _write_gnuplot(out / "poisson-update.dat", [_ecdf(sup.rows[:, 0])])
-    _check(1.3 <= mu <= 2.8,
-           f"posterior mean {_fmt(mu)} in [1.3, 2.8] (component range)", check)
+    return _Result(
+        {"posterior_mean": mu, "posterior_sigma": sg},
+        (["posterior_mean", "posterior_sigma"], [[mu, sg]]),
+        [_ecdf(sup.rows[:, 0])],
+        [(1.3 <= mu <= 2.8,
+          f"posterior mean {_fmt(mu)} in [1.3, 2.8] (component range)")])
 
 
-def _ex_demand(seed, draws, out, check, fmt):
+def _ex_demand(seed, draws):
     draws = draws or 50
     # at price 1 the interior optimum always exceeds affordability, so the
     # taste parameter never binds; price 0.5 keeps it identified
@@ -200,36 +194,31 @@ def _ex_demand(seed, draws, out, check, fmt):
     truth = m.param_shape
     data = DataSet(core.draw(m, truth, RandomStream((seed, 0)), draws))
     # search from a deliberately wrong start so recovery is informative
-    import dataclasses
-
     start = dataclasses.replace(m, param_shape=truth.replace([2.0, 0.3]))
     fit = core.estimate(start, data)
     rows = [[lab, t, e] for lab, t, e in
             zip(truth.labels(), truth.flatten(), fit.params.flatten())]
-    _print_table(["param", "truth", "estimate"], rows, fmt)
-    _write_csv(out / "demand.csv", ["param", "truth", "estimate"], rows)
-    _write_gnuplot(out / "demand.dat", [data.rows])
-    for lab, t, e in rows:
-        _check(abs(e - t) <= 0.2, f"{lab}: |{_fmt(e)} - {_fmt(t)}| <= 0.2",
-               check)
+    table = (["param", "truth", "estimate"], rows)
+    return _Result(
+        {lab: e for lab, _, e in rows}, table, [data.rows],
+        [(abs(e - t) <= 0.2, f"{lab}: |{_fmt(e)} - {_fmt(t)}| <= 0.2")
+         for lab, t, e in rows], table=table)
 
 
-def _ex_search(seed, draws, out, check, fmt):
+def _ex_search(seed, draws):
     runs = draws or 5
     sim = sims.search_model()
     times = core.draw(sim, EMPTY_PARAMS, RandomStream((seed, 0x5EA)), runs)
     pooled = times.reshape(-1, 1)
     fit = core.estimate(distributions.weibull_model(), DataSet(pooled))
     lam, k = fit.params.scalar("lam"), fit.params.scalar("k")
-    _print_table(["quantity", "value"],
-                 [["weibull_k", k], ["weibull_lambda", lam],
-                  ["pooled_times", float(pooled.size)]], fmt)
-    _write_csv(out / "search.csv", ["weibull_k", "weibull_lambda"], [[k, lam]])
-    _write_gnuplot(out / "search.dat", [_ecdf(pooled)])
-    _check(k < 1.0, f"weibull shape {_fmt(k)} < 1", check)
+    return _Result(
+        {"weibull_k": k, "weibull_lambda": lam, "pooled_times": float(pooled.size)},
+        (["weibull_k", "weibull_lambda"], [[k, lam]]), [_ecdf(pooled)],
+        [(k < 1.0, f"weibull shape {_fmt(k)} < 1")])
 
 
-def _ex_weibull_fuzz(seed, draws, out, check, fmt):
+def _ex_weibull_fuzz(seed, draws):
     reps = draws or 100
     side = expr.eval_model_expr(expr.parse_model_expr("uniform(a=10, b=30)"))
     pairs = expr.eval_model_expr(expr.parse_model_expr("uniform(a=5, b=20)"))
@@ -237,14 +226,12 @@ def _ex_weibull_fuzz(seed, draws, out, check, fmt):
                                         s=RandomStream((seed, 0xF2)))
     sup = cloud.settings["pmf_support"]
     lam, k = sup.rows[:, 0], sup.rows[:, 1]
-    _print_table(["quantity", "value"],
-                 [["reps", float(reps)],
-                  ["lambda_mean", lam.mean()], ["lambda_min", lam.min()],
-                  ["k_mean", k.mean()], ["k_min", k.min()]], fmt)
-    _write_csv(out / "weibull-fuzz.csv", ["lambda", "k"], sup.rows)
-    _write_gnuplot(out / "weibull-fuzz.dat", [sup.rows])
-    _check(bool(np.all(lam > 0) and np.all(k > 0)),
-           "all fuzzed (lambda, k) strictly positive", check)
+    return _Result(
+        {"reps": float(reps), "lambda_mean": lam.mean(), "lambda_min": lam.min(),
+         "k_mean": k.mean(), "k_min": k.min()},
+        (["lambda", "k"], sup.rows), [sup.rows],
+        [(bool(np.all(lam > 0) and np.all(k > 0)),
+          "all fuzzed (lambda, k) strictly positive")])
 
 
 _PIPELINES = {
@@ -256,6 +243,7 @@ _PIPELINES = {
     "search": _ex_search,
     "weibull-fuzz": _ex_weibull_fuzz,
 }
+EXAMPLES = tuple(_PIPELINES)
 
 
 def run_example(name: str, seed: int = 0, draws: int | None = None,
@@ -268,10 +256,16 @@ def run_example(name: str, seed: int = 0, draws: int | None = None,
         return 64
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        _PIPELINES[name](seed, draws, out_dir, check, fmt)
-    except _CheckFailure:
-        return 2
+    res = _PIPELINES[name](seed, draws)
+    table = res.table or (["quantity", "value"],
+                          [[k, v] for k, v in res.values.items()])
+    _print_table(*table, fmt)
+    _write_csv(out_dir / f"{name}.csv", *res.csv)
+    _write_gnuplot(out_dir / f"{name}.dat", res.series)
+    for ok, message in res.checks:
+        print(f"check [{'ok' if ok else 'FAILED'}]: {message}")
+        if check and not ok:
+            return 2
     return 0
 
 

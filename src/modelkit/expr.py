@@ -13,8 +13,11 @@ surface at evaluation time with the registry printed.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,7 +186,9 @@ def _print_value(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one table entry per name.  Entries call the constructors through
+# their modules (``transforms.fix``, ...) at call time, never through stored
+# function objects, so a constructor rebound on its module is the one that runs.
 
 _JACOBIAN_FNS = {
     "cube": (lambda x: x ** 3, lambda y: y ** (1.0 / 3.0)),
@@ -192,11 +197,113 @@ _JACOBIAN_FNS = {
     "log": (lambda x: np.log(x), lambda y: np.exp(y)),
 }
 
-_DIST_NAMES = ("normal", "exponential", "poisson", "beta", "weibull",
-               "uniform", "multivariate_normal")
-_TRANSFORM_NAMES = ("fix", "cross", "mix", "mixcdf", "truncate", "jacobian",
-                    "swap", "dcompose", "dpcompose", "pdcompose")
-_OTHER_NAMES = ("pmf", "ols", "network_sim", "demand_sim", "search_sim")
+
+class _Keyword(NamedTuple):
+    """The values a keyword accepts: ``ok(v)`` tests, ``then(v)`` converts."""
+
+    want: str
+    ok: Callable
+    then: Callable = lambda v: v
+
+
+_number = _Keyword("a number", lambda v: isinstance(v, (int, float)))
+_numbers = _Keyword("a number or a list of numbers",
+                    lambda v: isinstance(v, (int, float, list)))
+_int = _Keyword("an integer", lambda v: isinstance(v, (int, float))
+                and float(v).is_integer(), int)
+_flag = _Keyword("0 or 1", lambda v: v in (0, 1), bool)
+_text = _Keyword("a file name", lambda v: isinstance(v, str))
+_jacobian_fn = _Keyword(f"one of {sorted(_JACOBIAN_FNS)}",
+                        lambda v: isinstance(v, str) and v in _JACOBIAN_FNS,
+                        _JACOBIAN_FNS.get)
+_nseq = _Keyword("live or an integer seed", lambda v: v == "live" or _int.ok(v),
+                 lambda v: v if v == "live" else RandomStream(int(v)))
+
+
+class _Entry(NamedTuple):
+    """One name: the (least, most) number of model arguments, the values each
+    keyword accepts, and ``build(sub, data, **kw)`` over the evaluated model
+    arguments, the ``--data`` set and the converted keywords.  With
+    ``params``, all other keywords are parameter values, passed as ``params=``.
+    """
+
+    arity: tuple
+    build: Callable
+    keywords: dict = {}
+    params: bool = False
+
+
+def _catalog(name: str, **keywords) -> _Entry:
+    def build(sub, data, params, **ctor_kw):
+        m = distributions.builtin(name, **ctor_kw)
+        if not params:
+            return m
+        return dataclasses.replace(m, param_shape=_apply_param_kwargs(m, params))
+    return _Entry((0, 0), build, keywords, params=True)
+
+
+def _mix(sub, data, w=None):
+    if isinstance(w, (int, float)):
+        rest = (1.0 - w) / (len(sub) - 1)
+        w = [float(w)] + [rest] * (len(sub) - 1)
+    if w is not None:
+        # explicit weights in an expression are fixed, not estimated
+        w = Params([("w", w)], np.ones(len(w), dtype=bool))
+    return transforms.mix(sub, weights=w)
+
+
+def _truncate(sub, data, min=None, max=None):
+    if min is None and max is None:
+        raise ExprError("truncate needs min= and/or max=")
+    return transforms.truncate(sub[0], (min, max))
+
+
+def _jacobian(sub, data, f=None):
+    if f is None:
+        raise ExprError(f"jacobian needs f=, one of {sorted(_JACOBIAN_FNS)}")
+    return transforms.jacobian(sub[0], *f)
+
+
+def _ols(sub, data, file=None):
+    d = _load_data("ols", file, data)
+    return distributions.ols_model(data_names=d.names, n_x=d.dim - 1)
+
+
+_REGISTRY = {
+    **{name: _catalog(name) for name in distributions._CATALOG},
+    "multivariate_normal": _catalog("multivariate_normal", dim=_int),
+    "pmf": _Entry((0, 0), lambda sub, data, file=None: distributions.pmf_model(
+        _load_data("pmf", file, data)), {"file": _text}),
+    "ols": _Entry((0, 0), _ols, {"file": _text}),
+    "network_sim": _Entry(
+        (0, 0), lambda sub, data, sigma_free=False, **cfg: sims.network_sim_model(
+            sims.NetworkSimConfig(**cfg), sigma_free=sigma_free),
+        {"n_agents": _int, "sigma": _number, "sigma_free": _flag}),
+    "demand_sim": _Entry(
+        (0, 0), lambda sub, data, **cfg: sims.demand_model(sims.DemandConfig(**cfg)),
+        {"n_agents": _int, "price": _number}),
+    "search_sim": _Entry(
+        (0, 0), lambda sub, data, **cfg: sims.search_model(sims.SearchConfig(**cfg)),
+        {"grid_w": _int, "grid_h": _int, "n_pairs": _int}),
+    "fix": _Entry((1, 1), lambda sub, data, params: transforms.fix(
+        sub[0], _apply_param_kwargs(sub[0], params, pin=True)), params=True),
+    "cross": _Entry((2, math.inf), lambda sub, data: transforms.cross(sub)),
+    "mix": _Entry((2, math.inf), _mix, {"w": _numbers}),
+    "mixcdf": _Entry((1, 2), lambda sub, data: transforms.mix_cdf(sub[0], (
+        sub[1] if len(sub) == 2
+        else distributions.pmf_model(DataSet(np.zeros((1, 1))))))),
+    "truncate": _Entry((1, 1), _truncate, {"min": _number, "max": _number}),
+    "jacobian": _Entry((1, 1), _jacobian, {"f": _jacobian_fn}),
+    "swap": _Entry((1, 1), lambda sub, data: transforms.swap(sub[0])),
+    "dcompose": _Entry(
+        (2, 2), lambda sub, data, draws=500, nseq=None: transforms.d_compose(
+            sub[0], sub[1], nseq=nseq, n_draws=draws),
+        {"draws": _int, "nseq": _nseq}),
+    "dpcompose": _Entry((2, 2), lambda sub, data: transforms.dp_compose(
+        sub[0], sub[1], sub[0].param_shape)),
+    "pdcompose": _Entry((2, 2), lambda sub, data: transforms.pd_compose(
+        sub[0], sub[1])),
+}
 
 
 def eval_model_expr(ast, data: DataSet | None = None) -> Model:
@@ -207,132 +314,33 @@ def eval_model_expr(ast, data: DataSet | None = None) -> Model:
     """
     if isinstance(ast, Name):
         ast = Call(ast.ident)
-    name, kwargs = ast.ident, dict(ast.kwargs)
+    name = ast.ident
+    entry = _REGISTRY.get(name)
+    if entry is None:
+        raise ExprError(f"unknown name {name!r}; registry: {', '.join(_REGISTRY)}")
     sub = [eval_model_expr(a, data) for a in ast.args]
-
-    if name in _DIST_NAMES:
-        _expect_arity(name, sub, 0)
-        ctor_kw = {k: kwargs.pop(k) for k in ("dim",) if k in kwargs}
-        m = distributions.builtin(name, **ctor_kw)
-        return _apply_param_kwargs(m, kwargs)
-    if name == "pmf":
-        _expect_arity(name, sub, 0)
-        return distributions.pmf_model(_load_data(name, kwargs, data))
-    if name == "ols":
-        _expect_arity(name, sub, 0)
-        d = _load_data(name, kwargs, data)
-        _reject_unknown(name, kwargs)
-        return distributions.ols_model(data_names=d.names, n_x=d.dim - 1)
-    if name == "network_sim":
-        _expect_arity(name, sub, 0)
-        sigma_free = bool(kwargs.pop("sigma_free", False))
-        cfg = sims.NetworkSimConfig(**_take(kwargs, "n_agents", "sigma"))
-        _reject_unknown(name, kwargs)
-        return sims.network_sim_model(cfg, sigma_free=sigma_free)
-    if name == "demand_sim":
-        _expect_arity(name, sub, 0)
-        cfg = sims.DemandConfig(**_take(kwargs, "n_agents", "price"))
-        _reject_unknown(name, kwargs)
-        return sims.demand_model(cfg)
-    if name == "search_sim":
-        _expect_arity(name, sub, 0)
-        cfg = sims.SearchConfig(**_take(kwargs, "grid_w", "grid_h", "n_pairs"))
-        _reject_unknown(name, kwargs)
-        return sims.search_model(cfg)
-
-    if name == "fix":
-        _expect_arity(name, sub, 1)
-        try:
-            pinned = sub[0].param_shape.pin(**kwargs)
-        except KeyError as e:
-            raise ExprError(f"fix: {e.args[0]}")
-        return transforms.fix(sub[0], pinned)
-    if name == "cross":
-        if len(sub) < 2:
-            raise ExprError("cross needs at least two models")
-        _reject_unknown(name, kwargs)
-        return transforms.cross(sub)
-    if name == "mix":
-        if len(sub) < 2:
-            raise ExprError("mix needs at least two models")
-        w = kwargs.pop("w", None)
-        _reject_unknown(name, kwargs)
-        if isinstance(w, (int, float)):
-            rest = (1.0 - w) / (len(sub) - 1)
-            w = [float(w)] + [rest] * (len(sub) - 1)
-        if w is not None:
-            # explicit weights in an expression are fixed, not estimated
-            w = Params([("w", w)], np.ones(len(w), dtype=bool))
-        return transforms.mix(sub, weights=w)
-    if name == "mixcdf":
-        if len(sub) == 1:
-            point = distributions.pmf_model(DataSet(np.zeros((1, 1))))
-        elif len(sub) == 2:
-            point = sub[1]
-        else:
-            raise ExprError("mixcdf takes a truncated model and an optional "
-                            "point-mass model")
-        _reject_unknown(name, kwargs)
-        return transforms.mix_cdf(sub[0], point)
-    if name == "truncate":
-        _expect_arity(name, sub, 1)
-        lo = kwargs.pop("min", None)
-        hi = kwargs.pop("max", None)
-        _reject_unknown(name, kwargs)
-        if lo is None and hi is None:
-            raise ExprError("truncate needs min= and/or max=")
-        return transforms.truncate(sub[0], (lo, hi))
-    if name == "jacobian":
-        _expect_arity(name, sub, 1)
-        fname = kwargs.pop("f", None)
-        _reject_unknown(name, kwargs)
-        if fname not in _JACOBIAN_FNS:
-            raise ExprError(f"jacobian: f must be one of "
-                            f"{sorted(_JACOBIAN_FNS)}, got {fname!r}")
-        f, f_inv = _JACOBIAN_FNS[fname]
-        return transforms.jacobian(sub[0], f, f_inv)
-    if name == "swap":
-        _expect_arity(name, sub, 1)
-        _reject_unknown(name, kwargs)
-        return transforms.swap(sub[0])
-    if name == "dcompose":
-        _expect_arity(name, sub, 2)
-        n_draws = int(kwargs.pop("draws", 500))
-        nseq = kwargs.pop("nseq", None)
-        _reject_unknown(name, kwargs)
-        if nseq not in (None, "live"):
-            nseq = RandomStream(int(nseq))
-        return transforms.d_compose(sub[0], sub[1], nseq=nseq, n_draws=n_draws)
-    if name == "dpcompose":
-        _expect_arity(name, sub, 2)
-        _reject_unknown(name, kwargs)
-        prior, like = sub
-        return transforms.dp_compose(prior, like, prior.param_shape)
-    if name == "pdcompose":
-        _expect_arity(name, sub, 2)
-        _reject_unknown(name, kwargs)
-        return transforms.pd_compose(sub[0], sub[1])
-
-    known = ", ".join(_DIST_NAMES + _OTHER_NAMES + _TRANSFORM_NAMES)
-    raise ExprError(f"unknown name {name!r}; registry: {known}")
-
-
-def _expect_arity(name: str, sub: list, want: int) -> None:
-    if len(sub) != want:
+    least, most = entry.arity
+    if not least <= len(sub) <= most:
+        want = (least if least == most else f"at least {least}"
+                if most == math.inf else f"{least} or {most}")
         raise ExprError(f"{name} takes {want} model argument(s), got {len(sub)}")
+    rest = dict(ast.kwargs)
+    kw = {k: _convert(name, k, kind, rest.pop(k))
+          for k, kind in entry.keywords.items() if k in rest}
+    if entry.params:
+        kw["params"] = {k: _convert(name, k, _numbers, v) for k, v in rest.items()}
+    elif rest:
+        raise ExprError(f"{name}: unknown keyword(s) {sorted(rest)}")
+    return entry.build(sub, data, **kw)
 
 
-def _reject_unknown(name: str, kwargs: dict) -> None:
-    if kwargs:
-        raise ExprError(f"{name}: unknown keyword(s) {sorted(kwargs)}")
+def _convert(name: str, key: str, kind: _Keyword, value):
+    if not kind.ok(value):
+        raise ExprError(f"{name}: {key} must be {kind.want}, got {_print_value(value)}")
+    return kind.then(value)
 
 
-def _take(kwargs: dict, *names: str) -> dict:
-    return {n: kwargs.pop(n) for n in names if n in kwargs}
-
-
-def _load_data(name: str, kwargs: dict, data: DataSet | None) -> DataSet:
-    path = kwargs.pop("file", None)
+def _load_data(name: str, path: str | None, data: DataSet | None) -> DataSet:
     if path is not None:
         return DataSet.from_csv(path)
     if data is None:
@@ -340,19 +348,15 @@ def _load_data(name: str, kwargs: dict, data: DataSet | None) -> DataSet:
     return data
 
 
-def _apply_param_kwargs(m: Model, kwargs: dict) -> Model:
-    """Interpret leftover keywords as parameter defaults (e.g. normal(mu=1))."""
-    if not kwargs:
-        return m
+def _apply_param_kwargs(m: Model, values: dict, pin: bool = False) -> Params:
+    """Keywords as parameter values: m's parameters with the named blocks set
+    (e.g. normal(mu=1)), and also fixed with ``pin``."""
     shape = m.param_shape
-    unknown = sorted(set(kwargs) - set(shape.names))
+    unknown = sorted(set(values) - set(shape.names))
     if unknown:
         raise ExprError(f"{m.label}: unknown parameter(s) {unknown}; "
                         f"have {shape.labels()}")
     try:
-        shape = shape.with_blocks(**kwargs)
+        return shape.pin(**values) if pin else shape.with_blocks(**values)
     except ModelError as e:
         raise ExprError(str(e))
-    import dataclasses
-
-    return dataclasses.replace(m, param_shape=shape)

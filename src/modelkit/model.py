@@ -336,6 +336,7 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
 
     if len(d) == 0 and m.data_dim != 0:
         raise ModelError(f"{m.label}: cannot estimate from an empty data set")
+    _check_rows(m, d.rows)
     st = settings or m.settings.get("mle") or MleSettings()
     shape = m.param_shape
     mask = shape.fixed_mask

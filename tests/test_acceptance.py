@@ -15,9 +15,8 @@ import pytest
 from scipy import stats as sps
 
 from modelkit import (DataSet, KdeSettings, Params, RandomStream, cli,
-                      distributions, expr, sims, transforms)
+                      distributions, expr, transforms)
 from modelkit import model as core
-from modelkit.data import EMPTY_PARAMS
 
 _results: dict[str, object] = {}
 
@@ -35,20 +34,14 @@ def _report(num: int, ok: bool, detail: str = ""):
 # ---------------------------------------------------------------------------
 
 
-def _network_orthant_cdf(seed: int) -> float:
-    net = sims.network_sim_model()
-    data = core.draw(net, EMPTY_PARAMS, RandomStream((seed, 0x2E7)), 10000)
-    a = net.data_dim
-    # boundary-inclusive lattice point for "most popular agent has at most
-    # four links"; see _ex_network_cdf
-    point = np.full(a, float(a - 1))
-    point[0] = 5.0
-    return float(np.mean(np.all(data <= point, axis=1)))
+def _values(example: str, seed: int) -> dict:
+    """Headline values of one CLI example pipeline at its default sizes."""
+    return cli._PIPELINES[example](seed, None).values
 
 
 def test_acceptance_01_network_orthant_cdf():
     t0 = time.monotonic()
-    val = _network_orthant_cdf(0)
+    val = _values("network-cdf", 0)["orthant_cdf"]
     elapsed = time.monotonic() - t0
     _results["net_cdf"] = val
     _report(1, abs(val - 0.0533) <= 0.010 and elapsed < 30,
@@ -66,31 +59,17 @@ def test_acceptance_02_composed_model_calibration():
             f"{elapsed:.1f}s")
 
 
-_ROUNDTRIP_CASES = [
-    ("normal(mu=1, sigma=1)", 0.05),
-    ("truncate(normal(mu=1, sigma=1), min=0)", 0.05),
-    ("beta(alpha=0.7, beta=1.7)", 0.08),
-    ("truncate(beta(alpha=0.7, beta=1.7), min=0.2)", 0.08),
-]
-
-
-def _roundtrip_estimates(seed: int) -> list[np.ndarray]:
-    out = []
-    for i, (text, _) in enumerate(_ROUNDTRIP_CASES):
-        m = expr.eval_model_expr(expr.parse_model_expr(text))
-        data = core.draw(m, m.param_shape, RandomStream((seed, i)), 10000)
-        out.append(core.estimate(m, DataSet(data)).params.flatten())
-    return out
+_ROUNDTRIP_TOLS = {"normal": 0.05, "trunc_normal": 0.05, "beta": 0.08,
+                   "trunc_beta": 0.08}
 
 
 def test_acceptance_03_round_trips():
-    fits = _roundtrip_estimates(0)
+    fits = _values("roundtrip", 0)
     _results["roundtrip"] = fits
     worst = []
-    ok = True
-    for (text, tol), est in zip(_ROUNDTRIP_CASES, fits):
-        truth = expr.eval_model_expr(
-            expr.parse_model_expr(text)).param_shape.flatten()
+    ok = list(fits) == list(_ROUNDTRIP_TOLS)
+    for name, (truth, est) in fits.items():
+        tol = _ROUNDTRIP_TOLS[name]
         gap = float(np.max(np.abs(est - truth)))
         ok = ok and gap <= tol
         worst.append(f"{gap:.4g}<={tol}")
@@ -208,23 +187,11 @@ def test_acceptance_07_jacobian_group_law():
     _report(7, gap <= 1e-10, f"max pointwise gap {gap:.3g} at 100 probes")
 
 
-def _search_shape(seed: int) -> float:
-    sim = sims.search_model()
-    times = core.draw(sim, EMPTY_PARAMS, RandomStream((seed, 0x5EA)), 5)
-    fit = core.estimate(distributions.weibull_model(),
-                        DataSet(times.reshape(-1, 1)))
-    return fit.params.scalar("k")
-
-
 def test_acceptance_08_search_weibull_shape():
     t0 = time.monotonic()
-    shapes = [_search_shape(seed) for seed in range(10)]
+    shapes = [_values("search", seed)["weibull_k"] for seed in range(10)]
     hits = sum(k < 1.0 for k in shapes)
-    side = expr.eval_model_expr(expr.parse_model_expr("uniform(a=10, b=30)"))
-    pairs = expr.eval_model_expr(expr.parse_model_expr("uniform(a=5, b=20)"))
-    cloud = sims.fuzz_weibull_posterior(side, pairs, reps=100,
-                                        s=RandomStream((0, 0xF2)))
-    sup = cloud.settings["pmf_support"].rows
+    _, sup = cli._PIPELINES["weibull-fuzz"](0, None).csv  # the (lambda, k) cloud
     fuzz_ok = bool(np.all(sup > 0)) and sup.shape == (100, 2)
     elapsed = time.monotonic() - t0
     _results["search_k0"] = shapes[0]
@@ -233,24 +200,8 @@ def test_acceptance_08_search_weibull_shape():
             f"{elapsed:.1f}s")
 
 
-def _poisson_update_mean(seed: int) -> float:
-    w = 1.0 / 3.0
-    src = expr.eval_model_expr(expr.parse_model_expr(
-        "mix(fix(poisson, lam=2.8), fix(poisson, lam=2.0),"
-        f" fix(poisson, lam=1.3), w=[{w!r}, {w!r}, {w!r}])"))
-    data = DataSet(core.draw(src, src.param_shape, RandomStream((seed, 0)),
-                             10000))
-    post = expr.eval_model_expr(expr.parse_model_expr(
-        "dpcompose(truncate(normal(mu=2, sigma=1), min=0), poisson)"))
-    pd = transforms.posterior_draws(post, data, 5000, RandomStream((seed, 1)))
-    sup = pd.settings["pmf_support"]
-    fit = core.estimate(distributions.normal_model(),
-                        DataSet(sup.rows, weights=pd.param_shape.block("w")))
-    return fit.params.scalar("mu")
-
-
 def test_acceptance_09_poisson_update():
-    mean = _poisson_update_mean(0)
+    mean = _values("poisson-update", 0)["posterior_mean"]
     _results["poisson_mean"] = mean
     _report(9, 1.3 <= mean <= 2.8,
             f"posterior mean {mean:.6g} in component range [1.3, 2.8]")
@@ -258,19 +209,20 @@ def test_acceptance_09_poisson_update():
 
 def test_acceptance_10_determinism():
     reruns = {
-        "net_cdf": _network_orthant_cdf(0),
+        "net_cdf": _values("network-cdf", 0)["orthant_cdf"],
         "sigma0": cli._sigma_fit_once(0),
-        "roundtrip": _roundtrip_estimates(0),
+        "roundtrip": _values("roundtrip", 0),
         "posterior": _mh_posterior(0),
-        "search_k0": _search_shape(0),
-        "poisson_mean": _poisson_update_mean(0),
+        "search_k0": _values("search", 0)["weibull_k"],
+        "poisson_mean": _values("poisson-update", 0)["posterior_mean"],
     }
     bad = []
     for key, again in reruns.items():
         first = _results.get(key)
         if key == "roundtrip":
-            same = first is not None and all(
-                np.array_equal(a, b) for a, b in zip(first, again))
+            same = first is not None and list(first) == list(again) and all(
+                np.array_equal(a, b) for name in first
+                for a, b in zip(first[name], again[name]))
         else:
             same = first == again
         if not same:

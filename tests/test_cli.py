@@ -68,6 +68,18 @@ def test_eval_parse_error_exits_64(capsys):
     assert "offset 20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "normal(dim=2)", "normal(mu=abc)", "dcompose(normal, normal, nseq=abc)",
+    "network_sim(n_agents=abc)", "truncate(normal, min=abc)",
+    "mix(normal, normal, w=abc)", "pmf(foo=1)", "multivariate_normal(dim=3)"])
+def test_eval_bad_keyword_or_data_exits_64(text, tmp_path, capsys):
+    # one-column data: pmf reads it, and a 3-d normal cannot be fit to it
+    path = tmp_path / "d.csv"
+    DataSet(np.array([[1.0], [2.0]])).to_csv(path)
+    assert cli.main(["eval", text, "--data", str(path)]) == 64
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_eval_with_data_estimates(tmp_path, capsys):
     path = tmp_path / "d.csv"
     DataSet(np.array([[0.4], [0.9], [1.7], [2.0], [1.0]])).to_csv(path)

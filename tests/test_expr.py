@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from modelkit import (DataSet, ExprError, ModelError, Params, eval_model_expr,
                       parse_model_expr, print_model_expr, row_log_likelihood)
-from modelkit.expr import Call, Name
+from modelkit.expr import _REGISTRY, Call, Name
 
 
 def test_parse_bare_name():
@@ -139,6 +139,8 @@ def test_eval_every_documented_name_resolves():
         "dcompose(normal, normal)", "dpcompose(normal, fix(normal, sigma=1))",
         "pdcompose(normal, exponential)",
     ]
+    # one text per table entry, so a name added without an example fails
+    assert {parse_model_expr(t).ident for t in texts} == set(_REGISTRY)
     for text in texts:
         m = eval_model_expr(parse_model_expr(text), data=data)
         assert m.data_dim >= 0
