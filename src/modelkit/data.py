@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -118,10 +119,11 @@ class DataSet:
     # CSV interface (RFC 4180; optional header; optional final "weight" column)
     @classmethod
     def from_csv(cls, path) -> "DataSet":
-        import csv
-
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
+        try:
+            with open(path, newline="") as fh:
+                rows = [r for r in csv.reader(fh) if r]
+        except OSError as e:
+            raise ModelError(f"cannot read data file {path}: {e.strerror}") from None
         if not rows:
             return cls(np.empty((0, 0)))
         names = None
@@ -131,7 +133,12 @@ class DataSet:
         except ValueError:
             names = [c.strip() for c in first]
             rows = rows[1:]
-        data = np.array([[float(x) for x in r] for r in rows])
+        if len({len(r) for r in rows}) > 1:
+            raise ModelError(f"data file {path}: rows differ in length")
+        try:
+            data = np.array([[float(x) for x in r] for r in rows])
+        except ValueError as e:
+            raise ModelError(f"data file {path}: {e}") from None
         weights = None
         if names and names[-1].lower() == "weight":
             weights = data[:, -1]
@@ -140,8 +147,6 @@ class DataSet:
         return cls(data, weights=weights, names=names)
 
     def to_csv(self, path) -> None:
-        import csv
-
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             weighted = not np.allclose(self.weights, 1.0)

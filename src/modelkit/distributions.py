@@ -7,6 +7,7 @@ strategies in the dispatch layer.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,7 +251,7 @@ def ols_model(data_names: list[str] | None = None, n_x: int | None = None) -> Mo
 
     def capture_fit(m, d):
         support = DataSet(d.rows[:, 1:], weights=d.weights)
-        new = m.with_settings(x_support=support)
+        new = dataclasses.replace(m)
         new.logl = make_logl(support)
         new.rng = make_rng(support)
         return new

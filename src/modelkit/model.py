@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from .data import (DataSet, EMPTY_PARAMS, KdeSettings, MleSettings,
-                   ModelError, Params, RandomStream, UnresolvableElementError)
+from .data import (DataSet, MleSettings, ModelError, Params, RandomStream,
+                   UnresolvableElementError)
 
 LOG_NEG_INF = float("-inf")
 
@@ -24,7 +24,6 @@ LOG_NEG_INF = float("-inf")
 # elements are deterministic functions of (model, params).
 MEMOIZE_SEED = 0x5EED_0001
 CDF_SEED = 0x5EED_0002
-DRAW_MCMC_SEED = 0x5EED_0003
 
 
 @dataclass

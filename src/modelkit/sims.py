@@ -7,7 +7,6 @@ so every transform and inference routine applies to them unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,7 @@ def network_sim_model(cfg: NetworkSimConfig | None = None,
         shape = Params([])
         constraint = None
     return Model("network_sim", a, shape, rng=rng, constraint=constraint,
-                 discrete=True, settings={"config": cfg})
+                 discrete=True)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def demand_model(cfg: DemandConfig | None = None) -> Model:
 
     return Model("demand_sim", 2, Params.scalars(mu_b=3.0, mu_alpha=0.5),
                  rng=rng, constraint=constraint,
-                 settings={"config": cfg, "memoize_draws": 500,
+                 settings={"memoize_draws": 500,
                            "kde": KdeSettings(),
                            "mle": MleSettings(method="coordinate_cycle",
                                               tolerance=1e-4, max_iter=100)})
@@ -156,6 +155,8 @@ class SearchConfig:
     n_pairs: int = 10
 
     def __post_init__(self):
+        if self.grid_w < 1 or self.grid_h < 1:
+            raise ModelError("search sim needs grid sides of at least 1")
         if 2 * self.n_pairs > self.grid_w * self.grid_h:
             raise ModelError("search sim: grid too small for the agent count")
         if self.n_pairs < 1:
@@ -163,6 +164,13 @@ class SearchConfig:
 
 
 _MOORE = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def _neighbours(cell: int, w: int, h: int) -> list[int]:
+    """In-bounds neighbours of cell x + w*y on a w x h grid, in _MOORE order."""
+    x, y = cell % w, cell // w
+    return [cell + dx + w * dy for dx, dy in _MOORE
+            if 0 <= x + dx < w and 0 <= y + dy < h]
 
 
 def search_model(cfg: SearchConfig | None = None) -> Model:
@@ -180,55 +188,41 @@ def search_model(cfg: SearchConfig | None = None) -> Model:
 
     def one_run(stream: RandomStream) -> np.ndarray:
         w, h = cfg.grid_w, cfg.grid_h
-        cells = stream.gen.choice(w * h, size=n_agents, replace=False)
-        pos = np.column_stack([cells % w, cells // w]).astype(int)
-        is_a = np.arange(n_agents) < cfg.n_pairs
-        alive = np.ones(n_agents, dtype=bool)
-        times = np.zeros(n_agents)
-        occupied = {(int(x), int(y)) for x, y in pos}
+        pos = stream.gen.choice(w * h, size=n_agents, replace=False).tolist()
+        grid = [-1] * (w * h)  # cell x + w*y -> its unpaired agent, or -1
+        for i, c in enumerate(pos):
+            grid[c] = i
+        live = list(range(n_agents))
+        times = [0] * n_agents  # 0 until paired
         tick = 0
-        while alive.any():
+        while live:
             tick += 1
             # simultaneous pairing, lowest index first
-            claimed = np.zeros(n_agents, dtype=bool)
-            for i in range(n_agents):
-                if not alive[i] or claimed[i]:
+            for i in live:
+                if times[i]:
                     continue
-                best = -1
-                for dx, dy in _MOORE:
-                    xy = (int(pos[i, 0]) + dx, int(pos[i, 1]) + dy)
-                    for j in range(n_agents):
-                        if (alive[j] and not claimed[j] and is_a[j] != is_a[i]
-                                and pos[j, 0] == xy[0] and pos[j, 1] == xy[1]):
-                            best = j if best < 0 or j < best else best
-                if best >= 0:
-                    claimed[i] = claimed[best] = True
-                    times[i] = times[best] = tick
-            for i in range(n_agents):
-                if claimed[i]:
-                    alive[i] = False
-                    occupied.discard((int(pos[i, 0]), int(pos[i, 1])))
+                mates = [j for j in (grid[c] for c in _neighbours(pos[i], w, h))
+                         if j >= 0 and not times[j]
+                         and (j < cfg.n_pairs) != (i < cfg.n_pairs)]
+                if mates:
+                    times[i] = times[min(mates)] = tick
+            for i in live:
+                if times[i]:
+                    grid[pos[i]] = -1
+            live = [i for i in live if not times[i]]
             # movement
-            for i in range(n_agents):
-                if not alive[i]:
-                    continue
-                options = []
-                for dx, dy in _MOORE:
-                    xy = (int(pos[i, 0]) + dx, int(pos[i, 1]) + dy)
-                    if 0 <= xy[0] < w and 0 <= xy[1] < h and xy not in occupied:
-                        options.append(xy)
+            for i in live:
+                options = [c for c in _neighbours(pos[i], w, h) if grid[c] < 0]
                 if options:
                     pick = options[int(stream.integers(len(options)))]
-                    occupied.discard((int(pos[i, 0]), int(pos[i, 1])))
+                    grid[pos[i]], grid[pick] = -1, i
                     pos[i] = pick
-                    occupied.add(pick)
-        return times
+        return np.array(times, dtype=float)
 
     def rng(p, stream, n):
         return np.array([one_run(stream) for _ in range(n)])
 
-    return Model("search_sim", n_agents, Params([]), rng=rng,
-                 settings={"config": cfg})
+    return Model("search_sim", n_agents, Params([]), rng=rng)
 
 
 def fuzz_weibull_posterior(side_prior: Model, pairs_prior: Model,

@@ -346,7 +346,7 @@ def kde_smooth(pmf: Model, st: KdeSettings | None = None) -> Model:
             return at_offsets(kernel.cdf, points) @ weights
 
     return Model(f"kde({pmf.label})", dim, Params([]), logl=logl, rng=rng,
-                 cdf=cdf, settings={"kde_support": support})
+                 cdf=cdf)
 
 
 def _silverman_bandwidth(kernel: Model, support: DataSet) -> Params:

@@ -71,13 +71,28 @@ def test_eval_parse_error_exits_64(capsys):
 @pytest.mark.parametrize("text", [
     "normal(dim=2)", "normal(mu=abc)", "dcompose(normal, normal, nseq=abc)",
     "network_sim(n_agents=abc)", "truncate(normal, min=abc)",
-    "mix(normal, normal, w=abc)", "pmf(foo=1)", "multivariate_normal(dim=3)"])
-def test_eval_bad_keyword_or_data_exits_64(text, tmp_path, capsys):
-    # one-column data: pmf reads it, and a 3-d normal cannot be fit to it
+    "mix(normal, normal, w=abc)", "pmf(foo=1)", "multivariate_normal(dim=3)",
+    "search_sim(grid_w=-2, grid_h=-3, n_pairs=1)", 'pmf(file="nope.csv")'])
+def test_eval_bad_keyword_or_data_exits_64(text, tmp_path, capsys, monkeypatch):
+    # one-column data: pmf reads it, and a 3-d normal cannot be fit to it;
+    # the working directory holds no nope.csv
     path = tmp_path / "d.csv"
     DataSet(np.array([[1.0], [2.0]])).to_csv(path)
+    monkeypatch.chdir(tmp_path)
     assert cli.main(["eval", text, "--data", str(path)]) == 64
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read data file"), ("1,2\n3\n", "rows differ in length"),
+    ("1\nabc\n", "could not convert")])
+def test_eval_unreadable_data_file_exits_64(content, message, tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["eval", "normal", "--data", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(path) in err
 
 
 def test_eval_with_data_estimates(tmp_path, capsys):

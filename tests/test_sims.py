@@ -114,3 +114,66 @@ def test_fuzz_point_mass_priors():
     assert sup.rows.shape == (5, 2)
     assert np.all(sup.rows > 0)
     assert sup.names == ["lambda", "k"]
+
+
+_MOORE = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def _search_run_by_scan(cfg, stream):
+    # reference: one search run with an occupied-cell set and a scan over
+    # all agents for each neighbour cell
+    n_agents = 2 * cfg.n_pairs
+    w, h = cfg.grid_w, cfg.grid_h
+    cells = stream.gen.choice(w * h, size=n_agents, replace=False)
+    pos = np.column_stack([cells % w, cells // w]).astype(int)
+    is_a = np.arange(n_agents) < cfg.n_pairs
+    alive = np.ones(n_agents, dtype=bool)
+    times = np.zeros(n_agents)
+    occupied = {(int(x), int(y)) for x, y in pos}
+    tick = 0
+    while alive.any():
+        tick += 1
+        claimed = np.zeros(n_agents, dtype=bool)
+        for i in range(n_agents):
+            if not alive[i] or claimed[i]:
+                continue
+            best = -1
+            for dx, dy in _MOORE:
+                xy = (int(pos[i, 0]) + dx, int(pos[i, 1]) + dy)
+                for j in range(n_agents):
+                    if (alive[j] and not claimed[j] and is_a[j] != is_a[i]
+                            and pos[j, 0] == xy[0] and pos[j, 1] == xy[1]):
+                        best = j if best < 0 or j < best else best
+            if best >= 0:
+                claimed[i] = claimed[best] = True
+                times[i] = times[best] = tick
+        for i in range(n_agents):
+            if claimed[i]:
+                alive[i] = False
+                occupied.discard((int(pos[i, 0]), int(pos[i, 1])))
+        for i in range(n_agents):
+            if not alive[i]:
+                continue
+            options = []
+            for dx, dy in _MOORE:
+                xy = (int(pos[i, 0]) + dx, int(pos[i, 1]) + dy)
+                if 0 <= xy[0] < w and 0 <= xy[1] < h and xy not in occupied:
+                    options.append(xy)
+            if options:
+                pick = options[int(stream.integers(len(options)))]
+                occupied.discard((int(pos[i, 0]), int(pos[i, 1])))
+                pos[i] = pick
+                occupied.add(pick)
+    return times
+
+
+@pytest.mark.parametrize("w, h, n_pairs", [
+    (4, 4, 8), (1, 6, 3), (6, 1, 3), (2, 2, 2), (20, 20, 10), (30, 30, 4)])
+def test_search_grid_matches_scan_reference(w, h, n_pairs):
+    cfg = SearchConfig(grid_w=w, grid_h=h, n_pairs=n_pairs)
+    m = search_model(cfg)
+    for seed in range(3):
+        ref_stream = RandomStream(seed)
+        ref = np.array([_search_run_by_scan(cfg, ref_stream) for _ in range(3)])
+        got = m.rng(EMPTY_PARAMS, RandomStream(seed), 3)
+        assert np.array_equal(got, ref)
