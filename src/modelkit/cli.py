@@ -141,7 +141,7 @@ def _sigma_fit_once(seed: int) -> float:
     # is a stochastic local refinement around the bracket midpoint 0.5 of
     # the searched interval (0, 1]
     dc = transforms.d_compose(net, exp_m, nseq="live", n_draws=1)
-    dc.settings["transform"].data["live"]["s"] = RandomStream((seed, 0xF17))
+    dc.transform.data["live"]["s"] = RandomStream((seed, 0xF17))
     pinned = dc.param_shape.pin(**{"to.mu": 1.0})
     vec = pinned.flatten()
     vec[1] = 0.5

@@ -135,8 +135,13 @@ class DataSet:
             rows = rows[1:]
         if len({len(r) for r in rows}) > 1:
             raise ModelError(f"data file {path}: rows differ in length")
+        width = len(rows[0]) if rows else len(names)
+        if names is not None and len(names) != width:
+            raise ModelError(
+                f"data file {path}: header has {len(names)} columns, rows have {width}")
         try:
-            data = np.array([[float(x) for x in r] for r in rows])
+            # reshape: a header-only file still has the header's width
+            data = np.array([[float(x) for x in r] for r in rows]).reshape(-1, width)
         except ValueError as e:
             raise ModelError(f"data file {path}: {e}") from None
         weights = None

@@ -251,10 +251,7 @@ def ols_model(data_names: list[str] | None = None, n_x: int | None = None) -> Mo
 
     def capture_fit(m, d):
         support = DataSet(d.rows[:, 1:], weights=d.weights)
-        new = dataclasses.replace(m)
-        new.logl = make_logl(support)
-        new.rng = make_rng(support)
-        return new
+        return dataclasses.replace(m, logl=make_logl(support), rng=make_rng(support))
 
     return Model("ols", dim, shape, logl=logl, est=est,
                  constraint=lambda p: max(0.0, -p.scalar("sigma")),

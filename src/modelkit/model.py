@@ -27,6 +27,14 @@ CDF_SEED = 0x5EED_0002
 
 
 @dataclass
+class TransformRecord:
+    """How a transform built a model: its kind, base models and inputs."""
+    kind: str
+    bases: list
+    data: dict = field(default_factory=dict)
+
+
+@dataclass
 class Model:
     """Six-element model collection plus settings.
 
@@ -42,6 +50,12 @@ class Model:
     whole (n,d) array at once (every bisection step of n inversion draws,
     every corner of n finite-difference rows) and expects row i of the
     result to depend on row i of the input alone.
+
+    Besides the elements and ``settings``, a model keeps its own state:
+    ``transform`` (the TransformRecord of the transform that built it, else
+    None), ``strategy`` (resolve(self), decided once at construction) and
+    ``cache`` (memoized PMFs, empirical-CDF draws, truncation masses).
+    Assigning any field (``m.cdf = None``) rebuilds strategy and empties cache.
     """
 
     label: str
@@ -55,15 +69,22 @@ class Model:
     constraint: Callable | None = None
     settings: dict = field(default_factory=dict)
     discrete: bool = False
+    transform: TransformRecord | None = None
+    strategy: dict[str, str] = field(init=False, repr=False, compare=False)
+    cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.logl is None and self.logl_joint is None and self.rng is None
-                and self.cdf is None):
-            raise ModelError(
-                f"model {self.label!r} needs at least one of likelihood, sampler, CDF")
         # every model, dataclasses.replace copies included, owns its settings
-        # dict and starts with an empty cache
-        self.settings = {**self.settings, "_cache": {}}
+        self.settings = dict(self.settings)
+        self.cache = {}
+        self.strategy = resolve(self)
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name not in ("strategy", "cache") and "strategy" in vars(self):
+            # a reassigned element must not keep stale strategies or draws
+            object.__setattr__(self, "cache", {})
+            object.__setattr__(self, "strategy", resolve(self))
 
     def with_settings(self, **kw) -> "Model":
         return replace(self, settings={**self.settings, **kw})
@@ -87,22 +108,22 @@ class FittedModel:
 
 
 def resolve(m: Model) -> dict[str, str]:
-    """Name the strategy backing each element; deterministic in the model alone."""
-    r: dict[str, str] = {}
+    """Name the strategy backing each element; every model keeps it as m.strategy."""
     if m.logl is not None or m.logl_joint is not None:
-        r["L"] = "closed-form"
+        r = {"L": "closed-form"}
     elif m.cdf is not None:
-        r["L"] = "cdf-delta"
+        r = {"L": "cdf-delta"}
     elif m.rng is not None:
-        r["L"] = "memoized PMF"
+        r = {"L": "memoized PMF"}
     else:
-        r["L"] = "unresolvable"
+        raise ModelError(
+            f"model {m.label!r} needs at least one of likelihood, sampler, CDF")
 
     if m.rng is not None:
         r["RNG"] = "closed-form"
     elif m.cdf is not None and m.data_dim == 1:
         r["RNG"] = "cdf-inversion"
-    elif r["L"] != "unresolvable" and m.data_dim >= 1:
+    elif m.data_dim >= 1:
         r["RNG"] = "metropolis"
     else:
         r["RNG"] = "unresolvable"
@@ -114,12 +135,9 @@ def resolve(m: Model) -> dict[str, str]:
     else:
         r["CDF"] = "unresolvable"
 
-    if m.est is not None:
-        r["Est"] = "closed-form"
-    elif r["L"] != "unresolvable":
-        r["Est"] = "MLE"
-    else:
-        r["Est"] = "unresolvable"
+    # a closed-form estimator fits every parameter, so pinning any forces MLE
+    pinned = m.param_shape.fixed_mask.any()
+    r["Est"] = "closed-form" if m.est is not None and not pinned else "MLE"
     return r
 
 
@@ -163,7 +181,7 @@ def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
 
 def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
     """Per-row log density, via closed form, CDF deltas, or memoized draws."""
-    strategy = resolve(m)["L"]
+    strategy = m.strategy["L"]
     if strategy == "closed-form":
         if m.logl is not None:
             return np.asarray(m.logl(rows, p), dtype=float)
@@ -172,10 +190,8 @@ def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
                          for i in range(rows.shape[0])])
     if strategy == "cdf-delta":
         return _logl_from_cdf(m, rows, p)
-    if strategy == "memoized PMF":
-        pmf = memoized_pmf(m, p)
-        return row_log_likelihood(pmf, rows, default_params(pmf))
-    raise UnresolvableElementError(f"{m.label}: unresolvable element L")
+    pmf = memoized_pmf(m, p)  # the remaining strategy: memoized PMF
+    return row_log_likelihood(pmf, rows, default_params(pmf))
 
 
 def _logl_from_cdf(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
@@ -210,7 +226,7 @@ def memoized_pmf(m: Model, p: Params, n: int | None = None) -> Model:
 
     n = n or m.settings.get("memoize_draws", 10000)
     key = ("pmf", p.flatten().tobytes(), n)
-    cache = m.settings["_cache"]
+    cache = m.cache
     if key not in cache:
         # common random numbers: the same seed at every parameter value, so
         # an MLE search over a memoized likelihood climbs a coherent surface
@@ -239,7 +255,7 @@ def draw(m: Model, p: Params, stream: RandomStream, n: int | None = None):
     _check_params(m, p)
     single = n is None
     n = 1 if single else int(n)
-    strategy = resolve(m)["RNG"]
+    strategy = m.strategy["RNG"]
     if strategy == "closed-form":
         rows = np.asarray(m.rng(p, stream, n), dtype=float)
         if rows.ndim == 1:
@@ -297,7 +313,7 @@ def cdf(m: Model, point, p: Params) -> float:
     _check_params(m, p)
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     _check_rows(m, pts)
-    strategy = resolve(m)["CDF"]
+    strategy = m.strategy["CDF"]
     if strategy == "closed-form":
         vals = np.asarray(m.cdf(pts, p), dtype=float)
     elif strategy == "empirical draws":
@@ -318,7 +334,7 @@ def cdf(m: Model, point, p: Params) -> float:
 def _cdf_draws(m: Model, p: Params) -> np.ndarray:
     n = m.settings.get("cdf_draws", 10000)
     key = ("cdf", p.flatten().tobytes(), n)
-    cache = m.settings["_cache"]
+    cache = m.cache
     if key not in cache:
         stream = RandomStream((CDF_SEED, _params_seed(p)))
         cache[key] = draw(m, p, stream, n)
@@ -343,22 +359,18 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
     if len(shape) == 0 or mask.all():
         # nothing free to estimate
         p = shape.copy()
-        ll = log_likelihood(m, d, p) if resolve(m)["L"] != "unresolvable" else math.nan
-        return FittedModel(m, p, ll, 0, True, _violation(m, p))
+        return FittedModel(m, p, log_likelihood(m, d, p), 0, True, _violation(m, p))
 
-    if m.est is not None and not mask.any():
+    if m.strategy["Est"] == "closed-form":
         p = m.est(d)
         fitted = FittedModel(m, p, math.nan, 0, True, _violation(m, p))
         capture = m.settings.get("capture_fit")
         if capture is not None:
             fitted.model = capture(m, d)
-        fitted.log_likelihood_at_optimum = _safe_ll(fitted.model, d, p)
+        fitted.log_likelihood_at_optimum = log_likelihood(fitted.model, d, p)
         return fitted
 
-    strategy = resolve(m)["L"]
-    if strategy == "unresolvable":
-        raise UnresolvableElementError(f"{m.label}: unresolvable element L")
-    if (strategy == "memoized PMF" and not m.discrete
+    if (m.strategy["L"] == "memoized PMF" and not m.discrete
             and m.settings.get("kde") is None):
         # raw memoized draws put no mass between the draws, so continuous
         # data scores -inf everywhere
@@ -407,13 +419,6 @@ def _violation(m: Model, p: Params) -> float:
     return float(m.constraint(p)) if m.constraint is not None else 0.0
 
 
-def _safe_ll(m: Model, d: DataSet, p: Params) -> float:
-    try:
-        return log_likelihood(m, d, p)
-    except UnresolvableElementError:
-        return math.nan
-
-
 # ---------------------------------------------------------------------------
 # Consistency checking
 
@@ -449,10 +454,7 @@ def check_ml_consistency(m: Model, p: Params, stream: RandomStream, n: int,
     """
     if n < 100:
         raise ModelError("insufficient draws: need n >= 100")
-    for name, strat in resolve(m).items():
-        if strat == "unresolvable":
-            raise UnresolvableElementError(f"{m.label}: unresolvable element {name}")
-
+    # an unresolvable sampler (and with it the CDF) raises here
     draws = draw(m, p, stream, n)
 
     chi = _chi_square_check(m, p, draws, chi2_pvalue)

@@ -2,32 +2,25 @@
 
 Each operation takes model(s) plus transformation data and returns a new
 Model whose elements delegate to the originals.  Nothing is precomputed at
-transform time beyond shape checks; a TransformRecord in settings describes
-the construction.  Base models are never mutated.
+transform time beyond shape checks; a TransformRecord in the new model's
+``transform`` field describes the construction.  Base models are never
+mutated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as core
 from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
                    RandomStream, TruncMcSettings)
-from .model import Model
+from .model import Model, TransformRecord
 
 TRUNC_SEED = 0x5EED_0004
 COMPOSE_SEED = 0x5EED_0005
 POSTERIOR_SEED = 0x5EED_0006
-
-
-@dataclass
-class TransformRecord:
-    kind: str
-    bases: list
-    data: dict = field(default_factory=dict)
 
 
 def _violation_sum(ms, ps) -> float:
@@ -53,12 +46,11 @@ def fix(m: Model, pinned: Params) -> Model:
             f"fix: pinned length {len(pinned)} != parameter length {len(m.param_shape)}")
     if not pinned.fixed_mask.any():
         raise ModelError("fix: at least one entry must be pinned")
-    settings = {**m.settings,
-                "transform": TransformRecord("fix", [m], {"pinned": pinned})}
     return Model(f"fix({m.label})", m.data_dim, pinned.copy(),
                  logl=m.logl, logl_joint=m.logl_joint, est=m.est, rng=m.rng,
-                 cdf=m.cdf, constraint=m.constraint, settings=settings,
-                 discrete=m.discrete)
+                 cdf=m.cdf, constraint=m.constraint, settings=m.settings,
+                 discrete=m.discrete,
+                 transform=TransformRecord("fix", [m], {"pinned": pinned}))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +104,7 @@ def cross(ms: list[Model]) -> Model:
     label = f"cross({', '.join(m.label for m in ms)})"
     return Model(label, dim, shape, logl=logl, est=est, rng=rng, cdf=cdf,
                  constraint=constraint, discrete=all(m.discrete for m in ms),
-                 settings={"transform": TransformRecord("cross", list(ms))})
+                 transform=TransformRecord("cross", list(ms)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +185,7 @@ def mix(ms: list[Model], weights=None) -> Model:
     label = f"mix({', '.join(m.label for m in ms)})"
     return Model(label, dim, shape, logl=logl, est=est, rng=rng, cdf=cdf,
                  constraint=constraint, discrete=all(m.discrete for m in ms),
-                 settings={"transform": TransformRecord("mix", list(ms),
-                                                        {"weights": wblock})})
+                 transform=TransformRecord("mix", list(ms), {"weights": wblock}))
 
 
 def _em(ms, d: DataSet, shape: Params, max_iter=200, tol=1e-8):
@@ -288,8 +279,7 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
     return Model(f"mix_cdf({trunc.label}, {point.label})", trunc.data_dim,
                  trunc.param_shape.copy(), logl=logl, rng=rng, cdf=cdf,
                  constraint=trunc.constraint,
-                 settings={"transform": TransformRecord("mix_cdf", [trunc, point],
-                                                        {"loc": loc})})
+                 transform=TransformRecord("mix_cdf", [trunc, point], {"loc": loc}))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +317,7 @@ def truncate(m: Model, region) -> Model:
     def mass(p: Params) -> float:
         # keyed on the truncated model: each region has its own mass
         key = ("trunc_mass", p.flatten().tobytes())
-        cache = trunc.settings["_cache"]
+        cache = trunc.cache
         if key not in cache:
             if interval and m.cdf is not None:
                 top = core.cdf(m, np.array([hi]), p) if hi is not None else 1.0
@@ -388,11 +378,10 @@ def truncate(m: Model, region) -> Model:
             out[below] = 0.0
             return out
 
-    settings = {**m.settings,
-                "transform": TransformRecord("truncate", [m], {"region": region})}
     trunc = Model(f"truncate({m.label})", m.data_dim, m.param_shape.copy(),
                   logl=logl, rng=rng, cdf=cdf, constraint=m.constraint,
-                  settings=settings, discrete=m.discrete)
+                  settings=m.settings, discrete=m.discrete,
+                  transform=TransformRecord("truncate", [m], {"region": region}))
     return trunc
 
 
@@ -459,11 +448,11 @@ def jacobian(m: Model, f, f_inv, jac="numeric") -> Model:
             return m.est(DataSet(pullback(d.rows), d.weights))
 
     settings = {k: v for k, v in m.settings.items() if k != "pmf_support"}
-    settings["transform"] = TransformRecord("jacobian", [m],
-                                            {"f": f, "f_inv": f_inv, "jac": jac})
     return Model(f"jacobian({m.label})", dim, m.param_shape.copy(),
                  logl=logl, est=est, rng=rng, constraint=m.constraint,
-                 settings=settings, discrete=m.discrete)
+                 settings=settings, discrete=m.discrete,
+                 transform=TransformRecord("jacobian", [m],
+                                           {"f": f, "f_inv": f_inv, "jac": jac}))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +481,7 @@ def swap(m: Model) -> Model:
         return out
 
     return Model(f"swap({m.label})", new_dim, new_shape, logl=logl,
-                 settings={"transform": TransformRecord("swap", [m])})
+                 transform=TransformRecord("swap", [m]))
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +526,12 @@ def d_compose(from_model: Model, to_model: Model, nseq=None,
     def constraint(p):
         return _violation_sum(models, p.split(shapes))
 
-    settings = {"transform": TransformRecord(
-        "d_compose", [from_model, to_model],
-        {"nseq": nseq, "n_draws": n_draws, "live": live_stream})}
-    if live:
-        settings["mle"] = MleSettings(method="annealing", max_iter=400)
+    settings = {"mle": MleSettings(method="annealing", max_iter=400)} if live else {}
     return Model(f"d_compose({from_model.label}, {to_model.label})", 0, shape,
-                 logl_joint=logl_joint, constraint=constraint, settings=settings)
+                 logl_joint=logl_joint, constraint=constraint, settings=settings,
+                 transform=TransformRecord(
+                     "d_compose", [from_model, to_model],
+                     {"nseq": nseq, "n_draws": n_draws, "live": live_stream}))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +573,7 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
 
     return Model(f"dp_compose({prior.label}, {like.label})", like.data_dim,
                  shape, logl_joint=logl_joint, constraint=constraint,
-                 settings={"transform": TransformRecord(
-                     "dp_compose", [prior, like], {"rho": rho})})
+                 transform=TransformRecord("dp_compose", [prior, like], {"rho": rho}))
 
 
 def posterior_draws(post: Model, d: DataSet, n: int,
@@ -595,13 +582,15 @@ def posterior_draws(post: Model, d: DataSet, n: int,
 
     Returns a PMF model over the parameter space.  Strategy, in order of
     preference: Normal-Normal conjugate closed form; Metropolis-Hastings
-    over the swapped composition when the prior has a likelihood; weighted
-    prior draws (weights = data likelihood) when the prior only has a
-    sampler.
+    over the swapped composition when the prior has a likelihood, its own or
+    from its CDF; weighted prior draws (weights = data likelihood) when the
+    prior only has a sampler, that is when ``prior.strategy["L"]`` is
+    "memoized PMF".  ``settings["posterior_strategy"]`` set to "mh" skips the
+    conjugate form and set to "conjugate" skips Metropolis-Hastings.
     """
     from .distributions import pmf_model
 
-    rec = post.settings.get("transform")
+    rec = post.transform
     if rec is None or rec.kind != "dp_compose":
         raise ModelError("posterior_draws needs a dp_compose model")
     prior, like = rec.bases
@@ -618,8 +607,7 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         draws = stream.normal(mean, math.sqrt(var), size=(n, 1))
         return pmf_model(DataSet(draws))
 
-    has_prior_l = core.resolve(prior)["L"] != "unresolvable"
-    if has_prior_l and forced in (None, "mh"):
+    if prior.strategy["L"] != "memoized PMF" and forced in (None, "mh"):
         def target(p: Params) -> float:
             return post.logl_joint(d, p)
 
@@ -649,7 +637,7 @@ def _conjugate_normal(prior, like, rho):
     if prior.label != "normal":
         return None
     base, shape = like, like.param_shape
-    rec = like.settings.get("transform")
+    rec = like.transform
     if rec is not None and rec.kind == "fix":
         base = rec.bases[0]
     if base.label != "normal":
@@ -703,5 +691,4 @@ def pd_compose(parent: Model, child: Model) -> Model:
     return Model(f"pd_compose({parent.label}, {child.label})", child.data_dim,
                  parent.param_shape.copy(), logl_joint=logl_joint, est=est,
                  rng=rng, constraint=parent.constraint,
-                 settings={"transform": TransformRecord("pd_compose",
-                                                        [parent, child])})
+                 transform=TransformRecord("pd_compose", [parent, child]))

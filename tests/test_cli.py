@@ -85,14 +85,19 @@ def test_eval_bad_keyword_or_data_exits_64(text, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read data file"), ("1,2\n3\n", "rows differ in length"),
-    ("1\nabc\n", "could not convert")])
+    ("1\nabc\n", "could not convert"),
+    ("a,b\n1,2,3\n", "header has 2 columns, rows have 3"),
+    ("x,weight\n", "cannot estimate from an empty data set")])
 def test_eval_unreadable_data_file_exits_64(content, message, tmp_path, capsys):
     path = tmp_path / "d.csv"
     if content is not None:
         path.write_text(content)
     assert cli.main(["eval", "normal", "--data", str(path)]) == 64
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err and str(path) in err
+    assert err.startswith("error: ") and message in err
+    # the loader's errors name the file; a header-only file loads as 0 rows
+    # of dimension 1 and fails in estimation instead
+    assert str(path) in err or message.endswith("empty data set")
 
 
 def test_eval_with_data_estimates(tmp_path, capsys):

@@ -16,6 +16,8 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(back.rows, d.rows)
     assert np.array_equal(back.weights, d.weights)
     assert back.names == ["a", "b"]
+    path.write_text("x,weight\n")  # header only: no rows, one data column
+    assert DataSet.from_csv(path).rows.shape == (0, 1)
 
 
 def test_dataset_headerless_csv(tmp_path):

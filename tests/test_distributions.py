@@ -116,6 +116,10 @@ def test_ols_recovers_plane():
         logl1(m, 0.0)
     rows = np.column_stack([y, x])[:5]
     assert np.all(np.isfinite(row_log_likelihood(fit.model, rows, fit.params)))
+    # ... and a sampler drawing X from the captured support alone
+    assert fit.model.strategy["RNG"] == core.resolve(fit.model)["RNG"] == "closed-form"
+    draws = core.draw(fit.model, fit.params, RandomStream(4), 300)
+    assert np.all((draws[:, 1:, None] == x.T[None]).all(axis=1).any(axis=1))
 
 
 def test_collinear_design_rejected():

@@ -8,7 +8,7 @@ from scipy import stats
 
 from modelkit import (DataSet, Model, ModelError, Params, RandomStream,
                       UnresolvableElementError, builtin, check_ml_consistency,
-                      estimate, normal_model)
+                      estimate, fix, normal_model)
 from modelkit import model as core
 
 
@@ -173,6 +173,26 @@ def test_replace_copies_keep_their_own_cache():
     core.cdf(l_only, [0.5], p)  # fills l_only's cache with Metropolis draws
     fresh = dataclasses.replace(normal_model(), cdf=None)
     assert core.cdf(rng_backed, [0.5], p) == core.cdf(fresh, [0.5], p)
+
+
+def test_strategy_table_est_is_mle_when_a_parameter_is_pinned():
+    fx = fix(normal_model(), normal_model().param_shape.pin(sigma=1.0))
+    assert core.resolve(fx)["Est"] == fx.strategy["Est"] == "MLE"
+    assert estimate(fx, DataSet(np.array([[0.4], [1.7]]))).iterations > 0
+
+
+def test_reassigned_element_rebuilds_strategy_and_cache():
+    import dataclasses
+
+    m = normal_model()
+    p = m.param_shape
+    m.cdf = None
+    assert m.strategy == core.resolve(m)
+    fresh = dataclasses.replace(normal_model(), cdf=None)
+    assert core.cdf(m, 0.5, p) == core.cdf(fresh, 0.5, p) == pytest.approx(0.6877, abs=5e-5)
+    assert m.cache  # the empirical-CDF draws of the closed-form sampler
+    m.rng = None
+    assert m.cache == {} and m.strategy["RNG"] == "metropolis"
 
 
 def test_sampler_only_continuous_estimate_asks_for_kde():

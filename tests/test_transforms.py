@@ -1,5 +1,6 @@
 """Transforms: each morphism checked against hand-derived values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -227,20 +228,37 @@ def test_d_compose_parameter_space_is_product():
     assert dc.data_dim == 0
 
 
-def test_dp_compose_conjugate_posterior():
-    prior = normal_model()  # N(0,1) over the likelihood mean
+def _posterior_mean_var(prior, n):
+    """Posterior mean and variance of mu in N(mu, 1) given the datum 2.
+
+    The prior runs at mu=0, sigma=1; for a N(0, 1) prior the closed form is
+    N(1, 1/2).
+    """
     like = fix(normal_model(), normal_model().param_shape.pin(sigma=1.0))
     post = dp_compose(prior, like, Params.scalars(mu=0.0, sigma=1.0))
-    pd = posterior_draws(post, DataSet(np.array([[2.0]])), 4000,
-                         RandomStream(21))
+    pd = posterior_draws(post, DataSet(np.array([[2.0]])), n, RandomStream(21))
     sup = pd.settings["pmf_support"]
     w = pd.param_shape.block("w")
     w = w / w.sum()
     mean = float(w @ sup.rows[:, 0])
-    var = float(w @ (sup.rows[:, 0] - mean) ** 2)
-    # closed form: N(1, 1/2)
+    return mean, float(w @ (sup.rows[:, 0] - mean) ** 2)
+
+
+def test_dp_compose_conjugate_posterior():
+    mean, var = _posterior_mean_var(normal_model(), 4000)
     assert mean == pytest.approx(1.0, abs=0.05)
     assert var == pytest.approx(0.5, abs=0.05)
+
+
+def test_sampler_only_prior_takes_weighted_prior_draws():
+    # relabelled so the conjugate shortcut is skipped; with only a sampler
+    # the prior's likelihood is a memoized PMF, useless as an MH target
+    prior = dataclasses.replace(normal_model(), label="normal_rng",
+                                logl=None, est=None, cdf=None)
+    assert prior.strategy["L"] == "memoized PMF"
+    mean, var = _posterior_mean_var(prior, 2000)
+    assert mean == pytest.approx(1.0, abs=0.1)
+    assert var == pytest.approx(0.5, abs=0.1)
 
 
 def test_dp_compose_dimension_mismatch():
