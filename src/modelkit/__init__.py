@@ -9,7 +9,7 @@ interface.
 """
 
 from .data import (DataSet, KdeSettings, McmcSettings, MleSettings,
-                   ModelError, Params, RandomStream, TruncMcSettings,
+                   ModelError, Params, RandomStream,
                    UnresolvableElementError)
 from .model import (FittedModel, Model, cdf, check_ml_consistency, draw,
                     estimate, log_likelihood, row_log_likelihood)
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DataSet", "Params", "RandomStream", "ModelError",
     "UnresolvableElementError", "MleSettings", "McmcSettings", "KdeSettings",
-    "TruncMcSettings",
     "Model", "FittedModel", "estimate", "draw", "cdf", "log_likelihood",
     "row_log_likelihood", "check_ml_consistency",
     "normal_model", "mvn_model", "pmf_model", "ols_model", "weibull_model",

@@ -277,7 +277,7 @@ def run_eval(text: str, data_path: str | None = None, seed: int = 0,
              draws: int | None = None, out: str = "./out",
              fmt: str = "table") -> int:
     ast = expr.parse_model_expr(text)
-    data = DataSet.from_csv(data_path) if data_path else None
+    data = expr.read_data_file(data_path) if data_path else None
     m = expr.eval_model_expr(ast, data)
     print(f"model: {expr.print_model_expr(ast)}")
     print(f"label: {m.label}")

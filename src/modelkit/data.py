@@ -312,10 +312,6 @@ class Params:
         mask.flags.writeable = False
         return self._derive(self.with_blocks(**kw)._vec, mask)
 
-    def concat(self, other: "Params", prefix: tuple[str, str] | None = None) -> "Params":
-        a, b = prefix or ("", "")
-        return Params.product([(a, self), (b, other)])
-
     def copy(self) -> "Params":
         return self._derive(self._vec.copy(), self.fixed_mask)
 
@@ -339,25 +335,24 @@ def _positive(name, value):
 
 @dataclass
 class MleSettings:
+    """One optimizer run over the free parameters, from the model's values."""
     method: str = "nelder_mead"  # nelder_mead | annealing | coordinate_cycle
-    tolerance: float = 1e-8
-    max_iter: int = 5000
-    restarts: int = 1
+    tolerance: float = 1e-8  # simplex size and value change that stop a run
+    max_iter: int = 5000  # evaluation cap; annealing takes max(max_iter, 200) steps
 
     def __post_init__(self):
         if self.method not in ("nelder_mead", "annealing", "coordinate_cycle"):
             raise ModelError(f"unknown MLE method {self.method!r}")
         _positive("tolerance", self.tolerance)
         _positive("max_iter", self.max_iter)
-        _positive("restarts", self.restarts)
 
 
 @dataclass
 class McmcSettings:
-    burnin: int = 2000
-    proposal: object = None  # Model; isotropic Normal step when None
-    step_scale: float = 1.0
-    thin: int = 1
+    """Random-walk Metropolis with an isotropic Normal step."""
+    burnin: int = 2000  # steps discarded before the first kept sample
+    step_scale: float = 1.0  # standard deviation of the step in every coordinate
+    thin: int = 1  # keep every thin-th step after burnin
 
     def __post_init__(self):
         _positive("burnin", self.burnin)
@@ -369,11 +364,3 @@ class McmcSettings:
 class KdeSettings:
     kernel: object = None  # Model with closed-form likelihood; Normal when None
     bandwidth: Params | None = None
-
-
-@dataclass
-class TruncMcSettings:
-    normalizer_draws: int = 10000
-
-    def __post_init__(self):
-        _positive("normalizer_draws", self.normalizer_draws)

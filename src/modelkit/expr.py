@@ -340,9 +340,17 @@ def _convert(name: str, key: str, kind: _Keyword, value):
     return kind.then(value)
 
 
+def read_data_file(path) -> DataSet:
+    """The rows of a CSV data file; a file without data rows is an error."""
+    d = DataSet.from_csv(path)
+    if len(d) == 0:
+        raise ModelError(f"data file {path} has no data rows")
+    return d
+
+
 def _load_data(name: str, path: str | None, data: DataSet | None) -> DataSet:
     if path is not None:
-        return DataSet.from_csv(path)
+        return read_data_file(path)
     if data is None:
         raise ExprError(f"{name} needs file=... or --data")
     return data

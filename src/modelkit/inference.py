@@ -161,10 +161,10 @@ def fisher_info_cov(fm: FittedModel, d: DataSet) -> CovarianceEstimate:
     if free.size == 0:
         raise ModelError("fisher_info_cov: no free parameters")
 
-    def f(q: Params) -> float:
-        return core.log_likelihood(fm.model, d, shape.with_free(q.flatten()))
+    def f(x: np.ndarray) -> float:
+        return core.log_likelihood(fm.model, d, shape.with_free(x))
 
-    H = solvers.numeric_hessian(f, Params([("free", free)]))
+    H = solvers.numeric_hessian(f, free)
     eig = np.linalg.eigvalsh(0.5 * (H + H.T))
     if np.any(eig >= 0):
         raise ModelError(f"not at an interior maximum: Hessian eigenvalues {eig}")

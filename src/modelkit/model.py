@@ -24,6 +24,8 @@ LOG_NEG_INF = float("-inf")
 # elements are deterministic functions of (model, params).
 MEMOIZE_SEED = 0x5EED_0001
 CDF_SEED = 0x5EED_0002
+# draws behind an empirical-draws CDF
+CDF_DRAWS = 10000
 
 
 @dataclass
@@ -286,18 +288,18 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
     st = m.settings.get("mcmc") or McmcSettings()
     dim = m.data_dim
 
-    def target(x: Params) -> float:
-        v = row_log_likelihood(m, x.flatten().reshape(1, -1), p)[0]
-        return float(v)
+    def target(x: np.ndarray) -> float:
+        return float(row_log_likelihood(m, x.reshape(1, -1), p)[0])
 
     start = m.settings.get("mcmc_start")
-    origin = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
-    x0 = Params([("d", origin)])
+    origin = np.zeros(dim) if start is None else np.atleast_1d(
+        np.asarray(start, dtype=float))
+    x0 = origin
     if not np.isfinite(target(x0)):
         # the start lies off the support: walk a fixed ladder of offsets,
         # every coordinate shifted alike, until the likelihood is positive
         for step in _START_LADDER:
-            x0 = Params([("d", origin + step)])
+            x0 = origin + step
             if np.isfinite(target(x0)):
                 break
         else:
@@ -332,12 +334,11 @@ def cdf(m: Model, point, p: Params) -> float:
 
 
 def _cdf_draws(m: Model, p: Params) -> np.ndarray:
-    n = m.settings.get("cdf_draws", 10000)
-    key = ("cdf", p.flatten().tobytes(), n)
+    key = ("cdf", p.flatten().tobytes(), CDF_DRAWS)
     cache = m.cache
     if key not in cache:
         stream = RandomStream((CDF_SEED, _params_seed(p)))
-        cache[key] = draw(m, p, stream, n)
+        cache[key] = draw(m, p, stream, CDF_DRAWS)
     return cache[key]
 
 
@@ -346,7 +347,9 @@ def _cdf_draws(m: Model, p: Params) -> np.ndarray:
 
 
 def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> FittedModel:
-    """Fit parameters: closed-form estimator when present, else black-box MLE."""
+    """Fit parameters: the closed-form estimator when present, else one run
+    of the settings' optimizer over the free parameters, started from the
+    model's own parameter values."""
     from . import solvers
 
     if len(d) == 0 and m.data_dim != 0:
@@ -354,9 +357,8 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
     _check_rows(m, d.rows)
     st = settings or m.settings.get("mle") or MleSettings()
     shape = m.param_shape
-    mask = shape.fixed_mask
 
-    if len(shape) == 0 or mask.all():
+    if shape.fixed_mask.all():
         # nothing free to estimate
         p = shape.copy()
         return FittedModel(m, p, log_likelihood(m, d, p), 0, True, _violation(m, p))
@@ -380,34 +382,21 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
 
     if st.method == "coordinate_cycle":
         return solvers.coordinate_cycle(m, d, st)
-
-    objective = _mle_objective(m, d)
-
-    best = None
-    for r in range(st.restarts):
-        x0 = shape.copy()
-        if r > 0:
-            jitter = RandomStream((0xA11CE, r)).normal(size=len(shape))
-            vec = x0.flatten() + jitter * np.maximum(1.0, np.abs(x0.flatten())) * 0.5
-            vec[mask] = x0.flatten()[mask]
-            x0 = x0.replace(vec)
-            if _violation(m, x0) > 0:
-                continue
-        if st.method == "annealing":
-            res = solvers.simulated_annealing(objective, x0, st)
-        else:
-            res = solvers.nelder_mead(objective, x0, st)
-        if best is None or res.value > best.value:
-            best = res
-    if best is None:
-        raise ModelError(f"{m.label}: no feasible MLE start point")
-    return FittedModel(m, best.params, best.value, best.iterations,
-                       best.converged, _violation(m, best.params))
+    solve = (solvers.simulated_annealing if st.method == "annealing"
+             else solvers.nelder_mead)
+    res = solve(_mle_objective(m, d), shape.free_values(), st)
+    p = shape.with_free(res.x)
+    return FittedModel(m, p, res.value, res.iterations, res.converged,
+                       _violation(m, p))
 
 
-def _mle_objective(m: Model, d: DataSet) -> Callable[[Params], float]:
-    """Log-likelihood of d, with a steep penalty wherever p breaks the constraint."""
-    def objective(p: Params) -> float:
+def _mle_objective(m: Model, d: DataSet) -> Callable[[np.ndarray], float]:
+    """Log-likelihood of d at the free vector, with a steep penalty wherever
+    the parameters break the constraint."""
+    shape = m.param_shape
+
+    def objective(free: np.ndarray) -> float:
+        p = shape.with_free(free)
         v = _violation(m, p)
         if v > 0:
             return -1e12 * (1.0 + v)

@@ -4,6 +4,11 @@ Derivative-free maximization, Metropolis-Hastings over an arbitrary log
 density, CDF inversion by bracketing, stochastic memoization of a sampler
 into a PMF, kernel smoothing, and finite-difference calculus.  Everything
 here is deterministic given its inputs and stream seeds.
+
+The optimizers, Metropolis and the finite differences work on plain float
+vectors: the function takes an np.ndarray and returns a float, the start is
+a vector, and the results hold vectors.  The model layer maps a vector to
+the model's Params (its layout and fixed mask) before it calls them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .model import Model
 
 @dataclass
 class SolveResult:
-    params: Params
+    x: np.ndarray
     value: float
     iterations: int
     converged: bool
@@ -35,41 +40,35 @@ class Chain:
     samples: np.ndarray
     log_densities: np.ndarray
     acceptance_rate: float
-    final_state: Params
 
 
 # ---------------------------------------------------------------------------
 # Maximization
 
 
-def nelder_mead(f: Callable[[Params], float], x0: Params,
+def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
                 st: MleSettings | None = None) -> SolveResult:
-    """Simplex maximization over the free coordinates of x0.
+    """Simplex maximization of f from the start vector x0.
 
-    Entries flagged in x0.fixed_mask are frozen.  Stops when the simplex
-    collapses below st.tolerance or st.max_iter evaluations pass.
+    Stops when the simplex collapses below st.tolerance or st.max_iter
+    evaluations pass.
     """
     st = st or MleSettings()
-    v0 = f(x0)
-    if not np.isfinite(v0):
+    if not np.isfinite(f(x0)):
         raise ModelError("infeasible start: objective not finite at x0")
-    free0 = x0.free_values()
-    if free0.size == 0:
-        return SolveResult(x0.copy(), v0, 0, True)
 
-    def neg(free):
-        val = f(x0.with_free(free))
+    def neg(x):
+        val = f(x)
         return -val if np.isfinite(val) else 1e300
 
     res = optimize.minimize(
-        neg, free0, method="Nelder-Mead",
+        neg, x0, method="Nelder-Mead",
         options={"xatol": st.tolerance, "fatol": st.tolerance,
                  "maxiter": st.max_iter, "maxfev": st.max_iter})
-    params = x0.with_free(res.x)
-    return SolveResult(params, -float(res.fun), int(res.nit), bool(res.success))
+    return SolveResult(res.x, -float(res.fun), int(res.nit), bool(res.success))
 
 
-def simulated_annealing(f: Callable[[Params], float], x0: Params,
+def simulated_annealing(f: Callable[[np.ndarray], float], x0: np.ndarray,
                         st: MleSettings | None = None,
                         stream: RandomStream | None = None) -> SolveResult:
     """Annealed random search; tolerant of noisy objectives.
@@ -79,70 +78,63 @@ def simulated_annealing(f: Callable[[Params], float], x0: Params,
     """
     st = st or MleSettings()
     stream = stream or RandomStream(0xC001)
-    v0 = f(x0)
-    if not np.isfinite(v0):
+    x = np.array(x0, dtype=float)
+    cur_v = f(x)
+    if not np.isfinite(cur_v):
         raise ModelError("infeasible start: objective not finite at x0")
-    free = x0.free_values().copy()
-    if free.size == 0:
-        return SolveResult(x0.copy(), v0, 0, True)
-    cur_v = v0
-    best, best_v = free.copy(), v0
+    best, best_v = x.copy(), cur_v
     n_steps = max(int(st.max_iter), 200)
     t0, t_min = 1.0, 1e-3
-    scale0 = np.maximum(1.0, np.abs(free))
+    scale0 = np.maximum(1.0, np.abs(x))
     for i in range(n_steps):
         t = t0 * (t_min / t0) ** (i / max(n_steps - 1, 1))
-        cand = free + stream.normal(size=free.size) * scale0 * math.sqrt(t)
-        v = f(x0.with_free(cand))
+        cand = x + stream.normal(size=x.size) * scale0 * math.sqrt(t)
+        v = f(cand)
         if not np.isfinite(v):
             continue
         if v > cur_v or stream.uniform() < math.exp((v - cur_v) / max(t, 1e-12)):
-            free, cur_v = cand, v
+            x, cur_v = cand, v
             if v > best_v:
                 best, best_v = cand.copy(), v
     # polish deterministically from the annealed optimum
-    polish = nelder_mead(f, x0.with_free(best), st)
+    polish = nelder_mead(f, best, st)
     if polish.value >= best_v:
-        return SolveResult(polish.params, polish.value,
+        return SolveResult(polish.x, polish.value,
                            n_steps + polish.iterations, polish.converged)
-    return SolveResult(x0.with_free(best), best_v, n_steps, True)
+    return SolveResult(best, best_v, n_steps, True)
 
 
 def coordinate_cycle(m: Model, d: DataSet, st: MleSettings | None = None):
     """Dimension-by-dimension search: fix all coordinates but one, optimize,
     rotate, and repeat until a full cycle improves by less than tolerance."""
     st = st or MleSettings()
-    shape = m.param_shape
-    vec = shape.flatten()
-    free_idx = np.flatnonzero(~shape.fixed_mask)
-    if free_idx.size == 0:
-        return core.estimate(m, d)
+    free = m.param_shape.free_values().copy()
     objective = core._mle_objective(m, d)
 
     def along(j):
-        """The objective as a function of coordinate j alone."""
-        def f(x: Params) -> float:
-            v = vec.copy()
-            v[j] = x.scalar("x")
-            return objective(shape.replace(v))
+        """The objective as a function of free coordinate j alone."""
+        def f(x: np.ndarray) -> float:
+            v = free.copy()
+            v[j] = x[0]
+            return objective(v)
         return f
 
     inner = MleSettings(method="nelder_mead", tolerance=max(st.tolerance, 1e-10),
                         max_iter=st.max_iter)
-    cur = objective(shape.replace(vec))
+    cur = objective(free)
     total_iter = 0
     converged = False
     for cycle in range(50):
         start = cur
-        for j in free_idx:
-            res = nelder_mead(along(j), Params.scalars(x=vec[j]), inner)
-            vec[j] = res.params.scalar("x")
+        for j in range(free.size):
+            res = nelder_mead(along(j), free[j:j + 1], inner)
+            free[j] = res.x[0]
             cur = res.value
             total_iter += res.iterations
         if cur - start < st.tolerance * max(1.0, abs(cur)):
             converged = True
             break
-    params = shape.replace(vec)
+    params = m.param_shape.with_free(free)
     return core.FittedModel(m, params, cur, total_iter, converged,
                             core._violation(m, params))
 
@@ -151,24 +143,24 @@ def coordinate_cycle(m: Model, d: DataSet, st: MleSettings | None = None):
 # Markov chain Monte Carlo
 
 
-def metropolis(target_log_density: Callable[[Params], float], x0: Params,
-               st: McmcSettings | None = None,
+def metropolis(target_log_density: Callable[[np.ndarray], float],
+               x0: np.ndarray, st: McmcSettings | None = None,
                stream: RandomStream | None = None,
                n_samples: int = 1000) -> Chain:
-    """Symmetric-proposal Metropolis: accept with min(1, exp(delta log density)).
+    """Random-walk Metropolis from the start vector x0.
 
-    The first st.burnin steps are discarded and every st.thin-th step kept.
-    A chain that accepts nothing during burnin raises "stuck chain".
+    Each step adds an isotropic Normal of scale st.step_scale and accepts
+    with min(1, exp(delta log density)).  The first st.burnin steps are
+    discarded and every st.thin-th step kept.  A chain that accepts nothing
+    during burnin raises "stuck chain".
     """
     st = st or McmcSettings()
     stream = stream or RandomStream(0xAC)
-    dim = len(x0)
-    x = x0.flatten().copy()
-    lv = target_log_density(x0)
+    x = np.array(x0, dtype=float)
+    dim = x.size
+    lv = target_log_density(x)
     if not np.isfinite(lv):
         raise ModelError("metropolis: target not finite at the start point")
-    proposal = st.proposal
-    prop_params = proposal.param_shape if proposal is not None else None
 
     total = st.burnin + n_samples * st.thin
     samples = np.empty((n_samples, dim))
@@ -176,13 +168,8 @@ def metropolis(target_log_density: Callable[[Params], float], x0: Params,
     accepted = 0
     kept = 0
     for i in range(total):
-        if proposal is None:
-            step = stream.normal(size=dim) * st.step_scale
-        else:
-            step = np.asarray(core.draw(proposal, prop_params, stream),
-                              dtype=float) * st.step_scale
-        cand = x + step
-        cv = target_log_density(x0.replace(cand))
+        cand = x + stream.normal(size=dim) * st.step_scale
+        cv = target_log_density(cand)
         if np.isfinite(cv) and (cv >= lv or stream.uniform() < math.exp(cv - lv)):
             x, lv = cand, cv
             accepted += 1
@@ -194,7 +181,7 @@ def metropolis(target_log_density: Callable[[Params], float], x0: Params,
             samples[kept] = x
             logd[kept] = lv
             kept += 1
-    return Chain(samples, logd, accepted / total, x0.replace(x))
+    return Chain(samples, logd, accepted / total)
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +353,16 @@ def _silverman_bandwidth(kernel: Model, support: DataSet) -> Params:
 # Finite differences
 
 
-def numeric_gradient(f: Callable[[Params], float], x: Params) -> np.ndarray:
+def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient, step cbrt(eps) * max(1, |x_i|)."""
-    vec = x.flatten()
+    vec = np.asarray(x, dtype=float)
     h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(vec))
     g = np.empty(vec.size)
     for i in range(vec.size):
         up, dn = vec.copy(), vec.copy()
         up[i] += h[i]
         dn[i] -= h[i]
-        fu, fd = f(x.replace(up)), f(x.replace(dn))
+        fu, fd = f(up), f(dn)
         for v, pt in ((fu, up), (fd, dn)):
             if not np.isfinite(v):
                 raise ModelError(f"non-finite objective at stencil point {pt}")
@@ -383,18 +370,18 @@ def numeric_gradient(f: Callable[[Params], float], x: Params) -> np.ndarray:
     return g
 
 
-def numeric_hessian(f: Callable[[Params], float], x: Params) -> np.ndarray:
+def numeric_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central-difference Hessian, symmetrized as (H + H') / 2."""
-    vec = x.flatten()
+    vec = np.asarray(x, dtype=float)
     k = vec.size
     h = np.sqrt(np.finfo(float).eps) ** 0.5 * np.maximum(1.0, np.abs(vec))
     H = np.empty((k, k))
-    f0 = f(x)
+    f0 = f(vec)
     if not np.isfinite(f0):
         raise ModelError(f"non-finite objective at stencil point {vec}")
 
     def at(delta):
-        v = f(x.replace(vec + delta))
+        v = f(vec + delta)
         if not np.isfinite(v):
             raise ModelError(f"non-finite objective at stencil point {vec + delta}")
         return v

@@ -15,10 +15,12 @@ import numpy as np
 
 from . import model as core
 from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
-                   RandomStream, TruncMcSettings)
+                   RandomStream)
 from .model import Model, TransformRecord
 
 TRUNC_SEED = 0x5EED_0004
+# draws behind a predicate region's Monte Carlo mass
+TRUNC_DRAWS = 10000
 COMPOSE_SEED = 0x5EED_0005
 POSTERIOR_SEED = 0x5EED_0006
 
@@ -312,8 +314,6 @@ def truncate(m: Model, region) -> Model:
     else:
         in_region = lambda rows: np.asarray(region(rows), dtype=bool)
 
-    mc = m.settings.get("trunc_mc") or TruncMcSettings()
-
     def mass(p: Params) -> float:
         # keyed on the truncated model: each region has its own mass
         key = ("trunc_mass", p.flatten().tobytes())
@@ -329,7 +329,7 @@ def truncate(m: Model, region) -> Model:
                 val = float(top - bot)
             else:
                 stream = RandomStream((TRUNC_SEED, core._params_seed(p)))
-                draws = core.draw(m, p, stream, mc.normalizer_draws)
+                draws = core.draw(m, p, stream, TRUNC_DRAWS)
                 val = float(np.mean(in_region(draws)))
             if val <= 1e-12:
                 raise ModelError("region mass too small")
@@ -608,13 +608,13 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         return pmf_model(DataSet(draws))
 
     if prior.strategy["L"] != "memoized PMF" and forced in (None, "mh"):
-        def target(p: Params) -> float:
-            return post.logl_joint(d, p)
+        def target(x: np.ndarray) -> float:
+            return post.logl_joint(d, post.param_shape.replace(x))
 
         x0 = post.settings.get("mcmc_start")
         if x0 is None:
             x0 = core.draw(prior, rho, stream.split(0))
-        x0 = Params([("p", np.atleast_1d(x0))])
+        x0 = np.atleast_1d(x0)
         st = post.settings.get("mcmc") or McmcSettings(step_scale=0.5)
         from . import solvers
         chain = solvers.metropolis(target, x0, st, stream.split(1), n_samples=n)

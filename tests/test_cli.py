@@ -87,7 +87,7 @@ def test_eval_bad_keyword_or_data_exits_64(text, tmp_path, capsys, monkeypatch):
     (None, "cannot read data file"), ("1,2\n3\n", "rows differ in length"),
     ("1\nabc\n", "could not convert"),
     ("a,b\n1,2,3\n", "header has 2 columns, rows have 3"),
-    ("x,weight\n", "cannot estimate from an empty data set")])
+    ("x\n", "has no data rows"), ("x,weight\n", "has no data rows")])
 def test_eval_unreadable_data_file_exits_64(content, message, tmp_path, capsys):
     path = tmp_path / "d.csv"
     if content is not None:
@@ -95,9 +95,14 @@ def test_eval_unreadable_data_file_exits_64(content, message, tmp_path, capsys):
     assert cli.main(["eval", "normal", "--data", str(path)]) == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    # the loader's errors name the file; a header-only file loads as 0 rows
-    # of dimension 1 and fails in estimation instead
-    assert str(path) in err or message.endswith("empty data set")
+    assert str(path) in err
+
+
+def test_eval_header_only_pmf_file_exits_64(tmp_path, capsys, monkeypatch):
+    (tmp_path / "h.csv").write_text("x\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["eval", 'pmf(file="h.csv")']) == 64
+    assert capsys.readouterr().err == "error: data file h.csv has no data rows\n"
 
 
 def test_eval_with_data_estimates(tmp_path, capsys):

@@ -70,14 +70,6 @@ def test_params_pin_and_free():
         p.pin(c=0.0)
 
 
-def test_params_concat_prefixes():
-    a = Params.scalars(x=1.0)
-    b = Params.scalars(x=2.0).pin(x=2.0)
-    c = a.concat(b, prefix=("l.", "r."))
-    assert c.labels() == ["l.x", "r.x"]
-    assert c.fixed_mask.tolist() == [False, True]
-
-
 def test_params_with_blocks_sets_values_and_keeps_mask():
     p = Params([("mu", [1.0, 2.0]), ("sigma", [3.0])]).pin(sigma=3.0)
     q = p.with_blocks(mu=[5.0, 6.0])

@@ -13,35 +13,27 @@ from modelkit import solvers
 
 
 def test_nelder_mead_quadratic():
-    f = lambda p: -(p.scalar("x") - 2.0) ** 2 - (p.scalar("y") + 1.0) ** 2
-    res = solvers.nelder_mead(f, Params.scalars(x=0.0, y=0.0), MleSettings())
+    f = lambda x: -(x[0] - 2.0) ** 2 - (x[1] + 1.0) ** 2
+    res = solvers.nelder_mead(f, np.array([0.0, 0.0]), MleSettings())
     assert res.converged
-    assert res.params.scalar("x") == pytest.approx(2.0, abs=1e-4)
-    assert res.params.scalar("y") == pytest.approx(-1.0, abs=1e-4)
-
-
-def test_nelder_mead_respects_fixed_mask():
-    f = lambda p: -(p.scalar("x") - 2.0) ** 2 - p.scalar("y") ** 2
-    x0 = Params.scalars(x=0.0, y=3.0).pin(y=3.0)
-    res = solvers.nelder_mead(f, x0, MleSettings())
-    assert res.params.scalar("y") == 3.0
-    assert res.params.scalar("x") == pytest.approx(2.0, abs=1e-4)
+    assert res.x[0] == pytest.approx(2.0, abs=1e-4)
+    assert res.x[1] == pytest.approx(-1.0, abs=1e-4)
 
 
 def test_nelder_mead_infeasible_start():
-    f = lambda p: -math.inf
+    f = lambda x: -math.inf
     with pytest.raises(ModelError, match="infeasible start"):
-        solvers.nelder_mead(f, Params.scalars(x=0.0), MleSettings())
+        solvers.nelder_mead(f, np.array([0.0]), MleSettings())
 
 
 def test_annealing_escapes_local_maximum():
     # two bumps; the global one is at x = 4, a local one at x = 0
-    f = lambda p: (math.exp(-(p.scalar("x")) ** 2)
-                   + 2 * math.exp(-((p.scalar("x") - 4.0)) ** 2))
-    res = solvers.simulated_annealing(f, Params.scalars(x=0.0),
+    f = lambda x: (math.exp(-(x[0]) ** 2)
+                   + 2 * math.exp(-((x[0] - 4.0)) ** 2))
+    res = solvers.simulated_annealing(f, np.array([0.0]),
                                       MleSettings(max_iter=2000),
                                       RandomStream(3))
-    assert res.params.scalar("x") == pytest.approx(4.0, abs=1e-3)
+    assert res.x[0] == pytest.approx(4.0, abs=1e-3)
 
 
 def test_coordinate_cycle_matches_joint_optimum():
@@ -56,8 +48,8 @@ def test_coordinate_cycle_matches_joint_optimum():
 
 
 def test_metropolis_normal_target():
-    target = lambda p: stats.norm.logpdf(p.scalar("x"), 3.0, 2.0)
-    chain = solvers.metropolis(target, Params.scalars(x=0.0),
+    target = lambda x: stats.norm.logpdf(x[0], 3.0, 2.0)
+    chain = solvers.metropolis(target, np.array([0.0]),
                                McmcSettings(burnin=500), RandomStream(7), 20000)
     xs = chain.samples[:, 0]
     assert xs.mean() == pytest.approx(3.0, abs=0.15)
@@ -66,9 +58,9 @@ def test_metropolis_normal_target():
 
 
 def test_metropolis_stuck_chain_detected():
-    target = lambda p: 0.0 if abs(p.scalar("x")) < 1e-12 else -math.inf
+    target = lambda x: 0.0 if abs(x[0]) < 1e-12 else -math.inf
     with pytest.raises(ModelError, match="stuck"):
-        solvers.metropolis(target, Params.scalars(x=0.0),
+        solvers.metropolis(target, np.array([0.0]),
                            McmcSettings(burnin=200, step_scale=1e6),
                            RandomStream(1), 100)
 
@@ -221,9 +213,8 @@ def test_kde_cdf_and_draws_match_a_per_support_point_loop():
 
 
 def test_numeric_gradient_and_hessian():
-    f = lambda p: (-p.scalar("x") ** 2 - 2 * p.scalar("y") ** 2
-                   + p.scalar("x") * p.scalar("y"))
-    x = Params.scalars(x=0.5, y=-0.5)
+    f = lambda x: -x[0] ** 2 - 2 * x[1] ** 2 + x[0] * x[1]
+    x = np.array([0.5, -0.5])
     g = solvers.numeric_gradient(f, x)
     assert g == pytest.approx([-1.0 - 0.5, 2.0 + 0.5], abs=1e-6)
     H = solvers.numeric_hessian(f, x)
@@ -231,6 +222,6 @@ def test_numeric_gradient_and_hessian():
 
 
 def test_numeric_gradient_nonfinite_stencil():
-    f = lambda p: math.sqrt(p.scalar("x")) if p.scalar("x") >= 0 else math.nan
+    f = lambda x: math.sqrt(x[0]) if x[0] >= 0 else math.nan
     with pytest.raises(ModelError, match="stencil"):
-        solvers.numeric_gradient(f, Params.scalars(x=0.0))
+        solvers.numeric_gradient(f, np.array([0.0]))

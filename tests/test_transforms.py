@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from modelkit import (DataSet, ModelError, Params, RandomStream, builtin,
-                      cross, d_compose, dp_compose, estimate, fix, jacobian,
-                      mix, mix_cdf, normal_model, pd_compose, pmf_model,
-                      posterior_draws, row_log_likelihood, swap, truncate)
+from modelkit import (DataSet, MleSettings, ModelError, Params, RandomStream,
+                      builtin, cross, d_compose, dp_compose, estimate, fix,
+                      jacobian, mix, mix_cdf, normal_model, pd_compose,
+                      pmf_model, posterior_draws, row_log_likelihood, swap,
+                      truncate)
 from modelkit import model as core
 
 
@@ -20,11 +21,13 @@ def logl1(m, x, p=None):
     return float(row_log_likelihood(m, np.atleast_2d(np.asarray(x, float)), p)[0])
 
 
-def test_fix_pins_and_estimates_the_rest():
+@pytest.mark.parametrize("method", ["nelder_mead", "annealing",
+                                    "coordinate_cycle"])
+def test_fix_pins_and_estimates_the_rest(method):
     m = normal_model()
     fx = fix(m, m.param_shape.pin(sigma=2.0))
     d = DataSet(np.array([[0.0], [4.0]]))
-    fit = estimate(fx, d)
+    fit = estimate(fx, d, MleSettings(method=method))
     assert fit.params.scalar("sigma") == 2.0
     assert fit.params.scalar("mu") == pytest.approx(2.0, abs=1e-6)
 
