@@ -286,15 +286,13 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
     from .data import McmcSettings
 
     st = m.settings.get("mcmc") or McmcSettings()
-    dim = m.data_dim
 
     def target(x: np.ndarray) -> float:
         return float(row_log_likelihood(m, x.reshape(1, -1), p)[0])
 
     start = m.settings.get("mcmc_start")
-    origin = np.zeros(dim) if start is None else np.atleast_1d(
-        np.asarray(start, dtype=float))
-    x0 = origin
+    x0 = origin = np.atleast_1d(np.asarray(
+        np.zeros(m.data_dim) if start is None else start, dtype=float))
     if not np.isfinite(target(x0)):
         # the start lies off the support: walk a fixed ladder of offsets,
         # every coordinate shifted alike, until the likelihood is positive
