@@ -232,7 +232,9 @@ def memoized_pmf(m: Model, p: Params, n: int | None = None) -> Model:
     if key not in cache:
         # common random numbers: the same seed at every parameter value, so
         # an MLE search over a memoized likelihood climbs a coherent surface
-        # instead of re-randomized jitter
+        # instead of re-randomized jitter.  This holds only if the sampler
+        # makes the same stream calls at every parameter value (no
+        # rejection loops), a requirement on any sampler behind this PMF
         stream = RandomStream((MEMOIZE_SEED, n))
         pmf = solvers.memoize_rng_to_pmf(m, p, n, stream)
         kde = m.settings.get("kde")
@@ -293,6 +295,10 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
     start = m.settings.get("mcmc_start")
     x0 = origin = np.atleast_1d(np.asarray(
         np.zeros(m.data_dim) if start is None else start, dtype=float))
+    if x0.shape != (m.data_dim,):
+        raise ModelError(
+            f"{m.label}: element RNG: settings['mcmc_start'] has shape "
+            f"{x0.shape}; a data row has {m.data_dim} columns")
     if not np.isfinite(target(x0)):
         # the start lies off the support: walk a fixed ladder of offsets,
         # every coordinate shifted alike, until the likelihood is positive

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import model as core
 from .data import (DataSet, KdeSettings, MleSettings, ModelError, Params,
@@ -98,38 +99,59 @@ def consumption(alpha, b, price):
     return q1, q2
 
 
+TASTE_WINDOW = (0.01, 0.99)
+
+
+def taste_from_uniform(mu_alpha: float, u: np.ndarray) -> np.ndarray:
+    """Normal(mu_alpha, 1) tastes truncated to TASTE_WINDOW, by inversion.
+
+    Each uniform u maps to the truncated Normal's quantile at u, so a taste
+    rises with both u and mu_alpha.  When the window lies above the mean the
+    quantile is taken on the reflected, lower-tail side, where ndtr keeps
+    its relative precision.  Raises ModelError when the window holds no
+    representable mass at mu_alpha.
+    """
+    a, b = (w - mu_alpha for w in TASTE_WINDOW)
+    reflect = a > 0
+    lo, hi = special.ndtr([-b, -a] if reflect else [a, b])
+    if not hi > lo:
+        raise ModelError(
+            f"demand_sim: element RNG: the taste window {TASTE_WINDOW} has no "
+            f"mass under Normal(mu_alpha={mu_alpha}, 1)")
+    if reflect:
+        z = -special.ndtri(hi - (hi - lo) * u)
+    else:
+        z = special.ndtri(lo + (hi - lo) * u)
+    return np.clip(mu_alpha + z, *TASTE_WINDOW)
+
+
 def demand_model(cfg: DemandConfig | None = None) -> Model:
     """Mean consumption (Q1, Q2) of utility maximizers U = q1^a + q2.
 
     Per agent: budget b ~ Normal(mu_b, 1) floored at 0, taste a ~
-    Normal(mu_alpha, 1) resampled until 0.01 < a < 0.99.  The interior
+    Normal(mu_alpha, 1) truncated to [0.01, 0.99].  The interior
     optimum q1 = (p/a)^(1/(1-a)) is clamped to affordability b/p, and
     q2 = max(b - p q1, 0), so spend never exceeds budget.  Likelihood comes
     from a 500-draw KDE-smoothed memoized PMF; estimation cycles one
     parameter dimension at a time.
+
+    Tastes are drawn by inversion (taste_from_uniform), one uniform per
+    agent, so n runs take exactly one (n, agents) array of budget normals
+    and one of uniforms whatever the parameters: the memoized likelihood
+    sees the same random numbers at every parameter value.
     """
     cfg = cfg or DemandConfig()
     p1 = cfg.price
 
     def rng(p, stream, n):
         mu_b, mu_a = p.scalar("mu_b"), p.scalar("mu_alpha")
-        out = np.empty((n, 2))
-        for run in range(n):
-            b = np.clip(stream.normal(mu_b, 1.0, size=cfg.n_agents), 0.0, None)
-            alpha = stream.normal(mu_a, 1.0, size=cfg.n_agents)
-            for _ in range(1000):
-                bad = (alpha <= 0.01) | (alpha >= 0.99)
-                if not bad.any():
-                    break
-                alpha[bad] = stream.normal(mu_a, 1.0, size=int(bad.sum()))
-            else:
-                raise ModelError("demand sim: alpha resampling did not land in (0.01, 0.99)")
-            q1, q2 = consumption(alpha, b, p1)
-            out[run] = (q1.mean(), q2.mean())
-        return out
+        b = np.clip(stream.normal(mu_b, 1.0, size=(n, cfg.n_agents)), 0.0, None)
+        alpha = taste_from_uniform(mu_a, stream.uniform(size=(n, cfg.n_agents)))
+        q1, q2 = consumption(alpha, b, p1)
+        return np.column_stack([q1.mean(axis=1), q2.mean(axis=1)])
 
     def constraint(p):
-        # keep the MLE search where alpha resampling stays cheap
+        # keep the MLE search where the taste window holds real mass
         mu_a = p.scalar("mu_alpha")
         mu_b = p.scalar("mu_b")
         v = max(0.0, -2.0 - mu_a) + max(0.0, mu_a - 3.0)

@@ -138,6 +138,14 @@ def test_metropolis_without_a_finite_start_names_the_model():
         core.draw(m, m.param_shape, RandomStream(1), 10)
 
 
+def test_metropolis_start_of_the_wrong_width_names_the_model():
+    m = Model("logl_only", 1, Params.scalars(mu=1.0),
+              logl=lambda rows, p: stats.norm.logpdf(rows[:, 0], p.scalar("mu")),
+              settings={"mcmc_start": [0.5, 7.0]})
+    with pytest.raises(ModelError, match="logl_only: element RNG: .*mcmc_start"):
+        core.draw(m, m.param_shape, RandomStream(1), 5)
+
+
 def test_rng_from_likelihood_metropolis():
     m = Model("logl_only", 1, Params.scalars(mu=1.0),
               logl=lambda rows, p: stats.norm.logpdf(rows[:, 0], p.scalar("mu")))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from modelkit import (DataSet, ModelError, Params, RandomStream,
                       DemandConfig, NetworkSimConfig, SearchConfig,
@@ -10,7 +11,7 @@ from modelkit import (DataSet, ModelError, Params, RandomStream,
                       weibull_model)
 from modelkit import model as core
 from modelkit.data import EMPTY_PARAMS
-from modelkit.sims import consumption
+from modelkit.sims import TASTE_WINDOW, consumption, taste_from_uniform
 
 
 def test_network_two_agent_link_probability():
@@ -76,6 +77,42 @@ def test_demand_draw_shape_and_determinism():
     b = core.draw(m, m.param_shape, RandomStream(4), 3)
     assert a.shape == (3, 2)
     assert np.array_equal(a, b)
+
+
+def test_demand_draws_share_random_numbers_across_parameters():
+    # the memoized likelihood reseeds at every parameter value; that only
+    # gives common random numbers if stream use ignores the parameters
+    m = demand_model(DemandConfig(n_agents=200))
+    q1, states = [], []
+    for mu_alpha in (0.3, 0.5, 0.7):
+        stream = RandomStream(4)
+        p = Params.scalars(mu_b=3.0, mu_alpha=mu_alpha)
+        q1.append(core.draw(m, p, stream, 20)[:, 0])
+        states.append(stream.gen.bit_generator.state)
+    assert states[0] == states[1] == states[2]
+    # at price <= 1 q1 falls as the taste rises, and the taste at a fixed
+    # uniform rises with mu_alpha
+    assert np.all(np.diff(q1, axis=0) <= 0)
+
+
+@pytest.mark.parametrize("mu_alpha", [-10.0, -2.0, 0.5, 3.0])
+def test_tastes_follow_the_truncated_normal(mu_alpha):
+    lo, hi = TASTE_WINDOW
+    u = RandomStream(7).uniform(size=5000)
+    tastes = taste_from_uniform(mu_alpha, u)
+    assert np.all((tastes >= lo) & (tastes <= hi))
+    ref = stats.truncnorm(lo - mu_alpha, hi - mu_alpha, loc=mu_alpha)
+    assert stats.kstest(tastes, ref.cdf).pvalue > 1e-6
+    # inversion is exact up to rounding, also far from the window
+    np.testing.assert_allclose(tastes, ref.ppf(u), rtol=1e-10)
+
+
+@pytest.mark.parametrize("mu_alpha", [1e3, -1e3])
+def test_taste_window_without_mass_names_the_model(mu_alpha):
+    m = demand_model(DemandConfig(n_agents=5))
+    p = Params.scalars(mu_b=3.0, mu_alpha=mu_alpha)
+    with pytest.raises(ModelError, match=r"demand_sim: element RNG: .*mu_alpha="):
+        core.draw(m, p, RandomStream(1), 2)
 
 
 def test_search_forced_adjacency():
