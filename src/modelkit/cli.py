@@ -17,7 +17,7 @@ import numpy as np
 from . import distributions, expr, sims, transforms
 from . import model as core
 from .data import (DataSet, EMPTY_PARAMS, MleSettings, ModelError, Params,
-                   RandomStream)
+                   RandomStream, write_csv)
 
 
 def _fmt(x) -> str:
@@ -39,14 +39,6 @@ def _print_table(headers, rows, fmt: str, file=None):
     print("  ".join("-" * w for w in widths), file=file)
     for r in rows:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip(), file=file)
-
-
-def _write_csv(path: Path, headers, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(headers)
-        for r in rows:
-            w.writerow([c if isinstance(c, str) else repr(float(c)) for c in r])
 
 
 def _write_gnuplot(path: Path, series):
@@ -260,7 +252,7 @@ def run_example(name: str, seed: int = 0, draws: int | None = None,
     table = res.table or (["quantity", "value"],
                           [[k, v] for k, v in res.values.items()])
     _print_table(*table, fmt)
-    _write_csv(out_dir / f"{name}.csv", *res.csv)
+    write_csv(out_dir / f"{name}.csv", *res.csv)
     _write_gnuplot(out_dir / f"{name}.dat", res.series)
     for ok, message in res.checks:
         print(f"check [{'ok' if ok else 'FAILED'}]: {message}")
@@ -299,7 +291,7 @@ def run_eval(text: str, data_path: str | None = None, seed: int = 0,
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         names = [f"d{i}" for i in range(sample.shape[1])]
-        _write_csv(out_dir / "eval.csv", names, sample)
+        write_csv(out_dir / "eval.csv", names, sample)
         if sample.shape[1] == 1:
             _write_gnuplot(out_dir / "eval.dat", [_ecdf(sample)])
         else:

@@ -61,6 +61,15 @@ class RandomStream:
 # Data sets
 
 
+def write_csv(path, headers, rows) -> None:
+    """Header, then rows: strings as they are, numbers as repr(float)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(headers)
+        for r in rows:
+            w.writerow([c if isinstance(c, str) else repr(float(c)) for c in r])
+
+
 class DataSet:
     """Ordered, weighted collection of fixed-dimension observation rows.
 
@@ -152,16 +161,10 @@ class DataSet:
         return cls(data, weights=weights, names=names)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            weighted = not np.allclose(self.weights, 1.0)
-            names = self.names or [f"c{i}" for i in range(self.dim)]
-            w.writerow(list(names) + (["weight"] if weighted else []))
-            for i in range(len(self)):
-                row = [repr(float(v)) for v in self.rows[i]]
-                if weighted:
-                    row.append(repr(float(self.weights[i])))
-                w.writerow(row)
+        weighted = not np.allclose(self.weights, 1.0)
+        names = list(self.names or [f"c{i}" for i in range(self.dim)])
+        rows = np.column_stack([self.rows, self.weights]) if weighted else self.rows
+        write_csv(path, names + (["weight"] if weighted else []), rows)
 
     def __repr__(self):
         return f"DataSet({len(self)} rows, dim={self.dim})"
@@ -362,5 +365,5 @@ class McmcSettings:
 
 @dataclass
 class KdeSettings:
-    kernel: object = None  # Model with closed-form likelihood; Normal when None
-    bandwidth: Params | None = None
+    """Smooth a memoized PMF: a Normal kernel (multivariate Normal for d > 1)
+    on each support point, with Silverman's bandwidth."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import model as core
 from . import transforms
-from .data import DataSet, ModelError, Params, RandomStream
+from .data import DataSet, ModelError, Params, RandomStream, write_csv
 from .model import FittedModel, Model
 
 
@@ -26,14 +26,9 @@ class CovarianceEstimate:
         self.matrix = 0.5 * (self.matrix + self.matrix.T)
 
     def to_csv(self, path) -> None:
-        import csv
-
         labels = self.labels or [f"p{i}" for i in range(self.matrix.shape[0])]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([""] + labels)
-            for i, lab in enumerate(labels):
-                w.writerow([lab] + [repr(float(v)) for v in self.matrix[i]])
+        write_csv(path, [""] + labels,
+                  ([lab, *row] for lab, row in zip(labels, self.matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +59,17 @@ def predict(fm: FittedModel, row) -> tuple[np.ndarray, bool]:
 # Covariance estimators
 
 
-def _replicate_cov(estimates: list[np.ndarray], failures: int, total: int,
-                   method: str, labels, jackknife: bool = False) -> CovarianceEstimate:
+def _replicate_cov(m: Model, datasets, total: int, method: str,
+                   jackknife: bool = False) -> CovarianceEstimate:
+    """Covariance of m's estimates over the replicate data sets.  A fit that
+    raises ModelError is skipped with a warning; more than 20% of ``total``
+    failing raises.  Errors while making a data set propagate."""
+    estimates, failures = [], 0
+    for d in datasets:
+        try:
+            estimates.append(core.estimate(m, d).params.flatten())
+        except ModelError:
+            failures += 1
     if failures > 0.2 * total:
         raise ModelError(
             f"{method}: {failures} of {total} replicate estimates failed")
@@ -78,7 +82,7 @@ def _replicate_cov(estimates: list[np.ndarray], failures: int, total: int,
         mat = (g - 1) / g * (dev.T @ dev)
     else:
         mat = dev.T @ dev / max(g - 1, 1)
-    return CovarianceEstimate(mat, method, g, labels)
+    return CovarianceEstimate(mat, method, g, m.param_shape.labels())
 
 
 def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
@@ -91,35 +95,21 @@ def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
     s = s or RandomStream(0xB007)
     n = len(d)
     prob = d.weights / d.weights.sum()
-    estimates, failures = [], 0
-    for r in range(reps):
-        idx = s.split(r).choice(n, p=prob, size=n)
-        try:
-            fit = core.estimate(m, DataSet(d.rows[idx]))
-            estimates.append(fit.params.flatten())
-        except ModelError:
-            failures += 1
-    return _replicate_cov(estimates, failures, reps, "bootstrap",
-                          m.param_shape.labels())
+    resamples = (DataSet(d.rows[s.split(r).choice(n, p=prob, size=n)])
+                 for r in range(reps))
+    return _replicate_cov(m, resamples, reps, "bootstrap")
 
 
 def jackknife_cov(m: Model, d: DataSet, leave_out: int = 1) -> CovarianceEstimate:
     """Leave-n-out covariance with the standard (g-1)/g inflation."""
     if len(d) < 10:
         raise ModelError("jackknife needs at least 10 rows")
-    n = len(d)
-    groups = n // leave_out
-    estimates, failures = [], 0
-    for g in range(groups):
-        keep = np.ones(n, dtype=bool)
-        keep[g * leave_out:(g + 1) * leave_out] = False
-        try:
-            fit = core.estimate(m, DataSet(d.rows[keep], d.weights[keep]))
-            estimates.append(fit.params.flatten())
-        except ModelError:
-            failures += 1
-    return _replicate_cov(estimates, failures, groups, "jackknife",
-                          m.param_shape.labels(), jackknife=True)
+    groups = len(d) // leave_out
+    # each row's group; rows past the last whole group are never left out
+    group = np.arange(len(d)) // leave_out
+    subsets = (DataSet(d.rows[group != g], d.weights[group != g])
+               for g in range(groups))
+    return _replicate_cov(m, subsets, groups, "jackknife", jackknife=True)
 
 
 def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
@@ -138,18 +128,9 @@ def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
     flatten = m.data_dim != fit_model.data_dim
     if flatten and fit_model.data_dim != 1:
         raise ModelError("replication_cov: data dims incompatible")
-    estimates, failures = [], 0
-    for r in range(reps):
-        rows = core.draw(m, params, s.split(r), n_per_rep)
-        if flatten:
-            rows = rows.reshape(-1, 1)
-        try:
-            fit = core.estimate(fit_model, DataSet(rows))
-            estimates.append(fit.params.flatten())
-        except ModelError:
-            failures += 1
-    return _replicate_cov(estimates, failures, reps, "replication",
-                          fit_model.param_shape.labels())
+    draws = (core.draw(m, params, s.split(r), n_per_rep) for r in range(reps))
+    runs = (DataSet(x.reshape(-1, 1) if flatten else x) for x in draws)
+    return _replicate_cov(fit_model, runs, reps, "replication")
 
 
 def fisher_info_cov(fm: FittedModel, d: DataSet) -> CovarianceEstimate:

@@ -26,6 +26,8 @@ MEMOIZE_SEED = 0x5EED_0001
 CDF_SEED = 0x5EED_0002
 # draws behind an empirical-draws CDF
 CDF_DRAWS = 10000
+# entries a model's cache keeps before it drops the least recently used
+CACHE_ENTRIES = 64
 
 
 @dataclass
@@ -56,7 +58,8 @@ class Model:
     Besides the elements and ``settings``, a model keeps its own state:
     ``transform`` (the TransformRecord of the transform that built it, else
     None), ``strategy`` (resolve(self), decided once at construction) and
-    ``cache`` (memoized PMFs, empirical-CDF draws, truncation masses).
+    ``cache`` (memoized PMFs, empirical-CDF draws, truncation masses; the
+    CACHE_ENTRIES most recently used).
     Assigning any field (``m.cdf = None``) rebuilds strategy and empties cache.
     """
 
@@ -159,6 +162,25 @@ def default_params(m: Model) -> Params:
     return m.param_shape.copy()
 
 
+def _cached(m: Model, key, make: Callable):
+    """m.cache[key], made by make() on a miss.  The cache keeps the
+    CACHE_ENTRIES most recently used entries."""
+    cache = m.cache
+    value = cache.pop(key) if key in cache else make()
+    cache[key] = value  # insertion order is recency order
+    if len(cache) > CACHE_ENTRIES:
+        del cache[next(iter(cache))]
+    return value
+
+
+def log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))), max-shifted; an all -inf row gives -inf."""
+    mx = np.max(a, axis=1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on the -inf rows
+        out = mx + np.log(np.sum(np.exp(a - mx[:, None]), axis=1))
+    return np.where(np.isfinite(mx), out, -np.inf)
+
+
 # ---------------------------------------------------------------------------
 # Likelihood
 
@@ -227,9 +249,8 @@ def memoized_pmf(m: Model, p: Params, n: int | None = None) -> Model:
     from . import solvers
 
     n = n or m.settings.get("memoize_draws", 10000)
-    key = ("pmf", p.flatten().tobytes(), n)
-    cache = m.cache
-    if key not in cache:
+
+    def make():
         # common random numbers: the same seed at every parameter value, so
         # an MLE search over a memoized likelihood climbs a coherent surface
         # instead of re-randomized jitter.  This holds only if the sampler
@@ -237,11 +258,11 @@ def memoized_pmf(m: Model, p: Params, n: int | None = None) -> Model:
         # rejection loops), a requirement on any sampler behind this PMF
         stream = RandomStream((MEMOIZE_SEED, n))
         pmf = solvers.memoize_rng_to_pmf(m, p, n, stream)
-        kde = m.settings.get("kde")
-        if kde is not None and not m.discrete:
-            pmf = solvers.kde_smooth(pmf, kde)
-        cache[key] = pmf
-    return cache[key]
+        if m.settings.get("kde") is not None and not m.discrete:
+            pmf = solvers.kde_smooth(pmf)
+        return pmf
+
+    return _cached(m, ("pmf", p.flatten().tobytes(), n), make)
 
 
 def _params_seed(p: Params) -> int:
@@ -338,12 +359,8 @@ def cdf(m: Model, point, p: Params) -> float:
 
 
 def _cdf_draws(m: Model, p: Params) -> np.ndarray:
-    key = ("cdf", p.flatten().tobytes(), CDF_DRAWS)
-    cache = m.cache
-    if key not in cache:
-        stream = RandomStream((CDF_SEED, _params_seed(p)))
-        cache[key] = draw(m, p, stream, CDF_DRAWS)
-    return cache[key]
+    return _cached(m, ("cdf", p.flatten().tobytes(), CDF_DRAWS), lambda: draw(
+        m, p, RandomStream((CDF_SEED, _params_seed(p))), CDF_DRAWS))
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +401,10 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
             f"{m.label}: element L is a memoized PMF of draws, which gives "
             f"continuous data zero likelihood; set settings['kde'] to smooth it")
 
-    if st.method == "coordinate_cycle":
-        return solvers.coordinate_cycle(m, d, st)
-    solve = (solvers.simulated_annealing if st.method == "annealing"
-             else solvers.nelder_mead)
+    # looked up at call time, so a wrapped solver is the one that runs
+    solve = {"nelder_mead": solvers.nelder_mead,
+             "annealing": solvers.simulated_annealing,
+             "coordinate_cycle": solvers.coordinate_cycle}[st.method]
     res = solve(_mle_objective(m, d), shape.free_values(), st)
     p = shape.with_free(res.x)
     return FittedModel(m, p, res.value, res.iterations, res.converged,

@@ -5,10 +5,12 @@ density, CDF inversion by bracketing, stochastic memoization of a sampler
 into a PMF, kernel smoothing, and finite-difference calculus.  Everything
 here is deterministic given its inputs and stream seeds.
 
-The optimizers, Metropolis and the finite differences work on plain float
-vectors: the function takes an np.ndarray and returns a float, the start is
-a vector, and the results hold vectors.  The model layer maps a vector to
-the model's Params (its layout and fixed mask) before it calls them.
+The optimizers (nelder_mead, simulated_annealing, coordinate_cycle),
+Metropolis and the finite differences work on plain float vectors: each
+takes a function f of an np.ndarray returning a float and a start vector x0,
+and the results hold vectors (the optimizers return a SolveResult).  The
+model layer maps a vector to the model's Params (its layout and fixed mask)
+and builds the fitted model from the result.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy import optimize
 
-from .data import (DataSet, KdeSettings, McmcSettings, MleSettings, ModelError,
-                   Params, RandomStream)
+from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
+                   RandomStream)
 from . import model as core
 from .model import Model
 
@@ -104,39 +106,34 @@ def simulated_annealing(f: Callable[[np.ndarray], float], x0: np.ndarray,
     return SolveResult(best, best_v, n_steps, True)
 
 
-def coordinate_cycle(m: Model, d: DataSet, st: MleSettings | None = None):
-    """Dimension-by-dimension search: fix all coordinates but one, optimize,
-    rotate, and repeat until a full cycle improves by less than tolerance."""
+def coordinate_cycle(f: Callable[[np.ndarray], float], x0: np.ndarray,
+                     st: MleSettings | None = None) -> SolveResult:
+    """Dimension-by-dimension maximization of f from x0: fix all coordinates
+    but one, optimize it, rotate, and repeat until a full cycle improves by
+    less than tolerance."""
     st = st or MleSettings()
-    free = m.param_shape.free_values().copy()
-    objective = core._mle_objective(m, d)
+    x = np.array(x0, dtype=float)
 
     def along(j):
-        """The objective as a function of free coordinate j alone."""
-        def f(x: np.ndarray) -> float:
-            v = free.copy()
-            v[j] = x[0]
-            return objective(v)
-        return f
+        """f as a function of coordinate j alone."""
+        return lambda xj: f(np.concatenate([x[:j], xj, x[j + 1:]]))
 
     inner = MleSettings(method="nelder_mead", tolerance=max(st.tolerance, 1e-10),
                         max_iter=st.max_iter)
-    cur = objective(free)
+    cur = f(x)
     total_iter = 0
     converged = False
     for cycle in range(50):
         start = cur
-        for j in range(free.size):
-            res = nelder_mead(along(j), free[j:j + 1], inner)
-            free[j] = res.x[0]
+        for j in range(x.size):
+            res = nelder_mead(along(j), x[j:j + 1], inner)
+            x[j] = res.x[0]
             cur = res.value
             total_iter += res.iterations
         if cur - start < st.tolerance * max(1.0, abs(cur)):
             converged = True
             break
-    params = m.param_shape.with_free(free)
-    return core.FittedModel(m, params, cur, total_iter, converged,
-                            core._violation(m, params))
+    return SolveResult(x, cur, total_iter, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +275,14 @@ def memoize_rng_to_pmf(m: Model, p: Params, n: int, stream: RandomStream) -> Mod
     return pmf_model(DataSet(rows, weights=counts / n))
 
 
-def kde_smooth(pmf: Model, st: KdeSettings | None = None) -> Model:
+def kde_smooth(pmf: Model) -> Model:
     """Mixture of one kernel per PMF support point, kernel centered there.
 
-    The kernel must have a closed-form likelihood and be a location family in
-    its "mu" block: its density, CDF and draws at mu = c are those at mu = 0
-    shifted by c.  Every element is therefore evaluated once, at mu = 0, on
-    the differences between the points and all support points.  The remaining
-    blocks come from st.bandwidth.
+    The kernel is a Normal (a multivariate Normal for d > 1) with Silverman's
+    bandwidth.  It is a location family in its "mu" block: its density, CDF
+    and draws at mu = c are those at mu = 0 shifted by c.  Every element is
+    therefore evaluated once, at mu = 0, on the differences between the
+    points and all support points.
     """
     from .distributions import normal_model, mvn_model
 
@@ -293,13 +290,8 @@ def kde_smooth(pmf: Model, st: KdeSettings | None = None) -> Model:
     if support is None:
         raise ModelError("kde_smooth expects a PMF model")
     dim = support.dim
-    st = st or KdeSettings()
-    kernel = st.kernel
-    if kernel is None:
-        kernel = normal_model() if dim == 1 else mvn_model(dim)
-    bw = st.bandwidth
-    if bw is None:
-        bw = _silverman_bandwidth(kernel, support)
+    kernel = normal_model() if dim == 1 else mvn_model(dim)
+    bw = _silverman_bandwidth(kernel, support)
     weights = pmf.param_shape.block("w")
     weights = weights / weights.sum()
     # non-location blocks come from the bandwidth params
@@ -318,10 +310,7 @@ def kde_smooth(pmf: Model, st: KdeSettings | None = None) -> Model:
         return np.asarray(element(diff, kp), dtype=float).reshape(-1, k)
 
     def logl(rows, p):
-        comp = at_offsets(kernel.logl, rows)
-        mx = np.max(comp + logw, axis=1, keepdims=True)
-        return (mx[:, 0]
-                + np.log(np.sum(np.exp(comp + logw - mx), axis=1)))
+        return core.log_sum_exp(at_offsets(kernel.logl, rows) + logw)
 
     def rng(p, stream, n):
         idx = stream.choice(k, p=weights, size=n)
@@ -341,12 +330,9 @@ def _silverman_bandwidth(kernel: Model, support: DataSet) -> Params:
     sd = np.std(support.rows, axis=0, ddof=1)
     sd = np.where(sd > 0, sd, 1.0)
     h = 1.06 * sd * n ** (-1 / 5)
-    names = kernel.param_shape.names
-    if "sigma" in names:
+    if "sigma" in kernel.param_shape.names:
         return Params([("sigma", [float(h[0])])])
-    if "cov" in names:
-        return Params([("cov", np.diag(h ** 2).ravel())])
-    raise ModelError("cannot derive a default bandwidth for this kernel")
+    return Params([("cov", np.diag(h ** 2).ravel())])
 
 
 # ---------------------------------------------------------------------------

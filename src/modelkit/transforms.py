@@ -148,11 +148,7 @@ def mix(ms: list[Model], weights=None) -> Model:
             if w[i] > 0:
                 comp[:, i] = (core.row_log_likelihood(ms[i], rows, ps[i])
                               + math.log(w[i] / wsum))
-        mx = np.max(comp, axis=1)
-        out = np.where(np.isfinite(mx),
-                       mx + np.log(np.sum(np.exp(comp - mx[:, None]), axis=1)),
-                       -np.inf)
-        return out
+        return core.log_sum_exp(comp)
 
     def rng(p, stream, n):
         ps, w = p.split(shapes), p.block("w")
@@ -207,8 +203,7 @@ def _em(ms, d: DataSet, shape: Params, max_iter=200, tol=1e-8):
         comp = np.column_stack([
             core.row_log_likelihood(ms[i], d.rows, ps[i]) + math.log(max(w[i], 1e-300))
             for i in range(k)])
-        mx = np.max(comp, axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.sum(np.exp(comp - mx), axis=1))
+        lse = core.log_sum_exp(comp)
         ll = float(np.sum(lse * d.weights))
         resp = np.exp(comp - lse[:, None])
         for i in range(k):
@@ -314,27 +309,28 @@ def truncate(m: Model, region) -> Model:
     else:
         in_region = lambda rows: np.asarray(region(rows), dtype=bool)
 
+    def cdf_span(top, p):
+        """F(top) - F(lo) under m, F(top) = 1 when top is None.  On discrete
+        data lo is taken as lo - 1, so the mass at lo itself counts."""
+        f_top = 1.0 if top is None else core.cdf(m, top, p)
+        if lo is None:
+            return f_top
+        return f_top - core.cdf(m, np.array([lo - 1.0 if m.discrete else lo]), p)
+
     def mass(p: Params) -> float:
-        # keyed on the truncated model: each region has its own mass
-        key = ("trunc_mass", p.flatten().tobytes())
-        cache = trunc.cache
-        if key not in cache:
+        def make():
             if interval and m.cdf is not None:
-                top = core.cdf(m, np.array([hi]), p) if hi is not None else 1.0
-                if lo is not None:
-                    lo_pt = lo - 1.0 if m.discrete else lo
-                    bot = core.cdf(m, np.array([lo_pt]), p)
-                else:
-                    bot = 0.0
-                val = float(top - bot)
+                val = float(cdf_span(None if hi is None else np.array([hi]), p))
             else:
                 stream = RandomStream((TRUNC_SEED, core._params_seed(p)))
                 draws = core.draw(m, p, stream, TRUNC_DRAWS)
                 val = float(np.mean(in_region(draws)))
             if val <= 1e-12:
                 raise ModelError("region mass too small")
-            cache[key] = min(val, 1.0)
-        return cache[key]
+            return min(val, 1.0)
+
+        # keyed on the truncated model: each region has its own mass
+        return core._cached(trunc, ("trunc_mass", p.flatten().tobytes()), make)
 
     def logl(rows, p):
         out = np.full(rows.shape[0], -np.inf)
@@ -367,15 +363,9 @@ def truncate(m: Model, region) -> Model:
             z = mass(p)
             x = points[:, 0]
             capped = np.minimum(x, hi) if hi is not None else x
-            top = core.cdf(m, capped.reshape(-1, 1), p)
+            out = np.clip(cdf_span(capped.reshape(-1, 1), p) / z, 0.0, 1.0)
             if lo is not None:
-                lo_pt = lo - 1.0 if m.discrete else lo
-                bot = core.cdf(m, np.array([lo_pt]), p)
-                below = x < lo
-            else:
-                bot, below = 0.0, np.zeros_like(x, dtype=bool)
-            out = np.clip((top - bot) / z, 0.0, 1.0)
-            out[below] = 0.0
+                out[x < lo] = 0.0
             return out
 
     trunc = Model(f"truncate({m.label})", m.data_dim, m.param_shape.copy(),
@@ -389,14 +379,14 @@ def truncate(m: Model, region) -> Model:
 # Jacobian
 
 
-def jacobian(m: Model, f, f_inv, jac="numeric") -> Model:
+def jacobian(m: Model, f, f_inv) -> Model:
     """Change of data-space variables d' = f(d).
 
     log L'(d', p) = log L(f_inv(d'), p) + log |det J(f_inv)(d')|; draws map
-    through f; estimation pulls data back through f_inv.  ``jac`` is a
-    callable giving |det J(f_inv)| at a point, or "numeric" for finite
-    differences.  Every evaluated point is probed for f(f_inv(d)) = d; a
-    gap above 1e-8 raises "inconsistent inverse".
+    through f; estimation pulls data back through f_inv.  The Jacobian is
+    numeric: complex-step derivatives of f_inv, or central differences when
+    f_inv does not take complex input.  Every evaluated point is probed for
+    f(f_inv(d)) = d; a gap above 1e-8 raises "inconsistent inverse".
     """
     dim = m.data_dim
 
@@ -408,28 +398,25 @@ def jacobian(m: Model, f, f_inv, jac="numeric") -> Model:
             raise ModelError(f"inconsistent inverse: f(f_inv(d)) off by {gap:.3g}")
         return x
 
-    if callable(jac):
-        absdet = lambda r: float(jac(r))
-    else:
-        def absdet(r):
-            # complex-step derivatives are exact to machine precision for
-            # analytic maps; fall back to central differences otherwise
-            J = np.empty((dim, dim))
-            try:
-                h = 1e-20
-                for j in range(dim):
-                    z = r.astype(complex)
-                    z[j] += 1j * h
-                    J[:, j] = np.imag(np.atleast_1d(f_inv(z))) / h
-            except (TypeError, ValueError):
-                h = 1e-6 * np.maximum(1.0, np.abs(r))
-                for j in range(dim):
-                    up, dn = r.copy(), r.copy()
-                    up[j] += h[j]
-                    dn[j] -= h[j]
-                    J[:, j] = (np.atleast_1d(f_inv(up))
-                               - np.atleast_1d(f_inv(dn))) / (2 * h[j])
-            return abs(float(np.linalg.det(J)))
+    def absdet(r):
+        # complex-step derivatives are exact to machine precision for
+        # analytic maps; fall back to central differences otherwise
+        J = np.empty((dim, dim))
+        try:
+            h = 1e-20
+            for j in range(dim):
+                z = r.astype(complex)
+                z[j] += 1j * h
+                J[:, j] = np.imag(np.atleast_1d(f_inv(z))) / h
+        except (TypeError, ValueError):
+            h = 1e-6 * np.maximum(1.0, np.abs(r))
+            for j in range(dim):
+                up, dn = r.copy(), r.copy()
+                up[j] += h[j]
+                dn[j] -= h[j]
+                J[:, j] = (np.atleast_1d(f_inv(up))
+                           - np.atleast_1d(f_inv(dn))) / (2 * h[j])
+        return abs(float(np.linalg.det(J)))
 
     def logl(rows, p):
         x = pullback(rows)
@@ -452,7 +439,7 @@ def jacobian(m: Model, f, f_inv, jac="numeric") -> Model:
                  logl=logl, est=est, rng=rng, constraint=m.constraint,
                  settings=settings, discrete=m.discrete,
                  transform=TransformRecord("jacobian", [m],
-                                           {"f": f, "f_inv": f_inv, "jac": jac}))
+                                           {"f": f, "f_inv": f_inv}))
 
 
 # ---------------------------------------------------------------------------

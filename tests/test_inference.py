@@ -67,6 +67,57 @@ def test_replication_cov_tracks_sampler_spread():
     assert cov.matrix[0, 0] == pytest.approx(0.04, rel=0.35)
 
 
+def _fails_without(values):
+    """A Normal mean model whose estimator raises when any of ``values`` is
+    missing from the data."""
+    def logl(rows, p):
+        return -0.5 * (rows[:, 0] - p.scalar("mu")) ** 2
+
+    def est(d):
+        if any(v not in d.rows[:, 0] for v in values):
+            raise ModelError("probe: a marker row is missing")
+        return Params.scalars(mu=float(d.rows[:, 0].mean()))
+
+    return core.Model("probe", 1, Params.scalars(mu=0.0), logl=logl, est=est)
+
+
+@pytest.mark.parametrize("missing", [1, 2])
+def test_replicate_failures_up_to_a_fifth_are_skipped_with_a_warning(missing):
+    d = DataSet(np.arange(10.0).reshape(-1, 1))
+    with pytest.warns(UserWarning, match=f"skipped {missing} failed"):
+        cov = jackknife_cov(_fails_without(range(missing)), d)
+    assert cov.replicates == 10 - missing
+
+
+def test_replicate_failures_above_a_fifth_raise():
+    d = DataSet(np.arange(10.0).reshape(-1, 1))
+    with pytest.raises(ModelError, match="3 of 10 replicate estimates failed"):
+        jackknife_cov(_fails_without(range(3)), d)
+
+
+def test_replication_draw_errors_propagate():
+    def rng(p, stream, n):
+        raise ModelError("probe: sampler broke")
+
+    m = core.Model("probe", 1, Params.scalars(mu=0.0), rng=rng)
+    with pytest.raises(ModelError, match="sampler broke"):
+        replication_cov(m, fit_model=normal_model(), reps=5)
+
+
+def test_covariance_csv_round_trip(tmp_path):
+    import csv
+
+    d = DataSet(RandomStream(14).normal(1.0, 2.0, size=50).reshape(-1, 1))
+    cov = jackknife_cov(normal_model(), d)
+    cov.to_csv(tmp_path / "cov.csv")
+    with open(tmp_path / "cov.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["", "mu", "sigma"]
+    assert [r[0] for r in rows[1:]] == ["mu", "sigma"]
+    back = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    assert np.array_equal(back, cov.matrix)
+
+
 def test_fisher_info_cov_normal():
     stream = RandomStream(14)
     d = DataSet(stream.normal(1.0, 2.0, size=400).reshape(-1, 1))

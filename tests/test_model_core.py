@@ -1,5 +1,6 @@
 """Dispatch layer: element fill-in, determinism, consistency checking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -203,6 +204,42 @@ def test_reassigned_element_rebuilds_strategy_and_cache():
     assert m.cache == {} and m.strategy["RNG"] == "metropolis"
 
 
+def rounded_normal():
+    """A sampler-only integer model: its likelihood is a memoized PMF."""
+    def rng(p, stream, n):
+        return np.round(stream.normal(p.scalar("mu"), p.scalar("sigma"),
+                                      size=(n, 1)))
+
+    return Model("rounded_normal", 1, Params.scalars(mu=0.5, sigma=2.0),
+                 rng=rng, discrete=True, settings={"memoize_draws": 500})
+
+
+@pytest.mark.parametrize("cap", [core.CACHE_ENTRIES, 2])
+def test_model_cache_is_bounded_and_changes_no_estimate(monkeypatch, cap):
+    data = DataSet(np.round(RandomStream(5).normal(1.0, 2.0, size=(30, 1))))
+    default_cap = core.CACHE_ENTRIES
+    monkeypatch.setattr(core, "CACHE_ENTRIES", 10 ** 9)
+    unbounded = rounded_normal()
+    want = estimate(unbounded, data)
+    # the fit visits more parameter points than the default cap holds
+    assert len(unbounded.cache) > default_cap
+    monkeypatch.setattr(core, "CACHE_ENTRIES", cap)
+    bounded = rounded_normal()
+    got = estimate(bounded, data)
+    assert len(bounded.cache) == cap
+    assert np.array_equal(got.params.flatten(), want.params.flatten())
+    assert got.log_likelihood_at_optimum == want.log_likelihood_at_optimum
+
+
+def test_model_cache_drops_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(core, "CACHE_ENTRIES", 2)
+    m = rounded_normal()
+    for key in ("a", "b", "a", "c"):
+        core._cached(m, key, lambda: key.upper())
+    assert list(m.cache) == ["a", "c"]
+    assert core._cached(m, "a", lambda: "fresh") == "A"
+
+
 def test_sampler_only_continuous_estimate_asks_for_kde():
     d = DataSet(RandomStream(3).normal(size=(50, 1)))
     with pytest.raises(ModelError, match=r"rng_only: element L .*settings\['kde'\]"):
@@ -262,6 +299,32 @@ def test_consistency_checker_flags_wrong_sampler():
                                4000)
     assert not (rep.chi_square.passed and rep.cdf_gap.passed
                 and rep.estimate_gap.passed)
+
+
+@pytest.mark.parametrize("name, dim, dof", [
+    ("normal", 1, 19),  # 20 quantile bins
+    ("multivariate_normal", 2, 24),  # a 5 x 5 grid of quantile bins
+])
+def test_chi_square_bins_continuous_draws(name, dim, dof):
+    m = builtin(name)
+    rep = check_ml_consistency(m, m.param_shape, RandomStream(1), 2000)
+    assert rep.chi_square.passed
+    assert rep.chi_square.note.endswith(f"with {dof} dof")
+    # every coordinate drawn a third of a standard deviation off
+    shifted = dataclasses.replace(
+        m, rng=lambda p, stream, n: stream.normal(0.3, 1.0, size=(n, dim)))
+    rep = check_ml_consistency(shifted, m.param_shape, RandomStream(1), 2000)
+    assert not rep.chi_square.passed
+
+
+def test_log_sum_exp_rows():
+    a = np.array([[0.0, math.log(3.0)], [-1000.0, -1000.0],
+                  [-np.inf, -np.inf], [-np.inf, 2.0]])
+    out = core.log_sum_exp(a)
+    assert out[0] == pytest.approx(math.log(4.0), abs=1e-15)
+    assert out[1] == pytest.approx(-1000.0 + math.log(2.0), abs=1e-12)
+    assert out[2] == -np.inf
+    assert out[3] == 2.0
 
 
 def test_consistency_checker_needs_draws():

@@ -39,12 +39,11 @@ def test_annealing_escapes_local_maximum():
 def test_coordinate_cycle_matches_joint_optimum():
     m = normal_model()
     d = DataSet(RandomStream(17).normal(2.0, 3.0, size=400).reshape(-1, 1))
-    fit = solvers.coordinate_cycle(m, d, MleSettings())
+    res = solvers.coordinate_cycle(core._mle_objective(m, d),
+                                   m.param_shape.free_values(), MleSettings())
     closed = core.estimate(m, d)
-    assert fit.params.scalar("mu") == pytest.approx(
-        closed.params.scalar("mu"), abs=1e-4)
-    assert fit.params.scalar("sigma") == pytest.approx(
-        closed.params.scalar("sigma"), abs=1e-4)
+    assert res.x[0] == pytest.approx(closed.params.scalar("mu"), abs=1e-4)
+    assert res.x[1] == pytest.approx(closed.params.scalar("sigma"), abs=1e-4)
 
 
 def test_metropolis_normal_target():

@@ -108,6 +108,16 @@ def test_truncate_renormalizes():
     assert draws.min() >= 0.0
 
 
+def test_truncate_from_above_renormalizes():
+    t = truncate(normal_model(), (None, 0.5))
+    p = Params.scalars(mu=0.0, sigma=1.0)
+    want = stats.norm.logpdf(0.0) - stats.norm.logcdf(0.5)
+    assert logl1(t, 0.0, p) == pytest.approx(want, abs=1e-9)
+    assert logl1(t, 0.7, p) == -np.inf
+    got = core.cdf(t, np.array([[0.0], [2.0]]), p)
+    assert got == pytest.approx([0.5 / stats.norm.cdf(0.5), 1.0], abs=1e-9)
+
+
 def test_truncations_of_one_base_keep_their_own_mass():
     m = normal_model()
     p = Params.scalars(mu=0.0, sigma=1.0)
@@ -116,6 +126,24 @@ def test_truncations_of_one_base_keep_their_own_mass():
     # ln[ phi(1.5) / (1 - Phi(1)) ], not the mass of the region x >= 0
     want = stats.norm.logpdf(1.5) - stats.norm.logsf(1.0)
     assert logl1(at1, 1.5, p) == pytest.approx(want, abs=1e-9)
+
+
+def test_truncate_to_a_predicate_region_uses_monte_carlo_mass():
+    m = normal_model()
+    p = Params.scalars(mu=0.0, sigma=1.0)
+    t = truncate(m, lambda rows: np.abs(rows[:, 0]) <= 1.0)
+    assert t.strategy["CDF"] == "empirical draws"
+    x = np.array([[-2.0], [-0.5], [0.0], [0.9], [1.5]])
+    got = row_log_likelihood(t, x, p)
+    assert np.all(np.isneginf(got[[0, 4]]))
+    # the seeded Monte Carlo mass of |x| <= 1 is within 0.02 of the exact one
+    mass = np.exp(row_log_likelihood(m, x[1:4], p) - got[1:4])
+    exact = stats.norm.cdf(1.0) - stats.norm.cdf(-1.0)
+    assert np.ptp(mass) < 1e-12
+    assert mass[0] == pytest.approx(exact, abs=0.02)
+    assert np.array_equal(row_log_likelihood(t, x, p), got)
+    draws = core.draw(t, p, RandomStream(3), 500)
+    assert np.all(np.abs(draws) <= 1.0)
 
 
 def test_truncate_tiny_region_errors():
@@ -195,6 +223,19 @@ def test_jacobian_group_law():
     a = row_log_likelihood(both, probes, p)
     b = row_log_likelihood(direct, probes, p)
     assert np.max(np.abs(a - b)) < 1e-10
+
+
+def test_jacobian_draws_and_estimates_through_the_map():
+    base = normal_model()
+    lognormal = jacobian(base, np.exp, np.log)
+    p = Params.scalars(mu=0.5, sigma=0.8)
+    draws = core.draw(lognormal, p, RandomStream(4), 300)
+    np.testing.assert_allclose(
+        draws, np.exp(core.draw(base, p, RandomStream(4), 300)), rtol=1e-15)
+    fit = estimate(lognormal, DataSet(draws))
+    want = estimate(base, DataSet(np.log(draws)))
+    assert np.allclose(fit.params.flatten(), want.params.flatten(),
+                       rtol=1e-12, atol=0)
 
 
 def test_jacobian_inconsistent_inverse_detected():
