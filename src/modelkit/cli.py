@@ -91,9 +91,9 @@ def _ex_roundtrip(seed, draws):
     for i, (name, text, tol) in enumerate(cases):
         m = expr.eval_model_expr(expr.parse_model_expr(text))
         truth = m.param_shape
-        data = core.draw(m, truth, RandomStream((seed, i)), draws)
-        fit = core.estimate(m, DataSet(data))
-        series.append(_ecdf(data[:, 0]))
+        data = DataSet(core.draw(m, truth, RandomStream((seed, i)), draws))
+        fit = core.estimate(m, data)
+        series.append(_ecdf(data.rows[:, 0]))
         values[name] = (truth.flatten(), fit.params.flatten())
         for lab, t, e in zip(truth.labels(), *values[name]):
             rows.append([name, lab, t, e, abs(e - t), tol])

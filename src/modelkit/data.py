@@ -70,6 +70,43 @@ def write_csv(path, headers, rows) -> None:
             w.writerow([c if isinstance(c, str) else repr(float(c)) for c in r])
 
 
+def _owned(a) -> np.ndarray:
+    """a as a read-only float array that no writeable array shares, copied
+    unless it already is one."""
+    if (isinstance(a, np.ndarray) and not a.flags.writeable
+            and a.dtype == np.float64
+            and (a.base is None or (isinstance(a.base, np.ndarray)
+                                    and not a.base.flags.writeable))):
+        return a
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _distinct_rows(rows: np.ndarray):
+    """The (unique rows, inverse) pair of DataSet.distinct_rows, or None."""
+    n, dim = rows.shape
+    if dim == 0:
+        return None
+    bits = np.ascontiguousarray(rows).view(np.int64)
+    # a row set has at least as many distinct rows as any of its rows have
+    # distinct first values, so sorting the first value of n/4 + 1 rows
+    # rules out continuous data
+    first = np.sort(bits[:n // 4 + 1, 0])
+    if 4 * (1 + np.count_nonzero(first[1:] != first[:-1])) > n:
+        return None
+    if dim == 1:
+        uniq, inv = np.unique(bits[:, 0], return_inverse=True)
+    else:
+        uniq, inv = np.unique(bits, axis=0, return_inverse=True)
+    if 4 * len(uniq) > n:
+        return None
+    uniq = uniq.view(float).reshape(-1, dim)
+    uniq.setflags(write=False)
+    inv.setflags(write=False)
+    return uniq, inv
+
+
 class DataSet:
     """Ordered, weighted collection of fixed-dimension observation rows.
 
@@ -77,11 +114,16 @@ class DataSet:
     for models over an empty data space. Weights default to 1 per row.
     Optional integer ``groups`` labels partition rows into sub-datasets for
     hierarchical compositions.
+
+    ``rows`` and ``weights`` are read-only arrays the data set owns: the
+    input is copied unless it already is a read-only float array that no
+    writeable array shares, so writing to the caller's array afterwards
+    changes nothing here.  That keeps ``distinct_rows`` from going stale.
     """
 
     def __init__(self, rows, weights=None, names: list[str] | None = None,
                  groups=None):
-        arr = np.asarray(rows, dtype=float)
+        arr = _owned(rows)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
@@ -89,9 +131,11 @@ class DataSet:
         self.rows = arr
         n = arr.shape[0]
         if weights is None:
-            self.weights = np.ones(n)
+            w = np.ones(n)
+            w.setflags(write=False)
+            self.weights = w
         else:
-            w = np.asarray(weights, dtype=float)
+            w = _owned(weights)
             if w.shape != (n,):
                 raise ModelError(f"weights shape {w.shape} does not match {n} rows")
             if np.any(w < 0):
@@ -103,6 +147,22 @@ class DataSet:
         self.groups = None if groups is None else np.asarray(groups, dtype=int)
         if self.groups is not None and self.groups.shape != (n,):
             raise ModelError("groups must label every row")
+        self._scorings = 0
+        self._distinct = None
+
+    def distinct_rows(self):
+        """(unique rows, inverse index) with ``rows == unique[inverse]``, when
+        at most a quarter of the rows are distinct; otherwise None.
+
+        Rows are distinct when their bits differ.  log_likelihood calls this
+        once per scoring.  The first call returns None without looking at
+        the rows, so a data set scored once never pays the sort; the second
+        works the pair out and later calls return it.
+        """
+        self._scorings += 1
+        if self._scorings == 2:
+            self._distinct = _distinct_rows(self.rows)
+        return self._distinct
 
     @property
     def dim(self) -> int:

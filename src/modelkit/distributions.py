@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from .data import DataSet, ModelError, Params
-from .model import Model
+from .model import CDF_SEED, Model
 
 LOG_ROOT_2PI = 0.5 * math.log(2 * math.pi)
 
@@ -71,7 +71,9 @@ def normal_model() -> Model:
 def mvn_model(dim: int = 2) -> Model:
     """Multivariate Normal; mean block "mu", row-major covariance block "cov".
 
-    CDF is left to the default empirical strategy.
+    The CDF is scipy's quasi-Monte Carlo integral, seeded afresh for each
+    row so that it is deterministic and each row's value depends on that
+    row alone.
     """
     if dim < 1:
         raise ModelError("mvn_model needs dim >= 1")
@@ -103,6 +105,15 @@ def mvn_model(dim: int = 2) -> Model:
         return stream.gen.multivariate_normal(mu, cov, size=n,
                                               method="cholesky")
 
+    def cdf(points, p):
+        from scipy.stats import multivariate_normal  # deferred: a slow import
+
+        if constraint(p) > 0:
+            raise ModelError("mvn: element CDF: covariance is not positive definite")
+        mu, cov = unpack(p)
+        return np.array([multivariate_normal.cdf(
+            x, mu, cov, rng=np.random.default_rng(CDF_SEED)) for x in points])
+
     def constraint(p):
         _, cov = unpack(p)
         cov = 0.5 * (cov + cov.T)
@@ -111,7 +122,7 @@ def mvn_model(dim: int = 2) -> Model:
 
     return Model("mvn", dim,
                  Params([("mu", np.zeros(dim)), ("cov", np.eye(dim).ravel())]),
-                 logl=logl, est=est, rng=rng, constraint=constraint)
+                 logl=logl, est=est, rng=rng, cdf=cdf, constraint=constraint)
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,9 @@ def kde_smooth(pmf: Model) -> Model:
         return core.draw(kernel, kp, stream, n).reshape(n, dim) + centres[idx]
 
     cdf = None
-    if kernel.cdf is not None:
+    if dim == 1:
+        # the multivariate Normal CDF is a numeric integral per row, too slow
+        # for every (point, centre) offset: empirical draws serve d > 1
         def cdf(points, p):
             return at_offsets(kernel.cdf, points) @ weights
 

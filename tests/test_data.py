@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modelkit import DataSet, ModelError, Params, RandomStream
+from modelkit import DataSet, ModelError, Params, RandomStream, builtin
+from modelkit import model as core
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -36,6 +37,34 @@ def test_dataset_validation():
         DataSet(np.zeros((2, 1)), weights=[1.0, -1.0])
     with pytest.raises(ModelError, match="groups"):
         DataSet(np.zeros((3, 1)), groups=[0, 1])
+
+
+def test_dataset_arrays_are_read_only():
+    d = DataSet(np.array([[1.0], [2.0]]), weights=[1.0, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        d.rows[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        d.weights[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        DataSet([1.0, 2.0]).weights[1] = 3.0
+
+
+def test_dataset_owns_its_arrays():
+    rows, w = np.arange(40.0) % 4, np.ones(40)
+    d = DataSet(rows, w)
+    m, p = builtin("poisson"), Params.scalars(lam=2.0)
+    before = [core.log_likelihood(m, d, p) for _ in range(2)]
+    assert d.distinct_rows() is not None
+    rows[:] = 7.0
+    w[:] = 5.0
+    assert [core.log_likelihood(m, d, p) for _ in range(2)] == before
+    # a read-only view of a writeable array is copied as well
+    view = rows.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(DataSet(view).rows, rows)
+    # another data set's arrays are shared, not copied
+    e = DataSet(d.rows, d.weights)
+    assert e.rows is d.rows and e.weights is d.weights
 
 
 def test_dataset_group_list():

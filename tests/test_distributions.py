@@ -93,6 +93,26 @@ def test_mvn_logl_oracle():
     assert v == pytest.approx(-2.6718998916270964, abs=1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.7])
+def test_mvn_cdf_at_the_mean(rho):
+    # P(X <= 0, Y <= 0) = 1/4 + arcsin(rho) / (2 pi) for unit variances
+    m = mvn_model(2)
+    p = Params([("mu", [0.0, 0.0]), ("cov", [1.0, rho, rho, 1.0])])
+    assert m.strategy["CDF"] == "closed-form"
+    exact = 0.25 + math.asin(rho) / (2 * math.pi)
+    assert core.cdf(m, [0.0, 0.0], p) == pytest.approx(exact, abs=1e-5)
+    # seeded per row: repeatable, and no row moves another
+    vals = core.cdf(m, np.array([[0.0, 0.0], [1.0, -0.5], [0.0, 0.0]]), p)
+    assert vals[0] == vals[2] == core.cdf(m, [0.0, 0.0], p)
+
+
+def test_mvn_cdf_needs_a_positive_definite_covariance():
+    m = mvn_model(2)
+    p = Params([("mu", [0.0, 0.0]), ("cov", [1.0, 2.0, 2.0, 1.0])])
+    with pytest.raises(ModelError, match="mvn: element CDF"):
+        core.cdf(m, [0.0, 0.0], p)
+
+
 def test_pmf_weights_and_matching():
     sup = DataSet(np.array([[0.0], [1.0], [2.0]]), weights=[1.0, 2.0, 1.0])
     m = pmf_model(sup)

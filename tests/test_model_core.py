@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from modelkit import (DataSet, Model, ModelError, Params, RandomStream,
                       UnresolvableElementError, builtin, check_ml_consistency,
-                      estimate, fix, normal_model)
+                      cross, estimate, fix, normal_model)
 from modelkit import model as core
 
 
@@ -331,3 +332,100 @@ def test_consistency_checker_needs_draws():
     with pytest.raises(ModelError, match="insufficient draws"):
         check_ml_consistency(builtin("poisson"), Params.scalars(lam=2.0),
                              RandomStream(1), 50)
+
+
+def test_estimate_with_every_parameter_pinned_scores_the_pinned_values():
+    pinned = normal_model().param_shape.pin(mu=1.0, sigma=2.0)
+    m = fix(normal_model(), pinned)
+    d = DataSet(np.array([[0.5], [1.5], [4.0]]))
+    fit = estimate(m, d)
+    assert fit.params.flatten().tolist() == [1.0, 2.0]
+    assert fit.params.fixed_mask.all()
+    assert (fit.iterations, fit.converged, fit.constraint_violation) == (0, True, 0.0)
+    assert fit.log_likelihood_at_optimum == core.log_likelihood(
+        normal_model(), d, Params.scalars(mu=1.0, sigma=2.0))
+
+
+# ---------------------------------------------------------------------------
+# Scoring each distinct row once
+
+
+def _with_only(m, element):
+    """m keeping one of its elements "cdf" or "rng": a cdf-delta or a
+    memoized-PMF likelihood."""
+    gone = {"logl": None, "est": None, "cdf": None, "rng": None}
+    del gone[element]
+    return dataclasses.replace(m, label=f"{m.label}_{element}", **gone)
+
+
+def _by_strategy(m, p):
+    return [(m, p), (_with_only(m, "cdf"), p), (_with_only(m, "rng"), p)]
+
+
+# built once, so each memoized PMF is drawn once for all examples
+_POISSON2 = cross([builtin("poisson"), builtin("poisson")])
+_SCORED = (_by_strategy(builtin("poisson"), Params.scalars(lam=2.0))
+           + _by_strategy(_POISSON2, _POISSON2.param_shape.replace([2.0, 1.0])))
+# at most 5 distinct rows of 1 column and 9 of 2, so 40 rows always repeat
+# enough; -1 and 2.5 score -inf in closed form, -1 and 30 under the PMF
+_VALUES = {1: [-1.0, 0.0, 1.0, 2.5, 30.0], 2: [-1.0, 0.0, 2.0]}
+
+
+def test_scored_models_cover_the_three_likelihood_strategies():
+    assert [m.strategy["L"] for m, _ in _SCORED] == 2 * [
+        "closed-form", "cdf-delta", "memoized PMF"]
+    assert all(m.discrete for m, _ in _SCORED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, len(_SCORED) - 1), data=st.data())
+def test_distinct_row_scoring_is_bit_identical_property(case, data):
+    m, p = _SCORED[case]
+    dim = m.data_dim
+    n = data.draw(st.integers(40, 80))
+    rows = data.draw(st.lists(st.lists(st.sampled_from(_VALUES[dim]),
+                                       min_size=dim, max_size=dim),
+                              min_size=n, max_size=n))
+    w = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                           min_size=n, max_size=n))
+    w[0] = w[0] or 1.0
+    d = DataSet(np.array(rows), w)
+    v = core.row_log_likelihood(m, d.rows, p)
+    live = d.weights > 0
+    expected = float(np.sum(v[live] * d.weights[live])).hex()
+    assert core.log_likelihood(m, d, p).hex() == expected  # every row scored
+    assert core.log_likelihood(m, d, p).hex() == expected  # distinct rows
+    assert d.distinct_rows() is not None
+
+
+def test_distinct_rows_are_worked_out_from_the_second_scoring(monkeypatch):
+    calls = []
+    for name in ("sort", "unique"):
+        def counted(*a, _name=name, _real=getattr(np, name), **kw):
+            calls.append(_name)
+            return _real(*a, **kw)
+        monkeypatch.setattr(np, name, counted)
+    m, p = builtin("poisson"), Params.scalars(lam=2.0)
+    d = DataSet(np.arange(400.0) % 5)
+    core.log_likelihood(m, d, p)
+    assert calls == []  # a data set scored once never sorts
+    core.log_likelihood(m, d, p)
+    core.log_likelihood(m, d, p)
+    assert calls == ["sort", "unique"]  # the pair is worked out once
+    assert d.distinct_rows()[0].ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    # continuous rows: the sort of the first column alone rules the pair out
+    calls.clear()
+    c = DataSet(RandomStream(1).normal(size=400))
+    for _ in range(3):
+        core.log_likelihood(normal_model(), c, normal_model().param_shape)
+    assert calls == ["sort"]
+    assert c.distinct_rows() is None
+
+
+def test_distinct_rows_tell_apart_rows_that_differ_only_in_bits():
+    # -0.0 == 0.0, yet a row-wise element may tell them apart
+    d = DataSet(np.array([0.0, -0.0] * 20))
+    d.distinct_rows()
+    uniq, inv = d.distinct_rows()
+    assert len(uniq) == 2
+    assert np.array_equal(np.signbit(uniq[inv, 0]), np.signbit(d.rows[:, 0]))

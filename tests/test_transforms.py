@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from modelkit import (DataSet, MleSettings, ModelError, Params, RandomStream,
-                      builtin, cross, d_compose, dp_compose, estimate, fix,
-                      jacobian, mix, mix_cdf, normal_model, pd_compose,
-                      pmf_model, posterior_draws, row_log_likelihood, swap,
-                      truncate)
+from modelkit import (DataSet, MleSettings, Model, ModelError, Params,
+                      RandomStream, builtin, cross, d_compose, dp_compose,
+                      estimate, fix, jacobian, mix, mix_cdf, normal_model,
+                      pd_compose, pmf_model, posterior_draws,
+                      row_log_likelihood, swap, truncate)
+from modelkit import expr
 from modelkit import model as core
 
 
@@ -303,6 +304,40 @@ def test_sampler_only_prior_takes_weighted_prior_draws():
     mean, var = _posterior_mean_var(prior, 2000)
     assert mean == pytest.approx(1.0, abs=0.1)
     assert var == pytest.approx(0.5, abs=0.1)
+
+
+def test_dp_compose_scores_no_data_where_the_prior_is_impossible():
+    scored = []
+
+    def logl(rows, p):
+        scored.append(p.scalar("lam"))
+        return np.zeros(rows.shape[0])
+
+    like = Model("flat", 1, Params.scalars(lam=1.0), logl=logl)
+    prior = truncate(normal_model(), (0.0, None))
+    post = dp_compose(prior, like, Params.scalars(mu=2.0, sigma=1.0))
+    d = DataSet(np.array([[1.0], [3.0]]))
+    assert core.log_likelihood(post, d, Params([("p", [-0.5])])) == -np.inf
+    assert scored == []
+    assert np.isfinite(core.log_likelihood(post, d, Params([("p", [0.5])])))
+    assert scored == [0.5]
+    # a likelihood model without a constraint constrains nothing
+    assert post.constraint(Params([("p", [-0.5])])) == 0.0
+
+
+def test_dp_compose_constraint_is_the_likelihood_models():
+    # the poisson-update pipeline's model: a prior truncated at 0, so a
+    # negative rate scores -inf and breaks the Poisson constraint
+    post = expr.eval_model_expr(expr.parse_model_expr(
+        "dpcompose(truncate(normal(mu=2, sigma=1), min=0), poisson)"))
+    d = DataSet(np.array([[1.0], [3.0]]))
+    neg, pos = Params([("p", [-0.5])]), Params([("p", [2.0])])
+    assert core.log_likelihood(post, d, neg) == -np.inf
+    assert post.constraint(neg) == pytest.approx(0.5 + 1e-8, abs=1e-15)
+    assert post.constraint(pos) == 0.0
+    assert core.log_likelihood(post, d, pos) == pytest.approx(
+        stats.norm.logpdf(2.0, 2.0) - math.log(stats.norm.sf(-2.0))
+        + stats.poisson.logpmf([1, 3], 2.0).sum(), abs=1e-12)
 
 
 def test_dp_compose_dimension_mismatch():
