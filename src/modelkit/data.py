@@ -118,7 +118,11 @@ class DataSet:
     ``rows`` and ``weights`` are read-only arrays the data set owns: the
     input is copied unless it already is a read-only float array that no
     writeable array shares, so writing to the caller's array afterwards
-    changes nothing here.  That keeps ``distinct_rows`` from going stale.
+    changes nothing here.  That keeps ``distinct_rows`` and the live
+    weights from going stale: ``live_rows`` selects the rows of positive
+    weight (a full slice when every row has one) and ``live_weights`` is
+    ``weights[live_rows]``, both worked out once at construction for the
+    weighted sum in log_likelihood.
     """
 
     def __init__(self, rows, weights=None, names: list[str] | None = None,
@@ -130,19 +134,25 @@ class DataSet:
             raise ModelError(f"rows must be 1- or 2-dimensional, got shape {arr.shape}")
         self.rows = arr
         n = arr.shape[0]
+        live = slice(None)
         if weights is None:
             w = np.ones(n)
             w.setflags(write=False)
-            self.weights = w
         else:
             w = _owned(weights)
             if w.shape != (n,):
                 raise ModelError(f"weights shape {w.shape} does not match {n} rows")
             if np.any(w < 0):
                 raise ModelError("weights must be nonnegative")
-            if n and not np.any(w > 0):
-                raise ModelError("at least one weight must be positive")
-            self.weights = w
+            positive = w > 0
+            if not positive.all():
+                if n and not positive.any():
+                    raise ModelError("at least one weight must be positive")
+                live = positive
+        self.weights = w
+        self.live_rows = live
+        self.live_weights = w[live]
+        self.live_weights.setflags(write=False)
         self.names = names
         self.groups = None if groups is None else np.asarray(groups, dtype=int)
         if self.groups is not None and self.groups.shape != (n,):
@@ -238,12 +248,15 @@ class Params:
     """Named-block real vector with an optional per-entry fixed mask.
 
     The values live in one flat float vector whose blocks are named by an
-    immutable layout of (name, slice) pairs, shared by every ``replace``,
-    ``with_free``, ``copy`` and ``pin`` result.  ``fixed_mask`` (read-only)
-    marks pinned entries, which estimation and transforms treat as
-    constants.  ``product`` joins parameter spaces, a Cartesian product
-    that is associative up to block names; ``split`` cuts a joined vector
-    back into its parts.
+    immutable layout of (name, slice) pairs.  The layout and its name ->
+    slice index (the first block wins when a name repeats) are built once
+    and shared by every ``replace``, ``with_free``, ``copy`` and ``pin``
+    result, so ``block`` and ``scalar`` are one dict lookup.  ``fixed_mask``
+    (read-only) marks pinned entries, which estimation and transforms treat
+    as constants; its complement, the free entries ``with_free`` fills, is
+    worked out once per mask.  ``product`` joins parameter spaces, a
+    Cartesian product that is associative up to block names; ``split`` cuts
+    a joined vector back into its parts.
     """
 
     def __init__(self, blocks: Iterable[tuple[str, Sequence[float]]],
@@ -255,6 +268,8 @@ class Params:
             values.append(v)
             i += len(v)
         self._layout = tuple(names)
+        # reversed, so the first block of a repeated name is the one kept
+        self._index = {n: s for n, s in reversed(self._layout)}
         self._vec = np.concatenate(values) if values else np.empty(0)
         if fixed_mask is None:
             mask = np.zeros(i, dtype=bool)
@@ -264,13 +279,16 @@ class Params:
                 raise ModelError(f"fixed_mask length {mask.shape} != {i}")
         mask.flags.writeable = False
         self.fixed_mask = mask
+        self._free = ~mask
 
     def _derive(self, vec: np.ndarray, mask: np.ndarray) -> "Params":
         """A Params over this layout that takes ownership of vec and mask."""
         out = object.__new__(Params)
         out._layout = self._layout
+        out._index = self._index
         out._vec = vec
         out.fixed_mask = mask
+        out._free = self._free if mask is self.fixed_mask else ~mask
         return out
 
     @classmethod
@@ -304,6 +322,11 @@ class Params:
     def flatten(self) -> np.ndarray:
         return self._vec.copy()
 
+    @property
+    def vector(self) -> np.ndarray:
+        """The flat value vector itself, not a copy: read it, never write it."""
+        return self._vec
+
     def __len__(self) -> int:
         return len(self._vec)
 
@@ -311,20 +334,14 @@ class Params:
     def names(self) -> list[str]:
         return [n for n, _ in self._layout]
 
-    def _slice(self, name: str) -> slice:
-        for n, s in self._layout:
-            if n == name:
-                return s
-        raise KeyError(name)
-
     def block(self, name: str) -> np.ndarray:
-        return self._vec[self._slice(name)]
+        return self._vec[self._index[name]]
 
     def scalar(self, name: str) -> float:
-        v = self.block(name)
-        if len(v) != 1:
+        s = self._index[name]
+        if s.stop - s.start != 1:
             raise ModelError(f"block {name!r} is not scalar")
-        return float(v[0])
+        return float(self._vec[s.start])
 
     def labels(self) -> list[str]:
         out = []
@@ -343,20 +360,20 @@ class Params:
     def with_free(self, free_vec) -> "Params":
         """Fill only the unmasked entries from free_vec."""
         vec = self._vec.copy()
-        vec[~self.fixed_mask] = np.asarray(free_vec, dtype=float)
+        vec[self._free] = np.asarray(free_vec, dtype=float)
         return self._derive(vec, self.fixed_mask)
 
     def free_values(self) -> np.ndarray:
-        return self._vec[~self.fixed_mask]
+        return self._vec[self._free]
 
     def with_blocks(self, **values) -> "Params":
         """Copy with the named blocks set; the mask is unchanged."""
-        unknown = sorted(set(values) - set(self.names))
+        unknown = sorted(set(values) - self._index.keys())
         if unknown:
             raise KeyError(f"unknown parameter block(s): {unknown}")
         vec = self._vec.copy()
         for name, v in values.items():
-            s = self._slice(name)
+            s = self._index[name]
             v = np.atleast_1d(np.asarray(v, dtype=float))
             if len(v) != s.stop - s.start:
                 raise ModelError(

@@ -194,6 +194,12 @@ def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
     only the unique rows are scored and their values gathered back to every
     row.  By the row contract equal rows score equally, so the sum runs
     over the same values in the same order and is bit-identical.
+
+    Rows of zero weight are left out through ``d.live_rows`` and
+    ``d.live_weights``, worked out once per data set.  A finite sum of the
+    live terms is the result; only a sum that is not finite looks for a -inf
+    among the live row values, and gives -inf when it finds one (an
+    impossible row outweighs a +inf or nan elsewhere).
     """
     _check_params(m, p)
     if m.logl_joint is not None:
@@ -204,12 +210,11 @@ def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
         v = row_log_likelihood(m, d.rows, p)
     else:
         v = row_log_likelihood(m, pair[0], p)[pair[1]]
-    w = d.weights
-    live = w > 0
-    terms = v[live] * w[live]
-    if np.any(np.isneginf(v[live])):
+    live = d.live_rows
+    total = float((v[live] * d.live_weights).sum())
+    if not math.isfinite(total) and np.any(np.isneginf(v[live])):
         return LOG_NEG_INF
-    return float(np.sum(terms))
+    return total
 
 
 def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
@@ -228,26 +233,31 @@ def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
 
 
 def _logl_from_cdf(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
-    """Numeric density from the CDF: mixed central differences.
+    """Numeric density from the CDF by inclusion-exclusion over the 2^dim
+    corners of a box around each row.
 
-    Uses per-coordinate step h = max(1e-5, 1e-5 |x|); integer data spaces use
-    the unit forward difference (point mass at x is CDF(x) - CDF(x - 1)).
+    Continuous data spaces take mixed central differences over the box
+    x +- h, h = max(1e-5, 1e-5 |x|) per coordinate.  Integer data spaces take
+    the point mass at x, the CDF's mass on the unit box (x - 1, x]; in one
+    dimension that is CDF(x) - CDF(x - 1).
     """
     n, dim = rows.shape
-    if m.discrete:
-        lo = rows - 1.0
-        out_mass = np.asarray(m.cdf(rows, p)) - np.asarray(m.cdf(lo, p))
-        return np.log(np.clip(out_mass, 1e-300, None))
-    h = np.maximum(1e-5, 1e-5 * np.abs(rows))
-    # inclusion-exclusion over the 2^dim orthant corners: one CDF call over
-    # every corner of every row, summed corner by corner
+    # one CDF call over every corner of every row, summed corner by corner;
+    # bit j of a corner picks the upper (1) or lower (0) side of coordinate j
     signs = np.array([[1.0 if corner >> j & 1 else -1.0 for j in range(dim)]
                       for corner in range(1 << dim)])
-    corners = (rows[None, :, :] + signs[:, None, :] * h[None, :, :]).reshape(-1, dim)
-    vals = np.asarray(m.cdf(corners, p), dtype=float).reshape(1 << dim, n)
+    if m.discrete:
+        # x - 1 on the lower side; x - 0 on the upper keeps -0.0 as it is
+        corners = rows[None, :, :] - (signs[:, None, :] < 0)
+    else:
+        h = np.maximum(1e-5, 1e-5 * np.abs(rows))
+        corners = rows[None, :, :] + signs[:, None, :] * h[None, :, :]
+    vals = np.asarray(m.cdf(corners.reshape(-1, dim), p), dtype=float).reshape(1 << dim, n)
     total = np.zeros(n)
     for corner in range(1 << dim):
         total += np.prod(signs[corner]) * vals[corner]
+    if m.discrete:
+        return np.log(np.clip(total, 1e-300, None))
     dens = total / np.prod(2.0 * h, axis=1)
     # math.log, not np.log: the vectorized log rounds differently on some inputs
     return np.array([math.log(d) if d > 0 else LOG_NEG_INF for d in dens])
@@ -271,13 +281,13 @@ def memoized_pmf(m: Model, p: Params, n: int | None = None) -> Model:
             pmf = solvers.kde_smooth(pmf)
         return pmf
 
-    return _cached(m, ("pmf", p.flatten().tobytes(), n), make)
+    return _cached(m, ("pmf", p.vector.tobytes(), n), make)
 
 
 def _params_seed(p: Params) -> int:
     import zlib
 
-    return zlib.crc32(p.flatten().tobytes())
+    return zlib.crc32(p.vector.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +378,7 @@ def cdf(m: Model, point, p: Params) -> float:
 
 
 def _cdf_draws(m: Model, p: Params) -> np.ndarray:
-    return _cached(m, ("cdf", p.flatten().tobytes(), CDF_DRAWS), lambda: draw(
+    return _cached(m, ("cdf", p.vector.tobytes(), CDF_DRAWS), lambda: draw(
         m, p, RandomStream((CDF_SEED, _params_seed(p))), CDF_DRAWS))
 
 

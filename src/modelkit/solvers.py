@@ -156,7 +156,7 @@ def metropolis(target_log_density: Callable[[np.ndarray], float],
     x = np.array(x0, dtype=float)
     dim = x.size
     lv = target_log_density(x)
-    if not np.isfinite(lv):
+    if not math.isfinite(lv):
         raise ModelError("metropolis: target not finite at the start point")
 
     total = st.burnin + n_samples * st.thin
@@ -167,7 +167,7 @@ def metropolis(target_log_density: Callable[[np.ndarray], float],
     for i in range(total):
         cand = x + stream.normal(size=dim) * st.step_scale
         cv = target_log_density(cand)
-        if np.isfinite(cv) and (cv >= lv or stream.uniform() < math.exp(cv - lv)):
+        if math.isfinite(cv) and (cv >= lv or stream.uniform() < math.exp(cv - lv)):
             x, lv = cand, cv
             accepted += 1
         if i == st.burnin - 1 and accepted == 0:

@@ -330,7 +330,7 @@ def truncate(m: Model, region) -> Model:
             return min(val, 1.0)
 
         # keyed on the truncated model: each region has its own mass
-        return core._cached(trunc, ("trunc_mass", p.flatten().tobytes()), make)
+        return core._cached(trunc, ("trunc_mass", p.vector.tobytes()), make)
 
     def logl(rows, p):
         out = np.full(rows.shape[0], -np.inf)
@@ -544,12 +544,12 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
     shape = Params([("p", np.zeros(n_free))])
 
     def like_params(p: Params) -> Params:
-        return like.param_shape.with_free(p.flatten())
+        return like.param_shape.with_free(p.vector)
 
     def logl_joint(d, p):
-        row = p.flatten().reshape(1, -1)
+        row = p.vector.reshape(1, -1)
         lp = core.row_log_likelihood(prior, row, rho)[0]
-        if not np.isfinite(lp):
+        if not math.isfinite(lp):
             return -np.inf
         return lp + core.log_likelihood(like, d, like_params(p))
 

@@ -67,6 +67,17 @@ def test_dataset_owns_its_arrays():
     assert e.rows is d.rows and e.weights is d.weights
 
 
+def test_dataset_live_rows_and_weights():
+    d = DataSet(np.arange(4.0), weights=[1.0, 0.0, 2.0, 0.5])
+    assert d.live_rows.tolist() == [True, False, True, True]
+    assert d.live_weights.tolist() == [1.0, 2.0, 0.5]
+    assert not d.live_weights.flags.writeable
+    for full in (DataSet(np.arange(3.0)), DataSet(np.arange(3.0), weights=[1.0, 2.0, 3.0]),
+                 DataSet(np.empty((0, 1)), weights=[])):
+        assert full.live_rows == slice(None)
+        assert np.array_equal(full.live_weights, full.weights)
+
+
 def test_dataset_group_list():
     d = DataSet(np.arange(6.0).reshape(-1, 1), groups=[1, 0, 1, 0, 2, 2])
     parts = d.group_list()
@@ -111,6 +122,49 @@ def test_params_with_blocks_sets_values_and_keeps_mask():
         p.with_blocks(nu=1.0)
     with pytest.raises(ModelError, match="not scalar"):
         p.pin(mu=1.0)
+
+
+def test_params_repeated_block_name_resolves_to_its_first_block():
+    p = Params([("a", [1.0]), ("b", [2.0, 3.0]), ("a", [4.0, 5.0])])
+    for q in (p, p.replace([6.0, 7.0, 8.0, 9.0, 10.0]).replace(p.flatten()),
+              p.with_free(p.free_values()), p.copy()):
+        assert q.scalar("a") == 1.0
+        assert q.block("a").tolist() == [1.0]
+    assert p.with_blocks(a=9.0).flatten().tolist() == [9.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_params_lookup_errors():
+    p = Params([("mu", [1.0, 2.0]), ("sigma", [3.0])])
+    for q in (p, p.pin(sigma=3.0), p.with_free([0.0, 0.0, 0.0])):
+        with pytest.raises(KeyError, match="nu"):
+            q.scalar("nu")
+        with pytest.raises(KeyError, match="nu"):
+            q.block("nu")
+        with pytest.raises(ModelError, match="block 'mu' is not scalar"):
+            q.scalar("mu")
+
+
+def _fill_free(p, free):
+    vec = p.flatten()
+    vec[~p.fixed_mask] = free
+    return vec.tolist()
+
+
+def test_params_with_free_fills_the_free_entries_of_each_mask():
+    base = Params([("a", [1.0]), ("b", [2.0, 3.0]), ("c", [4.0])])
+    pinned = base.pin(c=40.0)
+    twice = pinned.pin(a=10.0)
+    joined = Params.product([("x.", twice), ("y.", base), ("z.", pinned)])
+    parts = joined.split([twice, base, pinned])
+    for p in (base, pinned, twice, joined, *parts, joined.replace(joined.flatten())):
+        free = -1.0 - np.arange(int((~p.fixed_mask).sum()))
+        assert p.with_free(free).flatten().tolist() == _fill_free(p, free)
+        assert p.free_values().tolist() == p.flatten()[~p.fixed_mask].tolist()
+    # pinning makes a new mask and leaves its source's free entries alone
+    assert base.with_free([7.0, 8.0, 9.0, 6.0]).flatten().tolist() == [7.0, 8.0, 9.0, 6.0]
+    assert twice.with_free([7.0, 8.0]).flatten().tolist() == [10.0, 7.0, 8.0, 40.0]
+    assert joined.with_free(np.zeros(9)).flatten().tolist() == [
+        10.0, 0.0, 0.0, 40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 40.0]
 
 
 def test_params_split_checks_coverage():

@@ -152,3 +152,49 @@ def test_collinear_design_rejected():
 def test_builtin_unknown_name():
     with pytest.raises(ModelError):
         builtin("cauchy")
+
+
+@pytest.mark.parametrize("name, params, rows", [
+    ("normal", dict(mu=0.0, sigma=0.0), [1.0, 2.0]),
+    ("normal", dict(mu=0.0, sigma=-1.0), [-1.0, 2.0]),
+    ("exponential", dict(mu=0.0), [1.0]),
+    ("exponential", dict(mu=-2.0), [1.0]),
+    ("poisson", dict(lam=0.0), [0.0, 1.0]),
+    ("beta", dict(alpha=0.0, beta=1.0), [0.5]),
+    ("beta", dict(alpha=1.0, beta=-1.0), [0.5]),
+    ("uniform", dict(a=1.0, b=1.0), [1.0]),
+    ("uniform", dict(a=2.0, b=1.0), [1.5]),
+    ("weibull", dict(k=0.0, lam=1.0), [1.0]),
+    ("weibull", dict(k=1.0, lam=-1.0), [1.0]),
+])
+def test_catalog_likelihood_is_minus_inf_at_invalid_parameters(name, params, rows):
+    m = builtin(name)
+    d = DataSet(np.array(rows), weights=np.linspace(1.0, 2.0, len(rows)))
+    p = m.param_shape.with_blocks(**params)
+    assert core.log_likelihood(m, d, p) == -math.inf
+    assert np.all(row_log_likelihood(m, d.rows, p) == -math.inf)
+
+
+def test_normal_with_zero_sigma_puts_all_its_mass_on_mu():
+    m = normal_model()
+    p = Params.scalars(mu=1.5, sigma=0.0)
+    assert core.log_likelihood(m, DataSet(np.array([1.5, 1.5])), p) == 0.0
+    assert core.log_likelihood(m, DataSet(np.array([1.5, 2.0])), p) == -math.inf
+    # a zero-weight row off mu does not count
+    assert core.log_likelihood(m, DataSet(np.array([1.5, 2.0]), [1.0, 0.0]), p) == 0.0
+    assert core.cdf(m, [[1.0], [1.5], [2.0]], p).tolist() == [0.0, 1.0, 1.0]
+
+
+def test_mvn_likelihood_is_minus_inf_at_a_singular_covariance():
+    m = mvn_model(2)
+    p = m.param_shape.with_blocks(cov=[1.0, 1.0, 1.0, 1.0])
+    assert core.log_likelihood(m, DataSet(np.zeros((3, 2))), p) == -math.inf
+
+
+def test_ols_with_zero_sigma_scores_only_exact_fits():
+    rows = np.array([[1.0, 0.0], [3.0, 1.0], [5.0, 2.0]])  # y = 1 + 2x
+    fit = estimate(ols_model(n_x=1), DataSet(rows))
+    p = fit.params.with_blocks(sigma=0.0)
+    assert core.log_likelihood(fit.model, DataSet(rows), p) == 0.0
+    off = rows + [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    assert core.log_likelihood(fit.model, DataSet(off), p) == -math.inf

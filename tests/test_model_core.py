@@ -429,3 +429,56 @@ def test_distinct_rows_tell_apart_rows_that_differ_only_in_bits():
     uniq, inv = d.distinct_rows()
     assert len(uniq) == 2
     assert np.array_equal(np.signbit(uniq[inv, 0]), np.signbit(d.rows[:, 0]))
+
+
+def test_cdf_only_discrete_likelihood_is_the_point_mass_in_two_dimensions():
+    m = _with_only(_POISSON2, "cdf")
+    p = _POISSON2.param_shape.replace([2.0, 1.0])
+    rows = np.array([[1.0, 1.0], [0.0, 3.0], [4.0, 0.0]])
+    got = core.row_log_likelihood(m, rows, p)
+    assert got[:2] == pytest.approx([-2.3069, -4.7918], abs=5e-5)
+    # the closed form: log(2 e^-2) + log(e^-1), and log(e^-2) + log(e^-1 / 3!)
+    assert got[:2] == pytest.approx([math.log(2.0) - 3.0, -3.0 - math.log(6.0)],
+                                    abs=1e-12)
+    assert got == pytest.approx(core.row_log_likelihood(_POISSON2, rows, p), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The weighted sum of log_likelihood
+
+# each row's log-likelihood is its own value, so a row can score anything
+_IDENTITY = Model("identity", 1, Params.scalars(a=0.0),
+                  logl=lambda rows, p: rows[:, 0])
+_ROW_VALUES = st.one_of(
+    st.sampled_from([-math.inf, math.inf, math.nan, 0.0, -0.0, 1e300, -1e300]),
+    st.floats(-1e3, 1e3))
+
+
+def _reference_log_likelihood(v, w):
+    """-inf if a live row scores -inf, else the sum of the live terms."""
+    live = w > 0
+    if np.any(np.isneginf(v[live])):
+        return -math.inf
+    return float(np.sum(v[live] * w[live]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_log_likelihood_sum_matches_the_reference_rule_property(data):
+    # a few distinct values, so repeated rows also take the distinct-row path
+    pool = data.draw(st.lists(_ROW_VALUES, min_size=1, max_size=6))
+    n = data.draw(st.integers(1, 60))
+    v = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    weighted = data.draw(st.booleans())
+    if weighted:
+        # 1e300 overflows a finite row value to +-inf
+        w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e300]),
+                                        min_size=n, max_size=n)))
+        w[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([1.0, 1e300]))
+    else:
+        w = np.ones(n)
+    d = DataSet(v, w if weighted else None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _reference_log_likelihood(v, w).hex()
+        for _ in range(3):  # the first scoring, then the distinct-row pair if any
+            assert core.log_likelihood(_IDENTITY, d, _IDENTITY.param_shape).hex() == expected

@@ -11,10 +11,13 @@ Printed: for each end-to-end metric of BENCHMARK.json, each side's median and
 quartiles and the number of pairs the change wins (ties count for neither);
 whether the change's ``wall_s`` gain meets the claim rule (it wins at least
 nine tenths of the pairs, and the medians differ by more than the distance
-between the parent's quartiles); and for each pair the verdict of
-``compare_digests.py`` on the two ``reps.json`` files.  ``--json OUT`` also
-writes every run and the summary.  The exit status is 0 when every run
-succeeded and every pair's digests match, else 1.  Standard library only.
+between the parent's quartiles); for each task, each side's median over the
+pairs of the task's median ``ref_s`` in a pair's ``reps.json``, so a change
+in ``wall_s`` can be traced to the tasks it came from; and for each pair the
+verdict of ``compare_digests.py`` on the two ``reps.json`` files.
+``--json OUT`` also writes every run (with its per-task medians) and both
+summaries.  The exit status is 0 when every run succeeded and every pair's
+digests match, else 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -51,10 +54,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float):
             "attempted": result["attempted"], "metrics": values}
 
 
+def reps_path(tree: Path, workload: str, seed: int) -> Path:
+    return tree / "perfbench" / "out" / f"{workload}-{seed}" / "reps.json"
+
+
+def task_ref_s(path: Path) -> dict[str, float]:
+    """Task name -> the median of its ``ref_s`` over the repetitions of one
+    ``reps.json``."""
+    times: dict[str, list[float]] = {}
+    for rep in json.loads(path.read_text()):
+        for task in rep["tasks"]:
+            times.setdefault(task["name"], []).append(task["ref_s"])
+    return {name: statistics.median(ts) for name, ts in times.items()}
+
+
 def digest_verdict(parent: Path, change: Path, workload: str, seed: int):
     """compare_digests.py's last line and whether every task matched."""
-    reps = [t / "perfbench" / "out" / f"{workload}-{seed}" / "reps.json"
-            for t in (parent, change)]
+    reps = [reps_path(t, workload, seed) for t in (parent, change)]
     proc = subprocess.run([sys.executable, str(COMPARE_DIGESTS), *map(str, reps)],
                           capture_output=True, text=True)
     lines = (proc.stdout.strip() or proc.stderr.strip()).splitlines()
@@ -86,6 +102,19 @@ def summarise(runs, end_to_end) -> dict:
     return out
 
 
+def summarise_tasks(runs) -> dict:
+    """Per task: each side's median over the pairs of its per-pair median
+    ``ref_s``, and the pairs in which the change took less time."""
+    ok = [r["task_ref_s"] for r in runs if "task_ref_s" in r]
+    out = {}
+    for name in (ok[0]["parent"] if ok else {}):
+        a = [t["parent"][name] for t in ok]
+        b = [t["change"][name] for t in ok]
+        out[name] = {"parent": statistics.median(a), "change": statistics.median(b),
+                     "change_wins": sum(y < x for x, y in zip(a, b)), "pairs": len(ok)}
+    return out
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -112,6 +141,8 @@ def main(argv: list[str]) -> int:
             run[side] = run_once(tree, args.workload, seed, seconds)
         if run["parent"] and run["change"]:
             run["digests"], same = digest_verdict(parent, change, args.workload, seed)
+            run["task_ref_s"] = {side: task_ref_s(reps_path(tree, args.workload, seed))
+                                 for side, tree in order}
         else:
             run["digests"], same = "a run failed", False
         all_ok &= same and all(run[s]["correct"] for s in ("parent", "change"))
@@ -139,10 +170,16 @@ def main(argv: list[str]) -> int:
         print(f"  wall_s gain claim {'met' if met else 'not met'}: change wins "
               f"{wall['change_wins']} of {len(runs)} pairs, median gap "
               f"{gap:.3f} against parent quartile spread {iqr:.3f}")
+    tasks = summarise_tasks(runs)
+    if tasks:
+        print("  per task, median ref_s over the pairs:")
+    for name, t in tasks.items():
+        print(f"    {name:20s} parent {t['parent']:.3f}   change {t['change']:.3f} s"
+              f"   change wins {t['change_wins']} of {t['pairs']}")
     if args.json:
         args.json.write_text(json.dumps(
             {"workload": args.workload, "seconds": seconds, "runs": runs,
-             "summary": summary}, indent=1) + "\n")
+             "summary": summary, "tasks": tasks}, indent=1) + "\n")
     return 0 if all_ok else 1
 
 
