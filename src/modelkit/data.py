@@ -382,13 +382,14 @@ class Params:
         return self._derive(vec, self.fixed_mask)
 
     def pin(self, **kw: float) -> "Params":
-        """Copy with the named scalar blocks set and marked fixed."""
+        """Copy with the named scalar blocks (of a repeated name, the first)
+        set and marked fixed; ``with_blocks`` raises on unknown names."""
         mask = self.fixed_mask.copy()
-        for name, s in self._layout:
-            if name in kw:
-                if s.stop - s.start != 1:
-                    raise ModelError(f"block {name!r} is not scalar; pin via mask")
-                mask[s] = True
+        for name in [n for n in kw if n in self._index]:
+            s = self._index[name]
+            if s.stop - s.start != 1:
+                raise ModelError(f"block {name!r} is not scalar; pin via mask")
+            mask[s] = True
         mask.flags.writeable = False
         return self._derive(self.with_blocks(**kw)._vec, mask)
 

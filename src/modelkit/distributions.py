@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy import special
 
+from . import model as core
 from .data import DataSet, ModelError, Params
 from .model import CDF_SEED, Model
 
@@ -144,26 +145,27 @@ def pmf_model(support: DataSet) -> Model:
     rows0 = sup.rows
     k, dim = rows0.shape
 
-    def match_index(x):
-        hit = np.all(np.abs(rows0 - x) <= 1e-12, axis=1)
-        idx = np.flatnonzero(hit)
-        return int(idx[0]) if idx.size else -1
+    last = {}  # the bytes of the last weight vector scored -> its log weights
+
+    def log_weights(p):
+        """log(w_j / sum w) per support row, then -inf for index -1 (off the
+        support); math.log, as np.log rounds differently on some inputs."""
+        key = p.vector.tobytes()
+        if key not in last:
+            w = p.block("w")
+            ws = w.sum()
+            last.clear()
+            last[key] = np.array([math.log(v / ws) if v > 0 else -np.inf for v in w]
+                                 + [-np.inf])
+        return last[key]
 
     def logl(rows, p):
-        w = p.block("w")
-        out = np.full(rows.shape[0], -np.inf)
-        for i in range(rows.shape[0]):
-            j = match_index(rows[i])
-            if j >= 0 and w[j] > 0:
-                out[i] = math.log(w[j] / w.sum())
-        return out
+        return log_weights(p)[core.support_index(rows0, rows)]
 
     def est(d):
-        w = np.zeros(k)
-        for i in range(len(d)):
-            j = match_index(d.rows[i])
-            if j >= 0:
-                w[j] += d.weights[i]
+        j = core.support_index(rows0, d.rows)
+        on = j >= 0
+        w = np.bincount(j[on], weights=d.weights[on], minlength=k)
         if w.sum() == 0:
             raise ModelError("pmf estimate: no data row lies on the support")
         return Params([("w", w / w.sum())])
@@ -175,9 +177,7 @@ def pmf_model(support: DataSet) -> Model:
 
     def cdf(points, p):
         w = p.block("w")
-        w = w / w.sum()
-        below = np.all(rows0[None, :, :] <= points[:, None, :] + 1e-12, axis=2)
-        return below @ w
+        return core.dominated_share(rows0, points, w / w.sum())
 
     def constraint(p):
         w = p.block("w")
@@ -224,9 +224,7 @@ def ols_model(data_names: list[str] | None = None, n_x: int | None = None) -> Mo
             beta = p.block("beta")
             sigma = p.scalar("sigma")
             resid = rows[:, 0] - design(rows[:, 1:]) @ beta
-            on = np.array([
-                bool(np.any(np.all(np.abs(sup_rows - rows[i, 1:]) <= 1e-12, axis=1)))
-                for i in range(rows.shape[0])])
+            on = core.support_index(sup_rows, rows[:, 1:]) >= 0
             if sigma <= 0:
                 return np.where(on & (resid == 0.0), 0.0, -np.inf)
             z = resid / sigma

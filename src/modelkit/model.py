@@ -53,7 +53,9 @@ class Model:
     The dispatch layer relies on the row contract: it passes logl and cdf a
     whole (n,d) array at once (every bisection step of n inversion draws,
     every corner of n finite-difference rows) and expects row i of the
-    result to depend on row i of the input alone.
+    result to depend on row i of the input alone; so do the maps f and f_inv
+    of a jacobian transform.  A logl_joint has no per-row value, so a model
+    whose only likelihood is joint has no derived sampler or CDF.
 
     Besides the elements and ``settings``, a model keeps its own state:
     ``transform`` (the TransformRecord of the transform that built it, else
@@ -114,7 +116,8 @@ class FittedModel:
 
 def resolve(m: Model) -> dict[str, str]:
     """Name the strategy backing each element; every model keeps it as m.strategy."""
-    if m.logl is not None or m.logl_joint is not None:
+    joint_only = m.logl is None and m.logl_joint is not None
+    if m.logl is not None or joint_only:
         r = {"L": "closed-form"}
     elif m.cdf is not None:
         r = {"L": "cdf-delta"}
@@ -128,7 +131,7 @@ def resolve(m: Model) -> dict[str, str]:
         r["RNG"] = "closed-form"
     elif m.cdf is not None and m.data_dim == 1:
         r["RNG"] = "cdf-inversion"
-    elif m.data_dim >= 1:
+    elif m.data_dim >= 1 and not joint_only:
         r["RNG"] = "metropolis"
     else:
         r["RNG"] = "unresolvable"
@@ -158,10 +161,6 @@ def _check_rows(m: Model, rows: np.ndarray):
             f"{m.label}: row dimension {rows.shape[1]} != data_dim {m.data_dim}")
 
 
-def default_params(m: Model) -> Params:
-    return m.param_shape.copy()
-
-
 def _cached(m: Model, key, make: Callable):
     """m.cache[key], made by make() on a miss.  The cache keeps the
     CACHE_ENTRIES most recently used entries."""
@@ -179,6 +178,36 @@ def log_sum_exp(a: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # -inf - -inf on the -inf rows
         out = mx + np.log(np.sum(np.exp(a - mx[:, None]), axis=1))
     return np.where(np.isfinite(mx), out, -np.inf)
+
+
+def _by_blocks(points: np.ndarray, rows: np.ndarray, per_block) -> np.ndarray:
+    """per_block over blocks of points small enough that comparing one with
+    every row makes about 2^20 entries, joined; each block's temporaries are
+    freed before the next is made.  No points make one empty block."""
+    step = max(1, (1 << 20) // max(rows.size, 1))
+    return np.concatenate([per_block(points[i:i + step])
+                           for i in range(0, max(len(points), 1), step)])
+
+
+def support_index(support: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of the first support row within 1e-12 of each row in every
+    coordinate, else -1."""
+    def first_hit(block):
+        hit = np.all(np.abs(support[None, :, :] - block[:, None, :]) <= 1e-12, axis=2)
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    return _by_blocks(rows, support, first_hit)
+
+
+def dominated_share(rows: np.ndarray, points: np.ndarray, weights=None) -> np.ndarray:
+    """Weight of the rows at or below each point (to 1e-12) in every
+    coordinate: each row weighs 1 / len(rows), or its entry of ``weights``.
+    Each point's share is summed on its own, so it depends on that point
+    alone."""
+    def share(block):
+        below = np.all(rows[None, :, :] <= block[:, None, :] + 1e-12, axis=2)
+        return (below.sum(axis=1) / rows.shape[0] if weights is None
+                else np.where(below, weights, 0.0).sum(axis=1))
+    return _by_blocks(points, rows, share)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +250,14 @@ def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
     """Per-row log density, via closed form, CDF deltas, or memoized draws."""
     strategy = m.strategy["L"]
     if strategy == "closed-form":
-        if m.logl is not None:
-            return np.asarray(m.logl(rows, p), dtype=float)
-        # joint-only likelihood: score each row as its own one-row data set
-        return np.array([m.logl_joint(DataSet(rows[i:i + 1]), p)
-                         for i in range(rows.shape[0])])
+        if m.logl is None:
+            raise ModelError(f"{m.label}: element L is a joint likelihood, with no "
+                             f"per-row value; use log_likelihood on a data set")
+        return np.asarray(m.logl(rows, p), dtype=float)
     if strategy == "cdf-delta":
         return _logl_from_cdf(m, rows, p)
     pmf = memoized_pmf(m, p)  # the remaining strategy: memoized PMF
-    return row_log_likelihood(pmf, rows, default_params(pmf))
+    return row_log_likelihood(pmf, rows, pmf.param_shape)
 
 
 def _logl_from_cdf(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
@@ -363,14 +391,7 @@ def cdf(m: Model, point, p: Params) -> float:
     if strategy == "closed-form":
         vals = np.asarray(m.cdf(pts, p), dtype=float)
     elif strategy == "empirical draws":
-        draws = _cdf_draws(m, p)
-        # share of draws dominated by each point, in blocks of points so the
-        # comparison temporary stays near a million entries
-        vals = np.empty(pts.shape[0])
-        step = max(1, (1 << 20) // max(draws.size, 1))
-        for i in range(0, pts.shape[0], step):
-            below = draws[None, :, :] <= pts[i:i + step, None, :] + 1e-12
-            vals[i:i + step] = np.all(below, axis=2).sum(axis=1) / draws.shape[0]
+        vals = dominated_share(_cdf_draws(m, p), pts)
     else:
         raise UnresolvableElementError(f"{m.label}: unresolvable element CDF")
     out = np.clip(vals, 0.0, 1.0)
@@ -490,11 +511,8 @@ def check_ml_consistency(m: Model, p: Params, stream: RandomStream, n: int,
 
     idx = np.linspace(0, n - 1, min(n, 200)).astype(int)
     pts = draws[np.lexsort(draws.T[::-1])][idx]
-    gaps = []
-    for pt in pts:
-        emp = np.mean(np.all(draws <= pt + 1e-12, axis=1))
-        gaps.append(abs(emp - cdf(m, pt, p)))
-    cdf_check = ConsistencyCheck(float(max(gaps)), cdf_tol, max(gaps) < cdf_tol)
+    gap = float(np.max(np.abs(dominated_share(draws, pts) - cdf(m, pts, p))))
+    cdf_check = ConsistencyCheck(gap, cdf_tol, gap < cdf_tol)
 
     fitted = estimate(m, DataSet(draws))
     gap = float(np.max(np.abs(fitted.params.flatten() - p.flatten()))) if len(p) else 0.0
@@ -508,30 +526,33 @@ def _chi_square_check(m: Model, p: Params, draws: np.ndarray,
     from scipy import stats
 
     n, dim = draws.shape
-    if m.discrete or _support_is_finite(m):
+    if m.discrete or m.settings.get("pmf_support") is not None:
         rows, counts = np.unique(draws, axis=0, return_counts=True)
         logq = row_log_likelihood(m, rows, p)
         q = np.exp(logq - np.max(logq))
-        q = q / q.sum()
     elif dim == 1:
-        edges = np.quantile(draws[:, 0], np.linspace(0, 1, 21))
-        edges = np.unique(edges)
+        edges = np.unique(np.quantile(draws[:, 0], np.linspace(0, 1, 21)))
         counts, _ = np.histogram(draws[:, 0], bins=edges)
-        q = np.array([_bin_mass_1d(m, p, a, b) for a, b in zip(edges[:-1], edges[1:])])
-        q = q / q.sum()
+        # the 31-point grids of every bin (one row each), scored in one call
+        xs = np.linspace(edges[:-1], edges[1:], 31, axis=1)
+        dens = np.exp(row_log_likelihood(m, xs.reshape(-1, 1), p)).reshape(xs.shape)
+        q = np.trapezoid(dens, xs, axis=1)
     elif dim == 2:
         edges0 = np.unique(np.quantile(draws[:, 0], np.linspace(0, 1, 6)))
         edges1 = np.unique(np.quantile(draws[:, 1], np.linspace(0, 1, 6)))
         counts2, _, _ = np.histogram2d(draws[:, 0], draws[:, 1], bins=[edges0, edges1])
         counts = counts2.ravel()
-        q = np.array([
-            _bin_mass_2d(m, p, a0, b0, a1, b1)
-            for a0, b0 in zip(edges0[:-1], edges0[1:])
-            for a1, b1 in zip(edges1[:-1], edges1[1:])
-        ]).ravel()
-        q = q / q.sum()
+        # the 12 x 12 grids of every bin, scored in one call; the axes are
+        # (bin along x0, bin along x1, grid point along x0, along x1)
+        g0 = np.linspace(edges0[:-1], edges0[1:], 12, axis=1)[:, None, :, None]
+        g1 = np.linspace(edges1[:-1], edges1[1:], 12, axis=1)[None, :, None, :]
+        grid = np.broadcast_arrays(g0, g1)
+        dens = np.exp(row_log_likelihood(m, np.stack(grid, axis=-1).reshape(-1, 2), p))
+        q = np.trapezoid(np.trapezoid(dens.reshape(grid[0].shape), g1, axis=3),
+                         g0[..., 0], axis=2).ravel()
     else:
         return ConsistencyCheck(0.0, pvalue_floor, True, "chi-square skipped for dim > 2")
+    q = q / q.sum()
     keep = q > 1e-12
     counts, q = counts[keep], q[keep]
     q = q / q.sum()
@@ -541,22 +562,3 @@ def _chi_square_check(m: Model, p: Params, draws: np.ndarray,
     pval = float(stats.chi2.sf(stat, dof))
     return ConsistencyCheck(stat, pvalue_floor, pval > pvalue_floor,
                             f"p-value {pval:.4g} with {dof} dof")
-
-
-def _support_is_finite(m: Model) -> bool:
-    return m.settings.get("pmf_support") is not None
-
-
-def _bin_mass_1d(m: Model, p: Params, a: float, b: float) -> float:
-    xs = np.linspace(a, b, 31).reshape(-1, 1)
-    dens = np.exp(row_log_likelihood(m, xs, p))
-    return float(np.trapezoid(dens, xs[:, 0]))
-
-
-def _bin_mass_2d(m: Model, p: Params, a0, b0, a1, b1) -> float:
-    g0 = np.linspace(a0, b0, 12)
-    g1 = np.linspace(a1, b1, 12)
-    xx, yy = np.meshgrid(g0, g1, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    dens = np.exp(row_log_likelihood(m, pts, p)).reshape(len(g0), len(g1))
-    return float(np.trapezoid(np.trapezoid(dens, g1, axis=1), g0))

@@ -383,51 +383,48 @@ def jacobian(m: Model, f, f_inv) -> Model:
     """Change of data-space variables d' = f(d).
 
     log L'(d', p) = log L(f_inv(d'), p) + log |det J(f_inv)(d')|; draws map
-    through f; estimation pulls data back through f_inv.  The Jacobian is
-    numeric: complex-step derivatives of f_inv, or central differences when
-    f_inv does not take complex input.  Every evaluated point is probed for
-    f(f_inv(d)) = d; a gap above 1e-8 raises "inconsistent inverse".
+    through f; estimation pulls data back through f_inv.  f and f_inv map
+    the (n, dim) array of rows row by row.  The Jacobian is numeric, one
+    column at a time over every row: complex-step derivatives of f_inv, or
+    central differences when f_inv does not take complex input.  Every
+    evaluated point is probed for f(f_inv(d)) = d; a gap above 1e-8 raises
+    "inconsistent inverse".
     """
     dim = m.data_dim
 
     def pullback(rows):
-        x = np.array([np.atleast_1d(f_inv(r)) for r in rows], dtype=float)
-        probe = np.array([np.atleast_1d(f(xi)) for xi in x], dtype=float)
-        gap = np.max(np.abs(probe - rows)) if rows.size else 0.0
+        x = np.asarray(f_inv(rows), dtype=float)
+        gap = np.max(np.abs(np.asarray(f(x), dtype=float) - rows)) if rows.size else 0.0
         if gap > 1e-8:
             raise ModelError(f"inconsistent inverse: f(f_inv(d)) off by {gap:.3g}")
         return x
 
-    def absdet(r):
+    def absdet(rows):
         # complex-step derivatives are exact to machine precision for
         # analytic maps; fall back to central differences otherwise
-        J = np.empty((dim, dim))
+        J = np.empty((rows.shape[0], dim, dim))
         try:
             h = 1e-20
             for j in range(dim):
-                z = r.astype(complex)
-                z[j] += 1j * h
-                J[:, j] = np.imag(np.atleast_1d(f_inv(z))) / h
+                z = rows.astype(complex)
+                z[:, j] += 1j * h
+                J[:, :, j] = np.imag(f_inv(z)) / h
         except (TypeError, ValueError):
-            h = 1e-6 * np.maximum(1.0, np.abs(r))
+            h = 1e-6 * np.maximum(1.0, np.abs(rows))
             for j in range(dim):
-                up, dn = r.copy(), r.copy()
-                up[j] += h[j]
-                dn[j] -= h[j]
-                J[:, j] = (np.atleast_1d(f_inv(up))
-                           - np.atleast_1d(f_inv(dn))) / (2 * h[j])
-        return abs(float(np.linalg.det(J)))
+                up, dn = rows.copy(), rows.copy()
+                up[:, j] += h[:, j]
+                dn[:, j] -= h[:, j]
+                J[:, :, j] = (f_inv(up) - f_inv(dn)) / (2 * h[:, j, None])
+        return np.abs(np.linalg.det(J))
 
     def logl(rows, p):
-        x = pullback(rows)
-        base = core.row_log_likelihood(m, x, p)
-        dets = np.array([absdet(r) for r in rows])
+        base = core.row_log_likelihood(m, pullback(rows), p)
         with np.errstate(divide="ignore"):
-            return base + np.log(dets)
+            return base + np.log(absdet(rows))
 
     def rng(p, stream, n):
-        raw = core.draw(m, p, stream, n).reshape(n, dim)
-        return np.array([np.atleast_1d(f(r)) for r in raw], dtype=float)
+        return np.asarray(f(core.draw(m, p, stream, n).reshape(n, dim)), dtype=float)
 
     est = None
     if m.est is not None:

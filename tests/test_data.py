@@ -246,3 +246,13 @@ def test_stream_reproducible_and_split_independent():
 def test_stream_path_seeding():
     assert np.array_equal(RandomStream((1, 2)).uniform(size=3),
                           RandomStream(1).split(2).uniform(size=3))
+
+
+def test_params_pin_sets_and_fixes_only_the_first_block_of_a_repeated_name():
+    # the second, two-entry block named "a" is neither checked nor pinned
+    p = Params([("a", [1.0]), ("a", [4.0, 5.0])]).pin(a=1.0)
+    assert p.flatten().tolist() == [1.0, 4.0, 5.0]
+    assert p.fixed_mask.tolist() == [True, False, False]
+    q = Params([("a", [1.0]), ("b", [2.0]), ("a", [3.0])]).pin(a=7.0)
+    assert q.flatten().tolist() == [7.0, 2.0, 3.0]
+    assert q.fixed_mask.tolist() == [True, False, False]

@@ -122,6 +122,31 @@ def test_pmf_weights_and_matching():
     assert cdf1(m, 1.0, p) == pytest.approx(0.75, abs=1e-12)
 
 
+def test_pmf_estimator_reweights_the_support_by_the_data():
+    m = pmf_model(DataSet(np.array([[0.0], [1.0], [2.0]])))
+    # 7.0 and 0.5 lie off the support and are ignored; 1 + 1e-13 matches 1
+    d = DataSet(np.array([[1.0], [2.0], [7.0], [1.0 + 1e-13], [0.5]]),
+                weights=[1.0, 3.0, 5.0, 2.0, 4.0])
+    fit = estimate(m, d)
+    assert fit.params.block("w").tolist() == [0.0, 0.5, 0.5]
+    # the off-support rows score -inf under the fitted weights
+    assert fit.log_likelihood_at_optimum == -math.inf
+    sup2 = pmf_model(DataSet(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])))
+    w = sup2.est(DataSet(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))).block("w")
+    # the support is sorted: (0, 0), (0, 1), (1, 0)
+    assert w.tolist() == pytest.approx([0.0, 2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
+    with pytest.raises(ModelError, match="no data row lies on the support"):
+        m.est(DataSet(np.array([[0.5], [9.0]])))
+
+
+def test_pmf_constraint_is_the_distance_from_the_simplex():
+    c = pmf_model(DataSet(np.array([[0.0], [1.0]]))).constraint
+    assert c(Params([("w", [0.25, 0.75])])) == 0.0
+    assert c(Params([("w", [0.25, 0.75 + 1e-13])])) == 0.0
+    assert c(Params([("w", [-0.5, 1.5])])) == pytest.approx(0.5, abs=1e-15)
+    assert c(Params([("w", [0.5, 0.7])])) == pytest.approx(0.2, abs=1e-15)
+
+
 def test_ols_recovers_plane():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 2))

@@ -10,8 +10,9 @@ from scipy import stats
 
 from modelkit import (DataSet, Model, ModelError, Params, RandomStream,
                       UnresolvableElementError, builtin, check_ml_consistency,
-                      cross, estimate, fix, normal_model)
+                      cross, estimate, fix, normal_model, pmf_model)
 from modelkit import model as core
+from modelkit import transforms
 
 
 def rng_only_normal():
@@ -344,6 +345,82 @@ def test_estimate_with_every_parameter_pinned_scores_the_pinned_values():
     assert (fit.iterations, fit.converged, fit.constraint_violation) == (0, True, 0.0)
     assert fit.log_likelihood_at_optimum == core.log_likelihood(
         normal_model(), d, Params.scalars(mu=1.0, sigma=2.0))
+
+
+# ---------------------------------------------------------------------------
+# The row contract: n rows in one call score as n one-row calls, bit for bit
+
+
+def _row_contract_cases():
+    """name -> (model, params, (low, high) of the rows' values)."""
+    normal, expo, pois = normal_model(), builtin("exponential"), builtin("poisson")
+    mvn = builtin("multivariate_normal")
+    mvn_p = mvn.param_shape.replace([0.5, -0.5, 1.0, 0.3, 0.3, 2.0])
+    mixed = transforms.mix([normal, expo])
+    crossed = cross([normal, pois])
+    pmf = pmf_model(DataSet(core.draw(pois, Params.scalars(lam=3.0),
+                                      RandomStream(2), 200)))
+    return {
+        "normal": (normal, Params.scalars(mu=0.5, sigma=1.5), (-4.0, 5.0)),
+        "exponential": (expo, Params.scalars(mu=2.0), (-1.0, 8.0)),
+        "poisson": (pois, Params.scalars(lam=3.0), (-1.0, 9.0)),
+        "beta": (builtin("beta"), Params.scalars(alpha=2.0, beta=3.0), (-0.2, 1.2)),
+        "uniform": (builtin("uniform"), Params.scalars(a=-1.0, b=2.0), (-2.0, 3.0)),
+        "weibull": (builtin("weibull"), Params.scalars(k=1.5, lam=2.0), (-1.0, 6.0)),
+        "mvn": (mvn, mvn_p, (-3.0, 3.0)),
+        "jacobian": (transforms.jacobian(expo, lambda x: 1.0 / x, lambda y: 1.0 / y),
+                     Params.scalars(mu=2.0), (0.6, 5.0)),
+        "jacobian-2d": (transforms.jacobian(mvn, np.exp, np.log), mvn_p, (0.6, 4.0)),
+        "truncate": (transforms.truncate(normal, (0.0, None)),
+                     Params.scalars(mu=0.5, sigma=1.0), (-1.0, 4.0)),
+        "mix": (mixed, mixed.param_shape.replace([-1.0, 1.0, 2.0, 0.3, 0.7]),
+                (-3.0, 6.0)),
+        "cross": (crossed, crossed.param_shape.replace([0.0, 1.0, 3.0]), (-1.0, 7.0)),
+        "pmf": (pmf, pmf.param_shape, (-1.0, 9.0)),
+    }
+
+
+# built once, so each empirical CDF draws once for all examples
+_ROW_CONTRACT = _row_contract_cases()
+# the mvn likelihood solves for every row in one np.linalg.solve call, whose
+# rounding depends on the number of right-hand sides
+_SOLVES_ROWS_AT_ONCE = {"mvn", "jacobian-2d"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_ROW_CONTRACT)),
+       u=st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+                  min_size=1, max_size=8),
+       integral=st.booleans())
+def test_row_contract_property(name, u, integral):
+    m, p, (low, high) = _ROW_CONTRACT[name]
+    rows = low + (high - low) * np.array(u)[:, :m.data_dim]
+    if integral:
+        rows = np.round(rows)
+    for element in (core.row_log_likelihood, core.cdf):
+        whole = element(m, rows, p)
+        one_by_one = np.concatenate([element(m, rows[i:i + 1], p)
+                                     for i in range(rows.shape[0])])
+        if element is core.row_log_likelihood and name in _SOLVES_ROWS_AT_ONCE:
+            np.testing.assert_allclose(whole, one_by_one, rtol=1e-14, atol=0)
+        else:
+            assert whole.tobytes() == one_by_one.tobytes(), element.__name__
+
+
+def test_blocked_row_lookups_match_a_per_point_loop():
+    # 800 points against 3000 rows of 2 columns take several blocks
+    rows = RandomStream(3).normal(size=(3000, 2)).round(1)
+    pts = RandomStream(4).normal(size=(800, 2)).round(1)
+    w = RandomStream(5).uniform(size=3000)
+    share, count = core.dominated_share(rows, pts, w), core.dominated_share(rows, pts)
+    idx = core.support_index(rows, pts)
+    assert 0 < np.sum(idx >= 0) < len(pts)
+    for i, pt in enumerate(pts):
+        below = np.all(rows <= pt + 1e-12, axis=1)
+        assert count[i] == below.sum() / len(rows)
+        assert share[i] == pytest.approx(w[below].sum(), rel=1e-12, abs=0)
+        hit = np.flatnonzero(np.all(np.abs(rows - pt) <= 1e-12, axis=1))
+        assert idx[i] == (hit[0] if hit.size else -1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from modelkit import (DataSet, MleSettings, Model, ModelError, Params,
-                      RandomStream, builtin, cross, d_compose, dp_compose,
-                      estimate, fix, jacobian, mix, mix_cdf, normal_model,
-                      pd_compose, pmf_model, posterior_draws,
-                      row_log_likelihood, swap, truncate)
+                      RandomStream, UnresolvableElementError, builtin, cross,
+                      d_compose, dp_compose, estimate, fix, jacobian, mix,
+                      mix_cdf, normal_model, pd_compose, pmf_model,
+                      posterior_draws, row_log_likelihood, swap, truncate)
 from modelkit import expr
 from modelkit import model as core
 
@@ -239,6 +240,24 @@ def test_jacobian_draws_and_estimates_through_the_map():
                        rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("base", [builtin("exponential"),
+                                  builtin("multivariate_normal")])
+def test_jacobian_central_difference_fallback(base):
+    # np.cbrt has no complex loop, so its Jacobian takes central differences
+    with pytest.raises(TypeError):
+        np.cbrt(np.array([1j]))
+    fallback = jacobian(base, lambda x: x ** 3, np.cbrt)
+    complex_step = jacobian(base, lambda x: x ** 3, lambda y: y ** (1.0 / 3.0))
+    p = base.param_shape
+    ys = RandomStream(12).uniform(0.2, 5.0, size=(40, base.data_dim))
+    a = row_log_likelihood(fallback, ys, p)
+    assert np.max(np.abs(a - row_log_likelihood(complex_step, ys, p))) < 1e-6
+    # closed form: x = y^(1/3) under the base, |dx_j/dy_j| = y_j^(-2/3) / 3
+    want = (row_log_likelihood(base, np.cbrt(ys), p)
+            - np.sum(math.log(3.0) + (2.0 / 3.0) * np.log(ys), axis=1))
+    assert np.max(np.abs(a - want)) < 1e-6
+
+
 def test_jacobian_inconsistent_inverse_detected():
     j = jacobian(builtin("exponential"), lambda x: x ** 2, lambda y: y)
     with pytest.raises(ModelError, match="inverse"):
@@ -359,3 +378,45 @@ def test_pd_compose_child_estimates_become_parent_rows():
     # parent sees the six per-group exponential means
     means = [rows[groups == g].mean() for g in range(6)]
     assert fit.params.scalar("mu") == pytest.approx(np.mean(means), abs=1e-6)
+
+
+def test_pd_compose_draws_a_child_row_from_each_parent_draw():
+    # a Normal parent sets the mean of a Normal child whose sigma is pinned,
+    # so the draws are Normal(mu0, s0^2 + sigma^2)
+    child = fix(normal_model(), normal_model().param_shape.pin(sigma=0.5))
+    h = pd_compose(normal_model(), child)
+    assert h.strategy["RNG"] == "closed-form"
+    mu0, s0, n = 1.5, 2.0, 4000
+    x = core.draw(h, Params.scalars(mu=mu0, sigma=s0), RandomStream(8), n)
+    assert x.shape == (n, 1)
+    var = s0 ** 2 + 0.5 ** 2
+    assert abs(x.mean() - mu0) < 4.0 * math.sqrt(var / n)
+    assert abs(x.var() - var) < 4.0 * var * math.sqrt(2.0 / (n - 1))
+
+
+def _joint_only_models():
+    like = fix(normal_model(), normal_model().param_shape.pin(sigma=1.0))
+    return [dp_compose(normal_model(), like, Params.scalars(mu=0.0, sigma=1.0)),
+            d_compose(normal_model(), builtin("exponential")),
+            pd_compose(normal_model(), builtin("exponential"))]
+
+
+@pytest.mark.parametrize("m", _joint_only_models(), ids=lambda m: m.label)
+def test_joint_only_likelihood_has_no_per_row_value(m):
+    rows = np.ones((2, m.data_dim))
+    with pytest.raises(ModelError, match=re.escape(f"{m.label}: element L")):
+        row_log_likelihood(m, rows, m.param_shape)
+
+
+def test_joint_only_model_without_a_sampler_has_no_sampler_or_cdf():
+    post = _joint_only_models()[0]
+    assert (post.strategy["RNG"], post.strategy["CDF"]) == ("unresolvable",) * 2
+    p = Params([("p", [0.5])])
+    with pytest.raises(UnresolvableElementError, match="element RNG"):
+        core.draw(post, p, RandomStream(1))
+    with pytest.raises(UnresolvableElementError, match="element CDF"):
+        core.cdf(post, [1.0], p)
+    # the joint likelihood still scores whole data sets
+    d = DataSet(np.array([[1.0], [2.0]]))
+    assert core.log_likelihood(post, d, p) == pytest.approx(
+        stats.norm.logpdf(0.5) + stats.norm.logpdf([1.0, 2.0], 0.5).sum(), abs=1e-12)
