@@ -24,21 +24,20 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
-def _print_table(headers, rows, fmt: str, file=None):
-    file = file or sys.stdout
+def _print_table(headers, rows, fmt: str):
     rows = [[c if isinstance(c, str) else _fmt(c) for c in r] for r in rows]
     if fmt == "csv":
-        w = csv.writer(file)
+        w = csv.writer(sys.stdout)
         w.writerow(headers)
         w.writerows(rows)
         return
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    print(line.rstrip(), file=file)
-    print("  ".join("-" * w for w in widths), file=file)
+    print(line.rstrip())
+    print("  ".join("-" * w for w in widths))
     for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip(), file=file)
+        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
 
 
 def _write_gnuplot(path: Path, series):
@@ -132,8 +131,8 @@ def _sigma_fit_once(seed: int) -> float:
     # a single live simulation run per likelihood evaluation: the objective
     # is a stochastic local refinement around the bracket midpoint 0.5 of
     # the searched interval (0, 1]
-    dc = transforms.d_compose(net, exp_m, nseq="live", n_draws=1)
-    dc.transform.data["live"]["s"] = RandomStream((seed, 0xF17))
+    dc = transforms.d_compose(net, exp_m, nseq=RandomStream((seed, 0xF17)),
+                              n_draws=1, live=True)
     pinned = dc.param_shape.pin(**{"to.mu": 1.0})
     vec = pinned.flatten()
     vec[1] = 0.5

@@ -34,7 +34,6 @@ class RandomStream:
             self._path: tuple[int, ...] = (int(seed),)
         else:
             self._path = tuple(int(s) for s in seed)
-        self.seed = self._path[0]
         self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._path)))
 
     def split(self, index: int) -> "RandomStream":

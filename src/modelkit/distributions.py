@@ -213,7 +213,7 @@ def ols_model(data_names: list[str] | None = None, n_x: int | None = None) -> Mo
     def design(xrows):
         return np.column_stack([np.ones(xrows.shape[0]), xrows])
 
-    def logl(rows, p, _support=None):
+    def logl(rows, p):
         raise ModelError("ols likelihood needs the estimation X support; "
                          "call estimate() first")
 

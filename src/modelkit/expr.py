@@ -174,8 +174,6 @@ def print_model_expr(ast) -> str:
 
 
 def _print_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, (int, float)):
         return repr(v)
     if isinstance(v, list):
@@ -216,8 +214,10 @@ _text = _Keyword("a file name", lambda v: isinstance(v, str))
 _jacobian_fn = _Keyword(f"one of {sorted(_JACOBIAN_FNS)}",
                         lambda v: isinstance(v, str) and v in _JACOBIAN_FNS,
                         _JACOBIAN_FNS.get)
+# d_compose's keywords: live draws, or an integer seed replayed every call
 _nseq = _Keyword("live or an integer seed", lambda v: v == "live" or _int.ok(v),
-                 lambda v: v if v == "live" else RandomStream(int(v)))
+                 lambda v: {"live": True} if v == "live"
+                 else {"nseq": RandomStream(int(v))})
 
 
 class _Entry(NamedTuple):
@@ -296,8 +296,8 @@ _REGISTRY = {
     "jacobian": _Entry((1, 1), _jacobian, {"f": _jacobian_fn}),
     "swap": _Entry((1, 1), lambda sub, data: transforms.swap(sub[0])),
     "dcompose": _Entry(
-        (2, 2), lambda sub, data, draws=500, nseq=None: transforms.d_compose(
-            sub[0], sub[1], nseq=nseq, n_draws=draws),
+        (2, 2), lambda sub, data, draws=500, nseq={}: transforms.d_compose(
+            sub[0], sub[1], n_draws=draws, **nseq),
         {"draws": _int, "nseq": _nseq}),
     "dpcompose": _Entry((2, 2), lambda sub, data: transforms.dp_compose(
         sub[0], sub[1], sub[0].param_shape)),

@@ -100,16 +100,15 @@ def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
     return _replicate_cov(m, resamples, reps, "bootstrap")
 
 
-def jackknife_cov(m: Model, d: DataSet, leave_out: int = 1) -> CovarianceEstimate:
-    """Leave-n-out covariance with the standard (g-1)/g inflation."""
-    if len(d) < 10:
+def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
+    """Leave-one-out covariance over the n fits that each drop one row, with
+    the standard (n-1)/n inflation."""
+    n = len(d)
+    if n < 10:
         raise ModelError("jackknife needs at least 10 rows")
-    groups = len(d) // leave_out
-    # each row's group; rows past the last whole group are never left out
-    group = np.arange(len(d)) // leave_out
-    subsets = (DataSet(d.rows[group != g], d.weights[group != g])
-               for g in range(groups))
-    return _replicate_cov(m, subsets, groups, "jackknife", jackknife=True)
+    row = np.arange(n)
+    subsets = (DataSet(d.rows[row != i], d.weights[row != i]) for i in range(n))
+    return _replicate_cov(m, subsets, n, "jackknife", jackknife=True)
 
 
 def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .data import (DataSet, MleSettings, ModelError, Params, RandomStream,
-                   UnresolvableElementError)
+from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
+                   RandomStream, UnresolvableElementError)
 
 LOG_NEG_INF = float("-inf")
 
@@ -60,8 +60,8 @@ class Model:
     Besides the elements and ``settings``, a model keeps its own state:
     ``transform`` (the TransformRecord of the transform that built it, else
     None), ``strategy`` (resolve(self), decided once at construction) and
-    ``cache`` (memoized PMFs, empirical-CDF draws, truncation masses; the
-    CACHE_ENTRIES most recently used).
+    ``cache`` (memoized PMFs and empirical-CDF draws; the CACHE_ENTRIES most
+    recently used).
     Assigning any field (``m.cdf = None``) rebuilds strategy and empties cache.
     """
 
@@ -161,10 +161,9 @@ def _check_rows(m: Model, rows: np.ndarray):
             f"{m.label}: row dimension {rows.shape[1]} != data_dim {m.data_dim}")
 
 
-def _cached(m: Model, key, make: Callable):
-    """m.cache[key], made by make() on a miss.  The cache keeps the
+def _cached(cache: dict, key, make: Callable):
+    """cache[key], made by make() on a miss.  The cache keeps the
     CACHE_ENTRIES most recently used entries."""
-    cache = m.cache
     value = cache.pop(key) if key in cache else make()
     cache[key] = value  # insertion order is recency order
     if len(cache) > CACHE_ENTRIES:
@@ -291,11 +290,12 @@ def _logl_from_cdf(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
     return np.array([math.log(d) if d > 0 else LOG_NEG_INF for d in dens])
 
 
-def memoized_pmf(m: Model, p: Params, n: int | None = None) -> Model:
-    """Cached PMF (optionally KDE-smoothed) built from seeded model draws."""
+def memoized_pmf(m: Model, p: Params) -> Model:
+    """Cached PMF (optionally KDE-smoothed) built from settings["memoize_draws"]
+    seeded model draws, 10,000 by default."""
     from . import solvers
 
-    n = n or m.settings.get("memoize_draws", 10000)
+    n = m.settings.get("memoize_draws", 10000)
 
     def make():
         # common random numbers: the same seed at every parameter value, so
@@ -309,7 +309,7 @@ def memoized_pmf(m: Model, p: Params, n: int | None = None) -> Model:
             pmf = solvers.kde_smooth(pmf)
         return pmf
 
-    return _cached(m, ("pmf", p.vector.tobytes(), n), make)
+    return _cached(m.cache, ("pmf", p.vector.tobytes(), n), make)
 
 
 def _params_seed(p: Params) -> int:
@@ -353,9 +353,6 @@ _START_LADDER = tuple(s * 2.0 ** k for k in range(-1, 11) for s in (1.0, -1.0))
 def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.ndarray:
     """Likelihood-backed sampler: random walk over the data space with p pinned."""
     from . import solvers
-    from .data import McmcSettings
-
-    st = m.settings.get("mcmc") or McmcSettings()
 
     def target(x: np.ndarray) -> float:
         return float(row_log_likelihood(m, x.reshape(1, -1), p)[0])
@@ -378,8 +375,7 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
             raise ModelError(
                 f"{m.label}: element RNG: metropolis found no start point with "
                 f"a finite likelihood; set settings['mcmc_start']")
-    chain = solvers.metropolis(target, x0, st, stream, n_samples=n)
-    return chain.samples
+    return solvers.metropolis(target, x0, McmcSettings(), stream, n_samples=n).samples
 
 
 def cdf(m: Model, point, p: Params) -> float:
@@ -399,7 +395,7 @@ def cdf(m: Model, point, p: Params) -> float:
 
 
 def _cdf_draws(m: Model, p: Params) -> np.ndarray:
-    return _cached(m, ("cdf", p.vector.tobytes(), CDF_DRAWS), lambda: draw(
+    return _cached(m.cache, ("cdf", p.vector.tobytes(), CDF_DRAWS), lambda: draw(
         m, p, RandomStream((CDF_SEED, _params_seed(p))), CDF_DRAWS))
 
 
@@ -493,36 +489,36 @@ class ConsistencyReport:
                 and self.estimate_gap.passed)
 
 
-def check_ml_consistency(m: Model, p: Params, stream: RandomStream, n: int,
-                         chi2_pvalue: float = 0.01, cdf_tol: float = 0.05,
-                         est_tol: float = 0.05) -> ConsistencyReport:
-    """Empirical coherence of the four elements at fixed parameters.
+def check_ml_consistency(m: Model, p: Params, stream: RandomStream,
+                         n: int) -> ConsistencyReport:
+    """Empirical coherence of the four elements at fixed parameters, from n
+    draws.  Each check reports its statistic and threshold:
 
     (a) chi-square of binned draw frequencies against binned likelihood mass,
-    (b) sup gap between the empirical draw CDF and cdf(),
-    (c) parameter recovery |estimate(draws) - p| per coordinate.
+        passed when its p-value exceeds 0.01 (skipped for dim > 2),
+    (b) sup gap between the empirical draw CDF and cdf(), below 0.05,
+    (c) parameter recovery |estimate(draws) - p| per coordinate, below 0.05.
     """
     if n < 100:
         raise ModelError("insufficient draws: need n >= 100")
     # an unresolvable sampler (and with it the CDF) raises here
     draws = draw(m, p, stream, n)
 
-    chi = _chi_square_check(m, p, draws, chi2_pvalue)
+    chi = _chi_square_check(m, p, draws)
 
     idx = np.linspace(0, n - 1, min(n, 200)).astype(int)
     pts = draws[np.lexsort(draws.T[::-1])][idx]
     gap = float(np.max(np.abs(dominated_share(draws, pts) - cdf(m, pts, p))))
-    cdf_check = ConsistencyCheck(gap, cdf_tol, gap < cdf_tol)
+    cdf_check = ConsistencyCheck(gap, 0.05, gap < 0.05)
 
     fitted = estimate(m, DataSet(draws))
     gap = float(np.max(np.abs(fitted.params.flatten() - p.flatten()))) if len(p) else 0.0
-    est_check = ConsistencyCheck(gap, est_tol, gap < est_tol)
+    est_check = ConsistencyCheck(gap, 0.05, gap < 0.05)
 
     return ConsistencyReport(chi, cdf_check, est_check)
 
 
-def _chi_square_check(m: Model, p: Params, draws: np.ndarray,
-                      pvalue_floor: float) -> ConsistencyCheck:
+def _chi_square_check(m: Model, p: Params, draws: np.ndarray) -> ConsistencyCheck:
     from scipy import stats
 
     n, dim = draws.shape
@@ -551,7 +547,7 @@ def _chi_square_check(m: Model, p: Params, draws: np.ndarray,
         q = np.trapezoid(np.trapezoid(dens.reshape(grid[0].shape), g1, axis=3),
                          g0[..., 0], axis=2).ravel()
     else:
-        return ConsistencyCheck(0.0, pvalue_floor, True, "chi-square skipped for dim > 2")
+        return ConsistencyCheck(0.0, 0.01, True, "chi-square skipped for dim > 2")
     q = q / q.sum()
     keep = q > 1e-12
     counts, q = counts[keep], q[keep]
@@ -560,5 +556,5 @@ def _chi_square_check(m: Model, p: Params, draws: np.ndarray,
     stat = float(np.sum((counts - expected) ** 2 / expected))
     dof = max(len(q) - 1, 1)
     pval = float(stats.chi2.sf(stat, dof))
-    return ConsistencyCheck(stat, pvalue_floor, pval > pvalue_floor,
+    return ConsistencyCheck(stat, 0.01, pval > 0.01,
                             f"p-value {pval:.4g} with {dof} dof")

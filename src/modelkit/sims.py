@@ -248,31 +248,28 @@ def search_model(cfg: SearchConfig | None = None) -> Model:
 
 
 def fuzz_weibull_posterior(side_prior: Model, pairs_prior: Model,
-                           side_params: Params | None = None,
-                           pairs_params: Params | None = None,
                            reps: int = 100,
                            s: RandomStream | None = None) -> Model:
     """Posterior cloud of Weibull fits under fuzzed simulation settings.
 
-    Each rep draws a grid side and pair count from the 1-D priors (rounded,
-    clamped to a feasible configuration), runs the search model once, fits
-    a Weibull to the pooled pairing times, and records (lambda, k).  The
-    result is an equal-weight PMF over those parameter pairs.
+    Each rep draws a grid side and pair count from the 1-D priors at their
+    own parameter values (rounded, clamped to a feasible configuration),
+    runs the search model once, fits a Weibull to the pooled pairing times,
+    and records (lambda, k).  The result is an equal-weight PMF over those
+    parameter pairs.
     """
     from .distributions import pmf_model, weibull_model
 
     s = s or RandomStream(0xF022)
-    side_params = side_params or side_prior.param_shape
-    pairs_params = pairs_params or pairs_prior.param_shape
     wb = weibull_model()
     rows = np.empty((reps, 2))
     for r in range(reps):
         st = s.split(r)
         side = int(round(float(np.atleast_1d(
-            core.draw(side_prior, side_params, st.split(0)))[0])))
+            core.draw(side_prior, side_prior.param_shape, st.split(0)))[0])))
         side = max(side, 2)
         n_pairs = int(round(float(np.atleast_1d(
-            core.draw(pairs_prior, pairs_params, st.split(1)))[0])))
+            core.draw(pairs_prior, pairs_prior.param_shape, st.split(1)))[0])))
         n_pairs = min(max(n_pairs, 1), side * side // 2)
         sim = search_model(SearchConfig(side, side, n_pairs))
         times = core.draw(sim, Params([]), st.split(2)).reshape(-1, 1)

@@ -40,7 +40,6 @@ class SolveResult:
 class Chain:
     """Metropolis run: samples as rows, one per post-burnin, post-thin step."""
     samples: np.ndarray
-    log_densities: np.ndarray
     acceptance_rate: float
 
 
@@ -161,7 +160,6 @@ def metropolis(target_log_density: Callable[[np.ndarray], float],
 
     total = st.burnin + n_samples * st.thin
     samples = np.empty((n_samples, dim))
-    logd = np.empty(n_samples)
     accepted = 0
     kept = 0
     for i in range(total):
@@ -176,9 +174,8 @@ def metropolis(target_log_density: Callable[[np.ndarray], float],
                 f"(log density {lv:.3g}, step_scale {st.step_scale})")
         if i >= st.burnin and (i - st.burnin) % st.thin == 0 and kept < n_samples:
             samples[kept] = x
-            logd[kept] = lv
             kept += 1
-    return Chain(samples, logd, accepted / total)
+    return Chain(samples, accepted / total)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,10 @@ def truncate(m: Model, region) -> Model:
             return f_top
         return f_top - core.cdf(m, np.array([lo - 1.0 if m.discrete else lo]), p)
 
+    # region masses by parameter bytes, an LRU like a model cache; kept out
+    # of the truncated model's cache, so the model is no reference cycle
+    masses = {}
+
     def mass(p: Params) -> float:
         def make():
             if interval and m.cdf is not None:
@@ -329,8 +333,7 @@ def truncate(m: Model, region) -> Model:
                 raise ModelError("region mass too small")
             return min(val, 1.0)
 
-        # keyed on the truncated model: each region has its own mass
-        return core._cached(trunc, ("trunc_mass", p.vector.tobytes()), make)
+        return core._cached(masses, p.vector.tobytes(), make)
 
     def logl(rows, p):
         out = np.full(rows.shape[0], -np.inf)
@@ -368,11 +371,10 @@ def truncate(m: Model, region) -> Model:
                 out[x < lo] = 0.0
             return out
 
-    trunc = Model(f"truncate({m.label})", m.data_dim, m.param_shape.copy(),
-                  logl=logl, rng=rng, cdf=cdf, constraint=m.constraint,
-                  settings=m.settings, discrete=m.discrete,
-                  transform=TransformRecord("truncate", [m], {"region": region}))
-    return trunc
+    return Model(f"truncate({m.label})", m.data_dim, m.param_shape.copy(),
+                 logl=logl, rng=rng, cdf=cdf, constraint=m.constraint,
+                 settings=m.settings, discrete=m.discrete,
+                 transform=TransformRecord("truncate", [m], {"region": region}))
 
 
 # ---------------------------------------------------------------------------
@@ -472,36 +474,35 @@ def swap(m: Model) -> Model:
 # Data-space composition
 
 
-def d_compose(from_model: Model, to_model: Model, nseq=None,
-              n_draws: int = 500) -> Model:
+def d_compose(from_model: Model, to_model: Model,
+              nseq: RandomStream | None = None, n_draws: int = 500,
+              live: bool = False) -> Model:
     """Evaluate one model's draws under another's likelihood.
 
     The result has an empty data space and parameters P_to (x) P_from: its
     log-likelihood draws ``n_draws`` rows from ``from_model`` at the
     from-side parameters and sums ``to_model``'s log-likelihood over them.
-    With a pinned ``nseq`` stream (the default) the same random sequence is
-    replayed every evaluation, so the likelihood is a deterministic
-    function of the parameters; pass nseq="live" for fresh draws each call,
-    in which case estimation defaults to annealing.
+    By default every evaluation replays the random sequence of ``nseq``'s
+    seed from its start, so the likelihood is a deterministic function of
+    the parameters.  With ``live`` each evaluation draws on from ``nseq``
+    itself, fresh draws every call, and estimation defaults to annealing.
+    ``nseq`` defaults to RandomStream(COMPOSE_SEED), or to
+    RandomStream((COMPOSE_SEED, 1)) with ``live``.
     """
     flatten = from_model.data_dim != to_model.data_dim
     if flatten and to_model.data_dim != 1:
         raise ModelError(
             f"d_compose: data dims differ ({from_model.data_dim} vs "
             f"{to_model.data_dim}) and the to-model is not 1-D")
-    live = nseq == "live"
     if nseq is None:
-        nseq = RandomStream(COMPOSE_SEED)
-    # live draws come from a stream the caller can reseed through the
-    # transform record; pinned mode replays nseq's sequence every call
-    live_stream = {"s": RandomStream((COMPOSE_SEED, 1))}
+        nseq = RandomStream((COMPOSE_SEED, 1) if live else COMPOSE_SEED)
     models = [to_model, from_model]
     shapes = [m.param_shape for m in models]
     shape = Params.product(zip(("to.", "from."), shapes))
 
     def logl_joint(d, p):
         p_to, p_from = p.split(shapes)
-        stream = live_stream["s"] if live else RandomStream(nseq._path)
+        stream = nseq if live else RandomStream(nseq._path)
         rows = core.draw(from_model, p_from, stream, n_draws)
         if flatten:
             rows = rows.reshape(-1, 1)
@@ -515,7 +516,7 @@ def d_compose(from_model: Model, to_model: Model, nseq=None,
                  logl_joint=logl_joint, constraint=constraint, settings=settings,
                  transform=TransformRecord(
                      "d_compose", [from_model, to_model],
-                     {"nseq": nseq, "n_draws": n_draws, "live": live_stream}))
+                     {"seed": nseq._path, "n_draws": n_draws, "live": live}))
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +567,12 @@ def posterior_draws(post: Model, d: DataSet, n: int,
 
     Returns a PMF model over the parameter space.  Strategy, in order of
     preference: Normal-Normal conjugate closed form; Metropolis-Hastings
-    over the swapped composition when the prior has a likelihood, its own or
-    from its CDF; weighted prior draws (weights = data likelihood) when the
-    prior only has a sampler, that is when ``prior.strategy["L"]`` is
-    "memoized PMF".  ``settings["posterior_strategy"]`` set to "mh" skips the
-    conjugate form and set to "conjugate" skips Metropolis-Hastings.
+    (McmcSettings(step_scale=0.5), started from a prior draw) when the prior
+    has a likelihood, its own or from its CDF; weighted prior draws
+    (weights = data likelihood) when the prior only has a sampler, that is
+    when ``prior.strategy["L"]`` is "memoized PMF".
+    ``settings["posterior_strategy"]`` set to "mh" skips the conjugate form;
+    any other value than "mh" or None raises.
     """
     from .distributions import pmf_model
 
@@ -581,9 +583,12 @@ def posterior_draws(post: Model, d: DataSet, n: int,
     rho = rec.data["rho"]
     stream = stream or RandomStream(POSTERIOR_SEED)
     forced = post.settings.get("posterior_strategy")
+    if forced not in (None, "mh"):
+        raise ModelError(f"{post.label}: settings['posterior_strategy'] is "
+                         f"{forced!r}; set 'mh' or leave it unset")
 
-    conj = _conjugate_normal(prior, like, rho)
-    if conj is not None and forced in (None, "conjugate"):
+    conj = _conjugate_normal(prior, like, rho) if forced is None else None
+    if conj is not None:
         mu0, s0, s = conj
         nobs = float(d.weights.sum())
         var = 1.0 / (1.0 / s0 ** 2 + nobs / s ** 2)
@@ -591,17 +596,14 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         draws = stream.normal(mean, math.sqrt(var), size=(n, 1))
         return pmf_model(DataSet(draws))
 
-    if prior.strategy["L"] != "memoized PMF" and forced in (None, "mh"):
+    if prior.strategy["L"] != "memoized PMF":
         def target(x: np.ndarray) -> float:
             return post.logl_joint(d, post.param_shape.replace(x))
 
-        x0 = post.settings.get("mcmc_start")
-        if x0 is None:
-            x0 = core.draw(prior, rho, stream.split(0))
-        x0 = np.atleast_1d(x0)
-        st = post.settings.get("mcmc") or McmcSettings(step_scale=0.5)
+        x0 = np.atleast_1d(core.draw(prior, rho, stream.split(0)))
         from . import solvers
-        chain = solvers.metropolis(target, x0, st, stream.split(1), n_samples=n)
+        chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
+                                   stream.split(1), n_samples=n)
         return pmf_model(DataSet(chain.samples))
 
     # RNG-only prior: weight prior draws by the data likelihood

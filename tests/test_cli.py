@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from modelkit import DataSet, cli
+from modelkit import (DataSet, MleSettings, RandomStream, builtin, cli,
+                      d_compose, estimate, fix, network_sim_model)
 
 
 def _read(path):
@@ -147,3 +148,21 @@ def test_gnuplot_blocks_blank_separated(tmp_path):
     first = blocks[0].splitlines()[0].split()
     assert len(first) == 2
     float(first[0]), float(first[1])
+
+
+def test_main_runs_sigma_fit_under_check(tmp_path, capsys):
+    assert cli.main(["run", "sigma-fit", "--check", "--out", str(tmp_path)]) == 0
+    assert "check [ok]: sigma_opt" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sigma_fit_is_a_live_d_compose_on_the_run_seed(seed, tmp_path):
+    assert cli.run_example("sigma-fit", seed=seed, out=tmp_path) == 0
+    header, row = (tmp_path / "sigma-fit.csv").read_text().splitlines()
+    assert header == "seed,sigma_opt"
+    dc = d_compose(network_sim_model(sigma_free=True), builtin("exponential"),
+                   nseq=RandomStream((seed, 0xF17)), n_draws=1, live=True)
+    start = dc.param_shape.pin(**{"to.mu": 1.0}).with_blocks(**{"from.sigma": 0.5})
+    fit = estimate(fix(dc, start), DataSet(np.empty((0, 0))),
+                   MleSettings(method="nelder_mead", tolerance=1e-3, max_iter=60))
+    assert fit.params.scalar("from.sigma") == float(row.split(",")[1])

@@ -144,3 +144,13 @@ def test_eval_every_documented_name_resolves():
     for text in texts:
         m = eval_model_expr(parse_model_expr(text), data=data)
         assert m.data_dim >= 0
+
+
+@pytest.mark.parametrize("text, weights", [
+    ("mix(normal, normal, w=0.3)", [0.3, 0.7]),
+    ("mix(normal, normal, normal, w=0.5)", [0.5, 0.25, 0.25]),
+])
+def test_eval_mix_with_one_weight_shares_the_rest(text, weights):
+    m = eval_model_expr(parse_model_expr(text))
+    assert m.param_shape.block("w").tolist() == weights
+    assert m.param_shape.fixed_mask[-len(weights):].all()

@@ -10,7 +10,7 @@ from scipy import stats
 
 from modelkit import (DataSet, Model, ModelError, Params, RandomStream,
                       UnresolvableElementError, builtin, check_ml_consistency,
-                      cross, estimate, fix, normal_model, pmf_model)
+                      cross, estimate, fix, mvn_model, normal_model, pmf_model)
 from modelkit import model as core
 from modelkit import transforms
 
@@ -237,9 +237,9 @@ def test_model_cache_drops_the_least_recently_used(monkeypatch):
     monkeypatch.setattr(core, "CACHE_ENTRIES", 2)
     m = rounded_normal()
     for key in ("a", "b", "a", "c"):
-        core._cached(m, key, lambda: key.upper())
+        core._cached(m.cache, key, lambda: key.upper())
     assert list(m.cache) == ["a", "c"]
-    assert core._cached(m, "a", lambda: "fresh") == "A"
+    assert core._cached(m.cache, "a", lambda: "fresh") == "A"
 
 
 def test_sampler_only_continuous_estimate_asks_for_kde():
@@ -559,3 +559,11 @@ def test_log_likelihood_sum_matches_the_reference_rule_property(data):
         expected = _reference_log_likelihood(v, w).hex()
         for _ in range(3):  # the first scoring, then the distinct-row pair if any
             assert core.log_likelihood(_IDENTITY, d, _IDENTITY.param_shape).hex() == expected
+
+
+def test_consistency_check_skips_chi_square_above_two_dimensions():
+    m = mvn_model(3)
+    rep = check_ml_consistency(m, m.param_shape, RandomStream(5), 1000)
+    assert rep.chi_square == core.ConsistencyCheck(
+        0.0, 0.01, True, "chi-square skipped for dim > 2")
+    assert rep.cdf_gap.threshold == rep.estimate_gap.threshold == 0.05

@@ -214,3 +214,12 @@ def test_search_grid_matches_scan_reference(w, h, n_pairs):
         ref = np.array([_search_run_by_scan(cfg, ref_stream) for _ in range(3)])
         got = m.rng(EMPTY_PARAMS, RandomStream(seed), 3)
         assert np.array_equal(got, ref)
+
+
+def test_demand_constraint_is_the_distance_outside_its_box():
+    # mu_alpha in [-2, 3], mu_b in [-10, 20]; each bound adds its overshoot
+    m = demand_model()
+    p = m.param_shape
+    assert m.constraint(p) == 0.0
+    assert m.constraint(p.with_blocks(mu_alpha=-3.0, mu_b=25.0)) == 6.0
+    assert m.constraint(p.with_blocks(mu_alpha=4.5, mu_b=-12.0)) == 3.5

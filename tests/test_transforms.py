@@ -1,8 +1,10 @@
 """Transforms: each morphism checked against hand-derived values."""
 
 import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -420,3 +422,46 @@ def test_joint_only_model_without_a_sampler_has_no_sampler_or_cdf():
     d = DataSet(np.array([[1.0], [2.0]]))
     assert core.log_likelihood(post, d, p) == pytest.approx(
         stats.norm.logpdf(0.5) + stats.norm.logpdf([1.0, 2.0], 0.5).sum(), abs=1e-12)
+
+
+def test_a_scored_truncated_model_is_freed_without_the_cycle_collector():
+    # the region masses live with truncate's closures, not on the model the
+    # closures belong to, so no reference cycle keeps the model alive
+    m = truncate(normal_model(), (0.0, None))
+    row_log_likelihood(m, np.array([[1.0], [-1.0]]), m.param_shape)
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_unknown_posterior_strategy_names_the_model():
+    like = fix(normal_model(), normal_model().param_shape.pin(sigma=1.0))
+    post = dp_compose(normal_model(), like, Params.scalars(mu=0.0, sigma=1.0))
+    post.settings["posterior_strategy"] = "conjugate"
+    with pytest.raises(ModelError, match=re.escape(
+            "dp_compose(normal, fix(normal)): settings['posterior_strategy']")):
+        posterior_draws(post, DataSet(np.array([[2.0]])), 10, RandomStream(1))
+
+
+@pytest.mark.parametrize("text, repeats", [
+    ("dcompose(normal, exponential, nseq=live)", False),
+    ("dcompose(normal, exponential, nseq=7)", True),
+])
+def test_dcompose_live_draws_afresh_and_a_seed_replays(text, repeats):
+    dc = expr.eval_model_expr(expr.parse_model_expr(text))
+    p = dc.param_shape.replace([2.0, 3.0, 0.5])
+    empty = DataSet(np.empty((0, 0)))
+    v1, v2 = (core.log_likelihood(dc, empty, p) for _ in range(2))
+    assert np.isfinite(v1) and np.isfinite(v2)
+    assert (v1 == v2) is repeats
+
+
+@pytest.mark.parametrize("live", [False, True])
+def test_d_compose_record_holds_no_mutable_stream(live):
+    dc = d_compose(normal_model(), builtin("exponential"),
+                   nseq=RandomStream((3, 4)), live=live)
+    assert dc.transform.data == {"seed": (3, 4), "n_draws": 500, "live": live}
