@@ -7,7 +7,6 @@ strategies in the dispatch layer.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -193,61 +192,46 @@ def pmf_model(support: DataSet) -> Model:
 # Ordinary least squares
 
 
-def ols_model(data_names: list[str] | None = None, n_x: int | None = None) -> Model:
-    """Linear regression as a model over rows (y, x1..xk).
+def ols_model(design: DataSet) -> Model:
+    """Linear regression over a fixed design, as a model over rows (y, x1..xk).
 
-    The estimator solves the normal equations with an implicit constant
-    column; fitting captures the empirical X support, and the likelihood of
-    a row whose X never appeared in estimation is zero.  The sampler draws
-    X from the captured support and adds Normal(0, sigma) noise to beta.X.
+    ``design`` holds (y, x1..xk) rows; its X rows and their weights are the
+    design, as the support is for ``pmf_model``.  The likelihood of a row is
+    the Normal(beta.X, sigma) density of its y when its X is a design row,
+    else zero.  The sampler draws X from the design by weight and adds
+    Normal(0, sigma) noise to beta.X.  The estimator solves the weighted
+    normal equations, with an implicit constant column, on the data it is
+    given.
     """
-    if n_x is None:
-        if data_names is None:
-            raise ModelError("ols_model needs data_names or n_x")
-        n_x = len(data_names) - 1
+    n_x = design.dim - 1
     if n_x < 1:
         raise ModelError("ols_model needs at least one regressor column")
-    dim = 1 + n_x
+    xs, xw = design.rows[:, 1:], design.weights
     shape = Params([("beta", np.zeros(1 + n_x)), ("sigma", [1.0])])
 
-    def design(xrows):
+    def with_constant(xrows):
         return np.column_stack([np.ones(xrows.shape[0]), xrows])
 
     def logl(rows, p):
-        raise ModelError("ols likelihood needs the estimation X support; "
-                         "call estimate() first")
+        beta = p.block("beta")
+        sigma = p.scalar("sigma")
+        resid = rows[:, 0] - with_constant(rows[:, 1:]) @ beta
+        on = core.support_index(xs, rows[:, 1:]) >= 0
+        if sigma <= 0:
+            return np.where(on & (resid == 0.0), 0.0, -np.inf)
+        z = resid / sigma
+        vals = -0.5 * z * z - math.log(sigma) - LOG_ROOT_2PI
+        return np.where(on, vals, -np.inf)
 
-    def make_logl(support: DataSet):
-        sup_rows = support.rows
-
-        def logl(rows, p):
-            beta = p.block("beta")
-            sigma = p.scalar("sigma")
-            resid = rows[:, 0] - design(rows[:, 1:]) @ beta
-            on = core.support_index(sup_rows, rows[:, 1:]) >= 0
-            if sigma <= 0:
-                return np.where(on & (resid == 0.0), 0.0, -np.inf)
-            z = resid / sigma
-            vals = -0.5 * z * z - math.log(sigma) - LOG_ROOT_2PI
-            return np.where(on, vals, -np.inf)
-
-        return logl
-
-    def make_rng(support: DataSet):
-        w = support.weights / support.weights.sum()
-
-        def rng(p, stream, n):
-            beta = p.block("beta")
-            sigma = p.scalar("sigma")
-            idx = stream.choice(len(support), p=w, size=n)
-            x = support.rows[idx]
-            y = design(x) @ beta + stream.normal(0.0, max(sigma, 0.0), size=n)
-            return np.column_stack([y, x])
-
-        return rng
+    def rng(p, stream, n):
+        beta = p.block("beta")
+        sigma = p.scalar("sigma")
+        x = xs[stream.choice(len(xs), p=xw / xw.sum(), size=n)]
+        y = with_constant(x) @ beta + stream.normal(0.0, max(sigma, 0.0), size=n)
+        return np.column_stack([y, x])
 
     def est(d):
-        X = design(d.rows[:, 1:])
+        X = with_constant(d.rows[:, 1:])
         y = d.rows[:, 0]
         w = d.weights
         XtX = X.T @ (X * w[:, None])
@@ -258,13 +242,8 @@ def ols_model(data_names: list[str] | None = None, n_x: int | None = None) -> Mo
         sigma = math.sqrt(float((w @ resid ** 2) / w.sum()))
         return Params([("beta", beta), ("sigma", [sigma])])
 
-    def capture_fit(m, d):
-        support = DataSet(d.rows[:, 1:], weights=d.weights)
-        return dataclasses.replace(m, logl=make_logl(support), rng=make_rng(support))
-
-    return Model("ols", dim, shape, logl=logl, est=est,
-                 constraint=lambda p: max(0.0, -p.scalar("sigma")),
-                 settings={"capture_fit": capture_fit})
+    return Model("ols", 1 + n_x, shape, logl=logl, est=est, rng=rng,
+                 constraint=lambda p: max(0.0, -p.scalar("sigma")))
 
 
 # ---------------------------------------------------------------------------

@@ -264,17 +264,13 @@ def _jacobian(sub, data, f=None):
     return transforms.jacobian(sub[0], *f)
 
 
-def _ols(sub, data, file=None):
-    d = _load_data("ols", file, data)
-    return distributions.ols_model(data_names=d.names, n_x=d.dim - 1)
-
-
 _REGISTRY = {
     **{name: _catalog(name) for name in distributions._CATALOG},
     "multivariate_normal": _catalog("multivariate_normal", dim=_int),
     "pmf": _Entry((0, 0), lambda sub, data, file=None: distributions.pmf_model(
         _load_data("pmf", file, data)), {"file": _text}),
-    "ols": _Entry((0, 0), _ols, {"file": _text}),
+    "ols": _Entry((0, 0), lambda sub, data, file=None: distributions.ols_model(
+        _load_data("ols", file, data)), {"file": _text}),
     "network_sim": _Entry(
         (0, 0), lambda sub, data, sigma_free=False, **cfg: sims.network_sim_model(
             sims.NetworkSimConfig(**cfg), sigma_free=sigma_free),

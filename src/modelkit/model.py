@@ -50,6 +50,12 @@ class Model:
       cdf(points (n,d), p)  -> (n,) orthant probabilities
       constraint(p)         -> violation distance (0 when satisfied)
 
+    The dispatch calls keep one contract for every model, whichever
+    strategy backs the element: draw(m, p, stream, n) returns an
+    (n, data_dim) array, cdf(m, points, p) an (n,) array, and
+    estimate(m, d) a FittedModel of m itself.  A closed-form rng that
+    returns another shape is an error.
+
     The dispatch layer relies on the row contract: it passes logl and cdf a
     whole (n,d) array at once (every bisection step of n inversion draws,
     every corner of n finite-difference rows) and expects row i of the
@@ -296,6 +302,7 @@ def memoized_pmf(m: Model, p: Params) -> Model:
     from . import solvers
 
     n = m.settings.get("memoize_draws", 10000)
+    kde = m.settings.get("kde") is not None and not m.discrete
 
     def make():
         # common random numbers: the same seed at every parameter value, so
@@ -305,11 +312,12 @@ def memoized_pmf(m: Model, p: Params) -> Model:
         # rejection loops), a requirement on any sampler behind this PMF
         stream = RandomStream((MEMOIZE_SEED, n))
         pmf = solvers.memoize_rng_to_pmf(m, p, n, stream)
-        if m.settings.get("kde") is not None and not m.discrete:
+        if kde:
             pmf = solvers.kde_smooth(pmf)
         return pmf
 
-    return _cached(m.cache, ("pmf", p.vector.tobytes(), n), make)
+    # keyed on every setting make() reads, so changing one misses the cache
+    return _cached(m.cache, ("pmf", p.vector.tobytes(), n, kde), make)
 
 
 def _params_seed(p: Params) -> int:
@@ -322,16 +330,16 @@ def _params_seed(p: Params) -> int:
 # Sampling
 
 
-def draw(m: Model, p: Params, stream: RandomStream, n: int | None = None):
-    """Draw rows from the model; a single row when n is omitted."""
+def draw(m: Model, p: Params, stream: RandomStream, n: int) -> np.ndarray:
+    """Draw n rows from the model, as an (n, data_dim) array."""
     _check_params(m, p)
-    single = n is None
-    n = 1 if single else int(n)
+    n = int(n)
     strategy = m.strategy["RNG"]
     if strategy == "closed-form":
         rows = np.asarray(m.rng(p, stream, n), dtype=float)
-        if rows.ndim == 1:
-            rows = rows.reshape(n, -1)
+        if rows.shape != (n, m.data_dim):
+            raise ModelError(f"{m.label}: element RNG returned shape {rows.shape}; "
+                             f"{n} draws need shape ({n}, {m.data_dim})")
     elif strategy == "cdf-inversion":
         from . import solvers
 
@@ -343,7 +351,7 @@ def draw(m: Model, p: Params, stream: RandomStream, n: int | None = None):
         rows = _draw_metropolis(m, p, stream, n)
     else:
         raise UnresolvableElementError(f"{m.label}: unresolvable element RNG")
-    return rows[0] if single else rows
+    return rows
 
 
 # offsets tried in turn when the metropolis start point has zero likelihood
@@ -378,10 +386,11 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
     return solvers.metropolis(target, x0, McmcSettings(), stream, n_samples=n).samples
 
 
-def cdf(m: Model, point, p: Params) -> float:
-    """Orthant probability P(draw <= point componentwise)."""
+def cdf(m: Model, points, p: Params) -> np.ndarray:
+    """Orthant probability P(draw <= point componentwise) of each of the
+    (n, data_dim) points, as an (n,) array; a single point is one row."""
     _check_params(m, p)
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     _check_rows(m, pts)
     strategy = m.strategy["CDF"]
     if strategy == "closed-form":
@@ -390,8 +399,7 @@ def cdf(m: Model, point, p: Params) -> float:
         vals = dominated_share(_cdf_draws(m, p), pts)
     else:
         raise UnresolvableElementError(f"{m.label}: unresolvable element CDF")
-    out = np.clip(vals, 0.0, 1.0)
-    return float(out[0]) if np.asarray(point).ndim <= 1 else out
+    return np.clip(vals, 0.0, 1.0)
 
 
 def _cdf_draws(m: Model, p: Params) -> np.ndarray:
@@ -422,12 +430,7 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
 
     if m.strategy["Est"] == "closed-form":
         p = m.est(d)
-        fitted = FittedModel(m, p, math.nan, 0, True, _violation(m, p))
-        capture = m.settings.get("capture_fit")
-        if capture is not None:
-            fitted.model = capture(m, d)
-        fitted.log_likelihood_at_optimum = log_likelihood(fitted.model, d, p)
-        return fitted
+        return FittedModel(m, p, log_likelihood(m, d, p), 0, True, _violation(m, p))
 
     if (m.strategy["L"] == "memoized PMF" and not m.discrete
             and m.settings.get("kde") is None):

@@ -265,14 +265,14 @@ def fuzz_weibull_posterior(side_prior: Model, pairs_prior: Model,
     rows = np.empty((reps, 2))
     for r in range(reps):
         st = s.split(r)
-        side = int(round(float(np.atleast_1d(
-            core.draw(side_prior, side_prior.param_shape, st.split(0)))[0])))
+        side = int(round(float(
+            core.draw(side_prior, side_prior.param_shape, st.split(0), 1)[0, 0])))
         side = max(side, 2)
-        n_pairs = int(round(float(np.atleast_1d(
-            core.draw(pairs_prior, pairs_prior.param_shape, st.split(1)))[0])))
+        n_pairs = int(round(float(
+            core.draw(pairs_prior, pairs_prior.param_shape, st.split(1), 1)[0, 0])))
         n_pairs = min(max(n_pairs, 1), side * side // 2)
         sim = search_model(SearchConfig(side, side, n_pairs))
-        times = core.draw(sim, Params([]), st.split(2)).reshape(-1, 1)
+        times = core.draw(sim, Params([]), st.split(2), 1)[0].reshape(-1, 1)
         fit = core.estimate(wb, DataSet(times))
         rows[r] = (fit.params.scalar("lam"), fit.params.scalar("k"))
     return pmf_model(DataSet(rows, names=["lambda", "k"]))

@@ -311,7 +311,7 @@ def kde_smooth(pmf: Model) -> Model:
 
     def rng(p, stream, n):
         idx = stream.choice(k, p=weights, size=n)
-        return core.draw(kernel, kp, stream, n).reshape(n, dim) + centres[idx]
+        return core.draw(kernel, kp, stream, n) + centres[idx]
 
     cdf = None
     if dim == 1:

@@ -83,8 +83,7 @@ def cross(ms: list[Model]) -> Model:
 
     def rng(p, stream, n):
         ps = p.split(shapes)
-        return np.hstack([core.draw(m, ps[i], stream, n).reshape(n, -1)
-                          for i, m in enumerate(ms)])
+        return np.hstack([core.draw(m, ps[i], stream, n) for i, m in enumerate(ms)])
 
     def cdf(points, p):
         ps = p.split(shapes)
@@ -157,7 +156,7 @@ def mix(ms: list[Model], weights=None) -> Model:
         for i in range(k):
             sel = idx == i
             if sel.any():
-                out[sel] = core.draw(ms[i], ps[i], stream, int(sel.sum())).reshape(-1, dim)
+                out[sel] = core.draw(ms[i], ps[i], stream, int(sel.sum()))
         return out
 
     def cdf(points, p):
@@ -264,7 +263,7 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
         out[hit] = loc
         n_rest = int((~hit).sum())
         if n_rest:
-            out[~hit] = core.draw(trunc, p, stream, n_rest).reshape(-1, 1)
+            out[~hit] = core.draw(trunc, p, stream, n_rest)
         return out
 
     def cdf(points, p):
@@ -310,12 +309,13 @@ def truncate(m: Model, region) -> Model:
         in_region = lambda rows: np.asarray(region(rows), dtype=bool)
 
     def cdf_span(top, p):
-        """F(top) - F(lo) under m, F(top) = 1 when top is None.  On discrete
-        data lo is taken as lo - 1, so the mass at lo itself counts."""
-        f_top = 1.0 if top is None else core.cdf(m, top, p)
+        """F(top) - F(lo) under m, an (n,) array for (n, 1) points top; one
+        span, with F(top) = 1, when top is None.  On discrete data lo is taken
+        as lo - 1, so the mass at lo itself counts."""
+        f_top = np.ones(1) if top is None else core.cdf(m, top, p)
         if lo is None:
             return f_top
-        return f_top - core.cdf(m, np.array([lo - 1.0 if m.discrete else lo]), p)
+        return f_top - core.cdf(m, [[lo - 1.0 if m.discrete else lo]], p)[0]
 
     # region masses by parameter bytes, an LRU like a model cache; kept out
     # of the truncated model's cache, so the model is no reference cycle
@@ -324,7 +324,7 @@ def truncate(m: Model, region) -> Model:
     def mass(p: Params) -> float:
         def make():
             if interval and m.cdf is not None:
-                val = float(cdf_span(None if hi is None else np.array([hi]), p))
+                val = float(cdf_span(None if hi is None else [[hi]], p)[0])
             else:
                 stream = RandomStream((TRUNC_SEED, core._params_seed(p)))
                 draws = core.draw(m, p, stream, TRUNC_DRAWS)
@@ -347,7 +347,7 @@ def truncate(m: Model, region) -> Model:
         got = 0
         misses = 0
         while got < n:
-            batch = core.draw(m, p, stream, max(n - got, 16)).reshape(-1, m.data_dim)
+            batch = core.draw(m, p, stream, max(n - got, 16))
             ok = in_region(batch)
             take = batch[ok][:n - got]
             if take.shape[0] == 0:
@@ -426,7 +426,7 @@ def jacobian(m: Model, f, f_inv) -> Model:
             return base + np.log(absdet(rows))
 
     def rng(p, stream, n):
-        return np.asarray(f(core.draw(m, p, stream, n).reshape(n, dim)), dtype=float)
+        return np.asarray(f(core.draw(m, p, stream, n)), dtype=float)
 
     est = None
     if m.est is not None:
@@ -600,14 +600,14 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         def target(x: np.ndarray) -> float:
             return post.logl_joint(d, post.param_shape.replace(x))
 
-        x0 = np.atleast_1d(core.draw(prior, rho, stream.split(0)))
+        x0 = core.draw(prior, rho, stream.split(0), 1)[0]
         from . import solvers
         chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
                                    stream.split(1), n_samples=n)
         return pmf_model(DataSet(chain.samples))
 
     # RNG-only prior: weight prior draws by the data likelihood
-    draws = core.draw(prior, rho, stream, n).reshape(n, -1)
+    draws = core.draw(prior, rho, stream, n)
     logw = np.array([
         core.log_likelihood(like, d, like.param_shape.with_free(draws[i]))
         for i in range(n)])
@@ -669,9 +669,8 @@ def pd_compose(parent: Model, child: Model) -> Model:
     def rng(p, stream, n):
         out = np.empty((n, child.data_dim))
         for i in range(n):
-            parent_row = np.atleast_1d(core.draw(parent, p, stream))
-            cp = child.param_shape.with_free(parent_row)
-            out[i] = np.atleast_1d(core.draw(child, cp, stream))
+            cp = child.param_shape.with_free(core.draw(parent, p, stream, 1)[0])
+            out[i] = core.draw(child, cp, stream, 1)[0]
         return out
 
     return Model(f"pd_compose({parent.label}, {child.label})", child.data_dim,

@@ -1,0 +1,37 @@
+"""The benchmark's span tracer installs on this tree and runs a pipeline.
+
+perfbench/spans.py patches modelkit by name from outside src/, so renaming or
+deleting a name it patches or reads breaks only the traced bench.  This test
+runs the tracer in a child process, as the bench does, so the patching
+leaves the test process's modelkit untouched.
+"""
+
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_CHILD = textwrap.dedent("""
+    import dataclasses, sys
+    sys.path[:0] = [sys.argv[1], sys.argv[2]]
+    import spans
+    tr = spans.install()
+    from modelkit import RandomStream, cli, draw, normal_model
+    assert cli.run_example("roundtrip", draws=300, out=sys.argv[3]) == 0
+    # a likelihood-only sampler runs the Metropolis solver
+    l_only = dataclasses.replace(normal_model(), rng=None, cdf=None, est=None)
+    draw(l_only, l_only.param_shape, RandomStream(1), 5)
+    m = spans.layer_metrics(tr)
+    assert m["model.estimate.calls"] > 0, m
+    assert m["solvers.metropolis.calls"] == 1, m
+    assert m["transforms.truncate.self_s"] > 0, m
+""")
+
+
+def test_traced_roundtrip_runs_on_this_tree(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -166,3 +166,25 @@ def test_sigma_fit_is_a_live_d_compose_on_the_run_seed(seed, tmp_path):
     fit = estimate(fix(dc, start), DataSet(np.empty((0, 0))),
                    MleSettings(method="nelder_mead", tolerance=1e-3, max_iter=60))
     assert fit.params.scalar("from.sigma") == float(row.split(",")[1])
+
+
+def test_eval_ols_draws_from_the_fitted_design(tmp_path):
+    # short decimals survive the CSV round trip
+    x = np.column_stack([np.arange(6.0) / 4, [0.0, 0.5, 0.25, 1.0, 0.75, 0.5]])
+    y = 1.0 + x @ [2.0, -0.5] + [0.25, -0.25, 0.0, 0.5, -0.5, 0.0]
+    path = tmp_path / "f.csv"
+    DataSet(np.column_stack([y, x])).to_csv(path)
+    out = tmp_path / "out"
+    assert cli.main(["eval", "ols", "--data", str(path), "--draws", "50",
+                     "--out", str(out)]) == 0
+    drawn = DataSet.from_csv(out / "eval.csv").rows
+    assert drawn.shape == (50, 3)
+    assert np.all((drawn[:, None, 1:] == x[None]).all(axis=2).any(axis=1))
+
+
+def test_main_runs_demand_under_check(tmp_path, capsys):
+    assert cli.main(["run", "demand", "--check", "--draws", "20",
+                     "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("check [ok]") == 2 and "FAILED" not in out
+    assert (tmp_path / "demand.csv").read_text().startswith("param,truth,estimate")

@@ -151,17 +151,17 @@ def test_ols_recovers_plane():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 2))
     y = 1.5 + 2.0 * x[:, 0] - 0.5 * x[:, 1] + 0.1 * rng.normal(size=200)
-    m = ols_model(n_x=2)
-    fit = estimate(m, DataSet(np.column_stack([y, x])))
+    d = DataSet(np.column_stack([y, x]))
+    m = ols_model(d)
+    fit = estimate(m, d)
+    assert fit.model is m
     beta = fit.params.block("beta")
     assert beta == pytest.approx([1.5, 2.0, -0.5], abs=0.05)
     assert fit.params.scalar("sigma") == pytest.approx(0.1, abs=0.03)
-    # the fitted copy carries a usable likelihood; the bare model does not
-    with pytest.raises(ModelError):
-        logl1(m, 0.0)
+    # the model over its design has a likelihood ...
     rows = np.column_stack([y, x])[:5]
     assert np.all(np.isfinite(row_log_likelihood(fit.model, rows, fit.params)))
-    # ... and a sampler drawing X from the captured support alone
+    # ... and a sampler drawing X from the design alone
     assert fit.model.strategy["RNG"] == core.resolve(fit.model)["RNG"] == "closed-form"
     draws = core.draw(fit.model, fit.params, RandomStream(4), 300)
     assert np.all((draws[:, 1:, None] == x.T[None]).all(axis=1).any(axis=1))
@@ -170,8 +170,9 @@ def test_ols_recovers_plane():
 def test_collinear_design_rejected():
     x = np.ones((20, 1))
     y = np.arange(20.0)
+    d = DataSet(np.column_stack([y, x]))
     with pytest.raises(ModelError, match="collinear"):
-        estimate(ols_model(n_x=1), DataSet(np.column_stack([y, x])))
+        estimate(ols_model(d), d)
 
 
 def test_builtin_unknown_name():
@@ -218,7 +219,7 @@ def test_mvn_likelihood_is_minus_inf_at_a_singular_covariance():
 
 def test_ols_with_zero_sigma_scores_only_exact_fits():
     rows = np.array([[1.0, 0.0], [3.0, 1.0], [5.0, 2.0]])  # y = 1 + 2x
-    fit = estimate(ols_model(n_x=1), DataSet(rows))
+    fit = estimate(ols_model(DataSet(rows)), DataSet(rows))
     p = fit.params.with_blocks(sigma=0.0)
     assert core.log_likelihood(fit.model, DataSet(rows), p) == 0.0
     off = rows + [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]

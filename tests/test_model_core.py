@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,22 @@ def test_model_cache_drops_the_least_recently_used(monkeypatch):
     assert core._cached(m.cache, "a", lambda: "fresh") == "A"
 
 
+def test_setting_kde_after_scoring_smooths_the_memoized_pmf():
+    from modelkit import KdeSettings
+
+    m = rng_only_normal()
+    p = m.param_shape
+    row = np.array([[0.3]])
+    assert core.row_log_likelihood(m, row, p)[0] == -math.inf  # raw PMF
+    m.settings["kde"] = KdeSettings()
+    fresh = dataclasses.replace(rng_only_normal(), settings={"kde": KdeSettings()})
+    want = core.row_log_likelihood(fresh, row, p)[0]
+    assert math.isfinite(want)
+    assert core.row_log_likelihood(m, row, p)[0] == want
+    del m.settings["kde"]
+    assert core.row_log_likelihood(m, row, p)[0] == -math.inf
+
+
 def test_sampler_only_continuous_estimate_asks_for_kde():
     d = DataSet(RandomStream(3).normal(size=(50, 1)))
     with pytest.raises(ModelError, match=r"rng_only: element L .*settings\['kde'\]"):
@@ -271,6 +288,27 @@ def test_mle_matches_closed_form():
 def test_estimate_empty_data_rejected():
     with pytest.raises(ModelError, match="empty"):
         estimate(normal_model(), DataSet(np.empty((0, 1))))
+
+
+def test_draw_and_cdf_return_row_arrays_under_every_strategy():
+    l_only = dataclasses.replace(normal_model(), rng=None, cdf=None, est=None)
+    for m in (normal_model(), cdf_only_exponential(), l_only, rng_only_normal(),
+              mvn_model(2)):
+        p = m.param_shape
+        for n in (1, 3):
+            assert core.draw(m, p, RandomStream(1), n).shape == (n, m.data_dim)
+        point = np.full(m.data_dim, 0.5)
+        assert core.cdf(m, point, p).shape == (1,)
+        assert core.cdf(m, np.tile(point, (4, 1)), p).shape == (4,)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 2), (1, 1)])
+def test_closed_form_sampler_of_the_wrong_shape_names_the_model(shape):
+    m = Model("flat", 1, Params.scalars(mu=0.0),
+              rng=lambda p, stream, n: np.zeros(shape))
+    with pytest.raises(ModelError, match=re.escape(
+            f"flat: element RNG returned shape {shape}")):
+        core.draw(m, m.param_shape, RandomStream(1), 5)
 
 
 def test_draw_determinism():

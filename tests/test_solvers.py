@@ -206,7 +206,7 @@ def test_kde_cdf_and_draws_match_a_per_support_point_loop():
     assert np.array_equal(sm.cdf(x, sm.param_shape), want)
     stream = RandomStream(4)
     idx = stream.choice(len(kps), p=w, size=40)
-    want = np.array([core.draw(kernel, kps[j], stream) for j in idx])
+    want = np.array([core.draw(kernel, kps[j], stream, 1)[0] for j in idx])
     got = core.draw(sm, sm.param_shape, RandomStream(4), 40)
     assert np.array_equal(got, want)
 

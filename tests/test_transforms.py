@@ -327,6 +327,24 @@ def test_sampler_only_prior_takes_weighted_prior_draws():
     assert var == pytest.approx(0.5, abs=0.1)
 
 
+@pytest.mark.parametrize("like, rho, rows", [
+    # a Normal prior over sigma, with the mean pinned
+    (fix(normal_model(), normal_model().param_shape.pin(mu=0.0)),
+     Params.scalars(mu=1.0, sigma=0.3), [[0.5], [-1.2], [0.8]]),
+    # a Normal prior over an exponential's mean
+    (builtin("exponential"), Params.scalars(mu=2.0, sigma=0.5), [[1.0], [2.5], [0.7]]),
+], ids=["normal-sigma", "exponential-mean"])
+def test_posterior_without_a_conjugate_form_is_the_mh_posterior(like, rho, rows):
+    d = DataSet(np.array(rows))
+    post = dp_compose(normal_model(), like, rho)
+    forced = post.with_settings(posterior_strategy="mh")
+    got = posterior_draws(post, d, 200, RandomStream(6))
+    want = posterior_draws(forced, d, 200, RandomStream(6))
+    assert np.array_equal(got.settings["pmf_support"].rows,
+                          want.settings["pmf_support"].rows)
+    assert np.array_equal(got.param_shape.block("w"), want.param_shape.block("w"))
+
+
 def test_dp_compose_scores_no_data_where_the_prior_is_impossible():
     scored = []
 
@@ -415,7 +433,7 @@ def test_joint_only_model_without_a_sampler_has_no_sampler_or_cdf():
     assert (post.strategy["RNG"], post.strategy["CDF"]) == ("unresolvable",) * 2
     p = Params([("p", [0.5])])
     with pytest.raises(UnresolvableElementError, match="element RNG"):
-        core.draw(post, p, RandomStream(1))
+        core.draw(post, p, RandomStream(1), 1)
     with pytest.raises(UnresolvableElementError, match="element CDF"):
         core.cdf(post, [1.0], p)
     # the joint likelihood still scores whole data sets
