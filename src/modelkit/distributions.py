@@ -205,7 +205,8 @@ def ols_model(design: DataSet) -> Model:
     """
     n_x = design.dim - 1
     if n_x < 1:
-        raise ModelError("ols_model needs at least one regressor column")
+        raise ModelError(f"ols: element L: a design row needs y and at least "
+                         f"one regressor column; got {design.dim} column(s)")
     xs, xw = design.rows[:, 1:], design.weights
     shape = Params([("beta", np.zeros(1 + n_x)), ("sigma", [1.0])])
 
@@ -236,7 +237,7 @@ def ols_model(design: DataSet) -> Model:
         w = d.weights
         XtX = X.T @ (X * w[:, None])
         if np.linalg.cond(XtX) > 1e12:
-            raise ModelError("collinear design")
+            raise ModelError("ols: element Est: collinear design")
         beta = np.linalg.solve(XtX, X.T @ (y * w))
         resid = y - X @ beta
         sigma = math.sqrt(float((w @ resid ** 2) / w.sum()))

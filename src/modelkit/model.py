@@ -26,6 +26,8 @@ MEMOIZE_SEED = 0x5EED_0001
 CDF_SEED = 0x5EED_0002
 # draws behind an empirical-draws CDF
 CDF_DRAWS = 10000
+# lockstep chains behind a likelihood-backed sampler (fewer when n is smaller)
+MCMC_CHAINS = 8
 # entries a model's cache keeps before it drops the least recently used
 CACHE_ENTRIES = 64
 
@@ -359,11 +361,12 @@ _START_LADDER = tuple(s * 2.0 ** k for k in range(-1, 11) for s in (1.0, -1.0))
 
 
 def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.ndarray:
-    """Likelihood-backed sampler: random walk over the data space with p pinned."""
+    """Likelihood-backed sampler: MCMC_CHAINS (at most n) random walks over
+    the data space with p pinned, in lockstep from one start point."""
     from . import solvers
 
-    def target(x: np.ndarray) -> float:
-        return float(row_log_likelihood(m, x.reshape(1, -1), p)[0])
+    def target(xs: np.ndarray) -> list:
+        return row_log_likelihood(m, xs, p).tolist()
 
     start = m.settings.get("mcmc_start")
     x0 = origin = np.atleast_1d(np.asarray(
@@ -372,18 +375,19 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
         raise ModelError(
             f"{m.label}: element RNG: settings['mcmc_start'] has shape "
             f"{x0.shape}; a data row has {m.data_dim} columns")
-    if not np.isfinite(target(x0)):
+    if not math.isfinite(target(x0[None])[0]):
         # the start lies off the support: walk a fixed ladder of offsets,
         # every coordinate shifted alike, until the likelihood is positive
         for step in _START_LADDER:
             x0 = origin + step
-            if np.isfinite(target(x0)):
+            if math.isfinite(target(x0[None])[0]):
                 break
         else:
             raise ModelError(
                 f"{m.label}: element RNG: metropolis found no start point with "
                 f"a finite likelihood; set settings['mcmc_start']")
-    return solvers.metropolis(target, x0, McmcSettings(), stream, n_samples=n).samples
+    starts = np.tile(x0, (min(MCMC_CHAINS, max(n, 1)), 1))
+    return solvers.metropolis(target, starts, McmcSettings(), stream, n_samples=n).samples
 
 
 def cdf(m: Model, points, p: Params) -> np.ndarray:
@@ -498,7 +502,9 @@ def check_ml_consistency(m: Model, p: Params, stream: RandomStream,
     draws.  Each check reports its statistic and threshold:
 
     (a) chi-square of binned draw frequencies against binned likelihood mass,
-        passed when its p-value exceeds 0.01 (skipped for dim > 2),
+        passed when its p-value exceeds 0.01 (skipped for dim > 2); it
+        assumes independent draws, so it bins every k-th Metropolis draw,
+        k = ceil(n / ESS) for the coordinate of least effective size,
     (b) sup gap between the empirical draw CDF and cdf(), below 0.05,
     (c) parameter recovery |estimate(draws) - p| per coordinate, below 0.05.
     """
@@ -507,7 +513,13 @@ def check_ml_consistency(m: Model, p: Params, stream: RandomStream,
     # an unresolvable sampler (and with it the CDF) raises here
     draws = draw(m, p, stream, n)
 
-    chi = _chi_square_check(m, p, draws)
+    binned = draws
+    if m.strategy["RNG"] == "metropolis":
+        from . import solvers
+
+        binned = draws[::max(math.ceil(n / solvers.effective_sample_size(c))
+                             for c in draws.T)]
+    chi = _chi_square_check(m, p, binned)
 
     idx = np.linspace(0, n - 1, min(n, 200)).astype(int)
     pts = draws[np.lexsort(draws.T[::-1])][idx]

@@ -5,19 +5,21 @@ density, CDF inversion by bracketing, stochastic memoization of a sampler
 into a PMF, kernel smoothing, and finite-difference calculus.  Everything
 here is deterministic given its inputs and stream seeds.
 
-The optimizers (nelder_mead, simulated_annealing, coordinate_cycle),
-Metropolis and the finite differences work on plain float vectors: each
-takes a function f of an np.ndarray returning a float and a start vector x0,
-and the results hold vectors (the optimizers return a SolveResult).  The
-model layer maps a vector to the model's Params (its layout and fixed mask)
-and builds the fitted model from the result.
+The optimizers (nelder_mead, simulated_annealing, coordinate_cycle) and the
+finite differences work on plain float vectors: each takes a function f of
+an np.ndarray returning a float and a start vector x0, and the optimizers
+return a SolveResult.  Metropolis runs K chains in lockstep: it takes a
+(K, dim) array of start rows and a target that scores a (K, dim) array of
+points in one call, and returns the chains' samples as rows.  The model
+layer maps a vector to the model's Params (its layout and fixed mask) and
+builds the fitted model from the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -38,7 +40,8 @@ class SolveResult:
 
 @dataclass
 class Chain:
-    """Metropolis run: samples as rows, one per post-burnin, post-thin step."""
+    """Metropolis run: samples as rows, chain after chain, one per post-burnin,
+    post-thin step; the acceptance rate is over every chain's steps."""
     samples: np.ndarray
     acceptance_rate: float
 
@@ -139,43 +142,94 @@ def coordinate_cycle(f: Callable[[np.ndarray], float], x0: np.ndarray,
 # Markov chain Monte Carlo
 
 
-def metropolis(target_log_density: Callable[[np.ndarray], float],
+def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
                x0: np.ndarray, st: McmcSettings | None = None,
                stream: RandomStream | None = None,
                n_samples: int = 1000) -> Chain:
-    """Random-walk Metropolis from the start vector x0.
+    """Random-walk Metropolis: K chains in lockstep from the K start rows of
+    the (K, dim) array x0.
 
-    Each step adds an isotropic Normal of scale st.step_scale and accepts
-    with min(1, exp(delta log density)).  The first st.burnin steps are
-    discarded and every st.thin-th step kept.  A chain that accepts nothing
-    during burnin raises "stuck chain".
+    The target maps a (K, dim) array of points to their K log densities (a
+    list of floats or a 1-D array), so every step makes one target call for
+    all chains.  Each chain adds an isotropic Normal of scale st.step_scale
+    and accepts with min(1, exp(delta log density)); the step's K x dim
+    Normals come from one stream call, then the uniforms of the chains that
+    need one, chain by chain.  The first st.burnin steps are discarded and
+    every st.thin-th step kept, until each chain holds ceil(n_samples / K)
+    samples.  Chain.samples lists them chain after chain, cut to n_samples
+    rows.  A chain that accepts nothing during burnin raises "stuck chain".
     """
     st = st or McmcSettings()
     stream = stream or RandomStream(0xAC)
     x = np.array(x0, dtype=float)
-    dim = x.size
-    lv = target_log_density(x)
-    if not math.isfinite(lv):
+    if x.ndim != 2:
+        raise ModelError(f"metropolis: x0 has shape {x.shape}; the start rows "
+                         f"of K chains need shape (K, dim)")
+    k, dim = x.shape
+    lv = list(target_log_density(x))
+    if not all(math.isfinite(v) for v in lv):
         raise ModelError("metropolis: target not finite at the start point")
 
-    total = st.burnin + n_samples * st.thin
-    samples = np.empty((n_samples, dim))
-    accepted = 0
-    kept = 0
+    per_chain = -(-n_samples // k)
+    burnin, thin, scale = st.burnin, st.thin, st.step_scale
+    total = burnin + per_chain * thin
+    samples = np.empty((per_chain, k, dim))
+    accepted = [0] * k
+    # bound once: the step loop is the sampler's whole cost when the target
+    # is cheap
+    normal, uniform = stream.gen.normal, stream.gen.uniform
+    isfinite, exp = math.isfinite, math.exp
+    chains, shape = range(k), (k, dim)
+    kept, keep_at, last_burnin = 0, burnin, burnin - 1
     for i in range(total):
-        cand = x + stream.normal(size=dim) * st.step_scale
+        cand = x + normal(size=shape) * scale
         cv = target_log_density(cand)
-        if math.isfinite(cv) and (cv >= lv or stream.uniform() < math.exp(cv - lv)):
-            x, lv = cand, cv
-            accepted += 1
-        if i == st.burnin - 1 and accepted == 0:
+        moved = []
+        for j in chains:
+            c = cv[j]
+            if isfinite(c) and (c >= lv[j] or uniform() < exp(c - lv[j])):
+                lv[j] = c
+                accepted[j] += 1
+                moved.append(j)
+        # the chains that moved take their candidate rows: all of cand when
+        # every chain moved, which is the common case of a single chain
+        if moved:
+            if len(moved) == k:
+                x = cand
+            else:
+                for j in moved:
+                    x[j] = cand[j]
+        if i == last_burnin and 0 in accepted:
+            j = accepted.index(0)
             raise ModelError(
-                f"stuck chain: 0 acceptances in {st.burnin} burnin steps "
-                f"(log density {lv:.3g}, step_scale {st.step_scale})")
-        if i >= st.burnin and (i - st.burnin) % st.thin == 0 and kept < n_samples:
+                f"stuck chain {j} of {k}: 0 acceptances in {burnin} burnin steps "
+                f"(log density {lv[j]:.3g}, step_scale {scale})")
+        if i == keep_at:
             samples[kept] = x
             kept += 1
-    return Chain(samples, accepted / total)
+            keep_at += thin
+    # chain after chain
+    rows = samples.transpose(1, 0, 2).reshape(k * per_chain, dim)
+    return Chain(rows[:n_samples], sum(accepted) / (total * k))
+
+
+def effective_sample_size(x: np.ndarray) -> float:
+    """Effective size of the 1-D sample x drawn as one autocorrelated series:
+    Geyer's initial positive sequence over the FFT autocorrelation."""
+    c = np.asarray(x, dtype=float) - np.mean(x)
+    n = c.size
+    f = np.fft.rfft(c, 2 * n)
+    acov = np.fft.irfft(f * np.conj(f), 2 * n)[:n]
+    if not acov[0] > 0:
+        return 1.0  # a constant sample holds one value
+    rho = acov / acov[0]
+    tau = -1.0
+    for k in range(0, n - 1, 2):
+        pair = rho[k] + rho[k + 1]
+        if pair < 0:
+            break
+        tau += 2.0 * pair
+    return n / tau
 
 
 # ---------------------------------------------------------------------------

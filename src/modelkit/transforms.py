@@ -597,10 +597,13 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         return pmf_model(DataSet(draws))
 
     if prior.strategy["L"] != "memoized PMF":
-        def target(x: np.ndarray) -> float:
-            return post.logl_joint(d, post.param_shape.replace(x))
+        logl_joint, shape = post.logl_joint, post.param_shape
 
-        x0 = core.draw(prior, rho, stream.split(0), 1)[0]
+        def target(xs: np.ndarray) -> list:
+            # one chain, so xs holds one row
+            return [logl_joint(d, shape.replace(xs[0]))]
+
+        x0 = core.draw(prior, rho, stream.split(0), 1)
         from . import solvers
         chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
                                    stream.split(1), n_samples=n)

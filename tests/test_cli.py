@@ -182,6 +182,21 @@ def test_eval_ols_draws_from_the_fitted_design(tmp_path):
     assert np.all((drawn[:, None, 1:] == x[None]).all(axis=2).any(axis=1))
 
 
+@pytest.mark.parametrize("columns, message", [
+    # the two regressors differ by a constant
+    (lambda x: [x, x, x + 1.0], "error: ols: element Est: collinear design"),
+    (lambda x: [x], "error: ols: element L: a design row needs y and at least "
+                    "one regressor column; got 1 column(s)"),
+], ids=["collinear", "no-regressor"])
+def test_eval_ols_errors_name_the_model_and_the_element(tmp_path, capsys,
+                                                        columns, message):
+    path = tmp_path / "f.csv"
+    DataSet(np.column_stack(columns(np.arange(8.0)))).to_csv(path)
+    assert cli.main(["eval", "ols", "--data", str(path),
+                     "--out", str(tmp_path / "out")]) == 64
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_main_runs_demand_under_check(tmp_path, capsys):
     assert cli.main(["run", "demand", "--check", "--draws", "20",
                      "--out", str(tmp_path)]) == 0

@@ -175,6 +175,17 @@ def test_collinear_design_rejected():
         estimate(ols_model(d), d)
 
 
+def test_ols_errors_name_the_model_and_the_element():
+    x = np.arange(20.0)
+    d = DataSet(np.column_stack([x, x, x + 1.0]))  # the regressors differ by 1
+    with pytest.raises(ModelError, match=r"^ols: element Est: collinear design$"):
+        estimate(ols_model(d), d)
+    with pytest.raises(ModelError, match=r"^ols: element L: a design row needs "
+                                         r"y and at least one regressor column; "
+                                         r"got 1 column\(s\)$"):
+        ols_model(DataSet(x.reshape(-1, 1)))
+
+
 def test_builtin_unknown_name():
     with pytest.raises(ModelError):
         builtin("cauchy")

@@ -14,6 +14,7 @@ from modelkit import (DataSet, Model, ModelError, Params, RandomStream,
                       cross, estimate, fix, mvn_model, normal_model, pmf_model)
 from modelkit import model as core
 from modelkit import transforms
+from modelkit.solvers import effective_sample_size as ess
 
 
 def rng_only_normal():
@@ -110,20 +111,6 @@ def test_empirical_cdf_matches_the_per_point_loop():
         assert np.array_equal(core.cdf(m, pts, p), np.clip(want, 0.0, 1.0))
 
 
-def _ess(x):
-    """Single-chain effective sample size: Geyer's initial positive sequence."""
-    c = x - x.mean()
-    n = c.size
-    rho = np.correlate(c, c, "full")[n - 1:] / (c @ c)
-    tau = -1.0
-    for k in range(0, n - 1, 2):
-        pair = rho[k] + rho[k + 1]
-        if pair < 0:
-            break
-        tau += 2.0 * pair
-    return n / tau
-
-
 def test_metropolis_starts_inside_a_support_that_excludes_the_origin():
     import dataclasses
 
@@ -132,7 +119,7 @@ def test_metropolis_starts_inside_a_support_that_excludes_the_origin():
     x = core.draw(m, Params.scalars(alpha=2.0, beta=3.0), RandomStream(9), 2000)[:, 0]
     assert np.all((x > 0.0) & (x < 1.0))
     # Beta(2, 3): mean 0.4, standard deviation 0.2
-    assert abs(x.mean() - 0.4) <= 5 * 0.2 / math.sqrt(_ess(x))
+    assert abs(x.mean() - 0.4) <= 5 * 0.2 / math.sqrt(ess(x))
 
 
 def test_metropolis_without_a_finite_start_names_the_model():
@@ -339,6 +326,16 @@ def test_consistency_checker_flags_wrong_sampler():
                                4000)
     assert not (rep.chi_square.passed and rep.cdf_gap.passed
                 and rep.estimate_gap.passed)
+
+
+def test_likelihood_only_normal_passes_the_consistency_check():
+    # sampler and CDF both run on lockstep Metropolis chains; the chi-square
+    # bins every k-th draw, k from the draws' effective sample size
+    m = dataclasses.replace(builtin("normal"), rng=None, cdf=None, est=None)
+    assert (m.strategy["RNG"], m.strategy["CDF"]) == ("metropolis", "empirical draws")
+    rep = check_ml_consistency(m, Params.scalars(mu=1.0, sigma=1.0),
+                               RandomStream(0), 40000)
+    assert rep.passed
 
 
 @pytest.mark.parametrize("name, dim, dof", [

@@ -1,5 +1,6 @@
 """Solver layer: optimizers, samplers, inversion, memoization, derivatives."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,8 +48,8 @@ def test_coordinate_cycle_matches_joint_optimum():
 
 
 def test_metropolis_normal_target():
-    target = lambda x: stats.norm.logpdf(x[0], 3.0, 2.0)
-    chain = solvers.metropolis(target, np.array([0.0]),
+    target = lambda xs: stats.norm.logpdf(xs[:, 0], 3.0, 2.0)
+    chain = solvers.metropolis(target, np.array([[0.0]]),
                                McmcSettings(burnin=500), RandomStream(7), 20000)
     xs = chain.samples[:, 0]
     assert xs.mean() == pytest.approx(3.0, abs=0.15)
@@ -57,11 +58,106 @@ def test_metropolis_normal_target():
 
 
 def test_metropolis_stuck_chain_detected():
-    target = lambda x: 0.0 if abs(x[0]) < 1e-12 else -math.inf
+    target = lambda xs: np.where(np.abs(xs[:, 0]) < 1e-12, 0.0, -np.inf)
     with pytest.raises(ModelError, match="stuck"):
-        solvers.metropolis(target, np.array([0.0]),
+        solvers.metropolis(target, np.array([[0.0]]),
                            McmcSettings(burnin=200, step_scale=1e6),
                            RandomStream(1), 100)
+
+
+def test_metropolis_start_needs_a_row_per_chain():
+    with pytest.raises(ModelError, match=r"x0 has shape \(1,\); .* \(K, dim\)"):
+        solvers.metropolis(lambda xs: [0.0], np.array([0.0]))
+
+
+def _scalar_metropolis(target, x0, st, stream, n_samples):
+    """The one-chain loop that preceded lockstep chains, kept as the reference
+    for the one-row path: target maps a vector to a float."""
+    x = np.array(x0, dtype=float)
+    dim = x.size
+    lv = target(x)
+    total = st.burnin + n_samples * st.thin
+    samples = np.empty((n_samples, dim))
+    accepted = 0
+    kept = 0
+    for i in range(total):
+        cand = x + stream.normal(size=dim) * st.step_scale
+        cv = target(cand)
+        if math.isfinite(cv) and (cv >= lv or stream.uniform() < math.exp(cv - lv)):
+            x, lv = cand, cv
+            accepted += 1
+        if i >= st.burnin and (i - st.burnin) % st.thin == 0 and kept < n_samples:
+            samples[kept] = x
+            kept += 1
+    return samples, accepted / total
+
+
+@pytest.mark.parametrize("logd", [
+    lambda x: -0.5 * float(x @ x),
+    # a -inf region: the half-space x[0] + x[1] < 0 is impossible
+    lambda x: -float(x @ x) if x[0] + x[1] >= 0.0 else -math.inf,
+], ids=["normal", "half-space"])
+def test_one_row_metropolis_is_the_scalar_loop(logd):
+    st = McmcSettings(burnin=300, step_scale=0.8, thin=3)
+    x0 = np.array([0.5, 0.25])
+    want, rate = _scalar_metropolis(logd, x0, st, RandomStream(11), 700)
+    chain = solvers.metropolis(lambda xs: [logd(xs[0])], x0[None], st,
+                               RandomStream(11), 700)
+    assert chain.samples.tobytes() == want.tobytes()
+    assert chain.acceptance_rate == rate
+
+
+def test_lockstep_chains_share_one_target_call_per_step():
+    k, n, st = 3, 10, McmcSettings(burnin=50, thin=2)
+    calls = []
+
+    def target(xs):
+        calls.append(xs.shape)
+        return -0.5 * (xs[:, 0] - 10.0 * np.arange(k)) ** 2
+
+    starts = 10.0 * np.arange(k)[:, None]
+    chain = solvers.metropolis(target, starts, st, RandomStream(3), n)
+    # ceil(10 / 3) = 4 samples per chain, chain after chain, cut to 10 rows
+    assert calls == [(k, 1)] * (1 + st.burnin + 4 * st.thin)
+    assert chain.samples.shape == (n, 1)
+    for j, rows in enumerate((chain.samples[:4], chain.samples[4:8], chain.samples[8:])):
+        assert np.all(np.abs(rows[:, 0] - 10.0 * j) < 5.0)
+
+
+def test_a_stuck_chain_is_detected_while_the_others_move():
+    # chain 1 starts on a point mass; chains 0 and 2 walk a Normal
+    def target(xs):
+        out = -0.5 * xs[:, 0] ** 2
+        out[1] = 0.0 if xs[1, 0] == 100.0 else -np.inf
+        return out
+
+    with pytest.raises(ModelError, match="stuck chain 1 of 3"):
+        solvers.metropolis(target, np.array([[0.0], [100.0], [0.0]]),
+                           McmcSettings(burnin=200), RandomStream(1), 30)
+
+
+def test_one_likelihood_only_draw_is_the_scalar_chain():
+    m = dataclasses.replace(builtin("normal"), rng=None, cdf=None, est=None)
+    p = Params.scalars(mu=1.0, sigma=2.0)
+    got = core.draw(m, p, RandomStream(3), 1)
+    want, _ = _scalar_metropolis(
+        lambda x: float(core.row_log_likelihood(m, x.reshape(1, -1), p)[0]),
+        np.zeros(1), McmcSettings(), RandomStream(3), 1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_effective_sample_size_of_an_ar1_series():
+    # AR(1) with coefficient r: the effective size is n (1 - r) / (1 + r)
+    r, n = 0.8, 40000
+    e = RandomStream(2).normal(size=n)
+    x = np.empty(n)
+    x[0] = e[0]
+    for t in range(1, n):
+        x[t] = r * x[t - 1] + e[t]
+    assert solvers.effective_sample_size(x) == pytest.approx(n * 0.2 / 1.8, rel=0.15)
+    iid = RandomStream(3).normal(size=5000)
+    assert solvers.effective_sample_size(iid) == pytest.approx(5000, rel=0.15)
+    assert solvers.effective_sample_size(np.full(10, 2.5)) == 1.0
 
 
 def test_invert_cdf_quantiles():
