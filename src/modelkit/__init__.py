@@ -9,10 +9,11 @@ interface.
 """
 
 from .data import (DataSet, KdeSettings, McmcSettings, MleSettings,
-                   ModelError, Params, RandomStream,
+                   ModelError, Params, RandomStream, StackedParams,
                    UnresolvableElementError)
 from .model import (FittedModel, Model, cdf, check_ml_consistency, draw,
-                    estimate, log_likelihood, row_log_likelihood)
+                    estimate, log_likelihood, row_log_likelihood, stackable,
+                    stacked_log_likelihood, stacked_row_log_likelihood)
 from .distributions import (beta_model, builtin, exponential_model,
                             mvn_model, normal_model, ols_model, pmf_model,
                             poisson_model, uniform_model, weibull_model)
@@ -29,10 +30,11 @@ from .expr import (ExprError, eval_model_expr, parse_model_expr,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataSet", "Params", "RandomStream", "ModelError",
+    "DataSet", "Params", "StackedParams", "RandomStream", "ModelError",
     "UnresolvableElementError", "MleSettings", "McmcSettings", "KdeSettings",
     "Model", "FittedModel", "estimate", "draw", "cdf", "log_likelihood",
-    "row_log_likelihood", "check_ml_consistency",
+    "row_log_likelihood", "check_ml_consistency", "stackable",
+    "stacked_log_likelihood", "stacked_row_log_likelihood",
     "normal_model", "mvn_model", "pmf_model", "ols_model", "weibull_model",
     "exponential_model", "poisson_model", "beta_model", "uniform_model",
     "builtin",

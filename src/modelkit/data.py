@@ -255,7 +255,8 @@ class Params:
     as constants; its complement, the free entries ``with_free`` fills, is
     worked out once per mask.  ``product`` joins parameter spaces, a
     Cartesian product that is associative up to block names; ``split`` cuts
-    a joined vector back into its parts.
+    a joined vector back into its parts.  ``stack`` fills K vectors over the
+    layout at once, a StackedParams.
     """
 
     def __init__(self, blocks: Iterable[tuple[str, Sequence[float]]],
@@ -280,9 +281,10 @@ class Params:
         self.fixed_mask = mask
         self._free = ~mask
 
-    def _derive(self, vec: np.ndarray, mask: np.ndarray) -> "Params":
-        """A Params over this layout that takes ownership of vec and mask."""
-        out = object.__new__(Params)
+    def _derive(self, vec: np.ndarray, mask: np.ndarray, kind=None) -> "Params":
+        """A Params (or ``kind``) over this layout that takes ownership of
+        vec and mask."""
+        out = object.__new__(kind or Params)
         out._layout = self._layout
         out._index = self._index
         out._vec = vec
@@ -365,6 +367,20 @@ class Params:
     def free_values(self) -> np.ndarray:
         return self._vec[self._free]
 
+    def stack(self, free_rows) -> "StackedParams":
+        """K vectors over this layout and mask at once: row k of the (K,
+        n_free) array fills the free entries of vector k, as ``with_free``
+        does, and the pinned entries keep their values."""
+        free = np.asarray(free_rows, dtype=float)
+        n_free = np.count_nonzero(self._free)
+        if free.ndim != 2 or free.shape[1] != n_free:
+            raise ModelError(f"stack: expected a (K, {n_free}) array of free "
+                             f"values, got shape {free.shape}")
+        vec = np.empty((free.shape[0], len(self._vec)))
+        vec[:] = self._vec
+        vec[:, self._free] = free
+        return self._derive(vec, self.fixed_mask, StackedParams)
+
     def with_blocks(self, **values) -> "Params":
         """Copy with the named blocks set; the mask is unchanged."""
         unknown = sorted(set(values) - self._index.keys())
@@ -396,9 +412,39 @@ class Params:
         return self._derive(self._vec.copy(), self.fixed_mask)
 
     def __repr__(self):
-        parts = ", ".join(f"{n}={np.array2string(self._vec[s], precision=6)}"
+        parts = ", ".join(f"{n}={np.array2string(self._vec[..., s], precision=6)}"
                           for n, s in self._layout)
-        return f"Params({parts})"
+        return f"{type(self).__name__}({parts})"
+
+
+class StackedParams(Params):
+    """K parameter vectors over one layout, made by ``Params.stack``.
+
+    ``vector`` is the (K, n) array of values, one vector per row, and
+    ``len`` is K.  ``block`` gives a (K, width) array and ``scalar`` a (K, 1)
+    column, so an element written with array arithmetic scores all K
+    vectors at once.  ``P[k]`` is vector k as a Params; ``P[ks]``, for a
+    slice or an index array, is the StackedParams of those rows.  Only
+    these reads, ``names`` and ``labels`` apply to a stack; the methods that
+    make a changed copy work on one vector.
+    """
+
+    def __len__(self) -> int:
+        return self._vec.shape[0]
+
+    def __getitem__(self, k) -> Params:
+        if isinstance(k, (int, np.integer)):
+            return self._derive(self._vec[k].copy(), self.fixed_mask)
+        return self._derive(self._vec[k], self.fixed_mask, StackedParams)
+
+    def block(self, name: str) -> np.ndarray:
+        return self._vec[:, self._index[name]]
+
+    def scalar(self, name: str) -> np.ndarray:
+        s = self._index[name]
+        if s.stop - s.start != 1:
+            raise ModelError(f"block {name!r} is not scalar")
+        return self._vec[:, s]
 
 
 EMPTY_PARAMS = Params([])

@@ -28,6 +28,20 @@ def _strict_positive(*vals) -> float:
     return worst
 
 
+def _positive_part(v):
+    """(ok, v where ok else 1.0, its math.log) for a float or the (K, 1)
+    column of a stacked parameter.  ok marks the values not <= 0: True when
+    all are, else a mask by which a stackable logl scores the degenerate
+    rows apart.  math.log, one call per vector, as np.log rounds differently
+    on some inputs."""
+    if isinstance(v, float):
+        return (False, 1.0, 0.0) if v <= 0 else (True, v, math.log(v))
+    ok = ~(v <= 0)
+    safe = np.where(ok, v, 1.0)
+    logs = np.array([math.log(x) for x in safe.ravel().tolist()]).reshape(v.shape)
+    return (True if ok.all() else ok), safe, logs
+
+
 # ---------------------------------------------------------------------------
 # Normal
 
@@ -40,13 +54,14 @@ def normal_model() -> Model:
     sigma = 0, which the constraint flags rather than erroring.
     """
 
+    @core.stackable
     def logl(rows, p):
-        mu, sigma = p.scalar("mu"), p.scalar("sigma")
-        if sigma <= 0:
-            x = rows[:, 0]
-            return np.where(x == mu, 0.0, -np.inf)
-        z = (rows[:, 0] - mu) / sigma
-        return -0.5 * z * z - math.log(sigma) - LOG_ROOT_2PI
+        ok, sigma, log_sigma = _positive_part(p.scalar("sigma"))
+        mu, x = p.scalar("mu"), rows[:, 0]
+        z = (x - mu) / sigma
+        vals = -0.5 * z * z - log_sigma - LOG_ROOT_2PI
+        # sigma <= 0 is a point mass at mu
+        return vals if ok is True else np.where(ok, vals, np.where(x == mu, 0.0, -np.inf))
 
     def est(d):
         w = d.weights / d.weights.sum()
@@ -295,12 +310,12 @@ def exponential_model() -> Model:
     estimator is the sample mean.
     """
 
+    @core.stackable
     def logl(rows, p):
-        mu = p.scalar("mu")
-        if mu <= 0:
-            return np.full(rows.shape[0], -np.inf)
+        ok, mu, log_mu = _positive_part(p.scalar("mu"))
         d = rows[:, 0]
-        return np.where(d >= 0, -d / mu - math.log(mu), -np.inf)
+        vals = np.where(d >= 0, -d / mu - log_mu, -np.inf)
+        return vals if ok is True else np.where(ok, vals, -np.inf)
 
     def est(d):
         w = d.weights / d.weights.sum()
@@ -319,16 +334,15 @@ def exponential_model() -> Model:
 
 
 def poisson_model() -> Model:
+    @core.stackable
     def logl(rows, p):
-        lam = p.scalar("lam")
-        if lam <= 0:
-            return np.full(rows.shape[0], -np.inf)
+        ok, lam, log_lam = _positive_part(p.scalar("lam"))
         k = rows[:, 0]
-        ok = (k >= 0) & (np.abs(k - np.round(k)) <= 1e-9)
-        out = np.full(rows.shape[0], -np.inf)
-        kk = np.round(k[ok])
-        out[ok] = kk * math.log(lam) - lam - special.gammaln(kk + 1)
-        return out
+        kk = np.round(k)
+        whole = (k >= 0) & (np.abs(k - kk) <= 1e-9)
+        kk = np.where(whole, kk, 0.0)  # keeps the rows that score -inf finite
+        vals = np.where(whole, kk * log_lam - lam - special.gammaln(kk + 1), -np.inf)
+        return vals if ok is True else np.where(ok, vals, -np.inf)
 
     def est(d):
         w = d.weights / d.weights.sum()

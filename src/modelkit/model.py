@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
-                   RandomStream, UnresolvableElementError)
+                   RandomStream, StackedParams, UnresolvableElementError)
 
 LOG_NEG_INF = float("-inf")
 
@@ -64,6 +64,15 @@ class Model:
     result to depend on row i of the input alone; so do the maps f and f_inv
     of a jacobian transform.  A logl_joint has no per-row value, so a model
     whose only likelihood is joint has no derived sampler or CDF.
+
+    A logl marked with the ``stackable`` decorator also takes a
+    StackedParams of K vectors (its ``scalar`` a (K, 1) column, its
+    ``block`` (K, width)) and returns a (K, n) array whose row k equals,
+    bit for bit, the (n,) result at vector k alone.  stacked_log_likelihood
+    and stacked_row_log_likelihood then score K vectors in one call; other
+    models are scored one vector at a time.  The mark is an attribute of the
+    function, so ``fix`` and a ``functools.wraps`` wrapper keep it, and a
+    model given another logl loses it.
 
     Besides the elements and ``settings``, a model keeps its own state:
     ``transform`` (the TransformRecord of the transform that built it, else
@@ -118,6 +127,17 @@ class FittedModel:
     constraint_violation: float = 0.0
 
 
+def stackable(logl: Callable) -> Callable:
+    """Mark a closed-form logl as broadcasting over a StackedParams (see
+    Model)."""
+    logl.stackable = True
+    return logl
+
+
+def _stacks(m: Model) -> bool:
+    return m.logl_joint is None and getattr(m.logl, "stackable", False)
+
+
 # ---------------------------------------------------------------------------
 # Dispatch
 
@@ -158,9 +178,11 @@ def resolve(m: Model) -> dict[str, str]:
 
 
 def _check_params(m: Model, p: Params):
-    if len(p) != len(m.param_shape):
+    """p, or each vector of a StackedParams, has m's parameter length."""
+    n = p.vector.shape[-1]
+    if n != len(m.param_shape):
         raise ModelError(
-            f"{m.label}: parameter length {len(p)} != expected {len(m.param_shape)}")
+            f"{m.label}: parameter length {n} != expected {len(m.param_shape)}")
 
 
 def _check_rows(m: Model, rows: np.ndarray):
@@ -187,13 +209,16 @@ def log_sum_exp(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(mx), out, -np.inf)
 
 
-def _by_blocks(points: np.ndarray, rows: np.ndarray, per_block) -> np.ndarray:
-    """per_block over blocks of points small enough that comparing one with
-    every row makes about 2^20 entries, joined; each block's temporaries are
-    freed before the next is made.  No points make one empty block."""
+def _by_blocks(points, rows: np.ndarray, per_block) -> np.ndarray:
+    """per_block over blocks of points (an array's rows, or a stack's
+    vectors) small enough that comparing one with every row makes about
+    2^20 entries, joined; each block's temporaries are freed before the next
+    is made.  Points that fit in one block, none included, are that block."""
     step = max(1, (1 << 20) // max(rows.size, 1))
+    if len(points) <= step:
+        return per_block(points)
     return np.concatenate([per_block(points[i:i + step])
-                           for i in range(0, max(len(points), 1), step)])
+                           for i in range(0, len(points), step)])
 
 
 def support_index(support: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -231,11 +256,7 @@ def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
     row.  By the row contract equal rows score equally, so the sum runs
     over the same values in the same order and is bit-identical.
 
-    Rows of zero weight are left out through ``d.live_rows`` and
-    ``d.live_weights``, worked out once per data set.  A finite sum of the
-    live terms is the result; only a sum that is not finite looks for a -inf
-    among the live row values, and gives -inf when it finds one (an
-    impossible row outweighs a +inf or nan elsewhere).
+    The weighted sum over the live rows and its -inf rule are _live_sums'.
     """
     _check_params(m, p)
     if m.logl_joint is not None:
@@ -246,11 +267,54 @@ def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
         v = row_log_likelihood(m, d.rows, p)
     else:
         v = row_log_likelihood(m, pair[0], p)[pair[1]]
+    return _live_sums(v, d)[0]
+
+
+def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray:
+    """log_likelihood(m, d, P[k]) for each of the K vectors of P, as a (K,)
+    array equal to those calls bit for bit.
+
+    A model whose logl is ``stackable`` scores d's rows (its distinct rows,
+    when log_likelihood would) once for all K vectors, in blocks of vectors
+    small enough that a block holds about 2^20 row values, and sums each
+    vector's values as log_likelihood does.  Any other model, a joint-only
+    one included, is scored one vector at a time.
+    """
+    _check_params(m, P)
+    if not _stacks(m):
+        return np.array([log_likelihood(m, d, P[k]) for k in range(len(P))])
+    _check_rows(m, d.rows)
+    pair = d.distinct_rows()
+    scored = d.rows if pair is None else pair[0]
+
+    def sums(block: StackedParams) -> np.ndarray:
+        # C-ordered, as _live_sums needs: a logl may return another layout,
+        # and take, unlike v[:, inverse], keeps the order
+        v = np.ascontiguousarray(m.logl(scored, block), dtype=float)
+        return np.array(_live_sums(v if pair is None else np.take(v, pair[1], axis=1), d))
+    return _by_blocks(P, d.rows, sums)
+
+
+def _live_sums(v: np.ndarray, d: DataSet) -> list:
+    """The weighted sum over d's live rows of the (n,) array v, or of each
+    row of the (K, n) array v, as a list of 1 or K floats.
+
+    Rows of zero weight are left out through ``d.live_rows`` and
+    ``d.live_weights``, worked out once per data set.  A finite sum is the
+    result; only a sum that is not finite looks for a -inf among its live
+    values, and gives -inf when it finds one (an impossible row outweighs a
+    +inf or nan elsewhere).  Each row of a C-ordered v (and of the
+    C-ordered selection np.compress makes) sums in the order the row alone
+    would, bit for bit; a Fortran-ordered one does not.
+    """
     live = d.live_rows
-    total = float((v[live] * d.live_weights).sum())
-    if not math.isfinite(total) and np.any(np.isneginf(v[live])):
-        return LOG_NEG_INF
-    return total
+    v = v[..., live] if isinstance(live, slice) else np.compress(live, v, axis=-1)
+    sums = np.add.reduce(v * d.live_weights, axis=-1)
+    totals, v = ([float(sums)], v[None]) if v.ndim == 1 else (sums.tolist(), v)
+    for k, total in enumerate(totals):
+        if not math.isfinite(total) and np.any(np.isneginf(v[k])):
+            totals[k] = LOG_NEG_INF
+    return totals
 
 
 def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
@@ -265,6 +329,18 @@ def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
         return _logl_from_cdf(m, rows, p)
     pmf = memoized_pmf(m, p)  # the remaining strategy: memoized PMF
     return row_log_likelihood(pmf, rows, pmf.param_shape)
+
+
+def stacked_row_log_likelihood(m: Model, rows: np.ndarray,
+                               P: StackedParams) -> np.ndarray:
+    """row_log_likelihood(m, rows, P[k]) for each of the K vectors of P, as a
+    (K, n) array: one call of a ``stackable`` logl, else one call per
+    vector."""
+    _check_params(m, P)
+    if _stacks(m):
+        return np.asarray(m.logl(rows, P), dtype=float)
+    return np.array([row_log_likelihood(m, rows, P[k]) for k in range(len(P))],
+                    dtype=float).reshape(len(P), rows.shape[0])
 
 
 def _logl_from_cdf(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:

@@ -449,21 +449,24 @@ def swap(m: Model) -> Model:
     """Exchange data and parameter spaces: L'(d', p') = L(p', d').
 
     The new data space is m's parameter space and vice versa; rows that
-    violate m's parameter constraint get likelihood zero.  All other
+    violate m's parameter constraint get likelihood zero.  The constraint is
+    checked row by row; the other rows are scored as a stack of m's
+    parameter vectors, in one call when m's logl is stackable.  All other
     elements fall through to the defaults.
     """
     new_dim = len(m.param_shape)
     new_shape = Params([("d", np.zeros(m.data_dim))])
+    unpinned = Params(m.param_shape.blocks)  # a data row sets every entry
 
     def logl(rows, p):
         datum = p.flatten().reshape(1, -1)
-        out = np.empty(rows.shape[0])
-        for i in range(rows.shape[0]):
-            q = m.param_shape.replace(rows[i])
-            if m.constraint is not None and m.constraint(q) > 0:
-                out[i] = -np.inf
-            else:
-                out[i] = core.row_log_likelihood(m, datum, q)[0]
+        ok = np.array([m.constraint is None
+                       or not m.constraint(m.param_shape.replace(r)) > 0
+                       for r in rows], dtype=bool)
+        out = np.full(rows.shape[0], -np.inf)
+        if ok.any():
+            out[ok] = core.stacked_row_log_likelihood(
+                m, datum, unpinned.stack(rows[ok]))[:, 0]
         return out
 
     return Model(f"swap({m.label})", new_dim, new_shape, logl=logl,
@@ -530,7 +533,9 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
     space; ``rho`` pins the prior's own parameters.  The result is a model
     over the likelihood's data space whose parameters are the quantity the
     prior describes: log L'(d, p) = log L_prior(p; rho) + log L_like(d; p).
-    Use posterior_draws() to sample p given observed data.
+    Its logl_joint is the one-vector case of _dp_joint, the joint density
+    at a stack of K vectors.  Use posterior_draws() to sample p given
+    observed data.
     """
     n_free = int((~like.param_shape.fixed_mask).sum())
     if prior.data_dim != n_free:
@@ -541,24 +546,36 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
         raise ModelError("dp_compose: rho does not match the prior's parameters")
     shape = Params([("p", np.zeros(n_free))])
 
-    def like_params(p: Params) -> Params:
-        return like.param_shape.with_free(p.vector)
-
     def logl_joint(d, p):
-        row = p.vector.reshape(1, -1)
-        lp = core.row_log_likelihood(prior, row, rho)[0]
-        if not math.isfinite(lp):
-            return -np.inf
-        return lp + core.log_likelihood(like, d, like_params(p))
+        return float(_dp_joint(prior, like, rho, d, p.vector.reshape(1, -1))[0])
 
     def constraint(p):
         if like.constraint is None:
             return 0.0
-        return float(like.constraint(like_params(p)))
+        return float(like.constraint(like.param_shape.with_free(p.vector)))
 
     return Model(f"dp_compose({prior.label}, {like.label})", like.data_dim,
                  shape, logl_joint=logl_joint, constraint=constraint,
                  transform=TransformRecord("dp_compose", [prior, like], {"rho": rho}))
+
+
+def _dp_joint(prior: Model, like: Model, rho: Params, d: DataSet,
+              free: np.ndarray) -> np.ndarray:
+    """log L_prior(p; rho) + log L_like(d; p) at each row p of the (K,
+    n_free) array free, as a (K,) array.  The prior scores all K rows in one
+    call; the likelihood scores d, in one stacked call, only at the rows
+    whose prior density is finite, and the others get -inf."""
+    def like_at(rows):
+        return core.stacked_log_likelihood(like, d, like.param_shape.stack(rows))
+
+    lp = core.row_log_likelihood(prior, free, rho)
+    ok = np.isfinite(lp)
+    if ok.all():
+        return lp + like_at(free)
+    out = np.full(len(lp), -np.inf)
+    if ok.any():
+        out[ok] = lp[ok] + like_at(free[ok])
+    return out
 
 
 def posterior_draws(post: Model, d: DataSet, n: int,
@@ -567,12 +584,17 @@ def posterior_draws(post: Model, d: DataSet, n: int,
 
     Returns a PMF model over the parameter space.  Strategy, in order of
     preference: Normal-Normal conjugate closed form; Metropolis-Hastings
-    (McmcSettings(step_scale=0.5), started from a prior draw) when the prior
-    has a likelihood, its own or from its CDF; weighted prior draws
-    (weights = data likelihood) when the prior only has a sampler, that is
-    when ``prior.strategy["L"]`` is "memoized PMF".
+    when the prior has a likelihood, its own or from its CDF; weighted prior
+    draws (weights = data likelihood) when the prior only has a sampler,
+    that is when ``prior.strategy["L"]`` is "memoized PMF".
     ``settings["posterior_strategy"]`` set to "mh" skips the conjugate form;
     any other value than "mh" or None raises.
+
+    Metropolis-Hastings runs K = min(MCMC_CHAINS, n) chains in lockstep
+    (McmcSettings(step_scale=0.5)), each started from its own prior draw;
+    every step scores the K candidates in one joint-density call, and the
+    draws come chain after chain.  The weights of prior draws come from one
+    stacked likelihood call over all n draws.
     """
     from .distributions import pmf_model
 
@@ -597,23 +619,19 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         return pmf_model(DataSet(draws))
 
     if prior.strategy["L"] != "memoized PMF":
-        logl_joint, shape = post.logl_joint, post.param_shape
+        from . import solvers
 
         def target(xs: np.ndarray) -> list:
-            # one chain, so xs holds one row
-            return [logl_joint(d, shape.replace(xs[0]))]
+            return _dp_joint(prior, like, rho, d, xs).tolist()
 
-        x0 = core.draw(prior, rho, stream.split(0), 1)
-        from . import solvers
+        x0 = core.draw(prior, rho, stream.split(0), min(core.MCMC_CHAINS, max(n, 1)))
         chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
                                    stream.split(1), n_samples=n)
         return pmf_model(DataSet(chain.samples))
 
     # RNG-only prior: weight prior draws by the data likelihood
     draws = core.draw(prior, rho, stream, n)
-    logw = np.array([
-        core.log_likelihood(like, d, like.param_shape.with_free(draws[i]))
-        for i in range(n)])
+    logw = core.stacked_log_likelihood(like, d, like.param_shape.stack(draws))
     mx = np.max(logw)
     if not np.isfinite(mx):
         raise ModelError("posterior_draws: data impossible under every prior draw")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modelkit import DataSet, ModelError, Params, RandomStream, builtin
+from modelkit import (DataSet, ModelError, Params, RandomStream, StackedParams,
+                      builtin)
 from modelkit import model as core
 
 
@@ -142,6 +143,54 @@ def test_params_lookup_errors():
             q.block("nu")
         with pytest.raises(ModelError, match="block 'mu' is not scalar"):
             q.scalar("mu")
+
+
+def test_stacked_params_blocks_scalars_and_rows():
+    base = Params([("mu", [1.0, 2.0]), ("sigma", [3.0])]).pin(sigma=3.0)
+    free = np.array([[10.0, 20.0], [11.0, 21.0], [12.0, 22.0]])
+    P = base.stack(free)
+    assert isinstance(P, StackedParams) and len(P) == 3
+    assert P.vector.shape == (3, 3)
+    assert P.block("mu").shape == (3, 2) and P.block("sigma").shape == (3, 1)
+    assert P.scalar("sigma").shape == (3, 1)
+    assert P.scalar("sigma")[:, 0].tolist() == [3.0, 3.0, 3.0]  # pinned
+    assert P.block("mu").tolist() == free.tolist()
+    assert P.names == ["mu", "sigma"] and P.labels() == ["mu[0]", "mu[1]", "sigma"]
+    for k in range(3):
+        q = P[k]
+        assert type(q) is Params
+        assert q.flatten().tolist() == base.with_free(free[k]).flatten().tolist()
+        assert q.fixed_mask.tolist() == base.fixed_mask.tolist()
+        assert q.scalar("sigma") == 3.0
+    tail = P[1:]
+    assert isinstance(tail, StackedParams) and len(tail) == 2
+    assert tail.vector.tolist() == P.vector[1:].tolist()
+    assert P[np.array([2, 0])].block("mu")[:, 0].tolist() == [12.0, 10.0]
+    # no vectors at all is a stack of none
+    assert base.stack(np.empty((0, 2))).scalar("sigma").shape == (0, 1)
+
+
+def test_stacked_params_errors():
+    base = Params([("mu", [1.0, 2.0]), ("sigma", [3.0])])
+    P = base.stack(np.zeros((2, 3)))
+    with pytest.raises(KeyError, match="nu"):
+        P.scalar("nu")
+    with pytest.raises(KeyError, match="nu"):
+        P.block("nu")
+    with pytest.raises(ModelError, match="block 'mu' is not scalar"):
+        P.scalar("mu")
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((2, 3, 1))):
+        with pytest.raises(ModelError, match=r"stack: expected a \(K, 3\) array"):
+            base.stack(bad)
+    with pytest.raises(ModelError, match=r"expected a \(K, 2\) array .* shape \(2, 3\)"):
+        base.pin(sigma=3.0).stack(np.zeros((2, 3)))
+
+
+def test_params_repr_plain_and_stacked():
+    p = Params([("mu", [1.0, 2.5]), ("sigma", [3.0])])
+    assert repr(p) == "Params(mu=[1.  2.5], sigma=[3.])"
+    P = p.stack([[1.0, 2.5, 3.0], [4.0, 5.0, 6.0]])
+    assert repr(P) == "StackedParams(mu=[[1.  2.5]\n [4.  5. ]], sigma=[[3.]\n [6.]])"
 
 
 def _fill_free(p, free):

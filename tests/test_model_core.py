@@ -1,6 +1,7 @@
 """Dispatch layer: element fill-in, determinism, consistency checking."""
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -602,3 +603,148 @@ def test_consistency_check_skips_chi_square_above_two_dimensions():
     assert rep.chi_square == core.ConsistencyCheck(
         0.0, 0.01, True, "chi-square skipped for dim > 2")
     assert rep.cdf_gap.threshold == rep.estimate_gap.threshold == 0.05
+
+
+# ---------------------------------------------------------------------------
+# Stacked likelihoods: K parameter vectors scored at once
+
+
+@core.stackable
+def _stacked_identity_logl(rows, p):
+    """Each row's own value, at every vector; a Fortran-ordered (K, n) array
+    when stacked, whose rows numpy sums in another order than a row alone."""
+    a = p.scalar("a")
+    if isinstance(a, float):
+        return rows[:, 0]
+    return np.asfortranarray(np.broadcast_to(rows[:, 0], (a.shape[0], rows.shape[0])))
+
+
+_STACKED_IDENTITY = Model("identity", 1, Params.scalars(a=0.0),
+                          logl=_stacked_identity_logl)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stacked_sum_matches_the_reference_rule_at_every_vector_property(data):
+    pool = data.draw(st.lists(_ROW_VALUES, min_size=1, max_size=6))
+    n = data.draw(st.integers(1, 60))
+    v = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e300]),
+                                    min_size=n, max_size=n)))
+    w[data.draw(st.integers(0, n - 1))] = 1.0
+    d = DataSet(v, w)
+    P = _STACKED_IDENTITY.param_shape.stack(np.zeros((data.draw(st.integers(1, 5)), 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _reference_log_likelihood(v, w).hex()
+        for _ in range(3):  # the first scoring, then the distinct-row pair if any
+            got = core.stacked_log_likelihood(_STACKED_IDENTITY, d, P)
+            assert [x.hex() for x in got.tolist()] == [expected] * len(P)
+
+
+# positive values whose np.log differs from math.log in the last bit with
+# some numpy builds, which a stacked logl must not use
+_LOG_ROUNDING = [0.9908371028420025, 1.235332518347858, 8.70834843767571]
+def test_stacked_sums_do_not_depend_on_the_layout_the_logl_returns():
+    rows = RandomStream(9).normal(size=(2000, 1)) * 1e3
+    P = _STACKED_IDENTITY.param_shape.stack(np.zeros((4, 1)))
+    for d in (DataSet(rows), DataSet(rows, weights=np.arange(2000) % 4 * 0.5)):
+        want = core.log_likelihood(_STACKED_IDENTITY, d, P[0])
+        got = core.stacked_log_likelihood(_STACKED_IDENTITY, d, P)
+        assert [x.hex() for x in got.tolist()] == [want.hex()] * 4
+
+
+_STACKABLE = {
+    # model, parameter values (degenerate ones included), row values
+    "normal": (normal_model, {"mu": [-1.0, 0.0, 0.5, 2.0],
+                              "sigma": [-1.0, 0.0, 0.3, 1.0, 2.5] + _LOG_ROUNDING},
+               [-1.0, 0.0, 0.5, 2.0, 3.7, -2.2]),
+    "exponential": (lambda: builtin("exponential"),
+                    {"mu": [-1.0, 0.0, 0.4, 1.0, 3.0] + _LOG_ROUNDING},
+                    [-1.0, 0.0, 0.5, 2.0, 7.5]),
+    "poisson": (lambda: builtin("poisson"), {"lam": [-1.0, 0.0, 0.4, 1.0, 3.0] + _LOG_ROUNDING},
+                [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0]),
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_STACKABLE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_likelihood_is_the_per_vector_likelihood_property(name, data):
+    make, values, row_values = _STACKABLE[name]
+    m = make()
+    k = data.draw(st.integers(1, 6))
+    free = np.array([[data.draw(st.sampled_from(values[b])) for b in m.param_shape.names]
+                     for _ in range(k)])
+    P = m.param_shape.stack(free)
+    n = data.draw(st.integers(1, 16))
+    rows = np.array(data.draw(st.lists(st.sampled_from(row_values), min_size=n,
+                                       max_size=n))).reshape(-1, 1)
+    w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                    min_size=n, max_size=n)))
+    w[data.draw(st.integers(0, n - 1))] = 1.0
+    d = DataSet(rows, w)
+    per_row = core.stacked_row_log_likelihood(m, rows, P)
+    assert per_row.shape == (k, n)
+    for j in range(3):  # the first scoring, then the distinct-row pair if any
+        got = core.stacked_log_likelihood(m, d, P)
+        assert got.shape == (k,)
+        for i in range(k):
+            assert _bits(got[i]) == _bits(core.log_likelihood(m, d, P[i]))
+            assert _bits(per_row[i]) == _bits(core.row_log_likelihood(m, rows, P[i]))
+
+
+def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():
+    m = builtin("poisson")
+    rows = core.draw(m, Params.scalars(lam=2.5), RandomStream(3), 2000)
+    w = np.where(np.arange(2000) % 7 == 0, 0.0, 1.0 + (np.arange(2000) % 3))
+    d = DataSet(rows, w)
+    P = m.param_shape.stack([[2.5], [0.7], [0.0], [-1.0], [4.0], [1e-3], [2.5], [30.0]])
+    first = core.stacked_log_likelihood(m, d, P)
+    again = core.stacked_log_likelihood(m, d, P)
+    assert d.distinct_rows() is not None  # the second scoring took the pair
+    want = [core.log_likelihood(m, d, P[i]) for i in range(len(P))]
+    assert _bits(first) == _bits(again) == _bits(want)
+    assert want[2] == want[3] == -math.inf and all(np.isfinite(want[4:]))
+
+
+def test_the_stackable_mark_travels_with_the_function():
+    m = normal_model()
+    assert m.logl.stackable and fix(m, m.param_shape.pin(sigma=1.0)).logl.stackable
+    calls = []
+
+    def counted(rows, p):
+        calls.append(len(p))
+        return m.logl(rows, p)
+
+    plain = dataclasses.replace(m, logl=counted)
+    wrapped = dataclasses.replace(
+        m, logl=functools.wraps(m.logl)(lambda rows, p: counted(rows, p)))
+    d = DataSet(np.array([[0.5], [1.5]]))
+    P = m.param_shape.stack([[0.0, 1.0], [1.0, 2.0], [0.5, 0.5]])
+    want = [core.log_likelihood(m, d, P[i]) for i in range(3)]
+    assert _bits(core.stacked_log_likelihood(wrapped, d, P)) == _bits(want)
+    assert calls == [3]  # one call of three vectors
+    del calls[:]
+    assert _bits(core.stacked_log_likelihood(plain, d, P)) == _bits(want)
+    assert calls == [2, 2, 2]  # one call per vector, each a Params of length 2
+
+
+def test_models_that_do_not_stack_are_scored_one_vector_at_a_time():
+    weib = builtin("weibull")
+    d = DataSet(np.array([[0.5], [1.5], [2.0]]))
+    P = weib.param_shape.stack([[1.5, 2.0], [0.0, 1.0], [0.7, 0.3]])
+    assert _bits(core.stacked_log_likelihood(weib, d, P)) == _bits(
+        [core.log_likelihood(weib, d, P[i]) for i in range(3)])
+    assert _bits(core.stacked_row_log_likelihood(weib, d.rows, P)) == _bits(
+        [core.row_log_likelihood(weib, d.rows, P[i]) for i in range(3)])
+    joint = transforms.d_compose(normal_model(), normal_model(), n_draws=20)
+    Q = joint.param_shape.stack([[0.0, 1.0, 0.0, 1.0], [1.0, 2.0, 0.5, 1.5]])
+    empty = DataSet(np.empty((1, 0)))
+    assert _bits(core.stacked_log_likelihood(joint, empty, Q)) == _bits(
+        [core.log_likelihood(joint, empty, Q[i]) for i in range(2)])
+    with pytest.raises(ModelError, match="parameter length 2 != expected 1"):
+        core.stacked_log_likelihood(builtin("exponential"), d, P)

@@ -1,6 +1,7 @@
 """Transforms: each morphism checked against hand-derived values."""
 
 import dataclasses
+import functools
 import gc
 import math
 import re
@@ -16,7 +17,7 @@ from modelkit import (DataSet, MleSettings, Model, ModelError, Params,
                       d_compose, dp_compose, estimate, fix, jacobian, mix,
                       mix_cdf, normal_model, pd_compose, pmf_model,
                       posterior_draws, row_log_likelihood, swap, truncate)
-from modelkit import expr
+from modelkit import expr, transforms
 from modelkit import model as core
 
 
@@ -333,7 +334,11 @@ def test_sampler_only_prior_takes_weighted_prior_draws():
      Params.scalars(mu=1.0, sigma=0.3), [[0.5], [-1.2], [0.8]]),
     # a Normal prior over an exponential's mean
     (builtin("exponential"), Params.scalars(mu=2.0, sigma=0.5), [[1.0], [2.5], [0.7]]),
-], ids=["normal-sigma", "exponential-mean"])
+    # a likelihood labelled "normal" whose parameters have no "mu"
+    (Model("normal", 1, Params.scalars(loc=0.0),
+           logl=lambda rows, p: -0.5 * (rows[:, 0] - p.scalar("loc")) ** 2),
+     Params.scalars(mu=0.0, sigma=1.0), [[1.0], [2.0]]),
+], ids=["normal-sigma", "exponential-mean", "normal-label-without-mu"])
 def test_posterior_without_a_conjugate_form_is_the_mh_posterior(like, rho, rows):
     d = DataSet(np.array(rows))
     post = dp_compose(normal_model(), like, rho)
@@ -483,3 +488,131 @@ def test_d_compose_record_holds_no_mutable_stream(live):
     dc = d_compose(normal_model(), builtin("exponential"),
                    nseq=RandomStream((3, 4)), live=live)
     assert dc.transform.data == {"seed": (3, 4), "n_draws": 500, "live": live}
+
+
+# ---------------------------------------------------------------------------
+# Stacked parameter vectors: dp_compose's joint density, posterior chains,
+# weighted prior draws and swap
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _bench_posteriors():
+    """The two posteriors the benchmark samples: acceptance 4's Normal mean
+    given the datum 2, and the poisson-update pipeline's Poisson rate given
+    2,000 rows of its three-component mixture."""
+    mh = expr.eval_model_expr(expr.parse_model_expr(
+        "dpcompose(normal(mu=0, sigma=1), fix(normal, sigma=1))"))
+    src = expr.eval_model_expr(expr.parse_model_expr(
+        "mix(fix(poisson, lam=2.8), fix(poisson, lam=2.0), fix(poisson, lam=1.3))"))
+    counts = DataSet(core.draw(src, src.param_shape, RandomStream((0, 0)), 2000))
+    pu = expr.eval_model_expr(expr.parse_model_expr(
+        "dpcompose(truncate(normal(mu=2, sigma=1), min=0), poisson)"))
+    return [(mh, DataSet(np.array([[2.0]]))), (pu, counts)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["mh-posterior", "poisson-update"])
+def test_stacked_joint_density_is_logl_joint_row_by_row(case):
+    post, d = _bench_posteriors()[case]
+    prior, like = post.transform.bases
+    rho = post.transform.data["rho"]
+    free = np.concatenate([RandomStream(case).normal(1.5, 1.0, size=(9, 1)),
+                           [[0.0], [-0.5], [2.0]]])  # impossible rows too
+    def one_vector(row):
+        # the joint density scored by the one-vector dispatch calls
+        lp = row_log_likelihood(prior, row[None], rho)[0]
+        if not math.isfinite(lp):
+            return -np.inf
+        return lp + core.log_likelihood(like, d, like.param_shape.with_free(row))
+
+    for _ in range(3):  # the first scoring, then the distinct-row pair if any
+        got = transforms._dp_joint(prior, like, rho, d, free)
+        want = [post.logl_joint(d, post.param_shape.replace(row)) for row in free]
+        assert _bits(got) == _bits(want) == _bits([one_vector(row) for row in free])
+        assert _bits(transforms._dp_joint(prior, like, rho, d, free[:1])) == _bits(want[:1])
+    if case == 1:
+        assert got[10] == -np.inf and np.isfinite(got[11])
+
+
+@pytest.mark.parametrize("n, k", [(203, 8), (5, 5)])
+def test_mh_posterior_makes_one_likelihood_call_of_k_vectors_per_step(n, k):
+    base = normal_model()
+    shapes = []
+
+    @functools.wraps(base.logl)
+    def counted(rows, p):
+        shapes.append(p.vector.shape)
+        return base.logl(rows, p)
+
+    like = fix(dataclasses.replace(base, logl=counted), base.param_shape.pin(sigma=1.0))
+    post = dp_compose(normal_model(), like, Params.scalars(mu=0.0, sigma=1.0))
+    pd = posterior_draws(post.with_settings(posterior_strategy="mh"),
+                         DataSet(np.array([[2.0]])), n, RandomStream(4))
+    assert len(pd.settings["pmf_support"]) == n
+    # the start, burnin, then ceil(n / k) kept steps
+    assert shapes == [(k, 2)] * (1 + 2000 + -(-n // k))
+
+
+@pytest.mark.parametrize("like, prior, rho, rows, n", [
+    # acceptance 4's likelihood on a weighted data set
+    (fix(normal_model(), normal_model().param_shape.pin(sigma=1.0)), normal_model(),
+     Params.scalars(mu=0.0, sigma=1.0), [[2.0], [1.5], [2.0], [-0.5]], 500),
+    # 600 draws of a Poisson rate over 2,000 counts: more values than one
+    # block of the stacked call holds, and the distinct-row path
+    (builtin("poisson"), normal_model(), Params.scalars(mu=2.0, sigma=1.0),
+     None, 600),
+    # a likelihood that does not stack, scored one draw at a time
+    (fix(builtin("weibull"), Params.scalars(k=1.5, lam=1.0).pin(k=1.5)), normal_model(),
+     Params.scalars(mu=1.0, sigma=0.5), [[0.4], [1.1], [2.3]], 300),
+], ids=["normal-mean", "poisson-rate", "weibull-scale"])
+def test_weighted_prior_draws_are_weighted_by_each_draws_likelihood(like, prior, rho, rows, n):
+    prior = dataclasses.replace(prior, label="rng_only", logl=None, est=None, cdf=None)
+    if rows is None:
+        counts = core.draw(like, Params.scalars(lam=2.0), RandomStream(8), 2000)
+        d = DataSet(counts, weights=np.where(np.arange(2000) % 5 == 0, 0.0, 1.0))
+    else:
+        d = DataSet(np.array(rows), weights=np.arange(len(rows)) % 3 * 0.5)
+    pd = posterior_draws(dp_compose(prior, like, rho), d, n, RandomStream(21))
+    draws = core.draw(prior, rho, RandomStream(21), n)
+    logw = np.array([core.log_likelihood(like, d, like.param_shape.with_free(x))
+                     for x in draws])
+    w = np.exp(logw - np.max(logw))
+    want = pmf_model(DataSet(draws, weights=w / w.sum()))
+    assert _bits(pd.param_shape.block("w")) == _bits(want.param_shape.block("w"))
+    assert _bits(pd.settings["pmf_support"].rows) == _bits(want.settings["pmf_support"].rows)
+
+
+def _swap_logl_by_rows(m, rows, p):
+    """swap's likelihood as one scalar evaluation per row."""
+    datum = p.flatten().reshape(1, -1)
+    out = np.empty(rows.shape[0])
+    for i in range(rows.shape[0]):
+        q = m.param_shape.replace(rows[i])
+        if m.constraint is not None and m.constraint(q) > 0:
+            out[i] = -np.inf
+        else:
+            out[i] = core.row_log_likelihood(m, datum, q)[0]
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    normal_model, lambda: builtin("exponential"), lambda: builtin("poisson"),
+    lambda: builtin("weibull"),
+    lambda: fix(normal_model(), normal_model().param_shape.pin(sigma=2.0)),
+    lambda: Model("unconstrained", 1, Params.scalars(mu=0.0, sigma=1.0),
+                  logl=normal_model().logl),
+], ids=["normal", "exponential", "poisson", "weibull", "fix-normal", "no-constraint"])
+def test_swap_scores_each_row_as_its_own_parameter_vector(make):
+    m = make()
+    s = swap(m)
+    k = len(m.param_shape)
+    vals = RandomStream(2).normal(1.0, 1.5, size=(40, k))
+    vals[::7] = 0.0  # degenerate parameters, some breaking the constraint
+    vals[3::9] = -1.0
+    for datum in ([0.5], [2.0], [0.0], [-1.0]):
+        p = Params([("d", datum)])
+        got = row_log_likelihood(s, vals, p)
+        assert _bits(got) == _bits(_swap_logl_by_rows(m, vals, p))
+        assert _bits(row_log_likelihood(s, vals[:0], p)) == _bits([])

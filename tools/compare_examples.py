@@ -1,18 +1,22 @@
 """Compare the example pipelines of two source trees byte for byte.
 
-    python3 tools/compare_examples.py BEFORE/src AFTER/src
+    python3 tools/compare_examples.py BEFORE/src AFTER/src [--expect-changed NAME]...
 
 For each tree, every example in ``modelkit.cli.EXAMPLES`` runs as
 ``python -m modelkit.cli run <name> --seed 0 --check --out <dir>`` in a fresh
 process with ``PYTHONPATH=<src>``.  An example matches when its stdout, its
 exit code and every file it wrote to ``--out`` are byte-identical between the
-two trees.  One line is printed per example.  The exit status is 0 when every
-example matches, 1 on any difference and 2 when a tree cannot list its
-examples.  Standard library only.
+two trees.  One line is printed per example.  ``--expect-changed NAME``
+(repeatable) names an example whose output a change means to alter: it prints
+"changed (expected)" when it differs and "UNCHANGED" when it matches.  The
+exit status is 0 when every other example matches and every named one
+differs, 1 otherwise, and 2 when a tree cannot list its examples or a
+named example is in neither tree.  Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -45,28 +49,42 @@ def outputs(src: str, name: str) -> dict[str, bytes]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: compare_examples.py BEFORE/src AFTER/src", file=sys.stderr)
-        return 2
+    ap = argparse.ArgumentParser(description="Compare the example pipelines "
+                                 "of two source trees byte for byte.")
+    ap.add_argument("before", metavar="BEFORE/src")
+    ap.add_argument("after", metavar="AFTER/src")
+    ap.add_argument("--expect-changed", action="append", default=[],
+                    metavar="NAME", help="an example expected to differ")
+    args = ap.parse_args(argv)
+    trees = (args.before, args.after)
     try:
-        before, after = (examples(src) for src in argv)
+        before, after = (examples(src) for src in trees)
     except RuntimeError as e:
         print(f"cannot list examples: {e}", file=sys.stderr)
         return 2
     names = before + [n for n in after if n not in before]
-    differing = 0
+    expected = set(args.expect_changed)
+    unknown = sorted(expected - set(names))
+    if unknown:
+        print(f"--expect-changed names no example: {', '.join(unknown)}",
+              file=sys.stderr)
+        return 2
+    failed = 0
     for name in names:
         if name not in before or name not in after:
             diff = ["only in one tree"]
         else:
-            a, b = (outputs(src, name) for src in argv)
+            a, b = (outputs(src, name) for src in trees)
             diff = [k for k in list(a) + [k for k in b if k not in a]
                     if a.get(k) != b.get(k)]
-        differing += bool(diff)
-        print(f"{'DIFFERS ' if diff else 'match   '}  {name}"
-              + (f": {', '.join(diff)}" if diff else ""))
-    print(f"{len(names) - differing} of {len(names)} examples match")
-    return 1 if differing else 0
+        if name in expected:
+            verdict = "changed (expected)" if diff else "UNCHANGED"
+        else:
+            verdict = "DIFFERS " if diff else "match   "
+        failed += bool(diff) != (name in expected)
+        print(f"{verdict}  {name}" + (f": {', '.join(diff)}" if diff else ""))
+    print(f"{len(names) - failed} of {len(names)} examples as expected")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
