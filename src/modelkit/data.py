@@ -159,17 +159,19 @@ class DataSet:
         self._scorings = 0
         self._distinct = None
 
-    def distinct_rows(self):
+    def distinct_rows(self, scorings: int = 1):
         """(unique rows, inverse index) with ``rows == unique[inverse]``, when
         at most a quarter of the rows are distinct; otherwise None.
 
         Rows are distinct when their bits differ.  log_likelihood calls this
-        once per scoring.  The first call returns None without looking at
-        the rows, so a data set scored once never pays the sort; the second
-        works the pair out and later calls return it.
+        once per scoring, and a stacked call that scores the rows at K
+        parameter vectors passes K.  The first scoring returns None without
+        looking at the rows, so a data set scored once never pays the sort;
+        the second works the pair out and later calls return it.
         """
-        self._scorings += 1
-        if self._scorings == 2:
+        before = self._scorings
+        self._scorings += scorings
+        if before < 2 <= self._scorings:
             self._distinct = _distinct_rows(self.rows)
         return self._distinct
 
@@ -425,8 +427,9 @@ class StackedParams(Params):
     column, so an element written with array arithmetic scores all K
     vectors at once.  ``P[k]`` is vector k as a Params; ``P[ks]``, for a
     slice or an index array, is the StackedParams of those rows.  Only
-    these reads, ``names`` and ``labels`` apply to a stack; the methods that
-    make a changed copy work on one vector.
+    these reads, ``names``, ``labels`` and ``fixed_mask`` apply to a stack:
+    the flat reads and the methods that make a changed copy work on one
+    vector, and on a stack they raise ModelError.
     """
 
     def __len__(self) -> int:
@@ -445,6 +448,19 @@ class StackedParams(Params):
         if s.stop - s.start != 1:
             raise ModelError(f"block {name!r} is not scalar")
         return self._vec[:, s]
+
+
+def _one_vector_only(name: str):
+    def refuse(self, *args, **kwargs):
+        raise ModelError(f"StackedParams.{name}: a stack holds {len(self)} "
+                         f"parameter vectors; take vector k as P[k] first")
+    return refuse
+
+
+for _name in ("split", "flatten", "replace", "with_free", "free_values",
+              "stack", "with_blocks", "pin", "copy"):
+    setattr(StackedParams, _name, _one_vector_only(_name))
+StackedParams.blocks = property(_one_vector_only("blocks"))
 
 
 EMPTY_PARAMS = Params([])

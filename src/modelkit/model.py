@@ -69,10 +69,10 @@ class Model:
     StackedParams of K vectors (its ``scalar`` a (K, 1) column, its
     ``block`` (K, width)) and returns a (K, n) array whose row k equals,
     bit for bit, the (n,) result at vector k alone.  stacked_log_likelihood
-    and stacked_row_log_likelihood then score K vectors in one call; other
-    models are scored one vector at a time.  The mark is an attribute of the
-    function, so ``fix`` and a ``functools.wraps`` wrapper keep it, and a
-    model given another logl loses it.
+    then scores K vectors in one call; other models are scored one vector
+    at a time.  The mark is an attribute of the function, so ``fix`` and a
+    ``functools.wraps`` wrapper keep it, and a model given another logl
+    loses it.
 
     Besides the elements and ``settings``, a model keeps its own state:
     ``transform`` (the TransformRecord of the transform that built it, else
@@ -209,12 +209,19 @@ def log_sum_exp(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(mx), out, -np.inf)
 
 
-def _by_blocks(points, rows: np.ndarray, per_block) -> np.ndarray:
+# Row values one block of a stacked likelihood gathers (256 KB): larger
+# blocks ran slower on 2,000 Poisson-rate vectors over 2,000 and 20,000
+# counts, and a block of one vector is slower than a one-vector call.
+STACK_ENTRIES = 1 << 15
+
+
+def _by_blocks(points, rows: np.ndarray, per_block, entries: int = 1 << 20) -> np.ndarray:
     """per_block over blocks of points (an array's rows, or a stack's
     vectors) small enough that comparing one with every row makes about
-    2^20 entries, joined; each block's temporaries are freed before the next
-    is made.  Points that fit in one block, none included, are that block."""
-    step = max(1, (1 << 20) // max(rows.size, 1))
+    ``entries`` entries, joined; each block's temporaries are freed before
+    the next is made.  Points that fit in one block, none included, are
+    that block."""
+    step = max(1, entries // max(rows.size, 1))
     if len(points) <= step:
         return per_block(points)
     return np.concatenate([per_block(points[i:i + step])
@@ -274,17 +281,20 @@ def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray
     """log_likelihood(m, d, P[k]) for each of the K vectors of P, as a (K,)
     array equal to those calls bit for bit.
 
-    A model whose logl is ``stackable`` scores d's rows (its distinct rows,
-    when log_likelihood would) once for all K vectors, in blocks of vectors
-    small enough that a block holds about 2^20 row values, and sums each
-    vector's values as log_likelihood does.  Any other model, a joint-only
-    one included, is scored one vector at a time.
+    A model whose logl is ``stackable`` scores d's rows once for all K
+    vectors, in blocks of vectors whose gathered row values number about
+    STACK_ENTRIES, and sums each vector's values as log_likelihood does.
+    The K vectors count as K scorings of d, so a stack of two or more
+    scores only the distinct rows when d has few (DataSet.distinct_rows).
+    Any other model, a joint-only one included, is scored one vector at a
+    time, and so is any model when d has so many rows that a block would
+    hold a single vector.
     """
     _check_params(m, P)
-    if not _stacks(m):
+    if not _stacks(m) or 2 * d.rows.size > STACK_ENTRIES:
         return np.array([log_likelihood(m, d, P[k]) for k in range(len(P))])
     _check_rows(m, d.rows)
-    pair = d.distinct_rows()
+    pair = d.distinct_rows(len(P))
     scored = d.rows if pair is None else pair[0]
 
     def sums(block: StackedParams) -> np.ndarray:
@@ -292,7 +302,7 @@ def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray
         # and take, unlike v[:, inverse], keeps the order
         v = np.ascontiguousarray(m.logl(scored, block), dtype=float)
         return np.array(_live_sums(v if pair is None else np.take(v, pair[1], axis=1), d))
-    return _by_blocks(P, d.rows, sums)
+    return _by_blocks(P, d.rows, sums, STACK_ENTRIES)
 
 
 def _live_sums(v: np.ndarray, d: DataSet) -> list:
@@ -329,18 +339,6 @@ def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:
         return _logl_from_cdf(m, rows, p)
     pmf = memoized_pmf(m, p)  # the remaining strategy: memoized PMF
     return row_log_likelihood(pmf, rows, pmf.param_shape)
-
-
-def stacked_row_log_likelihood(m: Model, rows: np.ndarray,
-                               P: StackedParams) -> np.ndarray:
-    """row_log_likelihood(m, rows, P[k]) for each of the K vectors of P, as a
-    (K, n) array: one call of a ``stackable`` logl, else one call per
-    vector."""
-    _check_params(m, P)
-    if _stacks(m):
-        return np.asarray(m.logl(rows, P), dtype=float)
-    return np.array([row_log_likelihood(m, rows, P[k]) for k in range(len(P))],
-                    dtype=float).reshape(len(P), rows.shape[0])
 
 
 def _logl_from_cdf(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:

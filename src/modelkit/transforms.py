@@ -449,24 +449,21 @@ def swap(m: Model) -> Model:
     """Exchange data and parameter spaces: L'(d', p') = L(p', d').
 
     The new data space is m's parameter space and vice versa; rows that
-    violate m's parameter constraint get likelihood zero.  The constraint is
-    checked row by row; the other rows are scored as a stack of m's
-    parameter vectors, in one call when m's logl is stackable.  All other
+    violate m's parameter constraint get likelihood zero.  All other
     elements fall through to the defaults.
     """
     new_dim = len(m.param_shape)
     new_shape = Params([("d", np.zeros(m.data_dim))])
-    unpinned = Params(m.param_shape.blocks)  # a data row sets every entry
 
     def logl(rows, p):
         datum = p.flatten().reshape(1, -1)
-        ok = np.array([m.constraint is None
-                       or not m.constraint(m.param_shape.replace(r)) > 0
-                       for r in rows], dtype=bool)
-        out = np.full(rows.shape[0], -np.inf)
-        if ok.any():
-            out[ok] = core.stacked_row_log_likelihood(
-                m, datum, unpinned.stack(rows[ok]))[:, 0]
+        out = np.empty(rows.shape[0])
+        for i in range(rows.shape[0]):
+            q = m.param_shape.replace(rows[i])
+            if m.constraint is not None and m.constraint(q) > 0:
+                out[i] = -np.inf
+            else:
+                out[i] = core.row_log_likelihood(m, datum, q)[0]
         return out
 
     return Model(f"swap({m.label})", new_dim, new_shape, logl=logl,
@@ -591,8 +588,9 @@ def posterior_draws(post: Model, d: DataSet, n: int,
     any other value than "mh" or None raises.
 
     Metropolis-Hastings runs K = min(MCMC_CHAINS, n) chains in lockstep
-    (McmcSettings(step_scale=0.5)), each started from its own prior draw;
-    every step scores the K candidates in one joint-density call, and the
+    (McmcSettings(step_scale=0.5)), each started from its own prior draw,
+    or, when the joint density is not finite there, from one of the draws
+    where it is (it raises when there is none); every step scores the K candidates in one joint-density call, and the
     draws come chain after chain.  The weights of prior draws come from one
     stacked likelihood call over all n draws.
     """
@@ -621,10 +619,23 @@ def posterior_draws(post: Model, d: DataSet, n: int,
     if prior.strategy["L"] != "memoized PMF":
         from . import solvers
 
-        def target(xs: np.ndarray) -> list:
-            return _dp_joint(prior, like, rho, d, xs).tolist()
-
         x0 = core.draw(prior, rho, stream.split(0), min(core.MCMC_CHAINS, max(n, 1)))
+        lv = _dp_joint(prior, like, rho, d, x0)
+        ok = np.isfinite(lv)
+        if not ok.any():
+            raise ModelError(f"{post.label}: posterior_draws: the joint density is "
+                             f"not finite at any of the {len(x0)} prior draws "
+                             f"that start the chains")
+        # a chain whose draw is off the likelihood's support starts from a
+        # finite draw instead, taken in turn
+        pick = np.arange(len(x0))
+        pick[~ok] = np.flatnonzero(ok)[np.arange(np.count_nonzero(~ok)) % np.count_nonzero(ok)]
+        x0, start = x0[pick], [lv[pick].tolist()]
+
+        def target(xs: np.ndarray) -> list:
+            # metropolis scores the start rows first: they are scored above
+            return start.pop() if start else _dp_joint(prior, like, rho, d, xs).tolist()
+
         chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
                                    stream.split(1), n_samples=n)
         return pmf_model(DataSet(chain.samples))

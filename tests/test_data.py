@@ -184,6 +184,19 @@ def test_stacked_params_errors():
             base.stack(bad)
     with pytest.raises(ModelError, match=r"expected a \(K, 2\) array .* shape \(2, 3\)"):
         base.pin(sigma=3.0).stack(np.zeros((2, 3)))
+    # the flat reads and the copy-making methods take one vector, not a stack
+    for name, call in [("split", lambda: P.split([base])), ("flatten", P.flatten),
+                       ("replace", lambda: P.replace(np.zeros((2, 3)))),
+                       ("with_free", lambda: P.with_free(np.zeros(3))),
+                       ("free_values", P.free_values),
+                       ("stack", lambda: P.stack(np.zeros((2, 3)))),
+                       ("with_blocks", lambda: P.with_blocks(sigma=1.0)),
+                       ("pin", lambda: P.pin(sigma=1.0)), ("copy", P.copy),
+                       ("blocks", lambda: P.blocks)]:
+        with pytest.raises(ModelError, match=rf"StackedParams\.{name}: a stack "
+                                             rf"holds 2 parameter vectors; take"):
+            call()
+    assert P[1].flatten().tolist() == [0.0, 0.0, 0.0]  # one vector still copies
 
 
 def test_params_repr_plain_and_stacked():

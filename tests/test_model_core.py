@@ -533,6 +533,13 @@ def test_distinct_rows_are_worked_out_from_the_second_scoring(monkeypatch):
         core.log_likelihood(normal_model(), c, normal_model().param_shape)
     assert calls == ["sort"]
     assert c.distinct_rows() is None
+    # a stacked call of two or more vectors is that many scorings at once
+    calls.clear()
+    s = DataSet(np.arange(400.0) % 5)
+    core.stacked_log_likelihood(m, s, m.param_shape.stack([[1.0], [2.0]]))
+    assert calls == ["sort", "unique"]
+    core.stacked_log_likelihood(m, s, m.param_shape.stack([[1.0], [2.0]]))
+    assert calls == ["sort", "unique"]
 
 
 def test_distinct_rows_tell_apart_rows_that_differ_only_in_bits():
@@ -687,7 +694,7 @@ def test_stacked_likelihood_is_the_per_vector_likelihood_property(name, data):
                                     min_size=n, max_size=n)))
     w[data.draw(st.integers(0, n - 1))] = 1.0
     d = DataSet(rows, w)
-    per_row = core.stacked_row_log_likelihood(m, rows, P)
+    per_row = np.asarray(m.logl(rows, P))  # the stacked logl contract itself
     assert per_row.shape == (k, n)
     for j in range(3):  # the first scoring, then the distinct-row pair if any
         got = core.stacked_log_likelihood(m, d, P)
@@ -698,15 +705,29 @@ def test_stacked_likelihood_is_the_per_vector_likelihood_property(name, data):
 
 
 def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():
-    m = builtin("poisson")
+    base = builtin("poisson")
+    scored = []
+
+    @functools.wraps(base.logl)
+    def counted(rows, p):
+        scored.append((len(rows), p.vector.shape))
+        return base.logl(rows, p)
+
+    m = dataclasses.replace(base, logl=counted)
     rows = core.draw(m, Params.scalars(lam=2.5), RandomStream(3), 2000)
     w = np.where(np.arange(2000) % 7 == 0, 0.0, 1.0 + (np.arange(2000) % 3))
     d = DataSet(rows, w)
+    n_distinct = len(np.unique(rows))
+    assert n_distinct < 20
     P = m.param_shape.stack([[2.5], [0.7], [0.0], [-1.0], [4.0], [1e-3], [2.5], [30.0]])
     first = core.stacked_log_likelihood(m, d, P)
+    # eight vectors count as eight scorings: the first call takes the pair
+    assert scored == [(n_distinct, (8, 1))]
     again = core.stacked_log_likelihood(m, d, P)
-    assert d.distinct_rows() is not None  # the second scoring took the pair
     want = [core.log_likelihood(m, d, P[i]) for i in range(len(P))]
+    one = DataSet(rows, w)
+    core.stacked_log_likelihood(m, one, P[:1])  # one vector, one scoring
+    assert scored[-1] == (2000, (1, 1))
     assert _bits(first) == _bits(again) == _bits(want)
     assert want[2] == want[3] == -math.inf and all(np.isfinite(want[4:]))
 
@@ -739,8 +760,6 @@ def test_models_that_do_not_stack_are_scored_one_vector_at_a_time():
     P = weib.param_shape.stack([[1.5, 2.0], [0.0, 1.0], [0.7, 0.3]])
     assert _bits(core.stacked_log_likelihood(weib, d, P)) == _bits(
         [core.log_likelihood(weib, d, P[i]) for i in range(3)])
-    assert _bits(core.stacked_row_log_likelihood(weib, d.rows, P)) == _bits(
-        [core.row_log_likelihood(weib, d.rows, P[i]) for i in range(3)])
     joint = transforms.d_compose(normal_model(), normal_model(), n_draws=20)
     Q = joint.param_shape.stack([[0.0, 1.0, 0.0, 1.0], [1.0, 2.0, 0.5, 1.5]])
     empty = DataSet(np.empty((1, 0)))

@@ -555,12 +555,32 @@ def test_mh_posterior_makes_one_likelihood_call_of_k_vectors_per_step(n, k):
     assert shapes == [(k, 2)] * (1 + 2000 + -(-n // k))
 
 
+def test_mh_chains_whose_prior_draw_is_off_the_likelihood_start_from_a_finite_draw():
+    # an untruncated Normal(1, 1) prior over a Poisson rate: each start draw
+    # is <= 0, where no count of 1 or more is possible, with probability 0.16
+    like, rho = builtin("poisson"), Params.scalars(mu=1.0, sigma=1.0)
+    post = dp_compose(normal_model(), like, rho)
+    counts = DataSet(core.draw(like, Params.scalars(lam=2.0), RandomStream(5), 50))
+    assert counts.rows.max() >= 1  # so a rate <= 0 is impossible
+    off = 0
+    for seed in range(12):
+        starts = core.draw(normal_model(), rho, RandomStream(seed).split(0), 8)
+        off += int(np.any(starts <= 0))
+        draws = posterior_draws(post, counts, 80, RandomStream(seed)).settings["pmf_support"].rows
+        assert draws.shape == (80, 1) and draws.min() > 0
+        assert abs(draws.mean() - counts.rows.mean()) < 0.5
+    assert off >= 6  # most seeds had a start off the likelihood's support
+    low = dp_compose(normal_model(), like, Params.scalars(mu=-10.0, sigma=1.0))
+    with pytest.raises(ModelError, match="not finite at any of the 8 prior draws"):
+        posterior_draws(low, counts, 80, RandomStream(0))
+
+
 @pytest.mark.parametrize("like, prior, rho, rows, n", [
     # acceptance 4's likelihood on a weighted data set
     (fix(normal_model(), normal_model().param_shape.pin(sigma=1.0)), normal_model(),
      Params.scalars(mu=0.0, sigma=1.0), [[2.0], [1.5], [2.0], [-0.5]], 500),
     # 600 draws of a Poisson rate over 2,000 counts: more values than one
-    # block of the stacked call holds, and the distinct-row path
+    # block of the stacked call holds; the stack scores the distinct counts
     (builtin("poisson"), normal_model(), Params.scalars(mu=2.0, sigma=1.0),
      None, 600),
     # a likelihood that does not stack, scored one draw at a time
@@ -582,37 +602,3 @@ def test_weighted_prior_draws_are_weighted_by_each_draws_likelihood(like, prior,
     want = pmf_model(DataSet(draws, weights=w / w.sum()))
     assert _bits(pd.param_shape.block("w")) == _bits(want.param_shape.block("w"))
     assert _bits(pd.settings["pmf_support"].rows) == _bits(want.settings["pmf_support"].rows)
-
-
-def _swap_logl_by_rows(m, rows, p):
-    """swap's likelihood as one scalar evaluation per row."""
-    datum = p.flatten().reshape(1, -1)
-    out = np.empty(rows.shape[0])
-    for i in range(rows.shape[0]):
-        q = m.param_shape.replace(rows[i])
-        if m.constraint is not None and m.constraint(q) > 0:
-            out[i] = -np.inf
-        else:
-            out[i] = core.row_log_likelihood(m, datum, q)[0]
-    return out
-
-
-@pytest.mark.parametrize("make", [
-    normal_model, lambda: builtin("exponential"), lambda: builtin("poisson"),
-    lambda: builtin("weibull"),
-    lambda: fix(normal_model(), normal_model().param_shape.pin(sigma=2.0)),
-    lambda: Model("unconstrained", 1, Params.scalars(mu=0.0, sigma=1.0),
-                  logl=normal_model().logl),
-], ids=["normal", "exponential", "poisson", "weibull", "fix-normal", "no-constraint"])
-def test_swap_scores_each_row_as_its_own_parameter_vector(make):
-    m = make()
-    s = swap(m)
-    k = len(m.param_shape)
-    vals = RandomStream(2).normal(1.0, 1.5, size=(40, k))
-    vals[::7] = 0.0  # degenerate parameters, some breaking the constraint
-    vals[3::9] = -1.0
-    for datum in ([0.5], [2.0], [0.0], [-1.0]):
-        p = Params([("d", datum)])
-        got = row_log_likelihood(s, vals, p)
-        assert _bits(got) == _bits(_swap_logl_by_rows(m, vals, p))
-        assert _bits(row_log_likelihood(s, vals[:0], p)) == _bits([])
