@@ -10,36 +10,63 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from . import model as core
 from .data import DataSet, ModelError, Params
-from .model import CDF_SEED, Model
+from .model import CDF_SEED, Model, special
 
 LOG_ROOT_2PI = 0.5 * math.log(2 * math.pi)
 
 
-def _strict_positive(*vals) -> float:
-    """Violation distance for a strict-positivity constraint."""
+def _strict_positive(*vals):
+    """Violation distance for a strict-positivity constraint on floats, or
+    on the (K, 1) columns of a stacked parameter, one distance per row."""
     worst = 0.0
+    if isinstance(vals[0], float):
+        for v in vals:
+            if v <= 0:
+                worst = max(worst, 1e-8 - v)
+        return worst
     for v in vals:
-        if v <= 0:
-            worst = max(worst, 1e-8 - v)
+        worst = np.maximum(worst, np.where(v <= 0, 1e-8 - v, 0.0))
     return worst
 
 
+def _positive(*vals):
+    """(ok, vals with 1.0 wherever ok is not) for floats, or the (K, 1)
+    columns of a stacked parameter.  ok is True when no value is <= 0, else
+    False for floats and, for columns, a mask of the rows none of whose
+    values is, by which a stackable logl scores the degenerate rows
+    apart."""
+    if isinstance(vals[0], float):
+        for v in vals:
+            if v <= 0:
+                return False, (1.0,) * len(vals)
+        return True, vals
+    bad = vals[0] <= 0
+    for v in vals[1:]:
+        bad = bad | (v <= 0)
+    if not bad.any():
+        return True, vals
+    ok = ~bad
+    return ok, tuple(np.where(ok, v, 1.0) for v in vals)
+
+
+def _log(v):
+    """math.log of a float, or of each value of a (K, 1) column, one call
+    per vector: np.log rounds differently on some inputs."""
+    if isinstance(v, float):
+        return math.log(v)
+    return np.array([math.log(x) for x in v.ravel().tolist()]).reshape(v.shape)
+
+
 def _positive_part(v):
-    """(ok, v where ok else 1.0, its math.log) for a float or the (K, 1)
-    column of a stacked parameter.  ok marks the values not <= 0: True when
-    all are, else a mask by which a stackable logl scores the degenerate
-    rows apart.  math.log, one call per vector, as np.log rounds differently
-    on some inputs."""
+    """(ok, v where ok else 1.0, its _log) for a float or the (K, 1) column
+    of a stacked parameter, ok as _positive gives it."""
     if isinstance(v, float):
         return (False, 1.0, 0.0) if v <= 0 else (True, v, math.log(v))
-    ok = ~(v <= 0)
-    safe = np.where(ok, v, 1.0)
-    logs = np.array([math.log(x) for x in safe.ravel().tolist()]).reshape(v.shape)
-    return (True if ok.all() else ok), safe, logs
+    ok, (safe,) = _positive(v)
+    return ok, safe, _log(safe)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +300,18 @@ def weibull_model() -> Model:
     driving either parameter to zero.
     """
 
+    @core.stackable
     def logl(rows, p):
-        k, lam = p.scalar("k"), p.scalar("lam")
-        if k <= 0 or lam <= 0:
-            return np.full(rows.shape[0], -np.inf)
+        ok, (k, lam) = _positive(p.scalar("k"), p.scalar("lam"))
         d = rows[:, 0]
-        out = np.full(rows.shape[0], -np.inf)
         pos = d > 0
         r = d[pos] / lam
-        out[pos] = math.log(k / lam) + (k - 1) * np.log(r) - r ** k
-        return out
+        # (n,) for one vector, (K, n) for a stack; rows <= 0 score -inf.
+        # .T puts the row axis first in both
+        out = np.full(r.shape[:-1] + d.shape, -np.inf)
+        out.T[pos] = (_log(k / lam) + (k - 1) * np.log(r) - r ** k).T
+        # k or lam <= 0 scores every row -inf
+        return out if ok is True else np.where(ok, out, -np.inf)
 
     def rng(p, stream, n):
         k, lam = p.scalar("k"), p.scalar("lam")
@@ -296,7 +325,8 @@ def weibull_model() -> Model:
 
     return Model("weibull", 1, Params.scalars(k=1.0, lam=1.0),
                  logl=logl, rng=rng, cdf=cdf,
-                 constraint=lambda p: _strict_positive(p.scalar("k"), p.scalar("lam")))
+                 constraint=core.stackable(
+                     lambda p: _strict_positive(p.scalar("k"), p.scalar("lam"))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import model as core
-from . import transforms
+from . import solvers, transforms
 from .data import DataSet, ModelError, Params, RandomStream, write_csv
 from .model import FittedModel, Model
 
@@ -59,17 +60,34 @@ def predict(fm: FittedModel, row) -> tuple[np.ndarray, bool]:
 # Covariance estimators
 
 
-def _replicate_cov(m: Model, datasets, total: int, method: str,
+@dataclass
+class _Subsets:
+    """Replicate data sets that are row subsets of one base data set.
+
+    Replicate r holds the base rows ``rows(np.array([r]))[0]``, in that
+    order, with their weights; ``rows`` maps M replicate numbers to an
+    (M, L) index array.
+    """
+    base: DataSet
+    count: int
+    rows: Callable[[np.ndarray], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, r: int) -> DataSet:
+        idx = self.rows(np.array([r]))[0]
+        return DataSet(self.base.rows[idx], self.base.weights[idx])
+
+
+def _replicate_cov(m: Model, replicates, method: str,
                    jackknife: bool = False) -> CovarianceEstimate:
-    """Covariance of m's estimates over the replicate data sets.  A fit that
-    raises ModelError is skipped with a warning; more than 20% of ``total``
-    failing raises.  Errors while making a data set propagate."""
-    estimates, failures = [], 0
-    for d in datasets:
-        try:
-            estimates.append(core.estimate(m, d).params.flatten())
-        except ModelError:
-            failures += 1
+    """Covariance of m's estimates over the replicate data sets, a list or
+    a _Subsets.  A fit that raises ModelError is skipped with a warning;
+    more than 20% of the fits failing raises."""
+    fits = _replicate_fits(m, replicates)
+    estimates = [e for e in fits if not isinstance(e, ModelError)]
+    total, failures = len(fits), len(fits) - len(estimates)
     if failures > 0.2 * total:
         raise ModelError(
             f"{method}: {failures} of {total} replicate estimates failed")
@@ -85,6 +103,106 @@ def _replicate_cov(m: Model, datasets, total: int, method: str,
     return CovarianceEstimate(mat, method, g, m.param_shape.labels())
 
 
+def _replicate_fits(m: Model, replicates) -> list:
+    """core.estimate(m, d).params.flatten() for each replicate data set d,
+    or the ModelError that fit raises.
+
+    When estimate would run Nelder-Mead, every fit runs at once through
+    solvers.nelder_mead_lockstep, and each round scores the pending vector
+    of every running fit in one call.  For a _Subsets and a stackable model
+    that call is one stacked m.logl over the base rows, gathered per
+    replicate in its row order and summed with its weights, in blocks of
+    about STACK_ENTRIES gathered values; otherwise each fit's objective
+    scores its own vector, and holds its data set until the last fit ends.
+    Each fit runs the sequential algorithm on the same values, so the
+    results are estimate's bit for bit.
+    """
+    shape = m.param_shape
+    st = core._mle_settings(m)
+    if (st.method != "nelder_mead" or m.strategy["Est"] == "closed-form"
+            or shape.fixed_mask.all()):
+        return [_fit_or_error(lambda: core.estimate(m, replicates[r]).params)
+                for r in range(len(replicates))]
+
+    subsets = isinstance(replicates, _Subsets)
+    fits: list = [None] * len(replicates)
+    for r in range(len(replicates)):
+        try:  # estimate's preconditions; the rows of subsets are the base's
+            core._check_data(m, replicates.base if subsets else replicates[r])
+            core._check_mle(m)
+        except ModelError as e:
+            fits[r] = e
+    live = np.array([r for r, fit in enumerate(fits) if fit is None], dtype=int)
+    if live.size == 0:
+        return fits
+
+    objectives = {}
+
+    def one_by_one(which, X) -> list:
+        out = []
+        for r, x in zip(which.tolist(), X):
+            if r not in objectives:
+                objectives[r] = core._mle_objective(m, replicates[r])
+            try:
+                out.append(objectives[r](x))
+            except ModelError as e:
+                out.append(e)
+        return out
+
+    # a stack needs every replicate's rows to be live
+    stacked = (subsets and core._stacks(m)
+               and 2 * replicates.base.rows.size <= core.STACK_ENTRIES
+               and isinstance(replicates.base.live_rows, slice))
+
+    def score(which, X) -> list:
+        if stacked:
+            try:
+                return _stacked_objective(m, replicates, which, X)
+            except ModelError:  # a stacked call cannot say whose vector failed
+                pass
+        return one_by_one(which, X)
+
+    starts = np.tile(shape.free_values(), (live.size, 1))
+    results = solvers.nelder_mead_lockstep(
+        lambda which, X: score(live[which], X), starts, st)
+    for r, res in zip(live.tolist(), results):
+        fits[r] = res if isinstance(res, ModelError) else _fit_or_error(
+            lambda: core._fitted_mle(m, res).params)
+    return fits
+
+
+def _fit_or_error(fit) -> np.ndarray | ModelError:
+    """The flat vector of the Params fit() returns, or its ModelError."""
+    try:
+        return fit().flatten()
+    except ModelError as e:
+        return e
+
+
+def _stacked_objective(m: Model, sub: _Subsets, which: np.ndarray,
+                       X: np.ndarray) -> list:
+    """core._mle_objective(m, sub[which[i]])(X[i]) for each i, from one
+    stacked m.logl over the base rows per block of vectors."""
+    base = sub.base
+    P = m.param_shape.stack(X)
+    violation = core._violations(m, P)
+    out = core._penalty(violation)
+    ok = np.flatnonzero(~(violation > 0))
+
+    def sums(block: np.ndarray) -> np.ndarray:
+        v = np.asarray(m.logl(base.rows, P[ok[block]]), dtype=float)
+        idx = sub.rows(which[ok[block]])
+        # C-ordered like idx, whatever layout the logl returns, as
+        # _weighted_sums needs
+        g = np.take_along_axis(v, idx, axis=1)
+        return np.array(core._weighted_sums(g, base.weights[idx]))
+
+    if ok.size:
+        out[ok] = core._by_blocks(np.arange(ok.size), base.rows, sums,
+                                  core.STACK_ENTRIES)
+    return out.tolist()
+
+
 def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
                   s: RandomStream | None = None) -> CovarianceEstimate:
     """Covariance of estimates over resamples drawn with replacement."""
@@ -95,9 +213,10 @@ def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
     s = s or RandomStream(0xB007)
     n = len(d)
     prob = d.weights / d.weights.sum()
-    resamples = (DataSet(d.rows[s.split(r).choice(n, p=prob, size=n)])
-                 for r in range(reps))
-    return _replicate_cov(m, resamples, reps, "bootstrap")
+    picks = np.array([s.split(r).choice(n, p=prob, size=n) for r in range(reps)])
+    # a resample draws rows by weight and weighs each draw 1
+    return _replicate_cov(m, _Subsets(DataSet(d.rows), reps, picks.__getitem__),
+                          "bootstrap")
 
 
 def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
@@ -106,9 +225,12 @@ def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
     n = len(d)
     if n < 10:
         raise ModelError("jackknife needs at least 10 rows")
-    row = np.arange(n)
-    subsets = (DataSet(d.rows[row != i], d.weights[row != i]) for i in range(n))
-    return _replicate_cov(m, subsets, n, "jackknife", jackknife=True)
+    kept = np.arange(n - 1)
+
+    def rows(which):
+        """Every row but row i, for each i of which."""
+        return kept + (kept >= which[:, None])
+    return _replicate_cov(m, _Subsets(d, n, rows), "jackknife", jackknife=True)
 
 
 def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
@@ -128,14 +250,12 @@ def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
     if flatten and fit_model.data_dim != 1:
         raise ModelError("replication_cov: data dims incompatible")
     draws = (core.draw(m, params, s.split(r), n_per_rep) for r in range(reps))
-    runs = (DataSet(x.reshape(-1, 1) if flatten else x) for x in draws)
-    return _replicate_cov(fit_model, runs, reps, "replication")
+    runs = [DataSet(x.reshape(-1, 1) if flatten else x) for x in draws]
+    return _replicate_cov(fit_model, runs, "replication")
 
 
 def fisher_info_cov(fm: FittedModel, d: DataSet) -> CovarianceEstimate:
     """Inverse negative Hessian of the log-likelihood at the estimate."""
-    from . import solvers
-
     shape = fm.params
     free = shape.free_values()
     if free.size == 0:

@@ -9,6 +9,7 @@ CDFs from empirical draw fractions, estimators from black-box MLE.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -19,6 +20,24 @@ from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
                    RandomStream, StackedParams, UnresolvableElementError)
 
 LOG_NEG_INF = float("-inf")
+
+
+class _OnFirstUse:
+    """A module imported when one of its attributes is first read, each
+    attribute then kept here."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+# scipy.special for every module of the package: deferred, so that
+# ``import modelkit`` loads numpy alone
+special = _OnFirstUse("scipy.special")
 
 # Seeds for the internally seeded default strategies.  Fixed so that derived
 # elements are deterministic functions of (model, params).
@@ -72,7 +91,8 @@ class Model:
     then scores K vectors in one call; other models are scored one vector
     at a time.  The mark is an attribute of the function, so ``fix`` and a
     ``functools.wraps`` wrapper keep it, and a model given another logl
-    loses it.
+    loses it.  A constraint marked ``stackable`` likewise takes a
+    StackedParams and returns the K violations, a (K,) or (K, 1) array.
 
     Besides the elements and ``settings``, a model keeps its own state:
     ``transform`` (the TransformRecord of the transform that built it, else
@@ -127,11 +147,11 @@ class FittedModel:
     constraint_violation: float = 0.0
 
 
-def stackable(logl: Callable) -> Callable:
-    """Mark a closed-form logl as broadcasting over a StackedParams (see
-    Model)."""
-    logl.stackable = True
-    return logl
+def stackable(element: Callable) -> Callable:
+    """Mark a closed-form logl or constraint as broadcasting over a
+    StackedParams (see Model)."""
+    element.stackable = True
+    return element
 
 
 def _stacks(m: Model) -> bool:
@@ -319,7 +339,14 @@ def _live_sums(v: np.ndarray, d: DataSet) -> list:
     """
     live = d.live_rows
     v = v[..., live] if isinstance(live, slice) else np.compress(live, v, axis=-1)
-    sums = np.add.reduce(v * d.live_weights, axis=-1)
+    return _weighted_sums(v, d.live_weights)
+
+
+def _weighted_sums(v: np.ndarray, w: np.ndarray) -> list:
+    """_live_sums over values that are all live: the sum of v * w over the
+    last axis, with its -inf rule; w is (n,), or (K, n) for a weight row
+    per row of v."""
+    sums = np.add.reduce(v * w, axis=-1)
     totals, v = ([float(sums)], v[None]) if v.ndim == 1 else (sums.tolist(), v)
     for k, total in enumerate(totals):
         if not math.isfinite(total) and np.any(np.isneginf(v[k])):
@@ -495,10 +522,8 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
     model's own parameter values."""
     from . import solvers
 
-    if len(d) == 0 and m.data_dim != 0:
-        raise ModelError(f"{m.label}: cannot estimate from an empty data set")
-    _check_rows(m, d.rows)
-    st = settings or m.settings.get("mle") or MleSettings()
+    _check_data(m, d)
+    st = settings or _mle_settings(m)
     shape = m.param_shape
 
     if shape.fixed_mask.all():
@@ -510,6 +535,28 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
         p = m.est(d)
         return FittedModel(m, p, log_likelihood(m, d, p), 0, True, _violation(m, p))
 
+    _check_mle(m)
+    # looked up at call time, so a wrapped solver is the one that runs
+    solve = {"nelder_mead": solvers.nelder_mead,
+             "annealing": solvers.simulated_annealing,
+             "coordinate_cycle": solvers.coordinate_cycle}[st.method]
+    return _fitted_mle(m, solve(_mle_objective(m, d), shape.free_values(), st))
+
+
+def _mle_settings(m: Model) -> MleSettings:
+    """The optimizer run estimate uses when it is given no settings."""
+    return m.settings.get("mle") or MleSettings()
+
+
+def _check_data(m: Model, d: DataSet):
+    """estimate's preconditions on the data set."""
+    if len(d) == 0 and m.data_dim != 0:
+        raise ModelError(f"{m.label}: cannot estimate from an empty data set")
+    _check_rows(m, d.rows)
+
+
+def _check_mle(m: Model):
+    """estimate's precondition on a model fitted by an optimizer."""
     if (m.strategy["L"] == "memoized PMF" and not m.discrete
             and m.settings.get("kde") is None):
         # raw memoized draws put no mass between the draws, so continuous
@@ -518,12 +565,11 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
             f"{m.label}: element L is a memoized PMF of draws, which gives "
             f"continuous data zero likelihood; set settings['kde'] to smooth it")
 
-    # looked up at call time, so a wrapped solver is the one that runs
-    solve = {"nelder_mead": solvers.nelder_mead,
-             "annealing": solvers.simulated_annealing,
-             "coordinate_cycle": solvers.coordinate_cycle}[st.method]
-    res = solve(_mle_objective(m, d), shape.free_values(), st)
-    p = shape.with_free(res.x)
+
+def _fitted_mle(m: Model, res) -> FittedModel:
+    """The FittedModel of an optimizer's SolveResult over m's free
+    parameters."""
+    p = m.param_shape.with_free(res.x)
     return FittedModel(m, p, res.value, res.iterations, res.converged,
                        _violation(m, p))
 
@@ -537,13 +583,29 @@ def _mle_objective(m: Model, d: DataSet) -> Callable[[np.ndarray], float]:
         p = shape.with_free(free)
         v = _violation(m, p)
         if v > 0:
-            return -1e12 * (1.0 + v)
+            return _penalty(v)
         return log_likelihood(m, d, p)
     return objective
 
 
+def _penalty(v):
+    """The MLE objective where the parameters break the constraint by v (a
+    float, or an array of violations)."""
+    return -1e12 * (1.0 + v)
+
+
 def _violation(m: Model, p: Params) -> float:
     return float(m.constraint(p)) if m.constraint is not None else 0.0
+
+
+def _violations(m: Model, P: StackedParams) -> np.ndarray:
+    """_violation at each vector of P, as a (K,) array: one call of a
+    stackable constraint, else one call per vector."""
+    if m.constraint is None:
+        return np.zeros(len(P))
+    if getattr(m.constraint, "stackable", False):
+        return np.asarray(m.constraint(P), dtype=float).reshape(len(P))
+    return np.array([_violation(m, P[k]) for k in range(len(P))])
 
 
 # ---------------------------------------------------------------------------

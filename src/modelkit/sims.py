@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import model as core
 from .data import (DataSet, KdeSettings, MleSettings, ModelError, Params,
                    RandomStream)
-from .model import Model
+from .model import Model, special
 
 
 # ---------------------------------------------------------------------------

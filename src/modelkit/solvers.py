@@ -8,7 +8,13 @@ here is deterministic given its inputs and stream seeds.
 The optimizers (nelder_mead, simulated_annealing, coordinate_cycle) and the
 finite differences work on plain float vectors: each takes a function f of
 an np.ndarray returning a float and a start vector x0, and the optimizers
-return a SolveResult.  Metropolis runs K chains in lockstep: it takes a
+return a SolveResult.  Nelder-Mead is a port of scipy's unbounded,
+non-adaptive ``optimize.minimize(method="Nelder-Mead")`` written as a
+generator: it yields a point and is sent that point's value, so
+nelder_mead runs one search and nelder_mead_lockstep runs K searches,
+scoring every pending point of a round in one call.  Either gives
+scipy's result bit for bit: the same x, value, iteration count and success
+flag.  Metropolis runs K chains in lockstep: it takes a
 (K, dim) array of start rows and a target that scores a (K, dim) array of
 points in one call, and returns the chains' samples as rows.  The model
 layer maps a vector to the model's Params (its layout and fixed mask) and
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
                    RandomStream)
@@ -50,26 +55,168 @@ class Chain:
 # Maximization
 
 
+class _Capped(Exception):
+    """The evaluation cap is reached: it ends the current iteration."""
+
+
+def _simplex(x0, st: MleSettings):
+    """Nelder-Mead minimization from x0, as a generator: it yields each
+    point to evaluate, a copy, and is sent its value; it returns (x, value,
+    iterations, converged).
+
+    A port of scipy's unbounded, non-adaptive Nelder-Mead (reflection 1,
+    expansion 2, contraction and shrink 1/2) with xatol = fatol =
+    st.tolerance and maxiter = maxfev = st.max_iter, which keeps each of
+    scipy's choices: the initial simplex scales each nonzero coordinate of
+    x0 by 1.05 and sets a zero one to 0.00025; the vertices are ordered by
+    np.argsort and np.take; convergence is tested at the top of each
+    iteration; the cap is checked before each evaluation, and a capped one
+    ends the iteration; the search converged unless it reached either cap.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    n = len(x0)
+    tol, cap = st.tolerance, st.max_iter
+    evals = 0
+
+    def value_at(x):
+        nonlocal evals
+        if evals >= cap:
+            raise _Capped
+        evals += 1
+        return (yield x.copy())
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = yield from value_at(sim[k])
+    except _Capped:
+        pass
+    # sorted twice, as scipy does
+    for _ in range(2):
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+
+    iterations = 1
+    while evals < cap and iterations < cap:
+        try:
+            if (abs(sim[1:] - sim[0]).max() <= tol
+                    and abs(fsim[0] - fsim[1:]).max() <= tol):
+                break
+            xbar = sim[:-1].sum(0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = yield from value_at(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = yield from value_at(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = yield from value_at(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # contract inside
+                    xcc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxcc = yield from value_at(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = yield from value_at(sim[j])
+            iterations += 1
+        except _Capped:
+            pass
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    return sim[0], np.min(fsim), iterations, not (evals >= cap or iterations >= cap)
+
+
+def _cost(value) -> float:
+    """The value the simplex minimizes for a value of the maximized f:
+    -value, and 1e300 where it is not finite."""
+    return -value if math.isfinite(value) else 1e300
+
+
+def _solved(done) -> SolveResult:
+    x, cost, iterations, converged = done
+    return SolveResult(x, -float(cost), iterations, converged)
+
+
 def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
                 st: MleSettings | None = None) -> SolveResult:
     """Simplex maximization of f from the start vector x0.
 
     Stops when the simplex collapses below st.tolerance or st.max_iter
-    evaluations pass.
+    evaluations pass.  It runs one simplex generator, f scoring each point
+    it yields, so the result is scipy's bit for bit.
     """
     st = st or MleSettings()
-    if not np.isfinite(f(x0)):
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    if not np.isfinite(f(x0.copy())):
         raise ModelError("infeasible start: objective not finite at x0")
+    search = _simplex(x0, st)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(_cost(f(x)))
+    except StopIteration as stop:
+        return _solved(stop.value)
 
-    def neg(x):
-        val = f(x)
-        return -val if np.isfinite(val) else 1e300
 
-    res = optimize.minimize(
-        neg, x0, method="Nelder-Mead",
-        options={"xatol": st.tolerance, "fatol": st.tolerance,
-                 "maxiter": st.max_iter, "maxfev": st.max_iter})
-    return SolveResult(res.x, -float(res.fun), int(res.nit), bool(res.success))
+def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
+                         starts: np.ndarray, st: MleSettings | None = None) -> list:
+    """nelder_mead from each row of the (K, dim) array starts, K searches in
+    lockstep, each maximizing its own f.
+
+    ``score(which, points)`` evaluates search which[i]'s f at points[i] for
+    the (M,) int array which and the (M, dim) array points, and returns M
+    values; a value may be a ModelError instead, which ends that search.
+    The first call scores every start; each later call scores the one point
+    every running search's generator waits on.  Returns one entry per
+    start: the SolveResult nelder_mead gives on the same values, bit for
+    bit, or the ModelError that ended the search (for a start that is not
+    finite, nelder_mead's "infeasible start").
+    """
+    st = st or MleSettings()
+    starts = np.asarray(starts, dtype=float)
+    results: list = [None] * len(starts)
+    searches, pending = {}, {}
+    for j, v in enumerate(score(np.arange(len(starts)), starts)):
+        if isinstance(v, ModelError):
+            results[j] = v
+        elif not np.isfinite(v):
+            results[j] = ModelError("infeasible start: objective not finite at x0")
+        else:
+            searches[j] = _simplex(starts[j], st)
+            pending[j] = next(searches[j])
+    while pending:
+        which = np.fromiter(pending, dtype=int, count=len(pending))
+        values = score(which, np.array(list(pending.values())))
+        for j, v in zip(which.tolist(), values):
+            if isinstance(v, ModelError):
+                results[j] = v
+                del pending[j]
+                continue
+            try:
+                pending[j] = searches[j].send(_cost(v))
+            except StopIteration as stop:
+                results[j] = _solved(stop.value)
+                del pending[j]
+    return results
 
 
 def simulated_annealing(f: Callable[[np.ndarray], float], x0: np.ndarray,

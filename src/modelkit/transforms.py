@@ -240,10 +240,8 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
     if sup is not None and len(sup) == 1:
         loc = float(sup.rows[0, 0])
 
-    from scipy import special
-
     def w0(p):
-        return float(special.ndtr((loc - p.scalar("mu")) / p.scalar("sigma")))
+        return float(core.special.ndtr((loc - p.scalar("mu")) / p.scalar("sigma")))
 
     def logl(rows, p):
         w = w0(p)

@@ -1,11 +1,13 @@
 """Prediction, covariance estimators, and distribution comparison."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from modelkit import (DataSet, ModelError, Params, RandomStream, bin_to_pmf,
+from modelkit import (CovarianceEstimate, DataSet, ModelError, Params, RandomStream, bin_to_pmf,
                       bootstrap_cov, builtin, entropy, estimate,
                       fisher_info_cov, jackknife_cov, kl_divergence, ks_stat,
                       mvn_model, normal_model, pmf_model, predict,
@@ -102,6 +104,150 @@ def test_replication_draw_errors_propagate():
     m = core.Model("probe", 1, Params.scalars(mu=0.0), rng=rng)
     with pytest.raises(ModelError, match="sampler broke"):
         replication_cov(m, fit_model=normal_model(), reps=5)
+
+
+# ---------------------------------------------------------------------------
+# Replicate fits in lockstep against one estimate per replicate
+
+
+def _sequential_cov(m, datasets, method, jackknife=False):
+    """The replicate covariance as one core.estimate per data set, in turn:
+    the loop that preceded lockstep fits, kept as the reference.  Returns
+    the covariance estimate and the number of failed fits."""
+    estimates, failures = [], 0
+    for d in datasets:
+        try:
+            estimates.append(core.estimate(m, d).params.flatten())
+        except ModelError:
+            failures += 1
+    if failures > 0.2 * len(datasets):
+        raise ModelError(f"{method}: {failures} of {len(datasets)} "
+                         f"replicate estimates failed")
+    est = np.array(estimates)
+    g = est.shape[0]
+    dev = est - est.mean(axis=0)
+    mat = (g - 1) / g * (dev.T @ dev) if jackknife else dev.T @ dev / max(g - 1, 1)
+    return CovarianceEstimate(mat, method, g), failures
+
+
+def _resamples(d, reps, s):
+    n = len(d)
+    prob = d.weights / d.weights.sum()
+    return [DataSet(d.rows[s.split(r).choice(n, p=prob, size=n)]) for r in range(reps)]
+
+
+def _leave_one_out(d):
+    row = np.arange(len(d))
+    return [DataSet(d.rows[row != i], d.weights[row != i]) for i in range(len(d))]
+
+
+def _replicates(m, reps, s, params, n):
+    return [DataSet(core.draw(m, params, s.split(r), n)) for r in range(reps)]
+
+
+def _counting(m):
+    """m with a logl that records the shape of each parameter vector it
+    gets: (2,) for one vector, (K, 2) for a stack."""
+    shapes = []
+
+    @functools.wraps(m.logl)
+    def logl(rows, p):
+        shapes.append(p.vector.shape)
+        return m.logl(rows, p)
+    return dataclasses.replace(m, logl=logl), shapes
+
+
+_WEIBULL = Params.scalars(k=1.5, lam=2.0)
+_BETA = Params.scalars(alpha=2.0, beta=3.0)
+
+
+@pytest.mark.parametrize("name,truth", [("weibull", _WEIBULL), ("beta", _BETA)])
+@pytest.mark.parametrize("method", ["bootstrap", "jackknife", "replication"])
+def test_lockstep_replicate_fits_are_the_sequential_fits(name, truth, method):
+    m, shapes = _counting(builtin(name))
+    d = DataSet(core.draw(m, truth, RandomStream(21), 30))
+    if method == "bootstrap":
+        got = bootstrap_cov(m, d, reps=100, s=RandomStream(22))
+        want, _ = _sequential_cov(m, _resamples(d, 100, RandomStream(22)), method)
+    elif method == "jackknife":
+        got = jackknife_cov(m, d)
+        want, _ = _sequential_cov(m, _leave_one_out(d), method, jackknife=True)
+    else:
+        got = replication_cov(m, reps=25, s=RandomStream(23), params=truth,
+                              n_per_rep=30)
+        want, _ = _sequential_cov(m, _replicates(m, 25, RandomStream(23), truth, 30),
+                                  method)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert (got.method, got.replicates) == (method, want.replicates)
+    # a stackable model's bootstrap and jackknife fits share stacked calls;
+    # fresh draws and other models are scored one vector at a time
+    stacked = name == "weibull" and method != "replication"
+    assert any(len(shape) == 2 for shape in shapes) == stacked
+
+
+def _with_a_rare_bad_row(weight):
+    """30 Weibull draws and a row at 0, which a Weibull scores -inf, drawn
+    into a resample with probability ``weight`` / 30 per draw."""
+    rows = core.draw(builtin("weibull"), _WEIBULL, RandomStream(24), 30)
+    return DataSet(np.vstack([rows, [[0.0]]]), np.r_[np.ones(30), weight])
+
+
+def test_lockstep_bootstrap_skips_fits_with_an_infeasible_start_as_before():
+    m = builtin("weibull")
+    d = _with_a_rare_bad_row(0.07)
+    want, failed = _sequential_cov(m, _resamples(d, 100, RandomStream(25)), "bootstrap")
+    assert 0 < failed <= 20
+    with pytest.warns(UserWarning, match=f"skipped {failed} failed"):
+        got = bootstrap_cov(m, d, reps=100, s=RandomStream(25))
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.replicates == 100 - failed
+
+
+def test_lockstep_bootstrap_raises_when_more_than_a_fifth_fail_as_before():
+    m = builtin("weibull")
+    d = _with_a_rare_bad_row(0.5)
+    with pytest.raises(ModelError) as before:
+        _sequential_cov(m, _resamples(d, 100, RandomStream(25)), "bootstrap")
+    with pytest.raises(ModelError, match="replicate estimates failed") as now:
+        bootstrap_cov(m, d, reps=100, s=RandomStream(25))
+    assert str(now.value) == str(before.value)
+
+
+def test_a_stacked_call_that_raises_fails_only_the_fits_whose_vector_raises():
+    base = builtin("weibull")
+
+    @functools.wraps(base.logl)
+    def logl(rows, p):
+        if np.any(p.vector[..., 1] > 3.0):
+            raise ModelError("probe: lam out of range")
+        return base.logl(rows, p)
+
+    m = dataclasses.replace(base, logl=logl)
+    d = DataSet(core.draw(base, _WEIBULL, RandomStream(26), 30))
+    want, failed = _sequential_cov(m, _resamples(d, 100, RandomStream(27)), "bootstrap")
+    assert 0 < failed <= 20
+    with pytest.warns(UserWarning, match=f"skipped {failed} failed"):
+        got = bootstrap_cov(m, d, reps=100, s=RandomStream(27))
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["stacked", "zero-weights"])
+def test_lockstep_jackknife_of_a_weighted_data_set(zeros):
+    # positive weights stack; a zero-weight row sends the fits one by one
+    m, shapes = _counting(builtin("weibull"))
+    w = 1.0 + np.arange(20) % 3
+    if zeros:
+        w[::5] = 0.0
+    d = DataSet(core.draw(m, _WEIBULL, RandomStream(28), 20), w)
+    want, _ = _sequential_cov(m, _leave_one_out(d), "jackknife", jackknife=True)
+    del shapes[:]
+    assert jackknife_cov(m, d).matrix.tobytes() == want.matrix.tobytes()
+    assert any(len(shape) == 2 for shape in shapes) != zeros
+
+
+def test_lockstep_fits_keep_estimates_preconditions():
+    with pytest.raises(ModelError, match="replication: 5 of 5 replicate"):
+        replication_cov(builtin("weibull"), reps=5, params=_WEIBULL, n_per_rep=0)
 
 
 def test_covariance_csv_round_trip(tmp_path):

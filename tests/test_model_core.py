@@ -670,6 +670,11 @@ _STACKABLE = {
                     [-1.0, 0.0, 0.5, 2.0, 7.5]),
     "poisson": (lambda: builtin("poisson"), {"lam": [-1.0, 0.0, 0.4, 1.0, 3.0] + _LOG_ROUNDING},
                 [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0]),
+    "weibull": (lambda: builtin("weibull"),
+                # 1e-9: positive, so no violation, yet below the 1e-8 offset
+                {"k": [-1.0, 0.0, 1e-9, 0.5, 1.0, 1.5, 2.0, 3.7] + _LOG_ROUNDING,
+                 "lam": [-2.0, 0.0, 1e-9, 0.3, 1.0, 2.0] + _LOG_ROUNDING},
+                [-1.0, 0.0, 1e-3, 0.5, 1.0, 2.0, 7.5]),
 }
 
 
@@ -702,6 +707,8 @@ def test_stacked_likelihood_is_the_per_vector_likelihood_property(name, data):
         for i in range(k):
             assert _bits(got[i]) == _bits(core.log_likelihood(m, d, P[i]))
             assert _bits(per_row[i]) == _bits(core.row_log_likelihood(m, rows, P[i]))
+    # a stackable constraint gives each vector's violation too
+    assert _bits(core._violations(m, P)) == _bits([core._violation(m, P[i]) for i in range(k)])
 
 
 def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():
@@ -754,12 +761,40 @@ def test_the_stackable_mark_travels_with_the_function():
     assert calls == [2, 2, 2]  # one call per vector, each a Params of length 2
 
 
+def test_weibull_likelihood_is_its_one_vector_formula():
+    """The stackable Weibull logl at one vector is the formula it had
+    before it stacked, kept here as the reference, bit for bit."""
+    def reference(rows, k, lam):
+        if k <= 0 or lam <= 0:
+            return np.full(rows.shape[0], -np.inf)
+        d = rows[:, 0]
+        out = np.full(rows.shape[0], -np.inf)
+        pos = d > 0
+        r = d[pos] / lam
+        out[pos] = math.log(k / lam) + (k - 1) * np.log(r) - r ** k
+        return out
+
+    m = builtin("weibull")
+    _, values, row_values = _STACKABLE["weibull"]
+    rows = np.array(row_values).reshape(-1, 1)
+    for k in values["k"]:
+        for lam in values["lam"]:
+            got = m.logl(rows, Params.scalars(k=k, lam=lam))
+            assert _bits(got) == _bits(reference(rows, k, lam)), (k, lam)
+
+
 def test_models_that_do_not_stack_are_scored_one_vector_at_a_time():
-    weib = builtin("weibull")
-    d = DataSet(np.array([[0.5], [1.5], [2.0]]))
-    P = weib.param_shape.stack([[1.5, 2.0], [0.0, 1.0], [0.7, 0.3]])
-    assert _bits(core.stacked_log_likelihood(weib, d, P)) == _bits(
-        [core.log_likelihood(weib, d, P[i]) for i in range(3)])
+    beta = builtin("beta")
+    assert not hasattr(beta.logl, "stackable")
+    d = DataSet(np.array([[0.5], [0.25], [0.75]]))
+    P = beta.param_shape.stack([[1.5, 2.0], [0.0, 1.0], [0.7, 0.3]])
+    assert _bits(core.stacked_log_likelihood(beta, d, P)) == _bits(
+        [core.log_likelihood(beta, d, P[i]) for i in range(3)])
+    assert _bits(core._violations(beta, P)) == _bits(
+        [core._violation(beta, P[i]) for i in range(3)])
+    # a model without a constraint breaks none at any vector
+    Q = _STACKED_IDENTITY.param_shape.stack(np.zeros((2, 1)))
+    assert _bits(core._violations(_STACKED_IDENTITY, Q)) == _bits([0.0, 0.0])
     joint = transforms.d_compose(normal_model(), normal_model(), n_draws=20)
     Q = joint.param_shape.stack([[0.0, 1.0, 0.0, 1.0], [1.0, 2.0, 0.5, 1.5]])
     empty = DataSet(np.empty((1, 0)))

@@ -2,10 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings, strategies as st
+from scipy import optimize, stats
 
 from modelkit import (DataSet, McmcSettings, MleSettings, ModelError, Params,
                       RandomStream, builtin, normal_model)
@@ -25,6 +30,173 @@ def test_nelder_mead_infeasible_start():
     f = lambda x: -math.inf
     with pytest.raises(ModelError, match="infeasible start"):
         solvers.nelder_mead(f, np.array([0.0]), MleSettings())
+
+
+def _scipy_nelder_mead(f, x0, st):
+    """scipy's Nelder-Mead maximizing f as solvers.nelder_mead did before
+    its port: non-finite values become 1e300 to the minimizer."""
+    def neg(x):
+        v = f(x)
+        return -v if np.isfinite(v) else 1e300
+
+    res = optimize.minimize(neg, x0, method="Nelder-Mead",
+                            options={"xatol": st.tolerance, "fatol": st.tolerance,
+                                     "maxiter": st.max_iter, "maxfev": st.max_iter})
+    return res.x, -float(res.fun), int(res.nit), bool(res.success)
+
+
+def _as_tuple(res):
+    return res.x, res.value, res.iterations, res.converged
+
+
+def _same(a, b) -> bool:
+    """Equal x, value, iterations and success flag, bit for bit."""
+    return (a[0].tobytes() == b[0].tobytes() and a[1].hex() == b[1].hex()
+            and a[2:] == b[2:])
+
+
+def _objective(kind, centre):
+    if kind == "quadratic":
+        return lambda x: -float(np.sum((x - centre) ** 2))
+    if kind == "abs":  # non-smooth: a kink along every axis through the centre
+        return lambda x: -float(np.sum(np.abs(x - centre)))
+    if kind == "steps":  # flat terraces, on which contractions fail and shrink
+        return lambda x: -float(np.sum(np.floor(4.0 * np.abs(x - centre))))
+    # walled: a quadratic whose maximum lies beyond a wall of -inf (1e300
+    # to the minimizer) at x[0] = centre[0] - 0.5
+    return lambda x: (-float(np.sum((x - centre) ** 2)) if x[0] <= centre[0] - 0.5
+                      else -math.inf)
+
+
+_COORD = st.floats(-4, 4).map(lambda v: round(v, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "abs", "steps", "walled"]),
+       data=st.data(),
+       tol=st.sampled_from([1e-8, 1e-3, 1e-12]),
+       cap=st.one_of(st.integers(1, 60), st.just(5000)))
+def test_nelder_mead_is_scipys_nelder_mead_property(kind, data, tol, cap):
+    dim = data.draw(st.integers(1, 4))
+    centre = np.array(data.draw(st.lists(_COORD, min_size=dim, max_size=dim)))
+    # zero coordinates take scipy's 0.00025 step instead of the 5% one
+    x0 = np.array(data.draw(st.lists(st.one_of(st.just(0.0), _COORD),
+                                     min_size=dim, max_size=dim)))
+    f = _objective(kind, centre)
+    if kind == "walled":
+        x0[0] = min(x0[0], centre[0] - 0.5)
+    s = MleSettings(tolerance=tol, max_iter=cap)
+    assert _same(_as_tuple(solvers.nelder_mead(f, x0, s)), _scipy_nelder_mead(f, x0, s))
+
+
+@pytest.mark.parametrize("x0", [[0.0, 1.0, -2.0], [-1.0, -4.0, -1.0]])
+def test_every_evaluation_cap_stops_nelder_mead_where_scipy_stops(x0):
+    """Caps from 1 up past the full run stop it inside the initial simplex,
+    between the steps of an iteration and between the points of a shrink."""
+    f = _objective("steps", np.array([1.0, -2.0, 0.5]))
+    x0 = np.array(x0)
+    calls = []
+    full = solvers.nelder_mead(lambda x: calls.append(0) or f(x), x0,
+                               MleSettings(tolerance=1e-6))
+    evals = len(calls) - 1  # the first call checks the start
+    # the initial simplex makes 4 evaluations, and an iteration without a
+    # shrink at most two
+    assert evals > 4 + 2 * (full.iterations - 1), "the run never shrinks"
+    for cap in range(1, evals + 2):
+        s = MleSettings(tolerance=1e-6, max_iter=cap)
+        assert _same(_as_tuple(solvers.nelder_mead(f, x0, s)),
+                     _scipy_nelder_mead(f, x0, s)), cap
+
+
+def test_nelder_mead_scores_copies_of_its_points():
+    def f(x):
+        v = -float(np.sum((x - 1.0) ** 2))
+        x[:] = 1e6  # a caller that writes to its argument changes nothing
+        return v
+
+    s = MleSettings(max_iter=60)
+    want = solvers.nelder_mead(lambda x: -float(np.sum((x - 1.0) ** 2)),
+                               np.array([3.0, 2.0]), s)
+    assert _same(_as_tuple(solvers.nelder_mead(f, np.array([3.0, 2.0]), s)),
+                 _as_tuple(want))
+
+
+def test_lockstep_searches_are_the_single_searches():
+    fs = [_objective("quadratic", np.array([1.0, 2.0])),
+          _objective("abs", np.array([-1.0, 0.5])),
+          _objective("walled", np.array([3.0, 0.0])),
+          lambda x: -math.inf,  # an infeasible start
+          _objective("quadratic", np.array([0.0, 0.0])),
+          None]  # an error at the start
+    starts = np.array([[0.0, 0.0], [2.0, 2.0], [0.5, 1.0], [0.0, 0.0], [0.0, 0.0],
+                       [1.0, 1.0]])
+    s = MleSettings(tolerance=1e-10, max_iter=400)
+    rounds = []
+
+    def score(which, X):
+        rounds.append(which.tolist())
+        assert X.shape == (len(which), 2)
+        out = [fs[j](x) if fs[j] else ModelError("probe: no value here")
+               for j, x in zip(which.tolist(), X)]
+        if len(rounds) == 20:  # search 4 fails in its 19th round
+            out[which.tolist().index(4)] = ModelError("probe: evaluation failed")
+        return out
+
+    got = solvers.nelder_mead_lockstep(score, starts, s)
+    calls = []
+    for j in (0, 1, 2):
+        seen = []
+        single = solvers.nelder_mead(lambda x: seen.append(x) or fs[j](x), starts[j], s)
+        assert _same(_as_tuple(got[j]), _as_tuple(single))
+        calls.append(len(seen))
+    assert isinstance(got[3], ModelError) and "infeasible start" in str(got[3])
+    assert isinstance(got[4], ModelError) and "evaluation failed" in str(got[4])
+    assert isinstance(got[5], ModelError) and "no value here" in str(got[5])
+    # a round of the starts, then one round per evaluation of the longest
+    # search, each scoring one point of every search still running
+    assert rounds[0] == [0, 1, 2, 3, 4, 5] and rounds[1] == [0, 1, 2, 4]
+    assert len(rounds) == max(calls)
+    assert all(4 not in r for r in rounds[20:])
+
+
+def test_annealing_skips_points_where_the_objective_is_not_finite():
+    outside = []
+
+    def f(x):
+        if abs(x[0]) >= 1.0:
+            outside.append(x[0])
+            return -math.inf
+        return -(x[0] - 0.5) ** 2
+
+    res = solvers.simulated_annealing(f, np.array([0.0]), MleSettings(max_iter=200),
+                                      RandomStream(5))
+    assert outside  # proposals beyond the wall were drawn and skipped
+    assert res.x[0] == pytest.approx(0.5, abs=1e-4) and math.isfinite(res.value)
+
+
+def test_annealing_keeps_its_point_when_the_polish_scores_lower():
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        # after the start and the 200 annealing steps every value drops by
+        # 1, as a noisy objective's can
+        return -(x[0] - 2.0) ** 2 - (1.0 if len(calls) > 201 else 0.0)
+
+    res = solvers.simulated_annealing(f, np.array([0.0]), MleSettings(max_iter=200),
+                                      RandomStream(5))
+    assert res.iterations == 200 and res.converged
+    assert res.value == -(res.x[0] - 2.0) ** 2 > -1.0
+
+
+def test_importing_modelkit_loads_no_scipy():
+    code = ("import sys, modelkit, modelkit.cli, modelkit.solvers; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(solvers.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_annealing_escapes_local_maximum():
