@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from modelkit import (CovarianceEstimate, DataSet, ModelError, Params, RandomStream, bin_to_pmf,
-                      bootstrap_cov, builtin, entropy, estimate,
-                      fisher_info_cov, jackknife_cov, kl_divergence, ks_stat,
+from modelkit import (CovarianceEstimate, DataSet, ModelError, Params,
+                      RandomStream, bin_to_pmf, bootstrap_cov, builtin,
+                      entropy, estimate, fisher_info_cov, jackknife_cov,
+                      kl_divergence, ks_stat,
                       mvn_model, normal_model, pmf_model, predict,
                       replication_cov, rmse)
 from modelkit import model as core

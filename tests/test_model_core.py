@@ -708,7 +708,8 @@ def test_stacked_likelihood_is_the_per_vector_likelihood_property(name, data):
             assert _bits(got[i]) == _bits(core.log_likelihood(m, d, P[i]))
             assert _bits(per_row[i]) == _bits(core.row_log_likelihood(m, rows, P[i]))
     # a stackable constraint gives each vector's violation too
-    assert _bits(core._violations(m, P)) == _bits([core._violation(m, P[i]) for i in range(k)])
+    assert _bits(core._violations(m, P)) == _bits(
+        [core._violation(m, P[i]) for i in range(k)])
 
 
 def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():
