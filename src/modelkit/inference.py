@@ -80,14 +80,23 @@ class _Subsets:
         return DataSet(self.base.rows[idx], self.base.weights[idx])
 
 
-def _replicate_cov(m: Model, replicates, method: str,
+def _replicate_cov(m: Model, datasets, total: int, method: str,
                    jackknife: bool = False) -> CovarianceEstimate:
-    """Covariance of m's estimates over the replicate data sets, a list or
-    a _Subsets.  A fit that raises ModelError is skipped with a warning;
-    more than 20% of the fits failing raises."""
-    fits = _replicate_fits(m, replicates)
-    estimates = [e for e in fits if not isinstance(e, ModelError)]
-    total, failures = len(fits), len(fits) - len(estimates)
+    """Covariance of m's estimates over the replicate data sets: an iterable
+    of DataSets, fitted one at a time, or a _Subsets, fitted in lockstep.  A
+    fit that raises ModelError is skipped with a warning; more than 20% of
+    ``total`` failing raises.  Errors while making a data set propagate."""
+    if isinstance(datasets, _Subsets):
+        fits = _lockstep_fits(m, datasets)
+    else:
+        fits = (_fit_or_error(lambda: core.estimate(m, d).params)
+                for d in datasets)
+    estimates, failures = [], 0
+    for fit in fits:
+        if isinstance(fit, ModelError):
+            failures += 1
+        else:
+            estimates.append(fit)
     if failures > 0.2 * total:
         raise ModelError(
             f"{method}: {failures} of {total} replicate estimates failed")
@@ -103,72 +112,57 @@ def _replicate_cov(m: Model, replicates, method: str,
     return CovarianceEstimate(mat, method, g, m.param_shape.labels())
 
 
-def _replicate_fits(m: Model, replicates) -> list:
-    """core.estimate(m, d).params.flatten() for each replicate data set d,
-    or the ModelError that fit raises.
+def _fits_in_lockstep(m: Model, base: DataSet) -> bool:
+    """Whether fits of m on row subsets of base share stacked likelihood
+    calls: estimate would run Nelder-Mead, m's logl stacks, every row of
+    base is live, and a stack of two vectors over its rows fits one block
+    of STACK_ENTRIES values."""
+    return (core._mle_settings(m).method == "nelder_mead"
+            and m.strategy["Est"] != "closed-form"
+            and not m.param_shape.fixed_mask.all() and core._stacks(m)
+            and isinstance(base.live_rows, slice)
+            and 2 * base.rows.size <= core.STACK_ENTRIES)
 
-    When estimate would run Nelder-Mead, every fit runs at once through
-    solvers.nelder_mead_lockstep, and each round scores the pending vector
-    of every running fit in one call.  For a _Subsets and a stackable model
-    that call is one stacked m.logl over the base rows, gathered per
-    replicate in its row order and summed with its weights, in blocks of
-    about STACK_ENTRIES gathered values; otherwise each fit's objective
-    scores its own vector, and holds its data set until the last fit ends.
+
+def _lockstep_fits(m: Model, sub: _Subsets) -> list:
+    """core.estimate(m, sub[r]).params.flatten() for each replicate r, or
+    the ModelError that fit raises, for an m and sub.base that
+    _fits_in_lockstep accepts.
+
+    Every fit runs at once through solvers.nelder_mead_lockstep.  Each
+    round scores the pending vector of every running fit with one stacked
+    m.logl over the base rows, gathered per replicate in its row order and
+    summed with its weights, in blocks of about STACK_ENTRIES gathered
+    values.  A round whose stacked call raises ModelError is scored again
+    one fit at a time, so that only the fits whose vector raises fail.
     Each fit runs the sequential algorithm on the same values, so the
     results are estimate's bit for bit.
     """
-    shape = m.param_shape
-    st = core._mle_settings(m)
-    if (st.method != "nelder_mead" or m.strategy["Est"] == "closed-form"
-            or shape.fixed_mask.all()):
-        return [_fit_or_error(lambda: core.estimate(m, replicates[r]).params)
-                for r in range(len(replicates))]
-
-    subsets = isinstance(replicates, _Subsets)
-    fits: list = [None] * len(replicates)
-    for r in range(len(replicates)):
-        try:  # estimate's preconditions; the rows of subsets are the base's
-            core._check_data(m, replicates.base if subsets else replicates[r])
-            core._check_mle(m)
-        except ModelError as e:
-            fits[r] = e
-    live = np.array([r for r, fit in enumerate(fits) if fit is None], dtype=int)
-    if live.size == 0:
-        return fits
-
-    objectives = {}
+    try:  # estimate's preconditions; every replicate's rows are the base's
+        core._check_data(m, sub.base)
+        core._check_mle(m)
+    except ModelError as e:
+        return [e] * len(sub)
 
     def one_by_one(which, X) -> list:
         out = []
         for r, x in zip(which.tolist(), X):
-            if r not in objectives:
-                objectives[r] = core._mle_objective(m, replicates[r])
             try:
-                out.append(objectives[r](x))
+                out.append(core._mle_objective(m, sub[r])(x))
             except ModelError as e:
                 out.append(e)
         return out
 
-    # a stack needs every replicate's rows to be live
-    stacked = (subsets and core._stacks(m)
-               and 2 * replicates.base.rows.size <= core.STACK_ENTRIES
-               and isinstance(replicates.base.live_rows, slice))
-
     def score(which, X) -> list:
-        if stacked:
-            try:
-                return _stacked_objective(m, replicates, which, X)
-            except ModelError:  # a stacked call cannot say whose vector failed
-                pass
-        return one_by_one(which, X)
+        try:
+            return _stacked_objective(m, sub, which, X)
+        except ModelError:  # a stacked call cannot say whose vector failed
+            return one_by_one(which, X)
 
-    starts = np.tile(shape.free_values(), (live.size, 1))
-    results = solvers.nelder_mead_lockstep(
-        lambda which, X: score(live[which], X), starts, st)
-    for r, res in zip(live.tolist(), results):
-        fits[r] = res if isinstance(res, ModelError) else _fit_or_error(
-            lambda: core._fitted_mle(m, res).params)
-    return fits
+    starts = np.tile(m.param_shape.free_values(), (len(sub), 1))
+    results = solvers.nelder_mead_lockstep(score, starts, core._mle_settings(m))
+    return [res if isinstance(res, ModelError) else _fit_or_error(
+        lambda: core._fitted_mle(m, res).params) for res in results]
 
 
 def _fit_or_error(fit) -> np.ndarray | ModelError:
@@ -205,7 +199,8 @@ def _stacked_objective(m: Model, sub: _Subsets, which: np.ndarray,
 
 def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
                   s: RandomStream | None = None) -> CovarianceEstimate:
-    """Covariance of estimates over resamples drawn with replacement."""
+    """Covariance of estimates over resamples drawn with replacement.  A
+    resample draws rows by weight and weighs each draw 1."""
     if len(d) < 10:
         raise ModelError("bootstrap needs at least 10 rows")
     if reps < 100:
@@ -213,10 +208,18 @@ def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
     s = s or RandomStream(0xB007)
     n = len(d)
     prob = d.weights / d.weights.sum()
-    picks = np.array([s.split(r).choice(n, p=prob, size=n) for r in range(reps)])
-    # a resample draws rows by weight and weighs each draw 1
-    return _replicate_cov(m, _Subsets(DataSet(d.rows), reps, picks.__getitem__),
-                          "bootstrap")
+
+    def picks(r: int) -> np.ndarray:
+        return s.split(r).choice(n, p=prob, size=n)
+
+    base = DataSet(d.rows)
+    if _fits_in_lockstep(m, base):
+        # every resample's rows at once: at most reps x STACK_ENTRIES/2 indices
+        table = np.array([picks(r) for r in range(reps)])
+        return _replicate_cov(m, _Subsets(base, reps, table.__getitem__),
+                              reps, "bootstrap")
+    resamples = (DataSet(d.rows[picks(r)]) for r in range(reps))
+    return _replicate_cov(m, resamples, reps, "bootstrap")
 
 
 def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
@@ -225,12 +228,18 @@ def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
     n = len(d)
     if n < 10:
         raise ModelError("jackknife needs at least 10 rows")
-    kept = np.arange(n - 1)
+    if _fits_in_lockstep(m, d):
+        kept = np.arange(n - 1)
 
-    def rows(which):
-        """Every row but row i, for each i of which."""
-        return kept + (kept >= which[:, None])
-    return _replicate_cov(m, _Subsets(d, n, rows), "jackknife", jackknife=True)
+        def rows(which):
+            """Every row but row i, for each i of which."""
+            return kept + (kept >= which[:, None])
+        subsets = _Subsets(d, n, rows)
+    else:
+        row = np.arange(n)
+        subsets = (DataSet(d.rows[row != i], d.weights[row != i])
+                   for i in range(n))
+    return _replicate_cov(m, subsets, n, "jackknife", jackknife=True)
 
 
 def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
@@ -250,8 +259,8 @@ def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
     if flatten and fit_model.data_dim != 1:
         raise ModelError("replication_cov: data dims incompatible")
     draws = (core.draw(m, params, s.split(r), n_per_rep) for r in range(reps))
-    runs = [DataSet(x.reshape(-1, 1) if flatten else x) for x in draws]
-    return _replicate_cov(fit_model, runs, "replication")
+    runs = (DataSet(x.reshape(-1, 1) if flatten else x) for x in draws)
+    return _replicate_cov(fit_model, runs, reps, "replication")
 
 
 def fisher_info_cov(fm: FittedModel, d: DataSet) -> CovarianceEstimate:

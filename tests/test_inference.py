@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -244,6 +245,36 @@ def test_lockstep_jackknife_of_a_weighted_data_set(zeros):
     del shapes[:]
     assert jackknife_cov(m, d).matrix.tobytes() == want.matrix.tobytes()
     assert any(len(shape) == 2 for shape in shapes) != zeros
+
+
+@pytest.mark.parametrize("method", ["bootstrap", "jackknife", "replication"])
+def test_fits_that_do_not_stack_hold_one_replicate_at_a_time(method, monkeypatch):
+    # beta's logl does not stack, so its fits run one after another, and
+    # each replicate data set is freed before the next is made
+    live, most = weakref.WeakSet(), []
+
+    class Tracked(DataSet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live.add(self)
+
+    base = builtin("beta")
+
+    @functools.wraps(base.logl)
+    def logl(rows, p):
+        most.append(len(live))
+        return base.logl(rows, p)
+
+    m = dataclasses.replace(base, logl=logl)
+    d = DataSet(core.draw(m, _BETA, RandomStream(29), 30))
+    monkeypatch.setattr("modelkit.inference.DataSet", Tracked)
+    if method == "bootstrap":
+        bootstrap_cov(m, d, reps=100, s=RandomStream(30))
+    elif method == "jackknife":
+        jackknife_cov(m, d)
+    else:
+        replication_cov(m, reps=25, s=RandomStream(31), params=_BETA, n_per_rep=30)
+    assert 0 < max(most) <= 2
 
 
 def test_lockstep_fits_keep_estimates_preconditions():
