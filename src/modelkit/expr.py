@@ -51,10 +51,6 @@ class Call:
     args: list = field(default_factory=list)
     kwargs: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return (isinstance(other, Call) and self.ident == other.ident
-                and self.args == other.args and self.kwargs == other.kwargs)
-
 
 # ---------------------------------------------------------------------------
 # Lexer

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -60,37 +59,11 @@ def predict(fm: FittedModel, row) -> tuple[np.ndarray, bool]:
 # Covariance estimators
 
 
-@dataclass
-class _Subsets:
-    """Replicate data sets that are row subsets of one base data set.
-
-    Replicate r holds the base rows ``rows(np.array([r]))[0]``, in that
-    order, with their weights; ``rows`` maps M replicate numbers to an
-    (M, L) index array.
-    """
-    base: DataSet
-    count: int
-    rows: Callable[[np.ndarray], np.ndarray]
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, r: int) -> DataSet:
-        idx = self.rows(np.array([r]))[0]
-        return DataSet(self.base.rows[idx], self.base.weights[idx])
-
-
-def _replicate_cov(m: Model, datasets, total: int, method: str,
+def _replicate_cov(m: Model, fits, total: int, method: str,
                    jackknife: bool = False) -> CovarianceEstimate:
-    """Covariance of m's estimates over the replicate data sets: an iterable
-    of DataSets, fitted one at a time, or a _Subsets, fitted in lockstep.  A
-    fit that raises ModelError is skipped with a warning; more than 20% of
-    ``total`` failing raises.  Errors while making a data set propagate."""
-    if isinstance(datasets, _Subsets):
-        fits = _lockstep_fits(m, datasets)
-    else:
-        fits = (_fit_or_error(lambda: core.estimate(m, d).params)
-                for d in datasets)
+    """Covariance of m's estimates from the replicate fits: each a flat
+    parameter vector, or the ModelError its fit raised.  A failed fit is
+    skipped with a warning; more than 20% of ``total`` failing raises."""
     estimates, failures = [], 0
     for fit in fits:
         if isinstance(fit, ModelError):
@@ -112,89 +85,15 @@ def _replicate_cov(m: Model, datasets, total: int, method: str,
     return CovarianceEstimate(mat, method, g, m.param_shape.labels())
 
 
-def _fits_in_lockstep(m: Model, base: DataSet) -> bool:
-    """Whether fits of m on row subsets of base share stacked likelihood
-    calls: estimate would run Nelder-Mead, m's logl stacks, every row of
-    base is live, and a stack of two vectors over its rows fits one block
-    of STACK_ENTRIES values."""
-    return (core._mle_settings(m).method == "nelder_mead"
-            and m.strategy["Est"] != "closed-form"
-            and not m.param_shape.fixed_mask.all() and core._stacks(m)
-            and isinstance(base.live_rows, slice)
-            and 2 * base.rows.size <= core.STACK_ENTRIES)
-
-
-def _lockstep_fits(m: Model, sub: _Subsets) -> list:
-    """core.estimate(m, sub[r]).params.flatten() for each replicate r, or
-    the ModelError that fit raises, for an m and sub.base that
-    _fits_in_lockstep accepts.
-
-    Every fit runs at once through solvers.nelder_mead_lockstep.  Each
-    round scores the pending vector of every running fit with one stacked
-    m.logl over the base rows, gathered per replicate in its row order and
-    summed with its weights, in blocks of about STACK_ENTRIES gathered
-    values.  A round whose stacked call raises ModelError is scored again
-    one fit at a time, so that only the fits whose vector raises fail.
-    Each fit runs the sequential algorithm on the same values, so the
-    results are estimate's bit for bit.
-    """
-    try:  # estimate's preconditions; every replicate's rows are the base's
-        core._check_data(m, sub.base)
-        core._check_mle(m)
-    except ModelError as e:
-        return [e] * len(sub)
-
-    def one_by_one(which, X) -> list:
-        out = []
-        for r, x in zip(which.tolist(), X):
-            try:
-                out.append(core._mle_objective(m, sub[r])(x))
-            except ModelError as e:
-                out.append(e)
-        return out
-
-    def score(which, X) -> list:
+def _fits(m: Model, datasets):
+    """estimate(m, d).params.flatten() for each data set d, one at a time,
+    or the ModelError that fit raises.  Errors while making a data set
+    propagate."""
+    for d in datasets:
         try:
-            return _stacked_objective(m, sub, which, X)
-        except ModelError:  # a stacked call cannot say whose vector failed
-            return one_by_one(which, X)
-
-    starts = np.tile(m.param_shape.free_values(), (len(sub), 1))
-    results = solvers.nelder_mead_lockstep(score, starts, core._mle_settings(m))
-    return [res if isinstance(res, ModelError) else _fit_or_error(
-        lambda: core._fitted_mle(m, res).params) for res in results]
-
-
-def _fit_or_error(fit) -> np.ndarray | ModelError:
-    """The flat vector of the Params fit() returns, or its ModelError."""
-    try:
-        return fit().flatten()
-    except ModelError as e:
-        return e
-
-
-def _stacked_objective(m: Model, sub: _Subsets, which: np.ndarray,
-                       X: np.ndarray) -> list:
-    """core._mle_objective(m, sub[which[i]])(X[i]) for each i, from one
-    stacked m.logl over the base rows per block of vectors."""
-    base = sub.base
-    P = m.param_shape.stack(X)
-    violation = core._violations(m, P)
-    out = core._penalty(violation)
-    ok = np.flatnonzero(~(violation > 0))
-
-    def sums(block: np.ndarray) -> np.ndarray:
-        v = np.asarray(m.logl(base.rows, P[ok[block]]), dtype=float)
-        idx = sub.rows(which[ok[block]])
-        # C-ordered like idx, whatever layout the logl returns, as
-        # _weighted_sums needs
-        g = np.take_along_axis(v, idx, axis=1)
-        return np.array(core._weighted_sums(g, base.weights[idx]))
-
-    if ok.size:
-        out[ok] = core._by_blocks(np.arange(ok.size), base.rows, sums,
-                                  core.STACK_ENTRIES)
-    return out.tolist()
+            yield core.estimate(m, d).params.flatten()
+        except ModelError as e:
+            yield e
 
 
 def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
@@ -213,13 +112,13 @@ def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
         return s.split(r).choice(n, p=prob, size=n)
 
     base = DataSet(d.rows)
-    if _fits_in_lockstep(m, base):
+    if core._fits_in_lockstep(m, base):
         # every resample's rows at once: at most reps x STACK_ENTRIES/2 indices
         table = np.array([picks(r) for r in range(reps)])
-        return _replicate_cov(m, _Subsets(base, reps, table.__getitem__),
-                              reps, "bootstrap")
-    resamples = (DataSet(d.rows[picks(r)]) for r in range(reps))
-    return _replicate_cov(m, resamples, reps, "bootstrap")
+        fits = core._lockstep_fits(m, base, reps, table.__getitem__)
+    else:
+        fits = _fits(m, (DataSet(d.rows[picks(r)]) for r in range(reps)))
+    return _replicate_cov(m, fits, reps, "bootstrap")
 
 
 def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
@@ -228,18 +127,18 @@ def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
     n = len(d)
     if n < 10:
         raise ModelError("jackknife needs at least 10 rows")
-    if _fits_in_lockstep(m, d):
+    if core._fits_in_lockstep(m, d):
         kept = np.arange(n - 1)
 
         def rows(which):
             """Every row but row i, for each i of which."""
             return kept + (kept >= which[:, None])
-        subsets = _Subsets(d, n, rows)
+        fits = core._lockstep_fits(m, d, n, rows)
     else:
         row = np.arange(n)
-        subsets = (DataSet(d.rows[row != i], d.weights[row != i])
-                   for i in range(n))
-    return _replicate_cov(m, subsets, n, "jackknife", jackknife=True)
+        fits = _fits(m, (DataSet(d.rows[row != i], d.weights[row != i])
+                         for i in range(n)))
+    return _replicate_cov(m, fits, n, "jackknife", jackknife=True)
 
 
 def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
@@ -260,7 +159,7 @@ def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
         raise ModelError("replication_cov: data dims incompatible")
     draws = (core.draw(m, params, s.split(r), n_per_rep) for r in range(reps))
     runs = (DataSet(x.reshape(-1, 1) if flatten else x) for x in draws)
-    return _replicate_cov(fit_model, runs, reps, "replication")
+    return _replicate_cov(fit_model, _fits(fit_model, runs), reps, "replication")
 
 
 def fisher_info_cov(fm: FittedModel, d: DataSet) -> CovarianceEstimate:

@@ -154,10 +154,6 @@ def stackable(element: Callable) -> Callable:
     return element
 
 
-def _stacks(m: Model) -> bool:
-    return m.logl_joint is None and getattr(m.logl, "stackable", False)
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 
@@ -233,6 +229,14 @@ def log_sum_exp(a: np.ndarray) -> np.ndarray:
 # blocks ran slower on 2,000 Poisson-rate vectors over 2,000 and 20,000
 # counts, and a block of one vector is slower than a one-vector call.
 STACK_ENTRIES = 1 << 15
+
+
+def _stacks(m: Model, d: DataSet) -> bool:
+    """Whether one m.logl call scores d's rows for a stack of vectors: m's
+    logl is stackable and not joint, and a stack of two vectors over d's
+    rows fits one block of STACK_ENTRIES values."""
+    return (m.logl_joint is None and getattr(m.logl, "stackable", False)
+            and 2 * d.rows.size <= STACK_ENTRIES)
 
 
 def _by_blocks(points, rows: np.ndarray, per_block, entries: int = 1 << 20) -> np.ndarray:
@@ -311,7 +315,7 @@ def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray
     hold a single vector.
     """
     _check_params(m, P)
-    if not _stacks(m) or 2 * d.rows.size > STACK_ENTRIES:
+    if not _stacks(m, d):
         return np.array([log_likelihood(m, d, P[k]) for k in range(len(P))])
     _check_rows(m, d.rows)
     pair = d.distinct_rows(len(P))
@@ -522,7 +526,9 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
     model's own parameter values."""
     from . import solvers
 
-    _check_data(m, d)
+    if len(d) == 0 and m.data_dim != 0:
+        raise ModelError(f"{m.label}: cannot estimate from an empty data set")
+    _check_rows(m, d.rows)
     st = settings or _mle_settings(m)
     shape = m.param_shape
 
@@ -535,7 +541,13 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
         p = m.est(d)
         return FittedModel(m, p, log_likelihood(m, d, p), 0, True, _violation(m, p))
 
-    _check_mle(m)
+    if (m.strategy["L"] == "memoized PMF" and not m.discrete
+            and m.settings.get("kde") is None):
+        # raw memoized draws put no mass between the draws, so continuous
+        # data scores -inf everywhere
+        raise ModelError(
+            f"{m.label}: element L is a memoized PMF of draws, which gives "
+            f"continuous data zero likelihood; set settings['kde'] to smooth it")
     # looked up at call time, so a wrapped solver is the one that runs
     solve = {"nelder_mead": solvers.nelder_mead,
              "annealing": solvers.simulated_annealing,
@@ -546,24 +558,6 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
 def _mle_settings(m: Model) -> MleSettings:
     """The optimizer run estimate uses when it is given no settings."""
     return m.settings.get("mle") or MleSettings()
-
-
-def _check_data(m: Model, d: DataSet):
-    """estimate's preconditions on the data set."""
-    if len(d) == 0 and m.data_dim != 0:
-        raise ModelError(f"{m.label}: cannot estimate from an empty data set")
-    _check_rows(m, d.rows)
-
-
-def _check_mle(m: Model):
-    """estimate's precondition on a model fitted by an optimizer."""
-    if (m.strategy["L"] == "memoized PMF" and not m.discrete
-            and m.settings.get("kde") is None):
-        # raw memoized draws put no mass between the draws, so continuous
-        # data scores -inf everywhere
-        raise ModelError(
-            f"{m.label}: element L is a memoized PMF of draws, which gives "
-            f"continuous data zero likelihood; set settings['kde'] to smooth it")
 
 
 def _fitted_mle(m: Model, res) -> FittedModel:
@@ -606,6 +600,84 @@ def _violations(m: Model, P: StackedParams) -> np.ndarray:
     if getattr(m.constraint, "stackable", False):
         return np.asarray(m.constraint(P), dtype=float).reshape(len(P))
     return np.array([_violation(m, P[k]) for k in range(len(P))])
+
+
+def _fits_in_lockstep(m: Model, base: DataSet) -> bool:
+    """Whether fits of m on row subsets of base share stacked likelihood
+    calls (_lockstep_fits): estimate would run Nelder-Mead, base's rows have
+    m's dimension, m's logl stacks over them, and every row of base is live.
+    Such an m's likelihood is closed-form, so estimate's preconditions hold
+    on every non-empty subset of base."""
+    return (_mle_settings(m).method == "nelder_mead"
+            and m.strategy["Est"] != "closed-form"
+            and not m.param_shape.fixed_mask.all()
+            and base.dim == m.data_dim and _stacks(m, base)
+            and isinstance(base.live_rows, slice))
+
+
+def _lockstep_fits(m: Model, base: DataSet, count: int,
+                   rows: Callable[[np.ndarray], np.ndarray]) -> list:
+    """estimate(m, replicate r).params.flatten() for each r < count, or the
+    ModelError that fit raises, for an m and base that _fits_in_lockstep
+    accepts and replicates of at least one row.  Replicate r holds the base
+    rows ``rows(np.array([r]))[0]``, in that order, with their weights;
+    ``rows`` maps M replicate numbers to an (M, L) index array.
+
+    Every fit runs at once through solvers.nelder_mead_lockstep.  Each
+    round scores the pending vector of every running fit with one stacked
+    m.logl over the base rows, gathered per replicate in its row order and
+    summed with its weights, in blocks of about STACK_ENTRIES gathered
+    values.  A round whose stacked call raises ModelError is scored again
+    one fit at a time, so that only the fits whose vector raises fail.
+    Each fit runs the sequential algorithm on the same values, so the
+    results are estimate's bit for bit.
+    """
+    from . import solvers
+
+    def one_by_one(which, X) -> list:
+        out = []
+        for r, x in zip(which.tolist(), X):
+            idx = rows(np.array([r]))[0]
+            objective = _mle_objective(m, DataSet(base.rows[idx], base.weights[idx]))
+            try:
+                out.append(objective(x))
+            except ModelError as e:
+                out.append(e)
+        return out
+
+    def score(which, X) -> list:
+        try:
+            return _stacked_objective(m, base, rows, which, X)
+        except ModelError:  # a stacked call cannot say whose vector failed
+            return one_by_one(which, X)
+
+    starts = np.tile(m.param_shape.free_values(), (count, 1))
+    results = solvers.nelder_mead_lockstep(score, starts, _mle_settings(m))
+    return [res if isinstance(res, ModelError)
+            else _fitted_mle(m, res).params.flatten() for res in results]
+
+
+def _stacked_objective(m: Model, base: DataSet, rows, which: np.ndarray,
+                       X: np.ndarray) -> list:
+    """_mle_objective(m, replicate which[i])(X[i]) for each i, replicates as
+    in _lockstep_fits, from one stacked m.logl over the base rows per block
+    of vectors."""
+    P = m.param_shape.stack(X)
+    violation = _violations(m, P)
+    out = _penalty(violation)
+    ok = np.flatnonzero(~(violation > 0))
+
+    def sums(block: np.ndarray) -> np.ndarray:
+        v = np.asarray(m.logl(base.rows, P[ok[block]]), dtype=float)
+        idx = rows(which[ok[block]])
+        # C-ordered like idx, whatever layout the logl returns, as
+        # _weighted_sums needs
+        g = np.take_along_axis(v, idx, axis=1)
+        return np.array(_weighted_sums(g, base.weights[idx]))
+
+    if ok.size:
+        out[ok] = _by_blocks(np.arange(ok.size), base.rows, sums, STACK_ENTRIES)
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------

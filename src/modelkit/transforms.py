@@ -27,8 +27,7 @@ POSTERIOR_SEED = 0x5EED_0006
 
 def _violation_sum(ms, ps) -> float:
     """Summed constraint violation of each part at its own parameters."""
-    return sum(float(m.constraint(q)) for m, q in zip(ms, ps)
-               if m.constraint is not None)
+    return sum(core._violation(m, q) for m, q in zip(ms, ps))
 
 
 # ---------------------------------------------------------------------------

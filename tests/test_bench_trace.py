@@ -3,7 +3,8 @@
 perfbench/spans.py patches modelkit by name from outside src/, so renaming or
 deleting a name it patches or reads breaks only the traced bench.  This test
 runs the tracer in a child process, as the bench does, so the patching
-leaves the test process's modelkit untouched.
+leaves the test process's modelkit untouched.  The child also runs a
+bootstrap whose fits run in lockstep, so that fitter runs under the tracer.
 """
 
 import subprocess
@@ -18,15 +19,21 @@ _CHILD = textwrap.dedent("""
     sys.path[:0] = [sys.argv[1], sys.argv[2]]
     import spans
     tr = spans.install()
-    from modelkit import RandomStream, cli, draw, normal_model
+    from modelkit import (DataSet, RandomStream, bootstrap_cov, cli, draw,
+                          normal_model, weibull_model)
     assert cli.run_example("roundtrip", draws=300, out=sys.argv[3]) == 0
     # a likelihood-only sampler runs the Metropolis solver
     l_only = dataclasses.replace(normal_model(), rng=None, cdf=None, est=None)
     draw(l_only, l_only.param_shape, RandomStream(1), 5)
+    # a stacking model's bootstrap fits run in lockstep
+    wb = weibull_model()
+    bootstrap_cov(wb, DataSet(draw(wb, wb.param_shape, RandomStream(2), 30)),
+                  reps=100)
     m = spans.layer_metrics(tr)
     assert m["model.estimate.calls"] > 0, m
     assert m["solvers.metropolis.calls"] == 1, m
     assert m["transforms.truncate.self_s"] > 0, m
+    assert m["inference.bootstrap_cov.self_s"] > 0, m
 """)
 
 

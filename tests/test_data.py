@@ -20,6 +20,8 @@ def test_dataset_csv_round_trip(tmp_path):
     assert back.names == ["a", "b"]
     path.write_text("x,weight\n")  # header only: no rows, one data column
     assert DataSet.from_csv(path).rows.shape == (0, 1)
+    path.write_text("")  # an empty file: no rows, no columns
+    assert DataSet.from_csv(path).rows.shape == (0, 0)
 
 
 def test_dataset_headerless_csv(tmp_path):
@@ -84,6 +86,9 @@ def test_dataset_group_list():
     parts = d.group_list()
     assert [len(p) for p in parts] == [2, 2, 2]
     assert parts[0].rows[:, 0].tolist() == [1.0, 3.0]
+    ungrouped = DataSet(np.arange(3.0))
+    assert len(ungrouped.group_list()) == 1
+    assert ungrouped.group_list()[0] is ungrouped
 
 
 def test_dataset_sorted_is_lexicographic():
@@ -308,6 +313,11 @@ def test_stream_reproducible_and_split_independent():
 def test_stream_path_seeding():
     assert np.array_equal(RandomStream((1, 2)).uniform(size=3),
                           RandomStream(1).split(2).uniform(size=3))
+
+
+def test_stream_and_dataset_reprs():
+    assert repr(RandomStream(7).split(3)) == "RandomStream(7, 3)"
+    assert repr(DataSet(np.zeros((3, 2)))) == "DataSet(3 rows, dim=2)"
 
 
 def test_params_pin_sets_and_fixes_only_the_first_block_of_a_repeated_name():

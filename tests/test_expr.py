@@ -110,6 +110,23 @@ def test_eval_bad_keyword():
         eval_model_expr(parse_model_expr("swap(normal, spin=3)"))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("cross(normal)", "cross takes at least 2 model argument(s), got 1"),
+    ("mixcdf(normal, normal, normal)",
+     "mixcdf takes 1 or 2 model argument(s), got 3"),
+    ("swap", "swap takes 1 model argument(s), got 0"),
+])
+def test_eval_arity_messages(text, message):
+    with pytest.raises(ExprError) as e:
+        eval_model_expr(parse_model_expr(text))
+    assert str(e.value) == message
+
+
+def test_eval_parameter_keyword_of_the_wrong_length():
+    with pytest.raises(ExprError, match="'sigma' expects 1 value"):
+        eval_model_expr(parse_model_expr("fix(normal, sigma=[1, 2])"))
+
+
 def test_eval_jacobian_registry_functions():
     for f in ("cube", "sqrt", "reciprocal", "log"):
         m = eval_model_expr(parse_model_expr(f"jacobian(exponential, f={f})"))

@@ -282,6 +282,28 @@ def test_lockstep_fits_keep_estimates_preconditions():
         replication_cov(builtin("weibull"), reps=5, params=_WEIBULL, n_per_rep=0)
 
 
+@pytest.mark.parametrize("method", ["bootstrap", "jackknife"])
+def test_replicate_fits_on_rows_of_the_wrong_dimension_fail_as_before(method):
+    # weibull's fits stack, but its 1-column rows cannot be 2-column ones,
+    # so every fit fails, as estimate's row check makes it
+    m = builtin("weibull")
+    d = DataSet(RandomStream(32).uniform(1.0, 2.0, size=(20, 2)))
+    if method == "bootstrap":
+        replicates = _resamples(d, 100, RandomStream(33))
+    else:
+        replicates = _leave_one_out(d)
+    with pytest.raises(ModelError) as before:
+        _sequential_cov(m, replicates, method, jackknife=method == "jackknife")
+    total = len(replicates)
+    with pytest.raises(ModelError, match=f"{method}: {total} of {total} "
+                                         f"replicate estimates failed") as now:
+        if method == "bootstrap":
+            bootstrap_cov(m, d, reps=100, s=RandomStream(33))
+        else:
+            jackknife_cov(m, d)
+    assert str(now.value) == str(before.value)
+
+
 def test_covariance_csv_round_trip(tmp_path):
     import csv
 

@@ -50,6 +50,10 @@ def test_model_needs_some_element():
         Model("empty", 1, Params.scalars(mu=0.0))
 
 
+def test_model_repr_names_label_data_dim_and_parameter_count():
+    assert repr(normal_model()) == "Model('normal', data_dim=1, params=2)"
+
+
 def test_likelihood_from_cdf_matches_density():
     m = cdf_only_exponential()
     p = Params.scalars(mu=2.0)
@@ -533,6 +537,14 @@ def test_distinct_rows_are_worked_out_from_the_second_scoring(monkeypatch):
         core.log_likelihood(normal_model(), c, normal_model().param_shape)
     assert calls == ["sort"]
     assert c.distinct_rows() is None
+    # rows of no columns: nothing to sort, from the second scoring on too
+    calls.clear()
+    z = DataSet(np.empty((400, 0)))
+    empty_space = Model("empty space", 0, Params.scalars(c=0.0),
+                        logl=lambda rows, p: np.zeros(len(rows)))
+    for _ in range(2):
+        assert core.log_likelihood(empty_space, z, empty_space.param_shape) == 0.0
+    assert calls == [] and z.distinct_rows() is None
     # a stacked call of two or more vectors is that many scorings at once
     calls.clear()
     s = DataSet(np.arange(400.0) % 5)

@@ -103,6 +103,19 @@ def test_mix_em_separates_two_normals():
     assert w[0] == pytest.approx(0.3, abs=0.05)
 
 
+def test_mix_em_skips_a_component_that_scores_no_row():
+    # an exponential gives negative data zero density, so EM leaves it at
+    # its start, with weight 0, and the Normal fits every row
+    x = -0.1 - np.abs(RandomStream(5).normal(-3.0, 1.0, size=40))
+    m = mix([normal_model(), builtin("exponential")])
+    start = builtin("exponential").est(DataSet(np.sort(x)[20:].reshape(-1, 1)))
+    fit = estimate(m, DataSet(x.reshape(-1, 1)))
+    assert fit.params.block("w").tolist() == [1.0, 0.0]
+    assert fit.params.scalar("0.mu") == pytest.approx(x.mean(), rel=1e-12)
+    assert fit.params.scalar("0.sigma") == pytest.approx(x.std(), rel=1e-12)
+    assert fit.params.scalar("1.mu") == start.scalar("mu")
+
+
 def test_truncate_renormalizes():
     t = truncate(normal_model(), (0.0, None))
     p = Params.scalars(mu=1.0, sigma=1.0)
