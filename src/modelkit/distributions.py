@@ -131,8 +131,11 @@ def mvn_model(dim: int = 2) -> Model:
         if sign <= 0:
             return np.full(rows.shape[0], -np.inf)
         diff = rows - mu
-        sol = np.linalg.solve(cov, diff.T).T
-        q = np.sum(diff * sol, axis=1)
+        # one inverse per call and an elementwise quadratic form, so that
+        # each row's value depends on that row alone (a solve or an einsum
+        # over all rows rounds by their number)
+        inv = np.linalg.inv(cov)
+        q = np.sum(np.sum(diff[:, :, None] * inv, axis=1) * diff, axis=1)
         return -0.5 * (q + logdet + dim * math.log(2 * math.pi))
 
     def est(d):

@@ -51,9 +51,7 @@ def network_sim_model(cfg: NetworkSimConfig | None = None,
         dist = np.abs(pos[:, :, None] - pos[:, None, :])
         r = stream.uniform(size=(n, a, a))
         link = r <= 1.0 / (1.0 + dist)
-        iu = np.triu_indices(a, k=1)
-        adj = np.zeros((n, a, a), dtype=bool)
-        adj[:, iu[0], iu[1]] = link[:, iu[0], iu[1]]
+        adj = np.triu(link, k=1)
         adj |= adj.transpose(0, 2, 1)
         deg = adj.sum(axis=2)
         return np.sort(deg, axis=1)[:, ::-1].astype(float)

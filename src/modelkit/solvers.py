@@ -476,63 +476,50 @@ def memoize_rng_to_pmf(m: Model, p: Params, n: int, stream: RandomStream) -> Mod
 def kde_smooth(pmf: Model) -> Model:
     """Mixture of one kernel per PMF support point, kernel centered there.
 
-    The kernel is a Normal (a multivariate Normal for d > 1) with Silverman's
-    bandwidth.  It is a location family in its "mu" block: its density, CDF
-    and draws at mu = c are those at mu = 0 shifted by c.  Every element is
-    therefore evaluated once, at mu = 0, on the differences between the
-    points and all support points.
+    The kernel is a Gaussian with diagonal covariance, coordinate j having
+    Silverman's bandwidth h_j: the product of the catalog Normals at mu = 0
+    and sigma = h_j, each evaluated once on coordinate j of the differences
+    between the points and all support points.  Its log density sums over
+    the coordinates, its CDF multiplies over them, and a draw is one Normal
+    draw per coordinate plus the picked support point.
     """
-    from .distributions import normal_model, mvn_model
+    from .distributions import normal_model
 
     support: DataSet = pmf.settings.get("pmf_support")
     if support is None:
         raise ModelError("kde_smooth expects a PMF model")
-    dim = support.dim
-    kernel = normal_model() if dim == 1 else mvn_model(dim)
-    bw = _silverman_bandwidth(kernel, support)
+    centres = support.rows
+    k, dim = centres.shape
+    sd = np.std(centres, axis=0, ddof=1)
+    sd = np.where(sd > 0, sd, 1.0)
+    h = 1.06 * sd * max(k, 2) ** (-1 / 5)
+    if not np.all(h > 0):
+        raise ModelError("kde_smooth: kernel bandwidth is not positive")
+    kernel = normal_model()
+    kps = [Params.scalars(mu=0.0, sigma=float(hj)) for hj in h]
     weights = pmf.param_shape.block("w")
     weights = weights / weights.sum()
-    # non-location blocks come from the bandwidth params
-    kp = kernel.param_shape.with_blocks(
-        mu=np.zeros(dim),
-        **{n: bw.block(n) for n in kernel.param_shape.names if n != "mu"})
-    if kernel.constraint is not None and kernel.constraint(kp) > 0:
-        raise ModelError("kde_smooth: kernel covariance is not positive definite")
-    centres = support.rows
-    k = centres.shape[0]
     logw = np.log(np.clip(weights, 1e-300, None))
 
     def at_offsets(element, rows):
-        """element(x - centre, kp) for every row and centre, as an (n, k) array."""
-        diff = (rows[:, None, :] - centres[None, :, :]).reshape(-1, dim)
-        return np.asarray(element(diff, kp), dtype=float).reshape(-1, k)
+        """element(x_j - centre_j, kernel j) for every row, centre and
+        coordinate j, as a list of dim (n, k) arrays."""
+        diff = rows[:, None, :] - centres[None, :, :]
+        return [element(diff[:, :, j].reshape(-1, 1), kp).reshape(-1, k)
+                for j, kp in enumerate(kps)]
 
     def logl(rows, p):
-        return core.log_sum_exp(at_offsets(kernel.logl, rows) + logw)
+        return core.log_sum_exp(sum(at_offsets(kernel.logl, rows)) + logw)
 
     def rng(p, stream, n):
         idx = stream.choice(k, p=weights, size=n)
-        return core.draw(kernel, kp, stream, n) + centres[idx]
+        return stream.normal(0.0, h, size=(n, dim)) + centres[idx]
 
-    cdf = None
-    if dim == 1:
-        # the multivariate Normal CDF is a numeric integral per row, too slow
-        # for every (point, centre) offset: empirical draws serve d > 1
-        def cdf(points, p):
-            return at_offsets(kernel.cdf, points) @ weights
+    def cdf(points, p):
+        return np.sum(math.prod(at_offsets(kernel.cdf, points)) * weights, axis=1)
 
     return Model(f"kde({pmf.label})", dim, Params([]), logl=logl, rng=rng,
                  cdf=cdf)
-
-
-def _silverman_bandwidth(kernel: Model, support: DataSet) -> Params:
-    n = max(len(support), 2)
-    sd = np.std(support.rows, axis=0, ddof=1)
-    sd = np.where(sd > 0, sd, 1.0)
-    h = 1.06 * sd * n ** (-1 / 5)
-    if "sigma" in kernel.param_shape.names:
-        return Params([("sigma", [float(h[0])])])
-    return Params([("cov", np.diag(h ** 2).ravel())])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ mutated.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,11 +48,9 @@ def fix(m: Model, pinned: Params) -> Model:
             f"fix: pinned length {len(pinned)} != parameter length {len(m.param_shape)}")
     if not pinned.fixed_mask.any():
         raise ModelError("fix: at least one entry must be pinned")
-    return Model(f"fix({m.label})", m.data_dim, pinned.copy(),
-                 logl=m.logl, logl_joint=m.logl_joint, est=m.est, rng=m.rng,
-                 cdf=m.cdf, constraint=m.constraint, settings=m.settings,
-                 discrete=m.discrete,
-                 transform=TransformRecord("fix", [m], {"pinned": pinned}))
+    return dataclasses.replace(
+        m, label=f"fix({m.label})", param_shape=pinned.copy(),
+        transform=TransformRecord("fix", [m], {"pinned": pinned}))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +456,7 @@ def swap(m: Model) -> Model:
         out = np.empty(rows.shape[0])
         for i in range(rows.shape[0]):
             q = m.param_shape.replace(rows[i])
-            if m.constraint is not None and m.constraint(q) > 0:
+            if core._violation(m, q) > 0:
                 out[i] = -np.inf
             else:
                 out[i] = core.row_log_likelihood(m, datum, q)[0]
@@ -544,9 +543,7 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
         return float(_dp_joint(prior, like, rho, d, p.vector.reshape(1, -1))[0])
 
     def constraint(p):
-        if like.constraint is None:
-            return 0.0
-        return float(like.constraint(like.param_shape.with_free(p.vector)))
+        return core._violation(like, like.param_shape.with_free(p.vector))
 
     return Model(f"dp_compose({prior.label}, {like.label})", like.data_dim,
                  shape, logl_joint=logl_joint, constraint=constraint,

@@ -4,7 +4,8 @@ perfbench/spans.py patches modelkit by name from outside src/, so renaming or
 deleting a name it patches or reads breaks only the traced bench.  This test
 runs the tracer in a child process, as the bench does, so the patching
 leaves the test process's modelkit untouched.  The child also runs a
-bootstrap whose fits run in lockstep, so that fitter runs under the tracer.
+bootstrap whose fits run in lockstep and a KDE-smoothed 2-D memoized
+likelihood, so that fitter and the KDE kernel run under the tracer.
 """
 
 import subprocess
@@ -19,8 +20,9 @@ _CHILD = textwrap.dedent("""
     sys.path[:0] = [sys.argv[1], sys.argv[2]]
     import spans
     tr = spans.install()
-    from modelkit import (DataSet, RandomStream, bootstrap_cov, cli, draw,
-                          normal_model, weibull_model)
+    from modelkit import (DataSet, KdeSettings, RandomStream, bootstrap_cov,
+                          cli, draw, log_likelihood, mvn_model, normal_model,
+                          weibull_model)
     assert cli.run_example("roundtrip", draws=300, out=sys.argv[3]) == 0
     # a likelihood-only sampler runs the Metropolis solver
     l_only = dataclasses.replace(normal_model(), rng=None, cdf=None, est=None)
@@ -29,11 +31,17 @@ _CHILD = textwrap.dedent("""
     wb = weibull_model()
     bootstrap_cov(wb, DataSet(draw(wb, wb.param_shape, RandomStream(2), 30)),
                   reps=100)
+    # a sampler-only 2-D model's likelihood smooths its memoized draws
+    mv = dataclasses.replace(mvn_model(2), logl=None, cdf=None, est=None,
+                             settings={"kde": KdeSettings(), "memoize_draws": 200})
+    log_likelihood(mv, DataSet(draw(mv, mv.param_shape, RandomStream(3), 20)),
+                   mv.param_shape)
     m = spans.layer_metrics(tr)
     assert m["model.estimate.calls"] > 0, m
     assert m["solvers.metropolis.calls"] == 1, m
     assert m["transforms.truncate.self_s"] > 0, m
     assert m["inference.bootstrap_cov.self_s"] > 0, m
+    assert m["solvers.kde_smooth.calls"] >= 1, m
 """)
 
 

@@ -277,7 +277,8 @@ def test_fits_that_do_not_stack_hold_one_replicate_at_a_time(method, monkeypatch
     assert 0 < max(most) <= 2
 
 
-def test_lockstep_fits_keep_estimates_preconditions():
+def test_replication_fits_keep_estimates_preconditions():
+    # replication fits one replicate at a time: never in lockstep
     with pytest.raises(ModelError, match="replication: 5 of 5 replicate"):
         replication_cov(builtin("weibull"), reps=5, params=_WEIBULL, n_per_rep=0)
 

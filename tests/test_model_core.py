@@ -14,6 +14,7 @@ from modelkit import (DataSet, Model, ModelError, Params, RandomStream,
                       UnresolvableElementError, builtin, check_ml_consistency,
                       cross, estimate, fix, mvn_model, normal_model, pmf_model)
 from modelkit import model as core
+from modelkit import solvers
 from modelkit import transforms
 from modelkit.solvers import effective_sample_size as ess
 
@@ -400,6 +401,10 @@ def _row_contract_cases():
     crossed = cross([normal, pois])
     pmf = pmf_model(DataSet(core.draw(pois, Params.scalars(lam=3.0),
                                       RandomStream(2), 200)))
+    kde = solvers.kde_smooth(solvers.memoize_rng_to_pmf(
+        normal, Params.scalars(mu=0.5, sigma=1.5), 200, RandomStream(5)))
+    kde2 = solvers.kde_smooth(solvers.memoize_rng_to_pmf(
+        mvn, mvn_p, 200, RandomStream(6)))
     return {
         "normal": (normal, Params.scalars(mu=0.5, sigma=1.5), (-4.0, 5.0)),
         "exponential": (expo, Params.scalars(mu=2.0), (-1.0, 8.0)),
@@ -417,14 +422,13 @@ def _row_contract_cases():
                 (-3.0, 6.0)),
         "cross": (crossed, crossed.param_shape.replace([0.0, 1.0, 3.0]), (-1.0, 7.0)),
         "pmf": (pmf, pmf.param_shape, (-1.0, 9.0)),
+        "kde": (kde, kde.param_shape, (-4.0, 5.0)),
+        "kde-2d": (kde2, kde2.param_shape, (-3.0, 3.0)),
     }
 
 
 # built once, so each empirical CDF draws once for all examples
 _ROW_CONTRACT = _row_contract_cases()
-# the mvn likelihood solves for every row in one np.linalg.solve call, whose
-# rounding depends on the number of right-hand sides
-_SOLVES_ROWS_AT_ONCE = {"mvn", "jacobian-2d"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -441,10 +445,7 @@ def test_row_contract_property(name, u, integral):
         whole = element(m, rows, p)
         one_by_one = np.concatenate([element(m, rows[i:i + 1], p)
                                      for i in range(rows.shape[0])])
-        if element is core.row_log_likelihood and name in _SOLVES_ROWS_AT_ONCE:
-            np.testing.assert_allclose(whole, one_by_one, rtol=1e-14, atol=0)
-        else:
-            assert whole.tobytes() == one_by_one.tobytes(), element.__name__
+        assert whole.tobytes() == one_by_one.tobytes(), element.__name__
 
 
 def test_blocked_row_lookups_match_a_per_point_loop():

@@ -447,36 +447,46 @@ def _kde_case(kernel_dim):
         p = Params([("mu", [0.5, -0.5]), ("cov", [1.0, 0.3, 0.3, 2.0])])
     pmf = solvers.memoize_rng_to_pmf(m, p, 300, RandomStream(2))
     sm = solvers.kde_smooth(pmf)
-    kernel = normal_model() if kernel_dim == 1 else mvn_model(2)
-    bw = solvers._silverman_bandwidth(kernel, pmf.settings["pmf_support"])
-    support = pmf.settings["pmf_support"]
+    support = pmf.settings["pmf_support"].rows
+    # Silverman's bandwidth of each coordinate
+    h = 1.06 * np.std(support, axis=0, ddof=1) * len(support) ** (-1 / 5)
     w = pmf.param_shape.block("w")
-    # reference: one kernel parameter set per support point
-    kps = [kernel.param_shape.with_blocks(
-        mu=row, **{n: bw.block(n) for n in bw.names}) for row in support.rows]
-    return sm, kernel, kps, w / w.sum()
+    # reference: per support point, one Normal parameter set per coordinate
+    kps = [[Params.scalars(mu=c, sigma=hj) for c, hj in zip(row, h)]
+           for row in support]
+    return sm, normal_model(), kps, w / w.sum()
+
+
+def _per_coordinate(element, x, kp):
+    """element of each coordinate's Normal on that column of x, a list."""
+    return [element(x[:, j:j + 1], q) for j, q in enumerate(kp)]
 
 
 @pytest.mark.parametrize("kernel_dim", [1, 2])
 def test_kde_logl_matches_a_per_support_point_loop(kernel_dim):
     sm, kernel, kps, w = _kde_case(kernel_dim)
     x = RandomStream(3).normal(size=(50, kernel_dim))
-    comp = np.column_stack([kernel.logl(x, kp) for kp in kps]) + np.log(w)
+    comp = np.column_stack([sum(_per_coordinate(kernel.logl, x, kp))
+                            for kp in kps]) + np.log(w)
     mx = np.max(comp, axis=1, keepdims=True)
     want = mx[:, 0] + np.log(np.sum(np.exp(comp - mx), axis=1))
     assert np.array_equal(core.row_log_likelihood(sm, x, sm.param_shape), want)
 
 
 def test_kde_cdf_and_draws_match_a_per_support_point_loop():
-    sm, kernel, kps, w = _kde_case(1)
-    x = RandomStream(3).normal(size=(50, 1))
-    want = np.column_stack([kernel.cdf(x, kp) for kp in kps]) @ w
-    assert np.array_equal(sm.cdf(x, sm.param_shape), want)
-    stream = RandomStream(4)
-    idx = stream.choice(len(kps), p=w, size=40)
-    want = np.array([core.draw(kernel, kps[j], stream, 1)[0] for j in idx])
-    got = core.draw(sm, sm.param_shape, RandomStream(4), 40)
-    assert np.array_equal(got, want)
+    for kernel_dim in (1, 2):
+        sm, kernel, kps, w = _kde_case(kernel_dim)
+        x = RandomStream(3).normal(size=(50, kernel_dim))
+        comp = np.column_stack([math.prod(_per_coordinate(kernel.cdf, x, kp))
+                                for kp in kps])
+        assert np.array_equal(sm.cdf(x, sm.param_shape), np.sum(comp * w, axis=1))
+        assert sm.strategy["CDF"] == "closed-form"
+        stream = RandomStream(4)
+        idx = stream.choice(len(kps), p=w, size=40)
+        want = np.array([[core.draw(kernel, q, stream, 1)[0, 0] for q in kps[j]]
+                         for j in idx])
+        got = core.draw(sm, sm.param_shape, RandomStream(4), 40)
+        assert np.array_equal(got, want)
 
 
 def test_numeric_gradient_and_hessian():
