@@ -307,12 +307,12 @@ def weibull_model() -> Model:
     def logl(rows, p):
         ok, (k, lam) = _positive(p.scalar("k"), p.scalar("lam"))
         d = rows[:, 0]
-        pos = d > 0
-        r = d[pos] / lam
-        # (n,) for one vector, (K, n) for a stack; rows <= 0 score -inf.
-        # .T puts the row axis first in both
-        out = np.full(r.shape[:-1] + d.shape, -np.inf)
-        out.T[pos] = (_log(k / lam) + (k - 1) * np.log(r) - r ** k).T
+        def score(s):
+            r = d[s] / lam
+            return _log(k / lam) + (k - 1) * np.log(r) - r ** k
+
+        # (n,) for one vector, (K, n) for a stack; rows <= 0 score -inf
+        out = core.masked(d > 0, score, np.shape(lam)[:-1])
         # k or lam <= 0 scores every row -inf
         return out if ok is True else np.where(ok, out, -np.inf)
 
@@ -403,11 +403,8 @@ def beta_model() -> Model:
         if a <= 0 or b <= 0:
             return np.full(rows.shape[0], -np.inf)
         x = rows[:, 0]
-        out = np.full(rows.shape[0], -np.inf)
-        ok = (x > 0) & (x < 1)
-        out[ok] = ((a - 1) * np.log(x[ok]) + (b - 1) * np.log1p(-x[ok])
-                   - special.betaln(a, b))
-        return out
+        return core.masked((x > 0) & (x < 1), lambda s: (
+            (a - 1) * np.log(x[s]) + (b - 1) * np.log1p(-x[s]) - special.betaln(a, b)))
 
     def rng(p, stream, n):
         return stream.gen.beta(p.scalar("alpha"), p.scalar("beta"), size=(n, 1))

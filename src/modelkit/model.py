@@ -82,7 +82,9 @@ class Model:
     every corner of n finite-difference rows) and expects row i of the
     result to depend on row i of the input alone; so do the maps f and f_inv
     of a jacobian transform.  A logl_joint has no per-row value, so a model
-    whose only likelihood is joint has no derived sampler or CDF.
+    whose only likelihood is joint has no derived sampler or CDF.  A logl
+    scores rows outside its support -inf by one rule, ``masked``: when every
+    row is valid, it returns the plain expression over all rows.
 
     A logl marked with the ``stackable`` decorator also takes a
     StackedParams of K vectors (its ``scalar`` a (K, 1) column, its
@@ -152,6 +154,18 @@ def stackable(element: Callable) -> Callable:
     StackedParams (see Model)."""
     element.stackable = True
     return element
+
+
+def masked(ok: np.ndarray, score: Callable, lead: tuple = ()) -> np.ndarray:
+    """score(ok) where the (n,) mask ok holds, -inf elsewhere, shaped lead +
+    (n,); score(slice(None)), with no fill, gather or scatter, when ok holds
+    everywhere, and no score call when ok holds nowhere."""
+    if ok.all():
+        return score(slice(None))
+    out = np.full(lead + ok.shape, -np.inf)
+    if ok.any():
+        out[..., ok] = score(ok)
+    return out
 
 
 # ---------------------------------------------------------------------------

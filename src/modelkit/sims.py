@@ -44,6 +44,7 @@ def network_sim_model(cfg: NetworkSimConfig | None = None,
     """
     cfg = cfg or NetworkSimConfig()
     a = cfg.n_agents
+    upper = np.triu(np.ones((a, a), dtype=bool), k=1)
 
     def rng(p, stream, n):
         sigma = p.scalar("sigma") if sigma_free else cfg.sigma
@@ -51,7 +52,7 @@ def network_sim_model(cfg: NetworkSimConfig | None = None,
         dist = np.abs(pos[:, :, None] - pos[:, None, :])
         r = stream.uniform(size=(n, a, a))
         link = r <= 1.0 / (1.0 + dist)
-        adj = np.triu(link, k=1)
+        adj = link & upper
         adj |= adj.transpose(0, 2, 1)
         deg = adj.sum(axis=2)
         return np.sort(deg, axis=1)[:, ::-1].astype(float)

@@ -493,8 +493,6 @@ def kde_smooth(pmf: Model) -> Model:
     sd = np.std(centres, axis=0, ddof=1)
     sd = np.where(sd > 0, sd, 1.0)
     h = 1.06 * sd * max(k, 2) ** (-1 / 5)
-    if not np.all(h > 0):
-        raise ModelError("kde_smooth: kernel bandwidth is not positive")
     kernel = normal_model()
     kps = [Params.scalars(mu=0.0, sigma=float(hj)) for hj in h]
     weights = pmf.param_shape.block("w")

@@ -243,13 +243,10 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
 
     def logl(rows, p):
         w = w0(p)
-        x = rows[:, 0]
-        at = np.abs(x - loc) <= 1e-12
-        out = np.full(rows.shape[0], -np.inf)
+        at = np.abs(rows[:, 0] - loc) <= 1e-12
+        out = core.masked(~at, lambda s: (core.row_log_likelihood(trunc, rows[s], p)
+                                          + (math.log1p(-w) if w < 1 else -np.inf)))
         out[at] = math.log(w) if w > 0 else -np.inf
-        if (~at).any():
-            base = core.row_log_likelihood(trunc, rows[~at], p)
-            out[~at] = base + (math.log1p(-w) if w < 1 else -np.inf)
         return out
 
     def rng(p, stream, n):
@@ -332,11 +329,10 @@ def truncate(m: Model, region) -> Model:
         return core._cached(masses, p.vector.tobytes(), make)
 
     def logl(rows, p):
-        out = np.full(rows.shape[0], -np.inf)
-        ok = in_region(rows)
-        if ok.any():
-            out[ok] = core.row_log_likelihood(m, rows[ok], p) - math.log(mass(p))
-        return out
+        # masked scores nothing when no row is in the region, so a region
+        # whose mass is too small raises only once a row falls in it
+        return core.masked(in_region(rows), lambda s: (
+            core.row_log_likelihood(m, rows[s], p) - math.log(mass(p))))
 
     def rng(p, stream, n):
         out = np.empty((n, m.data_dim))
@@ -560,13 +556,7 @@ def _dp_joint(prior: Model, like: Model, rho: Params, d: DataSet,
         return core.stacked_log_likelihood(like, d, like.param_shape.stack(rows))
 
     lp = core.row_log_likelihood(prior, free, rho)
-    ok = np.isfinite(lp)
-    if ok.all():
-        return lp + like_at(free)
-    out = np.full(len(lp), -np.inf)
-    if ok.any():
-        out[ok] = lp[ok] + like_at(free[ok])
-    return out
+    return core.masked(np.isfinite(lp), lambda s: lp[s] + like_at(free[s]))
 
 
 def posterior_draws(post: Model, d: DataSet, n: int,

@@ -392,6 +392,12 @@ def test_estimate_with_every_parameter_pinned_scores_the_pinned_values():
 # The row contract: n rows in one call score as n one-row calls, bit for bit
 
 
+def _censored_normal():
+    """A Normal truncated at 0 plus an atom at 0 (mix_cdf)."""
+    return transforms.mix_cdf(transforms.truncate(normal_model(), (0.0, None)),
+                              pmf_model(DataSet(np.zeros((1, 1)))))
+
+
 def _row_contract_cases():
     """name -> (model, params, (low, high) of the rows' values)."""
     normal, expo, pois = normal_model(), builtin("exponential"), builtin("poisson")
@@ -418,6 +424,10 @@ def _row_contract_cases():
         "jacobian-2d": (transforms.jacobian(mvn, np.exp, np.log), mvn_p, (0.6, 4.0)),
         "truncate": (transforms.truncate(normal, (0.0, None)),
                      Params.scalars(mu=0.5, sigma=1.0), (-1.0, 4.0)),
+        "trunc-beta": (transforms.truncate(builtin("beta"), (0.2, None)),
+                       Params.scalars(alpha=2.0, beta=3.0), (-0.2, 1.2)),
+        # integral rows put some on the atom at 0
+        "mix_cdf": (_censored_normal(), Params.scalars(mu=0.5, sigma=1.0), (-1.0, 4.0)),
         "mix": (mixed, mixed.param_shape.replace([-1.0, 1.0, 2.0, 0.3, 0.7]),
                 (-3.0, 6.0)),
         "cross": (crossed, crossed.param_shape.replace([0.0, 1.0, 3.0]), (-1.0, 7.0)),
@@ -446,6 +456,55 @@ def test_row_contract_property(name, u, integral):
         one_by_one = np.concatenate([element(m, rows[i:i + 1], p)
                                      for i in range(rows.shape[0])])
         assert whole.tobytes() == one_by_one.tobytes(), element.__name__
+
+
+def _masked_cases():
+    """name -> (score, an all-valid batch, one row outside the support);
+    score(rows) calls one likelihood that masks rows through core.masked."""
+    normal, beta, wb = normal_model(), builtin("beta"), builtin("weibull")
+    x = RandomStream(11).uniform(0.25, 0.95, size=(40, 1))
+
+    def scorer(m, p):
+        return lambda rows: core.row_log_likelihood(m, rows, p)
+
+    ab = Params.scalars(alpha=2.0, beta=3.0)
+    kl = Params.scalars(k=1.5, lam=2.0)
+    stack = wb.param_shape.stack(np.array([[1.5, 2.0], [0.7, 1.1], [3.0, 0.5]]))
+    mu_sigma = Params.scalars(mu=0.5, sigma=1.0)
+    post = transforms.dp_compose(transforms.truncate(normal, (0.0, None)),
+                                 builtin("poisson"), Params.scalars(mu=2.0, sigma=1.0))
+    prior, like = post.transform.bases
+    counts = DataSet(np.array([[0.0], [2.0], [3.0], [2.0], [5.0]]))
+
+    def joint(free):
+        return transforms._dp_joint(prior, like, post.transform.data["rho"], counts, free)
+
+    return {
+        "beta": (scorer(beta, ab), x, [[1.5]]),
+        "weibull": (scorer(wb, kl), 4 * x, [[-1.0]]),
+        "weibull-stack": (lambda rows: wb.logl(rows, stack), 4 * x, [[0.0]]),
+        "truncate": (scorer(transforms.truncate(normal, (0.0, None)), mu_sigma),
+                     4 * x, [[-1.0]]),
+        "trunc-beta": (scorer(transforms.truncate(beta, (0.2, None)), ab), x, [[0.1]]),
+        "mix_cdf": (scorer(_censored_normal(), mu_sigma), 4 * x, [[0.0]]),  # the atom
+        "dp_compose": (joint, 4 * x[:9], [[-0.5]]),  # prior density 0
+    }
+
+
+_MASKED = _masked_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_MASKED))
+def test_all_valid_rows_score_as_in_a_masked_batch(name):
+    score, x, outside = _MASKED[name]
+    whole = np.asarray(score(x))
+    masked = np.asarray(score(np.concatenate([x, outside])))
+    assert np.all(np.isfinite(whole))
+    n = x.shape[0]
+    # the all-valid branch and the masked one give the same values, bit for bit
+    assert whole.tobytes() == masked[..., :n].copy().tobytes()
+    if name != "mix_cdf":
+        assert np.all(np.isneginf(masked[..., n:]))
 
 
 def test_blocked_row_lookups_match_a_per_point_loop():

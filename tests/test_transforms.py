@@ -170,6 +170,38 @@ def test_truncate_tiny_region_errors():
         core.draw(t, Params.scalars(mu=0.0, sigma=1.0), RandomStream(1), 10)
 
 
+def test_truncated_logl_raises_where_the_region_mass_is_too_small():
+    # 1 - Phi(50) is 0 in floating point, so the renormalizing mass is <= 1e-12
+    t = truncate(normal_model(), (50.0, None))
+    with pytest.raises(ModelError, match="region mass too small"):
+        row_log_likelihood(t, np.array([[49.0], [60.0]]), Params.scalars(mu=0.0, sigma=1.0))
+
+
+def test_truncated_sampler_gives_up_after_a_thousand_misses():
+    batches = []
+    base = normal_model()
+
+    def rng(p, stream, n):
+        batches.append(n)
+        return base.rng(p, stream, n)
+
+    # a predicate region no Normal draw falls in; the sampler never asks
+    # for the region mass
+    t = truncate(dataclasses.replace(base, rng=rng), lambda rows: rows[:, 0] > 50.0)
+    with pytest.raises(ModelError, match="region mass too small"):
+        core.draw(t, Params.scalars(mu=0.0, sigma=1.0), RandomStream(1), 10)
+    # batches of max(n, 16) draws until 1,000 draws in a row missed
+    assert batches == [16] * 63
+
+
+def test_truncated_logl_of_rows_outside_the_region_skips_the_mass():
+    # the mass of x >= 50 would raise, but no row needs it
+    t = truncate(normal_model(), (50.0, None))
+    got = row_log_likelihood(t, np.array([[-1.0], [0.0], [49.0]]),
+                             Params.scalars(mu=0.0, sigma=1.0))
+    assert got.shape == (3,) and np.all(np.isneginf(got))
+
+
 def _counting_cdf(m, calls):
     """m with its CDF wrapped to record the number of rows of every call."""
     import dataclasses
