@@ -82,30 +82,6 @@ def _owned(a) -> np.ndarray:
     return a
 
 
-def _distinct_rows(rows: np.ndarray):
-    """The (unique rows, inverse) pair of DataSet.distinct_rows, or None."""
-    n, dim = rows.shape
-    if dim == 0:
-        return None
-    bits = np.ascontiguousarray(rows).view(np.int64)
-    # a row set has at least as many distinct rows as any of its rows have
-    # distinct first values, so sorting the first value of n/4 + 1 rows
-    # rules out continuous data
-    first = np.sort(bits[:n // 4 + 1, 0])
-    if 4 * (1 + np.count_nonzero(first[1:] != first[:-1])) > n:
-        return None
-    if dim == 1:
-        uniq, inv = np.unique(bits[:, 0], return_inverse=True)
-    else:
-        uniq, inv = np.unique(bits, axis=0, return_inverse=True)
-    if 4 * len(uniq) > n:
-        return None
-    uniq = uniq.view(float).reshape(-1, dim)
-    uniq.setflags(write=False)
-    inv.setflags(write=False)
-    return uniq, inv
-
-
 class DataSet:
     """Ordered, weighted collection of fixed-dimension observation rows.
 
@@ -117,11 +93,10 @@ class DataSet:
     ``rows`` and ``weights`` are read-only arrays the data set owns: the
     input is copied unless it already is a read-only float array that no
     writeable array shares, so writing to the caller's array afterwards
-    changes nothing here.  That keeps ``distinct_rows`` and the live
-    weights from going stale: ``live_rows`` selects the rows of positive
-    weight (a full slice when every row has one) and ``live_weights`` is
-    ``weights[live_rows]``, both worked out once at construction for the
-    weighted sum in log_likelihood.
+    changes nothing here.  A weight is how many times its row counts: a
+    row of weight 0 counts for nothing but stays in place, and
+    ``compressed`` merges repeated rows into one row with their summed
+    weight.
     """
 
     def __init__(self, rows, weights=None, names: list[str] | None = None,
@@ -133,7 +108,6 @@ class DataSet:
             raise ModelError(f"rows must be 1- or 2-dimensional, got shape {arr.shape}")
         self.rows = arr
         n = arr.shape[0]
-        live = slice(None)
         if weights is None:
             w = np.ones(n)
             w.setflags(write=False)
@@ -143,37 +117,43 @@ class DataSet:
                 raise ModelError(f"weights shape {w.shape} does not match {n} rows")
             if np.any(w < 0):
                 raise ModelError("weights must be nonnegative")
-            positive = w > 0
-            if not positive.all():
-                if n and not positive.any():
-                    raise ModelError("at least one weight must be positive")
-                live = positive
+            if n and not np.any(w > 0):
+                raise ModelError("at least one weight must be positive")
         self.weights = w
-        self.live_rows = live
-        self.live_weights = w[live]
-        self.live_weights.setflags(write=False)
         self.names = names
         self.groups = None if groups is None else np.asarray(groups, dtype=int)
         if self.groups is not None and self.groups.shape != (n,):
             raise ModelError("groups must label every row")
-        self._scorings = 0
-        self._distinct = None
 
-    def distinct_rows(self, scorings: int = 1):
-        """(unique rows, inverse index) with ``rows == unique[inverse]``, when
-        at most a quarter of the rows are distinct; otherwise None.
+    def compressed(self) -> "DataSet":
+        """The distinct rows, each once with the summed weight of its
+        copies and with no groups, when at most a quarter of the rows are
+        distinct; otherwise self, as for rows of no columns.
 
-        Rows are distinct when their bits differ.  log_likelihood calls this
-        once per scoring, and a stacked call that scores the rows at K
-        parameter vectors passes K.  The first scoring returns None without
-        looking at the rows, so a data set scored once never pays the sort;
-        the second works the pair out and later calls return it.
+        Rows are distinct when their bits differ; the distinct rows come in
+        the order of their bits and the weights add in row order.  This is
+        Apophenia's apop_data_pmf_compress.  It sorts, so a loop that scores
+        one data set many times compresses it once before it starts, and a
+        data set scored once is never examined.
         """
-        before = self._scorings
-        self._scorings += scorings
-        if before < 2 <= self._scorings:
-            self._distinct = _distinct_rows(self.rows)
-        return self._distinct
+        n, dim = self.rows.shape
+        if dim == 0:
+            return self
+        bits = np.ascontiguousarray(self.rows).view(np.int64)
+        # a row set has at least as many distinct rows as any of its rows have
+        # distinct first values, so sorting the first value of n/4 + 1 rows
+        # rules out continuous data
+        first = np.sort(bits[:n // 4 + 1, 0])
+        if 4 * (1 + np.count_nonzero(first[1:] != first[:-1])) > n:
+            return self
+        if dim == 1:
+            uniq, inv = np.unique(bits[:, 0], return_inverse=True)
+        else:
+            uniq, inv = np.unique(bits, axis=0, return_inverse=True)
+        if 4 * len(uniq) > n:
+            return self
+        return DataSet(uniq.view(float).reshape(-1, dim),
+                       np.bincount(inv.reshape(-1), self.weights, len(uniq)), self.names)
 
     @property
     def dim(self) -> int:
@@ -504,5 +484,5 @@ class McmcSettings:
 
 @dataclass
 class KdeSettings:
-    """Smooth a memoized PMF: a Normal kernel (multivariate Normal for d > 1)
-    on each support point, with Silverman's bandwidth."""
+    """Smooth a memoized PMF: on each support point, the product of
+    coordinate Normals, coordinate j with Silverman's bandwidth h_j."""

@@ -99,7 +99,8 @@ def _fits(m: Model, datasets):
 def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
                   s: RandomStream | None = None) -> CovarianceEstimate:
     """Covariance of estimates over resamples drawn with replacement.  A
-    resample draws rows by weight and weighs each draw 1."""
+    resample draws n rows by weight; it is d's rows, each weighed by the
+    number of times it was drawn."""
     if len(d) < 10:
         raise ModelError("bootstrap needs at least 10 rows")
     if reps < 100:
@@ -108,36 +109,35 @@ def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
     n = len(d)
     prob = d.weights / d.weights.sum()
 
-    def picks(r: int) -> np.ndarray:
-        return s.split(r).choice(n, p=prob, size=n)
+    def counts(r: int) -> np.ndarray:
+        return np.bincount(s.split(r).choice(n, p=prob, size=n), minlength=n)
 
-    base = DataSet(d.rows)
-    if core._fits_in_lockstep(m, base):
-        # every resample's rows at once: at most reps x STACK_ENTRIES/2 indices
-        table = np.array([picks(r) for r in range(reps)])
-        fits = core._lockstep_fits(m, base, reps, table.__getitem__)
+    if core._fits_in_lockstep(m, d):
+        # every resample's weights at once: at most reps x STACK_ENTRIES/2
+        fits = core._lockstep_fits(m, d, np.array([counts(r) for r in range(reps)], float))
     else:
-        fits = _fits(m, (DataSet(d.rows[picks(r)]) for r in range(reps)))
+        fits = _fits(m, (DataSet(d.rows, counts(r)) for r in range(reps)))
     return _replicate_cov(m, fits, reps, "bootstrap")
 
 
 def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
-    """Leave-one-out covariance over the n fits that each drop one row, with
-    the standard (n-1)/n inflation."""
+    """Leave-one-out covariance over the n fits that each weigh one row 0,
+    with the standard (n-1)/n inflation."""
     n = len(d)
     if n < 10:
         raise ModelError("jackknife needs at least 10 rows")
-    if core._fits_in_lockstep(m, d):
-        kept = np.arange(n - 1)
+    if np.count_nonzero(d.weights) < 2:  # else a replicate would weigh no row
+        raise ModelError("jackknife needs two rows of positive weight")
 
-        def rows(which):
-            """Every row but row i, for each i of which."""
-            return kept + (kept >= which[:, None])
-        fits = core._lockstep_fits(m, d, n, rows)
+    def left_out(i: int) -> np.ndarray:
+        w = d.weights.copy()
+        w[i] = 0.0
+        return w
+
+    if core._fits_in_lockstep(m, d):
+        fits = core._lockstep_fits(m, d, np.array([left_out(i) for i in range(n)]))
     else:
-        row = np.arange(n)
-        fits = _fits(m, (DataSet(d.rows[row != i], d.weights[row != i])
-                         for i in range(n)))
+        fits = _fits(m, (DataSet(d.rows, left_out(i)) for i in range(n)))
     return _replicate_cov(m, fits, n, "jackknife", jackknife=True)
 
 
@@ -165,6 +165,7 @@ def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
 def fisher_info_cov(fm: FittedModel, d: DataSet) -> CovarianceEstimate:
     """Inverse negative Hessian of the log-likelihood at the estimate."""
     shape = fm.params
+    d = core._compressed(fm.model, d)
     free = shape.free_values()
     if free.size == 0:
         raise ModelError("fisher_info_cov: no free parameters")

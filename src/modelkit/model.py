@@ -66,7 +66,8 @@ class Model:
     Element signatures (all vectorized over rows):
       logl(rows (n,d), p)   -> (n,) per-row log-likelihood
       logl_joint(d, p)      -> float, for non-iid likelihoods (compositions)
-      est(d: DataSet)       -> Params
+      est(d: DataSet)       -> Params, fitted to the rows as weighted by
+                               d.weights (a row of weight 0 counts for nothing)
       rng(p, stream, n)     -> (n,d) draws
       cdf(points (n,d), p)  -> (n,) orthant probabilities
       constraint(p)         -> violation distance (0 when satisfied)
@@ -239,7 +240,7 @@ def log_sum_exp(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(mx), out, -np.inf)
 
 
-# Row values one block of a stacked likelihood gathers (256 KB): larger
+# Row values one block of a stacked likelihood holds (256 KB): larger
 # blocks ran slower on 2,000 Poisson-rate vectors over 2,000 and 20,000
 # counts, and a block of one vector is slower than a one-vector call.
 STACK_ENTRIES = 1 << 15
@@ -295,24 +296,15 @@ def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
     """Weighted sum over rows of the per-row log-likelihood.
 
     Independent rows multiply, so logs add; row weights scale each term.
-    When ``d.distinct_rows()`` gives a (unique rows, inverse) pair (at most
-    a quarter of the rows distinct, from the data set's second scoring on),
-    only the unique rows are scored and their values gathered back to every
-    row.  By the row contract equal rows score equally, so the sum runs
-    over the same values in the same order and is bit-identical.
-
-    The weighted sum over the live rows and its -inf rule are _live_sums'.
+    Every row of d is scored and summed with its weight in place, by
+    _weighted_sums' rule.  A caller that scores one data set many times
+    passes its compressed() rows, so that repeated rows are scored once.
     """
     _check_params(m, p)
     if m.logl_joint is not None:
         return float(m.logl_joint(d, p))
     _check_rows(m, d.rows)
-    pair = d.distinct_rows()
-    if pair is None:
-        v = row_log_likelihood(m, d.rows, p)
-    else:
-        v = row_log_likelihood(m, pair[0], p)[pair[1]]
-    return _live_sums(v, d)[0]
+    return _weighted_sums(row_log_likelihood(m, d.rows, p), d.weights)[0]
 
 
 def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray:
@@ -320,10 +312,8 @@ def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray
     array equal to those calls bit for bit.
 
     A model whose logl is ``stackable`` scores d's rows once for all K
-    vectors, in blocks of vectors whose gathered row values number about
+    vectors, in blocks of vectors whose row values number about
     STACK_ENTRIES, and sums each vector's values as log_likelihood does.
-    The K vectors count as K scorings of d, so a stack of two or more
-    scores only the distinct rows when d has few (DataSet.distinct_rows).
     Any other model, a joint-only one included, is scored one vector at a
     time, and so is any model when d has so many rows that a block would
     hold a single vector.
@@ -332,43 +322,39 @@ def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray
     if not _stacks(m, d):
         return np.array([log_likelihood(m, d, P[k]) for k in range(len(P))])
     _check_rows(m, d.rows)
-    pair = d.distinct_rows(len(P))
-    scored = d.rows if pair is None else pair[0]
-
-    def sums(block: StackedParams) -> np.ndarray:
-        # C-ordered, as _live_sums needs: a logl may return another layout,
-        # and take, unlike v[:, inverse], keeps the order
-        v = np.ascontiguousarray(m.logl(scored, block), dtype=float)
-        return np.array(_live_sums(v if pair is None else np.take(v, pair[1], axis=1), d))
-    return _by_blocks(P, d.rows, sums, STACK_ENTRIES)
+    return _by_blocks(P, d.rows, lambda block: _stacked_sums(m, d.rows, block, d.weights),
+                      STACK_ENTRIES)
 
 
-def _live_sums(v: np.ndarray, d: DataSet) -> list:
-    """The weighted sum over d's live rows of the (n,) array v, or of each
-    row of the (K, n) array v, as a list of 1 or K floats.
-
-    Rows of zero weight are left out through ``d.live_rows`` and
-    ``d.live_weights``, worked out once per data set.  A finite sum is the
-    result; only a sum that is not finite looks for a -inf among its live
-    values, and gives -inf when it finds one (an impossible row outweighs a
-    +inf or nan elsewhere).  Each row of a C-ordered v (and of the
-    C-ordered selection np.compress makes) sums in the order the row alone
-    would, bit for bit; a Fortran-ordered one does not.
-    """
-    live = d.live_rows
-    v = v[..., live] if isinstance(live, slice) else np.compress(live, v, axis=-1)
-    return _weighted_sums(v, d.live_weights)
+def _stacked_sums(m: Model, rows: np.ndarray, P: StackedParams, w: np.ndarray) -> np.ndarray:
+    """The weighted sums of one stacked m.logl(rows, P), a (K,) array; w is
+    (n,), or (K, n) for a weight row per vector."""
+    # C-ordered, as _weighted_sums needs: a logl may return another layout
+    v = np.ascontiguousarray(m.logl(rows, P), dtype=float)
+    return np.array(_weighted_sums(v, w))
 
 
 def _weighted_sums(v: np.ndarray, w: np.ndarray) -> list:
-    """_live_sums over values that are all live: the sum of v * w over the
-    last axis, with its -inf rule; w is (n,), or (K, n) for a weight row
-    per row of v."""
-    sums = np.add.reduce(v * w, axis=-1)
-    totals, v = ([float(sums)], v[None]) if v.ndim == 1 else (sums.tolist(), v)
+    """The sum of v * w over the last axis, as a list of 1 or K floats: v is
+    (n,) or (K, n), and w is (n,) or a weight row per row of v.
+
+    A row of weight 0 counts for nothing but stays in place, so a finite
+    sum is the result.  A sum that is not finite (0 * inf is nan) is taken
+    again over the rows of positive weight, and is -inf if one of them
+    scores -inf: an impossible row outweighs a +inf or nan elsewhere.  Each
+    row of a C-ordered v sums in the order the row alone would, bit for
+    bit; a Fortran-ordered one does not.
+    """
+    with np.errstate(invalid="ignore"):  # 0 * inf on a row of weight 0
+        sums = np.add.reduce(v * w, axis=-1)
+    totals = [float(sums)] if v.ndim == 1 else sums.tolist()
     for k, total in enumerate(totals):
-        if not math.isfinite(total) and np.any(np.isneginf(v[k])):
-            totals[k] = LOG_NEG_INF
+        if not math.isfinite(total):
+            vk, wk = (a if a.ndim == 1 else a[k] for a in (v, w))
+            live = wk > 0
+            vk = vk[live]
+            totals[k] = (LOG_NEG_INF if np.any(np.isneginf(vk))
+                         else float(np.add.reduce(vk * wk[live])))
     return totals
 
 
@@ -584,8 +570,10 @@ def _fitted_mle(m: Model, res) -> FittedModel:
 
 def _mle_objective(m: Model, d: DataSet) -> Callable[[np.ndarray], float]:
     """Log-likelihood of d at the free vector, with a steep penalty wherever
-    the parameters break the constraint."""
+    the parameters break the constraint; d's rows are compressed once for
+    all the scorings an optimizer makes."""
     shape = m.param_shape
+    d = _compressed(m, d)
 
     def objective(free: np.ndarray) -> float:
         p = shape.with_free(free)
@@ -616,43 +604,46 @@ def _violations(m: Model, P: StackedParams) -> np.ndarray:
     return np.array([_violation(m, P[k]) for k in range(len(P))])
 
 
+def _compressed(m: Model, d: DataSet) -> DataSet:
+    """d.compressed(), for a loop that scores d under m many times; d itself
+    when m's likelihood is joint, which need not be a sum over rows."""
+    return d if m.logl_joint is not None else d.compressed()
+
+
 def _fits_in_lockstep(m: Model, base: DataSet) -> bool:
-    """Whether fits of m on row subsets of base share stacked likelihood
-    calls (_lockstep_fits): estimate would run Nelder-Mead, base's rows have
-    m's dimension, m's logl stacks over them, and every row of base is live.
-    Such an m's likelihood is closed-form, so estimate's preconditions hold
-    on every non-empty subset of base."""
+    """Whether fits of m on base's rows with other weights share stacked
+    likelihood calls (_lockstep_fits): estimate would run Nelder-Mead,
+    base's rows have m's dimension, m's logl stacks over them, and they do
+    not compress, so that neither do the rows each fit scores.  Such an m's
+    likelihood is closed-form, so estimate's preconditions hold for every
+    weight row."""
     return (_mle_settings(m).method == "nelder_mead"
             and m.strategy["Est"] != "closed-form"
             and not m.param_shape.fixed_mask.all()
             and base.dim == m.data_dim and _stacks(m, base)
-            and isinstance(base.live_rows, slice))
+            and base.compressed() is base)
 
 
-def _lockstep_fits(m: Model, base: DataSet, count: int,
-                   rows: Callable[[np.ndarray], np.ndarray]) -> list:
-    """estimate(m, replicate r).params.flatten() for each r < count, or the
-    ModelError that fit raises, for an m and base that _fits_in_lockstep
-    accepts and replicates of at least one row.  Replicate r holds the base
-    rows ``rows(np.array([r]))[0]``, in that order, with their weights;
-    ``rows`` maps M replicate numbers to an (M, L) index array.
+def _lockstep_fits(m: Model, base: DataSet, weights: np.ndarray) -> list:
+    """estimate(m, DataSet(base.rows, weights[r])).params.flatten() for each
+    row r of the (R, n) array weights, or the ModelError that fit raises,
+    for an m and base that _fits_in_lockstep accepts.
 
     Every fit runs at once through solvers.nelder_mead_lockstep.  Each
     round scores the pending vector of every running fit with one stacked
-    m.logl over the base rows, gathered per replicate in its row order and
-    summed with its weights, in blocks of about STACK_ENTRIES gathered
-    values.  A round whose stacked call raises ModelError is scored again
-    one fit at a time, so that only the fits whose vector raises fail.
-    Each fit runs the sequential algorithm on the same values, so the
-    results are estimate's bit for bit.
+    m.logl over the base rows and sums each fit's values against its own
+    weight row, in blocks of about STACK_ENTRIES values.  A round whose
+    stacked call raises ModelError is scored again one fit at a time, so
+    that only the fits whose vector raises fail.  Each fit runs the
+    sequential algorithm on the same values, so the results are estimate's
+    bit for bit.
     """
     from . import solvers
 
     def one_by_one(which, X) -> list:
         out = []
         for r, x in zip(which.tolist(), X):
-            idx = rows(np.array([r]))[0]
-            objective = _mle_objective(m, DataSet(base.rows[idx], base.weights[idx]))
+            objective = _mle_objective(m, DataSet(base.rows, weights[r]))
             try:
                 out.append(objective(x))
             except ModelError as e:
@@ -661,36 +652,27 @@ def _lockstep_fits(m: Model, base: DataSet, count: int,
 
     def score(which, X) -> list:
         try:
-            return _stacked_objective(m, base, rows, which, X)
+            return _stacked_objective(m, base, weights[which], X)
         except ModelError:  # a stacked call cannot say whose vector failed
             return one_by_one(which, X)
 
-    starts = np.tile(m.param_shape.free_values(), (count, 1))
+    starts = np.tile(m.param_shape.free_values(), (len(weights), 1))
     results = solvers.nelder_mead_lockstep(score, starts, _mle_settings(m))
     return [res if isinstance(res, ModelError)
             else _fitted_mle(m, res).params.flatten() for res in results]
 
 
-def _stacked_objective(m: Model, base: DataSet, rows, which: np.ndarray,
+def _stacked_objective(m: Model, base: DataSet, weights: np.ndarray,
                        X: np.ndarray) -> list:
-    """_mle_objective(m, replicate which[i])(X[i]) for each i, replicates as
-    in _lockstep_fits, from one stacked m.logl over the base rows per block
-    of vectors."""
+    """_mle_objective(m, DataSet(base.rows, weights[i]))(X[i]) for each i,
+    from one stacked m.logl over the base rows per block of vectors."""
     P = m.param_shape.stack(X)
     violation = _violations(m, P)
     out = _penalty(violation)
     ok = np.flatnonzero(~(violation > 0))
-
-    def sums(block: np.ndarray) -> np.ndarray:
-        v = np.asarray(m.logl(base.rows, P[ok[block]]), dtype=float)
-        idx = rows(which[ok[block]])
-        # C-ordered like idx, whatever layout the logl returns, as
-        # _weighted_sums needs
-        g = np.take_along_axis(v, idx, axis=1)
-        return np.array(_weighted_sums(g, base.weights[idx]))
-
     if ok.size:
-        out[ok] = _by_blocks(np.arange(ok.size), base.rows, sums, STACK_ENTRIES)
+        out[ok] = _by_blocks(ok, base.rows, lambda block: _stacked_sums(
+            m, base.rows, P[block], weights[block]), STACK_ENTRIES)
     return out.tolist()
 
 

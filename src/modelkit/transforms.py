@@ -186,10 +186,13 @@ def mix(ms: list[Model], weights=None) -> Model:
 def _em(ms, d: DataSet, shape: Params, max_iter=200, tol=1e-8):
     """Expectation-maximization with closed-form weighted M-steps.
 
-    Initialized by splitting the data into k chunks along the sort order of
-    the first coordinate and fitting one component per chunk.
+    Initialized by splitting the rows of positive weight into k chunks
+    along the sort order of the first coordinate and fitting one component
+    per chunk; rows of weight 0 count for nothing, so they are left out.
     """
     k = len(ms)
+    live = d.weights > 0
+    d = DataSet(d.rows[live], d.weights[live])
     order = np.argsort(d.rows[:, 0], kind="stable")
     chunks = np.array_split(order, k)
     ps = [ms[i].est(DataSet(d.rows[chunks[i]], d.weights[chunks[i]]))
@@ -599,6 +602,8 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         mean = var * (mu0 / s0 ** 2 + float(d.weights @ d.rows[:, 0]) / s ** 2)
         draws = stream.normal(mean, math.sqrt(var), size=(n, 1))
         return pmf_model(DataSet(draws))
+
+    d = core._compressed(like, d)  # scored at every step or every draw
 
     if prior.strategy["L"] != "memoized PMF":
         from . import solvers

@@ -34,10 +34,12 @@ def test_dataset_headerless_csv(tmp_path):
 
 
 def test_dataset_validation():
-    with pytest.raises(ModelError, match="weights"):
+    with pytest.raises(ModelError, match=r"weights shape \(2,\) does not match 3 rows"):
         DataSet(np.zeros((3, 1)), weights=[1.0, 2.0])
     with pytest.raises(ModelError, match="nonnegative"):
         DataSet(np.zeros((2, 1)), weights=[1.0, -1.0])
+    with pytest.raises(ModelError, match="at least one weight must be positive"):
+        DataSet(np.zeros((2, 1)), weights=[0.0, 0.0])
     with pytest.raises(ModelError, match="groups"):
         DataSet(np.zeros((3, 1)), groups=[0, 1])
 
@@ -56,11 +58,13 @@ def test_dataset_owns_its_arrays():
     rows, w = np.arange(40.0) % 4, np.ones(40)
     d = DataSet(rows, w)
     m, p = builtin("poisson"), Params.scalars(lam=2.0)
-    before = [core.log_likelihood(m, d, p) for _ in range(2)]
-    assert d.distinct_rows() is not None
+    before = core.log_likelihood(m, d, p)
+    c = d.compressed()
     rows[:] = 7.0
     w[:] = 5.0
-    assert [core.log_likelihood(m, d, p) for _ in range(2)] == before
+    assert core.log_likelihood(m, d, p) == before
+    assert d.compressed().rows.tobytes() == c.rows.tobytes()
+    assert d.compressed().weights.tobytes() == c.weights.tobytes()
     # a read-only view of a writeable array is copied as well
     view = rows.view()
     view.flags.writeable = False
@@ -70,15 +74,19 @@ def test_dataset_owns_its_arrays():
     assert e.rows is d.rows and e.weights is d.weights
 
 
-def test_dataset_live_rows_and_weights():
-    d = DataSet(np.arange(4.0), weights=[1.0, 0.0, 2.0, 0.5])
-    assert d.live_rows.tolist() == [True, False, True, True]
-    assert d.live_weights.tolist() == [1.0, 2.0, 0.5]
-    assert not d.live_weights.flags.writeable
-    for full in (DataSet(np.arange(3.0)), DataSet(np.arange(3.0), weights=[1.0, 2.0, 3.0]),
-                 DataSet(np.empty((0, 1)), weights=[])):
-        assert full.live_rows == slice(None)
-        assert np.array_equal(full.live_weights, full.weights)
+def test_dataset_compressed_merges_repeated_rows():
+    rows = np.array([[2.0, 1.0], [0.0, 1.0], [2.0, 1.0], [2.0, 0.0]] * 4)
+    d = DataSet(rows, weights=[1.0, 0.0, 2.0, 0.5] * 4, names=["a", "b"])
+    c = d.compressed()
+    # the distinct rows in the order of their bits, each with the weights of
+    # its copies added, zero weights included
+    assert c.rows.tolist() == [[0.0, 1.0], [2.0, 0.0], [2.0, 1.0]]
+    assert c.weights.tolist() == [0.0, 2.0, 12.0] and c.names == ["a", "b"]
+    assert not c.rows.flags.writeable and not c.weights.flags.writeable
+    # more than a quarter of the rows distinct, and rows of no columns, stay
+    # as they are
+    for same in (DataSet(rows[:8]), DataSet(np.empty((16, 0)))):
+        assert same.compressed() is same
 
 
 def test_dataset_group_list():

@@ -73,14 +73,14 @@ def test_replication_cov_tracks_sampler_spread():
 
 def _fails_without(values):
     """A Normal mean model whose estimator raises when any of ``values`` is
-    missing from the data."""
+    missing from the data: absent, or of weight 0."""
     def logl(rows, p):
         return -0.5 * (rows[:, 0] - p.scalar("mu")) ** 2
 
     def est(d):
-        if any(v not in d.rows[:, 0] for v in values):
+        if any(v not in d.rows[d.weights > 0, 0] for v in values):
             raise ModelError("probe: a marker row is missing")
-        return Params.scalars(mu=float(d.rows[:, 0].mean()))
+        return Params.scalars(mu=float(np.average(d.rows[:, 0], weights=d.weights)))
 
     return core.Model("probe", 1, Params.scalars(mu=0.0), logl=logl, est=est)
 
@@ -132,15 +132,23 @@ def _sequential_cov(m, datasets, method, jackknife=False):
     return CovarianceEstimate(mat, method, g), failures
 
 
-def _resamples(d, reps, s):
+def _picks(d, reps, s):
+    """The rows each bootstrap resample draws, by weight, in draw order."""
     n = len(d)
     prob = d.weights / d.weights.sum()
-    return [DataSet(d.rows[s.split(r).choice(n, p=prob, size=n)]) for r in range(reps)]
+    return [s.split(r).choice(n, p=prob, size=n) for r in range(reps)]
+
+
+def _resamples(d, reps, s):
+    """Each resample as d's rows weighed by the times each was drawn."""
+    return [DataSet(d.rows, np.bincount(picks, minlength=len(d)))
+            for picks in _picks(d, reps, s)]
 
 
 def _leave_one_out(d):
+    """Each leave-one-out replicate as d's rows with one weight set to 0."""
     row = np.arange(len(d))
-    return [DataSet(d.rows[row != i], d.weights[row != i]) for i in range(len(d))]
+    return [DataSet(d.rows, np.where(row == i, 0.0, d.weights)) for i in range(len(d))]
 
 
 def _replicates(m, reps, s, params, n):
@@ -235,7 +243,7 @@ def test_a_stacked_call_that_raises_fails_only_the_fits_whose_vector_raises():
 
 @pytest.mark.parametrize("zeros", [False, True], ids=["stacked", "zero-weights"])
 def test_lockstep_jackknife_of_a_weighted_data_set(zeros):
-    # positive weights stack; a zero-weight row sends the fits one by one
+    # rows of weight 0 stay in place, so their fits stack too
     m, shapes = _counting(builtin("weibull"))
     w = 1.0 + np.arange(20) % 3
     if zeros:
@@ -244,7 +252,26 @@ def test_lockstep_jackknife_of_a_weighted_data_set(zeros):
     want, _ = _sequential_cov(m, _leave_one_out(d), "jackknife", jackknife=True)
     del shapes[:]
     assert jackknife_cov(m, d).matrix.tobytes() == want.matrix.tobytes()
-    assert any(len(shape) == 2 for shape in shapes) != zeros
+    assert any(len(shape) == 2 for shape in shapes)
+
+
+@pytest.mark.parametrize("name", ["weibull", "beta"])
+def test_jackknife_needs_two_rows_of_positive_weight(name):
+    # leaving out the one row of positive weight would leave no row to fit,
+    # whether the fits stack (weibull) or not (beta)
+    d = DataSet(RandomStream(36).uniform(0.2, 0.8, size=12), np.r_[1.0, np.zeros(11)])
+    with pytest.raises(ModelError, match="jackknife needs two rows of positive weight"):
+        jackknife_cov(builtin(name), d)
+
+
+def test_bootstrap_weight_rows_fit_as_the_rows_they_count():
+    # a resample weighs each row by the times it was drawn: the fits are
+    # those of the drawn rows, up to the order the sums run in
+    d = DataSet(core.draw(normal_model(), normal_model().param_shape, RandomStream(34), 30))
+    drawn = [DataSet(d.rows[picks]) for picks in _picks(d, 100, RandomStream(35))]
+    want, _ = _sequential_cov(normal_model(), drawn, "bootstrap")
+    got = bootstrap_cov(normal_model(), d, reps=100, s=RandomStream(35))
+    assert np.allclose(got.matrix, want.matrix, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("method", ["bootstrap", "jackknife", "replication"])

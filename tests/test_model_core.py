@@ -524,7 +524,7 @@ def test_blocked_row_lookups_match_a_per_point_loop():
 
 
 # ---------------------------------------------------------------------------
-# Scoring each distinct row once
+# Compressed data sets: each distinct row once, with its total weight
 
 
 def _with_only(m, element):
@@ -567,15 +567,24 @@ def test_distinct_row_scoring_is_bit_identical_property(case, data):
                            min_size=n, max_size=n))
     w[0] = w[0] or 1.0
     d = DataSet(np.array(rows), w)
-    v = core.row_log_likelihood(m, d.rows, p)
-    live = d.weights > 0
-    expected = float(np.sum(v[live] * d.weights[live])).hex()
-    assert core.log_likelihood(m, d, p).hex() == expected  # every row scored
-    assert core.log_likelihood(m, d, p).hex() == expected  # distinct rows
-    assert d.distinct_rows() is not None
+    # every row scored, the rows of weight 0 in place
+    expected = _reference_log_likelihood(core.row_log_likelihood(m, d.rows, p), d.weights)
+    assert core.log_likelihood(m, d, p).hex() == expected.hex()
+    # each distinct row scored once, with the weights of its copies added
+    # in row order
+    total = {}
+    for row, wi in zip(d.rows, d.weights):
+        total[row.tobytes()] = total.get(row.tobytes(), 0.0) + wi
+    c = d.compressed()
+    assert sorted(r.tobytes() for r in c.rows) == sorted(total)
+    counts = np.array([total[r.tobytes()] for r in c.rows])
+    assert c.weights.tobytes() == counts.tobytes()
+    merged = _reference_log_likelihood(core.row_log_likelihood(m, c.rows, p), counts)
+    assert core.log_likelihood(m, c, p).hex() == merged.hex()
+    assert merged == pytest.approx(expected, rel=1e-12)
 
 
-def test_distinct_rows_are_worked_out_from_the_second_scoring(monkeypatch):
+def test_only_compressed_sorts_the_rows(monkeypatch):
     calls = []
     for name in ("sort", "unique"):
         def counted(*a, _name=name, _real=getattr(np, name), **kw):
@@ -584,43 +593,49 @@ def test_distinct_rows_are_worked_out_from_the_second_scoring(monkeypatch):
         monkeypatch.setattr(np, name, counted)
     m, p = builtin("poisson"), Params.scalars(lam=2.0)
     d = DataSet(np.arange(400.0) % 5)
-    core.log_likelihood(m, d, p)
-    assert calls == []  # a data set scored once never sorts
-    core.log_likelihood(m, d, p)
-    core.log_likelihood(m, d, p)
-    assert calls == ["sort", "unique"]  # the pair is worked out once
-    assert d.distinct_rows()[0].ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-    # continuous rows: the sort of the first column alone rules the pair out
-    calls.clear()
-    c = DataSet(RandomStream(1).normal(size=400))
     for _ in range(3):
-        core.log_likelihood(normal_model(), c, normal_model().param_shape)
-    assert calls == ["sort"]
-    assert c.distinct_rows() is None
-    # rows of no columns: nothing to sort, from the second scoring on too
-    calls.clear()
-    z = DataSet(np.empty((400, 0)))
-    empty_space = Model("empty space", 0, Params.scalars(c=0.0),
-                        logl=lambda rows, p: np.zeros(len(rows)))
-    for _ in range(2):
-        assert core.log_likelihood(empty_space, z, empty_space.param_shape) == 0.0
-    assert calls == [] and z.distinct_rows() is None
-    # a stacked call of two or more vectors is that many scorings at once
-    calls.clear()
-    s = DataSet(np.arange(400.0) % 5)
-    core.stacked_log_likelihood(m, s, m.param_shape.stack([[1.0], [2.0]]))
+        core.log_likelihood(m, d, p)
+        core.stacked_log_likelihood(m, d, m.param_shape.stack([[1.0], [2.0]]))
+    assert calls == []  # scoring never looks at the rows
+    c = d.compressed()
     assert calls == ["sort", "unique"]
-    core.stacked_log_likelihood(m, s, m.param_shape.stack([[1.0], [2.0]]))
-    assert calls == ["sort", "unique"]
+    assert c.rows.ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert c.weights.tolist() == [80.0] * 5
+    # continuous rows: the sort of the first column alone rules them out
+    calls.clear()
+    cont = DataSet(RandomStream(1).normal(size=400))
+    assert cont.compressed() is cont and calls == ["sort"]
 
 
 def test_distinct_rows_tell_apart_rows_that_differ_only_in_bits():
     # -0.0 == 0.0, yet a row-wise element may tell them apart
-    d = DataSet(np.array([0.0, -0.0] * 20))
-    d.distinct_rows()
-    uniq, inv = d.distinct_rows()
-    assert len(uniq) == 2
-    assert np.array_equal(np.signbit(uniq[inv, 0]), np.signbit(d.rows[:, 0]))
+    c = DataSet(np.array([0.0, -0.0] * 20)).compressed()
+    assert np.signbit(c.rows[:, 0]).tolist() == [True, False]  # -0.0's bits sort first
+    assert c.weights.tolist() == [20.0, 20.0]
+
+
+def test_a_joint_likelihood_is_fitted_on_its_rows_as_they_are():
+    # a joint likelihood need not be a sum over rows, so the MLE does not
+    # compress the rows it is given; a row-wise one does
+    seen = []
+
+    def logl_joint(d, p):
+        seen.append(len(d))
+        return -float(np.sum((d.rows[:, 0] - p.scalar("mu")) ** 2))
+
+    joint = Model("joint", 1, Params.scalars(mu=0.0), logl_joint=logl_joint)
+    d = DataSet(np.arange(400.0) % 5)
+    core.estimate(joint, d)
+    assert set(seen) == {400}
+    base = normal_model()
+    scored = []
+
+    def logl(rows, p):
+        scored.append(len(rows))
+        return base.logl(rows, p)
+
+    core.estimate(dataclasses.replace(base, logl=logl, est=None), d)
+    assert set(scored) == {5}
 
 
 def test_cdf_only_discrete_likelihood_is_the_point_mass_in_two_dimensions():
@@ -647,7 +662,13 @@ _ROW_VALUES = st.one_of(
 
 
 def _reference_log_likelihood(v, w):
-    """-inf if a live row scores -inf, else the sum of the live terms."""
+    """The sum of every term v * w, the rows of weight 0 in place, when it
+    is finite; else -inf if a row of positive weight scores -inf, else the
+    sum of the terms of positive weight."""
+    with np.errstate(invalid="ignore"):
+        total = float(np.sum(v * w))
+    if math.isfinite(total):
+        return total
     live = w > 0
     if np.any(np.isneginf(v[live])):
         return -math.inf
@@ -657,7 +678,6 @@ def _reference_log_likelihood(v, w):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_log_likelihood_sum_matches_the_reference_rule_property(data):
-    # a few distinct values, so repeated rows also take the distinct-row path
     pool = data.draw(st.lists(_ROW_VALUES, min_size=1, max_size=6))
     n = data.draw(st.integers(1, 60))
     v = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
@@ -672,8 +692,7 @@ def test_log_likelihood_sum_matches_the_reference_rule_property(data):
     d = DataSet(v, w if weighted else None)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _reference_log_likelihood(v, w).hex()
-        for _ in range(3):  # the first scoring, then the distinct-row pair if any
-            assert core.log_likelihood(_IDENTITY, d, _IDENTITY.param_shape).hex() == expected
+        assert core.log_likelihood(_IDENTITY, d, _IDENTITY.param_shape).hex() == expected
 
 
 def test_consistency_check_skips_chi_square_above_two_dimensions():
@@ -715,9 +734,8 @@ def test_stacked_sum_matches_the_reference_rule_at_every_vector_property(data):
     P = _STACKED_IDENTITY.param_shape.stack(np.zeros((data.draw(st.integers(1, 5)), 1)))
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _reference_log_likelihood(v, w).hex()
-        for _ in range(3):  # the first scoring, then the distinct-row pair if any
-            got = core.stacked_log_likelihood(_STACKED_IDENTITY, d, P)
-            assert [x.hex() for x in got.tolist()] == [expected] * len(P)
+        got = core.stacked_log_likelihood(_STACKED_IDENTITY, d, P)
+        assert [x.hex() for x in got.tolist()] == [expected] * len(P)
 
 
 # positive values whose np.log differs from math.log in the last bit with
@@ -773,11 +791,11 @@ def test_stacked_likelihood_is_the_per_vector_likelihood_property(name, data):
     d = DataSet(rows, w)
     per_row = np.asarray(m.logl(rows, P))  # the stacked logl contract itself
     assert per_row.shape == (k, n)
-    for j in range(3):  # the first scoring, then the distinct-row pair if any
-        got = core.stacked_log_likelihood(m, d, P)
+    for data in (d, d.compressed()):
+        got = core.stacked_log_likelihood(m, data, P)
         assert got.shape == (k,)
         for i in range(k):
-            assert _bits(got[i]) == _bits(core.log_likelihood(m, d, P[i]))
+            assert _bits(got[i]) == _bits(core.log_likelihood(m, data, P[i]))
             assert _bits(per_row[i]) == _bits(core.row_log_likelihood(m, rows, P[i]))
     # a stackable constraint gives each vector's violation too
     assert _bits(core._violations(m, P)) == _bits(
@@ -797,19 +815,23 @@ def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():
     rows = core.draw(m, Params.scalars(lam=2.5), RandomStream(3), 2000)
     w = np.where(np.arange(2000) % 7 == 0, 0.0, 1.0 + (np.arange(2000) % 3))
     d = DataSet(rows, w)
+    c = d.compressed()
     n_distinct = len(np.unique(rows))
-    assert n_distinct < 20
+    assert n_distinct < 20 and len(c) == n_distinct
     P = m.param_shape.stack([[2.5], [0.7], [0.0], [-1.0], [4.0], [1e-3], [2.5], [30.0]])
-    first = core.stacked_log_likelihood(m, d, P)
-    # eight vectors count as eight scorings: the first call takes the pair
+    del scored[:]
+    merged = core.stacked_log_likelihood(m, c, P)
     assert scored == [(n_distinct, (8, 1))]
-    again = core.stacked_log_likelihood(m, d, P)
-    want = [core.log_likelihood(m, d, P[i]) for i in range(len(P))]
-    one = DataSet(rows, w)
-    core.stacked_log_likelihood(m, one, P[:1])  # one vector, one scoring
-    assert scored[-1] == (2000, (1, 1))
-    assert _bits(first) == _bits(again) == _bits(want)
+    want = [core.log_likelihood(m, c, P[i]) for i in range(len(P))]
+    assert _bits(merged) == _bits(want)
     assert want[2] == want[3] == -math.inf and all(np.isfinite(want[4:]))
+    # every row, in blocks of 16 vectors: 2,000 rows x 16 fill one block
+    many = m.param_shape.stack(np.linspace(0.5, 5.0, 40)[:, None])
+    del scored[:]
+    full = core.stacked_log_likelihood(m, d, many)
+    assert scored == [(2000, (16, 1)), (2000, (16, 1)), (2000, (8, 1))]
+    assert _bits(full) == _bits([core.log_likelihood(m, d, many[i]) for i in range(40)])
+    assert full == pytest.approx(core.stacked_log_likelihood(m, c, many), rel=1e-12)
 
 
 def test_the_stackable_mark_travels_with_the_function():

@@ -333,10 +333,9 @@ def test_effective_sample_size_of_an_ar1_series():
 
 
 def test_invert_cdf_quantiles():
-    cdf = lambda x, p=None: stats.norm.cdf(x)
-    stream = RandomStream(5)
-    draws = np.array([solvers.invert_cdf_draw(cdf, None, stream)
-                      for _ in range(2000)])
+    # one batch; test_invert_cdf_matches_the_scalar_loop holds invert_cdf_draw
+    # equal to invert_cdf draw by draw
+    draws = solvers.invert_cdf(stats.norm.cdf, RandomStream(5).uniform(size=2000))
     # quantile check at the frozen 97.5% point
     assert np.mean(draws <= 1.959963984540054) == pytest.approx(0.975, abs=0.01)
     assert stats.kstest(draws, stats.norm.cdf).statistic < 1.3581 / math.sqrt(2000)

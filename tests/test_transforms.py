@@ -116,6 +116,16 @@ def test_mix_em_skips_a_component_that_scores_no_row():
     assert fit.params.scalar("1.mu") == start.scalar("mu")
 
 
+def test_mix_em_leaves_out_rows_of_weight_zero():
+    # the lower half weighs 0, so the first chunk EM starts from has no row
+    # of positive weight
+    x = np.sort(RandomStream(12).normal(0.0, 2.0, size=100)).reshape(-1, 1)
+    m = mix([normal_model(), normal_model()])
+    got = estimate(m, DataSet(x, np.r_[np.zeros(50), np.ones(50)]))
+    want = estimate(m, DataSet(x[50:]))
+    assert got.params.flatten().tobytes() == want.params.flatten().tobytes()
+
+
 def test_truncate_renormalizes():
     t = truncate(normal_model(), (0.0, None))
     p = Params.scalars(mu=1.0, sigma=1.0)
@@ -565,18 +575,18 @@ def test_stacked_joint_density_is_logl_joint_row_by_row(case):
     rho = post.transform.data["rho"]
     free = np.concatenate([RandomStream(case).normal(1.5, 1.0, size=(9, 1)),
                            [[0.0], [-0.5], [2.0]]])  # impossible rows too
-    def one_vector(row):
+    def one_vector(data, row):
         # the joint density scored by the one-vector dispatch calls
         lp = row_log_likelihood(prior, row[None], rho)[0]
         if not math.isfinite(lp):
             return -np.inf
-        return lp + core.log_likelihood(like, d, like.param_shape.with_free(row))
+        return lp + core.log_likelihood(like, data, like.param_shape.with_free(row))
 
-    for _ in range(3):  # the first scoring, then the distinct-row pair if any
-        got = transforms._dp_joint(prior, like, rho, d, free)
-        want = [post.logl_joint(d, post.param_shape.replace(row)) for row in free]
-        assert _bits(got) == _bits(want) == _bits([one_vector(row) for row in free])
-        assert _bits(transforms._dp_joint(prior, like, rho, d, free[:1])) == _bits(want[:1])
+    for data in (d, d.compressed()):
+        got = transforms._dp_joint(prior, like, rho, data, free)
+        want = [post.logl_joint(data, post.param_shape.replace(row)) for row in free]
+        assert _bits(got) == _bits(want) == _bits([one_vector(data, row) for row in free])
+        assert _bits(transforms._dp_joint(prior, like, rho, data, free[:1])) == _bits(want[:1])
     if case == 1:
         assert got[10] == -np.inf and np.isfinite(got[11])
 
@@ -624,8 +634,8 @@ def test_mh_chains_whose_prior_draw_is_off_the_likelihood_start_from_a_finite_dr
     # acceptance 4's likelihood on a weighted data set
     (fix(normal_model(), normal_model().param_shape.pin(sigma=1.0)), normal_model(),
      Params.scalars(mu=0.0, sigma=1.0), [[2.0], [1.5], [2.0], [-0.5]], 500),
-    # 600 draws of a Poisson rate over 2,000 counts: more values than one
-    # block of the stacked call holds; the stack scores the distinct counts
+    # 600 draws of a Poisson rate over 2,000 counts, which posterior_draws
+    # compresses to their distinct values
     (builtin("poisson"), normal_model(), Params.scalars(mu=2.0, sigma=1.0),
      None, 600),
     # a likelihood that does not stack, scored one draw at a time
@@ -641,7 +651,9 @@ def test_weighted_prior_draws_are_weighted_by_each_draws_likelihood(like, prior,
         d = DataSet(np.array(rows), weights=np.arange(len(rows)) % 3 * 0.5)
     pd = posterior_draws(dp_compose(prior, like, rho), d, n, RandomStream(21))
     draws = core.draw(prior, rho, RandomStream(21), n)
-    logw = np.array([core.log_likelihood(like, d, like.param_shape.with_free(x))
+    c = d.compressed()
+    assert (len(c) < len(d)) == (rows is None)
+    logw = np.array([core.log_likelihood(like, c, like.param_shape.with_free(x))
                      for x in draws])
     w = np.exp(logw - np.max(logw))
     want = pmf_model(DataSet(draws, weights=w / w.sum()))
