@@ -69,15 +69,15 @@ def write_csv(path, headers, rows) -> None:
             w.writerow([c if isinstance(c, str) else repr(float(c)) for c in r])
 
 
-def _owned(a) -> np.ndarray:
-    """a as a read-only float array that no writeable array shares, copied
-    unless it already is one."""
+def _owned(a, dtype=float) -> np.ndarray:
+    """a as a read-only array of dtype that no writeable array shares,
+    copied unless it already is one."""
     if (isinstance(a, np.ndarray) and not a.flags.writeable
-            and a.dtype == np.float64
+            and a.dtype == dtype
             and (a.base is None or (isinstance(a.base, np.ndarray)
                                     and not a.base.flags.writeable))):
         return a
-    a = np.array(a, dtype=float)
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -90,9 +90,9 @@ class DataSet:
     Optional integer ``groups`` labels partition rows into sub-datasets for
     hierarchical compositions.
 
-    ``rows`` and ``weights`` are read-only arrays the data set owns: the
-    input is copied unless it already is a read-only float array that no
-    writeable array shares, so writing to the caller's array afterwards
+    ``rows``, ``weights`` and ``groups`` are read-only arrays the data set
+    owns: the input is copied unless it already is a read-only array that
+    no writeable array shares, so writing to the caller's array afterwards
     changes nothing here.  A weight is how many times its row counts: a
     row of weight 0 counts for nothing but stays in place, and
     ``compressed`` merges repeated rows into one row with their summed
@@ -121,7 +121,7 @@ class DataSet:
                 raise ModelError("at least one weight must be positive")
         self.weights = w
         self.names = names
-        self.groups = None if groups is None else np.asarray(groups, dtype=int)
+        self.groups = None if groups is None else _owned(groups, int)
         if self.groups is not None and self.groups.shape != (n,):
             raise ModelError("groups must label every row")
 
@@ -228,17 +228,18 @@ class DataSet:
 class Params:
     """Named-block real vector with an optional per-entry fixed mask.
 
-    The values live in one flat float vector whose blocks are named by an
-    immutable layout of (name, slice) pairs.  The layout and its name ->
-    slice index (the first block wins when a name repeats) are built once
-    and shared by every ``replace``, ``with_free``, ``copy`` and ``pin``
-    result, so ``block`` and ``scalar`` are one dict lookup.  ``fixed_mask``
-    (read-only) marks pinned entries, which estimation and transforms treat
-    as constants; its complement, the free entries ``with_free`` fills, is
-    worked out once per mask.  ``product`` joins parameter spaces, a
-    Cartesian product that is associative up to block names; ``split`` cuts
-    a joined vector back into its parts.  ``stack`` fills K vectors over the
-    layout at once, a StackedParams.
+    A Params is a value: its values live in one flat read-only float
+    vector, and ``vector``, ``block``, ``blocks`` and ``split``'s parts are
+    read-only views of it; ``flatten`` gives a writable copy.  Blocks are
+    named by an immutable layout of (name, slice) pairs.  The layout and its
+    name -> slice index (the first block wins when a name repeats) are built
+    once and shared by every ``replace``, ``with_free`` and ``pin`` result,
+    so ``block`` and ``scalar`` are one dict lookup.  ``fixed_mask`` marks
+    pinned entries, which estimation and transforms treat as constants; its
+    complement, the free entries ``with_free`` fills, is worked out once per
+    mask.  ``product`` joins parameter spaces, a Cartesian product that is
+    associative up to block names; ``split`` cuts a joined vector back into
+    its parts.  ``stack`` fills K vectors over the layout at once.
     """
 
     def __init__(self, blocks: Iterable[tuple[str, Sequence[float]]],
@@ -253,6 +254,7 @@ class Params:
         # reversed, so the first block of a repeated name is the one kept
         self._index = {n: s for n, s in reversed(self._layout)}
         self._vec = np.concatenate(values) if values else np.empty(0)
+        self._vec.setflags(write=False)
         if fixed_mask is None:
             mask = np.zeros(i, dtype=bool)
         else:
@@ -269,6 +271,7 @@ class Params:
         out = object.__new__(kind or Params)
         out._layout = self._layout
         out._index = self._index
+        vec.setflags(write=False)
         out._vec = vec
         out.fixed_mask = mask
         out._free = self._free if mask is self.fixed_mask else ~mask
@@ -300,14 +303,14 @@ class Params:
 
     @property
     def blocks(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, self._vec[s].copy()) for n, s in self._layout]
+        return [(n, self._vec[s]) for n, s in self._layout]
 
     def flatten(self) -> np.ndarray:
         return self._vec.copy()
 
     @property
     def vector(self) -> np.ndarray:
-        """The flat value vector itself, not a copy: read it, never write it."""
+        """The flat value vector itself, read-only; ``flatten`` copies it."""
         return self._vec
 
     def __len__(self) -> int:
@@ -334,8 +337,9 @@ class Params:
         return out
 
     def replace(self, vec) -> "Params":
-        """Same shape and mask, values taken from the flat vector."""
-        vec = np.array(vec, dtype=float)
+        """Same shape and mask, values from the flat vector, copied unless
+        it is read-only and owned, as DataSet's rows."""
+        vec = _owned(vec)
         if vec.shape != self._vec.shape:
             raise ModelError(f"expected {len(self)} values, got {vec.shape}")
         return self._derive(vec, self.fixed_mask)
@@ -390,9 +394,6 @@ class Params:
         mask.flags.writeable = False
         return self._derive(self.with_blocks(**kw)._vec, mask)
 
-    def copy(self) -> "Params":
-        return self._derive(self._vec.copy(), self.fixed_mask)
-
     def __repr__(self):
         parts = ", ".join(f"{n}={np.array2string(self._vec[..., s], precision=6)}"
                           for n, s in self._layout)
@@ -408,7 +409,7 @@ class StackedParams(Params):
     vectors at once.  ``P[k]`` is vector k as a Params; ``P[ks]``, for a
     slice or an index array, is the StackedParams of those rows.  Only
     these reads, ``names``, ``labels`` and ``fixed_mask`` apply to a stack:
-    the flat reads and the methods that make a changed copy work on one
+    the flat reads and the methods that make a changed vector work on one
     vector, and on a stack they raise ModelError.
     """
 
@@ -417,7 +418,7 @@ class StackedParams(Params):
 
     def __getitem__(self, k) -> Params:
         if isinstance(k, (int, np.integer)):
-            return self._derive(self._vec[k].copy(), self.fixed_mask)
+            return self._derive(self._vec[k], self.fixed_mask)
         return self._derive(self._vec[k], self.fixed_mask, StackedParams)
 
     def block(self, name: str) -> np.ndarray:
@@ -438,7 +439,7 @@ def _one_vector_only(name: str):
 
 
 for _name in ("split", "flatten", "replace", "with_free", "free_values",
-              "stack", "with_blocks", "pin", "copy"):
+              "stack", "with_blocks", "pin"):
     setattr(StackedParams, _name, _one_vector_only(_name))
 StackedParams.blocks = property(_one_vector_only("blocks"))
 
@@ -455,7 +456,7 @@ def _positive(name, value):
         raise ModelError(f"{name} must be strictly positive, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MleSettings:
     """One optimizer run over the free parameters, from the model's values."""
     method: str = "nelder_mead"  # nelder_mead | annealing | coordinate_cycle
@@ -469,7 +470,7 @@ class MleSettings:
         _positive("max_iter", self.max_iter)
 
 
-@dataclass
+@dataclass(frozen=True)
 class McmcSettings:
     """Random-walk Metropolis with an isotropic Normal step."""
     burnin: int = 2000  # steps discarded before the first kept sample
@@ -482,7 +483,7 @@ class McmcSettings:
         _positive("thin", self.thin)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KdeSettings:
     """Smooth a memoized PMF: on each support point, the product of
     coordinate Normals, coordinate j with Silverman's bandwidth h_j."""

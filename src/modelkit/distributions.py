@@ -188,6 +188,9 @@ def pmf_model(support: DataSet) -> Model:
     w0 = sup.weights / sup.weights.sum()
     rows0 = sup.rows
     k, dim = rows0.shape
+    # a row scores the summed weight of its equal support rows, adjacent once sorted
+    first = np.concatenate([[True], np.any(rows0[1:] != rows0[:-1], axis=1)])
+    runs = None if first.all() else (np.flatnonzero(first), np.cumsum(first) - 1)
 
     last = {}  # the bytes of the last weight vector scored -> its log weights
 
@@ -198,6 +201,8 @@ def pmf_model(support: DataSet) -> Model:
         if key not in last:
             w = p.block("w")
             ws = w.sum()
+            if runs is not None:
+                w = np.add.reduceat(w, runs[0])[runs[1]]
             last.clear()
             last[key] = np.array([math.log(v / ws) if v > 0 else -np.inf for v in w]
                                  + [-np.inf])

@@ -532,13 +532,9 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
     st = settings or _mle_settings(m)
     shape = m.param_shape
 
-    if shape.fixed_mask.all():
-        # nothing free to estimate
-        p = shape.copy()
-        return FittedModel(m, p, log_likelihood(m, d, p), 0, True, _violation(m, p))
-
-    if m.strategy["Est"] == "closed-form":
-        p = m.est(d)
+    if shape.fixed_mask.all() or m.strategy["Est"] == "closed-form":
+        # no optimizer run: nothing free to estimate, or a closed form
+        p = shape if shape.fixed_mask.all() else m.est(d)
         return FittedModel(m, p, log_likelihood(m, d, p), 0, True, _violation(m, p))
 
     if (m.strategy["L"] == "memoized PMF" and not m.discrete

@@ -21,7 +21,7 @@ from .model import Model, special
 # Random network
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkSimConfig:
     n_agents: int = 10
     sigma: float = 1.0
@@ -71,7 +71,7 @@ def network_sim_model(cfg: NetworkSimConfig | None = None,
 # Demand
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemandConfig:
     n_agents: int = 1000
     price: float = 1.0
@@ -168,7 +168,7 @@ def demand_model(cfg: DemandConfig | None = None) -> Model:
 # Spatial search
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     grid_w: int = 20
     grid_h: int = 20

@@ -304,7 +304,8 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
     need one, chain by chain.  The first st.burnin steps are discarded and
     every st.thin-th step kept, until each chain holds ceil(n_samples / K)
     samples.  Chain.samples lists them chain after chain, cut to n_samples
-    rows.  A chain that accepts nothing during burnin raises "stuck chain".
+    rows.  A start row where the target is not finite takes the finite
+    rows in turn; a chain that accepts nothing in burnin raises "stuck chain".
     """
     st = st or McmcSettings()
     stream = stream or RandomStream(0xAC)
@@ -314,8 +315,11 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
                          f"of K chains need shape (K, dim)")
     k, dim = x.shape
     lv = list(target_log_density(x))
-    if not all(math.isfinite(v) for v in lv):
-        raise ModelError("metropolis: target not finite at the start point")
+    ok = [j for j in range(k) if math.isfinite(lv[j])]
+    if not ok:
+        raise ModelError(f"metropolis: target not finite at any of the {k} start rows")
+    for i, j in enumerate(sorted(set(range(k)) - set(ok))):
+        x[j], lv[j] = x[ok[i % len(ok)]], lv[ok[i % len(ok)]]
 
     per_chain = -(-n_samples // k)
     burnin, thin, scale = st.burnin, st.thin, st.step_scale

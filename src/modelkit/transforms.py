@@ -49,7 +49,7 @@ def fix(m: Model, pinned: Params) -> Model:
     if not pinned.fixed_mask.any():
         raise ModelError("fix: at least one entry must be pinned")
     return dataclasses.replace(
-        m, label=f"fix({m.label})", param_shape=pinned.copy(),
+        m, label=f"fix({m.label})", param_shape=pinned,
         transform=TransformRecord("fix", [m], {"pinned": pinned}))
 
 
@@ -269,7 +269,7 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
         return np.where(x >= loc - 1e-12, w + (1 - w) * base, 0.0)
 
     return Model(f"mix_cdf({trunc.label}, {point.label})", trunc.data_dim,
-                 trunc.param_shape.copy(), logl=logl, rng=rng, cdf=cdf,
+                 trunc.param_shape, logl=logl, rng=rng, cdf=cdf,
                  constraint=trunc.constraint,
                  transform=TransformRecord("mix_cdf", [trunc, point], {"loc": loc}))
 
@@ -306,12 +306,14 @@ def truncate(m: Model, region) -> Model:
 
     def cdf_span(top, p):
         """F(top) - F(lo) under m, an (n,) array for (n, 1) points top; one
-        span, with F(top) = 1, when top is None.  On discrete data lo is taken
-        as lo - 1, so the mass at lo itself counts."""
+        span, with F(top) = 1, when top is None.  On discrete data the mass
+        at lo itself counts: it is taken off F(lo)."""
         f_top = np.ones(1) if top is None else core.cdf(m, top, p)
         if lo is None:
             return f_top
-        return f_top - core.cdf(m, [[lo - 1.0 if m.discrete else lo]], p)[0]
+        pt = np.array([[lo]], dtype=float)
+        at = math.exp(core.row_log_likelihood(m, pt, p)[0]) if m.discrete else 0.0
+        return f_top - (core.cdf(m, pt, p)[0] - at)
 
     # region masses by parameter bytes, an LRU like a model cache; kept out
     # of the truncated model's cache, so the model is no reference cycle
@@ -366,9 +368,9 @@ def truncate(m: Model, region) -> Model:
                 out[x < lo] = 0.0
             return out
 
-    return Model(f"truncate({m.label})", m.data_dim, m.param_shape.copy(),
-                 logl=logl, rng=rng, cdf=cdf, constraint=m.constraint,
-                 settings=m.settings, discrete=m.discrete,
+    return Model(f"truncate({m.label})", m.data_dim, m.param_shape, logl=logl, rng=rng,
+                 cdf=cdf, constraint=m.constraint, discrete=m.discrete,
+                 settings={k: v for k, v in m.settings.items() if k != "pmf_support"},
                  transform=TransformRecord("truncate", [m], {"region": region}))
 
 
@@ -429,7 +431,7 @@ def jacobian(m: Model, f, f_inv) -> Model:
             return m.est(DataSet(pullback(d.rows), d.weights))
 
     settings = {k: v for k, v in m.settings.items() if k != "pmf_support"}
-    return Model(f"jacobian({m.label})", dim, m.param_shape.copy(),
+    return Model(f"jacobian({m.label})", dim, m.param_shape,
                  logl=logl, est=est, rng=rng, constraint=m.constraint,
                  settings=settings, discrete=m.discrete,
                  transform=TransformRecord("jacobian", [m],
@@ -575,11 +577,11 @@ def posterior_draws(post: Model, d: DataSet, n: int,
     any other value than "mh" or None raises.
 
     Metropolis-Hastings runs K = min(MCMC_CHAINS, n) chains in lockstep
-    (McmcSettings(step_scale=0.5)), each started from its own prior draw,
-    or, when the joint density is not finite there, from one of the draws
-    where it is (it raises when there is none); every step scores the K candidates in one joint-density call, and the
-    draws come chain after chain.  The weights of prior draws come from one
-    stacked likelihood call over all n draws.
+    (McmcSettings(step_scale=0.5)) from K prior draws, a draw where the
+    joint density is not finite taking a finite one in turn; every step
+    scores the K candidates in one joint-density call, and the draws come
+    chain after chain.  Its errors name the model.  The weights of prior
+    draws come from one stacked likelihood call over all n draws.
     """
     from .distributions import pmf_model
 
@@ -609,24 +611,15 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         from . import solvers
 
         x0 = core.draw(prior, rho, stream.split(0), min(core.MCMC_CHAINS, max(n, 1)))
-        lv = _dp_joint(prior, like, rho, d, x0)
-        ok = np.isfinite(lv)
-        if not ok.any():
-            raise ModelError(f"{post.label}: posterior_draws: the joint density is "
-                             f"not finite at any of the {len(x0)} prior draws "
-                             f"that start the chains")
-        # a chain whose draw is off the likelihood's support starts from a
-        # finite draw instead, taken in turn
-        pick = np.arange(len(x0))
-        pick[~ok] = np.flatnonzero(ok)[np.arange(np.count_nonzero(~ok)) % np.count_nonzero(ok)]
-        x0, start = x0[pick], [lv[pick].tolist()]
 
         def target(xs: np.ndarray) -> list:
-            # metropolis scores the start rows first: they are scored above
-            return start.pop() if start else _dp_joint(prior, like, rho, d, xs).tolist()
+            return _dp_joint(prior, like, rho, d, xs).tolist()
 
-        chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
-                                   stream.split(1), n_samples=n)
+        try:
+            chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
+                                       stream.split(1), n_samples=n)
+        except ModelError as e:
+            raise ModelError(f"{post.label}: posterior_draws: {e}") from None
         return pmf_model(DataSet(chain.samples))
 
     # RNG-only prior: weight prior draws by the data likelihood
@@ -695,6 +688,6 @@ def pd_compose(parent: Model, child: Model) -> Model:
         return out
 
     return Model(f"pd_compose({parent.label}, {child.label})", child.data_dim,
-                 parent.param_shape.copy(), logl_joint=logl_joint, est=est,
+                 parent.param_shape, logl_joint=logl_joint, est=est,
                  rng=rng, constraint=parent.constraint,
                  transform=TransformRecord("pd_compose", [parent, child]))

@@ -1,11 +1,13 @@
-"""Value types: data sets, parameter vectors, random streams."""
+"""Value types: data sets, parameter vectors, random streams, settings."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modelkit import (DataSet, ModelError, Params, RandomStream, StackedParams,
-                      builtin)
+from modelkit import (DataSet, KdeSettings, McmcSettings, MleSettings,
+                      ModelError, Params, RandomStream, StackedParams, builtin)
 from modelkit import model as core
 
 
@@ -52,6 +54,15 @@ def test_dataset_arrays_are_read_only():
         d.weights[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         DataSet([1.0, 2.0]).weights[1] = 3.0
+
+
+def test_dataset_groups_are_a_read_only_copy():
+    g = np.array([0, 1, 0, 1])
+    d = DataSet(np.arange(4.0), groups=g)
+    g[:] = 7  # the caller's array, not the data set's
+    assert [p.rows[:, 0].tolist() for p in d.group_list()] == [[0.0, 2.0], [1.0, 3.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        d.groups[0] = 1
 
 
 def test_dataset_owns_its_arrays():
@@ -141,7 +152,7 @@ def test_params_with_blocks_sets_values_and_keeps_mask():
 def test_params_repeated_block_name_resolves_to_its_first_block():
     p = Params([("a", [1.0]), ("b", [2.0, 3.0]), ("a", [4.0, 5.0])])
     for q in (p, p.replace([6.0, 7.0, 8.0, 9.0, 10.0]).replace(p.flatten()),
-              p.with_free(p.free_values()), p.copy()):
+              p.with_free(p.free_values())):
         assert q.scalar("a") == 1.0
         assert q.block("a").tolist() == [1.0]
     assert p.with_blocks(a=9.0).flatten().tolist() == [9.0, 2.0, 3.0, 4.0, 5.0]
@@ -156,6 +167,51 @@ def test_params_lookup_errors():
             q.block("nu")
         with pytest.raises(ModelError, match="block 'mu' is not scalar"):
             q.scalar("mu")
+
+
+def test_params_values_are_read_only_and_flatten_is_a_writable_copy():
+    p = Params([("mu", [1.0, 2.0]), ("sigma", [3.0])]).pin(sigma=3.0)
+    P = p.stack([[4.0, 5.0], [6.0, 7.0]])
+    joined = Params.product([("a.", p), ("b.", p)])
+    reads = [p.vector, p.block("mu"), *(v for _, v in p.blocks),
+             *(q.vector for q in joined.split([p, p])), joined.vector,
+             p.replace([7.0, 8.0, 9.0]).vector, p.with_free([0.0, 0.0]).vector,
+             p.with_blocks(mu=[0.0, 0.0]).vector, Params.scalars(a=1.0).pin(a=2.0).vector,
+             P.vector, P.block("mu"), P.scalar("sigma"), P[1].vector, P[1:].vector,
+             P[np.array([1, 0])].vector]
+    for v in reads:
+        with pytest.raises(ValueError, match="read-only"):
+            v[...] = 0.0
+    flat = p.flatten()
+    flat[:] = 0.0
+    assert p.flatten().tolist() == [1.0, 2.0, 3.0]
+    # replace keeps a read-only vector as it is and copies a writable one
+    assert np.shares_memory(p.replace(P[1].vector).vector, P.vector)
+    vec = np.zeros(3)
+    q = p.replace(vec)
+    vec[0] = 5.0
+    assert not np.shares_memory(q.vector, vec) and q.flatten().tolist() == [0.0] * 3
+
+
+@pytest.mark.parametrize("record, name, good, bad, message", [
+    (MleSettings(), "method", "annealing", "bfgs", "unknown MLE method 'bfgs'"),
+    (MleSettings(), "tolerance", 1e-4, 0.0, "tolerance must be strictly positive"),
+    (McmcSettings(), "burnin", 10, -1, "burnin must be strictly positive"),
+    (McmcSettings(), "step_scale", 0.5, 0.0, "step_scale must be strictly positive"),
+    (McmcSettings(), "thin", 2, 0, "thin must be strictly positive"),
+], ids=["mle-method", "mle-tolerance", "mcmc-burnin", "mcmc-step_scale", "mcmc-thin"])
+def test_settings_records_are_frozen_and_replace_checks_again(record, name, good, bad,
+                                                              message):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, bad)
+    assert getattr(dataclasses.replace(record, **{name: good}), name) == good
+    with pytest.raises(ModelError, match=message):
+        dataclasses.replace(record, **{name: bad})
+
+
+def test_kde_settings_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        KdeSettings().bandwidth = 1.0
 
 
 def test_stacked_params_blocks_scalars_and_rows():
@@ -204,7 +260,7 @@ def test_stacked_params_errors():
                        ("free_values", P.free_values),
                        ("stack", lambda: P.stack(np.zeros((2, 3)))),
                        ("with_blocks", lambda: P.with_blocks(sigma=1.0)),
-                       ("pin", lambda: P.pin(sigma=1.0)), ("copy", P.copy),
+                       ("pin", lambda: P.pin(sigma=1.0)),
                        ("blocks", lambda: P.blocks)]:
         with pytest.raises(ModelError, match=rf"StackedParams\.{name}: a stack "
                                              rf"holds 2 parameter vectors; take"):
@@ -301,9 +357,11 @@ def test_replace_with_free_pin_with_blocks_round_trip_property(p, data):
         assert pinned.fixed_mask[pinned.labels().index(n)]
     assert np.array_equal(pinned.with_free(pinned.free_values()).flatten(),
                           pinned.flatten())
-    # no result shares storage with its source
+    # no vector can be written, so every result leaves its source as it was
+    for out in (p, q, r, s, pinned, q.replace(before)):
+        with pytest.raises(ValueError, match="read-only"):
+            out.vector[...] = 0.0
     assert np.array_equal(p.flatten(), before)
-    assert np.array_equal(p.copy().flatten(), before)
 
 
 def test_stream_reproducible_and_split_independent():
@@ -336,3 +394,15 @@ def test_params_pin_sets_and_fixes_only_the_first_block_of_a_repeated_name():
     q = Params([("a", [1.0]), ("b", [2.0]), ("a", [3.0])]).pin(a=7.0)
     assert q.flatten().tolist() == [7.0, 2.0, 3.0]
     assert q.fixed_mask.tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DataSet(np.zeros((2, 2, 2))),
+     r"rows must be 1- or 2-dimensional, got shape \(2, 2, 2\)"),
+    (lambda: Params([("a", [1.0])], fixed_mask=[True, False]),
+     r"fixed_mask length \(2,\) != 1"),
+    (lambda: Params.scalars(a=1.0).replace([1.0, 2.0]), r"expected 1 values, got \(2,\)"),
+], ids=["rows-ndim", "mask-length", "replace-length"])
+def test_data_errors_name_their_cause(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()

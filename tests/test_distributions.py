@@ -122,6 +122,29 @@ def test_pmf_weights_and_matching():
     assert cdf1(m, 1.0, p) == pytest.approx(0.75, abs=1e-12)
 
 
+def test_a_repeated_pmf_support_row_scores_its_total_weight():
+    rows = np.array([[2.0, 0.0], [1.0, 5.0], [1.0, 5.0], [0.0, 1.0], [1.0, 5.0]])
+    m = pmf_model(DataSet(rows, weights=[1.0, 1.0, 2.0, 4.0, 0.0]))
+    p = m.param_shape
+    # the support and its weights stay row for row as given, sorted
+    assert m.settings["pmf_support"].rows.tolist() == sorted(rows.tolist())
+    assert p.block("w").tolist() == [0.5, 0.125, 0.25, 0.0, 0.125]
+    got = np.exp(core.row_log_likelihood(m, np.array([[1.0, 5.0], [0.0, 1.0]]), p))
+    assert got.tolist() == pytest.approx([0.375, 0.5], abs=1e-15)
+    # the mass of (1, 5) is the CDF's step there
+    below = core.cdf(m, np.array([[1.0, 4.0], [1.0, 5.0]]), p)
+    assert below[1] - below[0] == pytest.approx(got[0], abs=1e-15)
+    # three draws, two of them equal: each of those scores 2/3, as the
+    # estimate on them says, which puts the weight on the first copy
+    d = DataSet(rows[:3])
+    sample = pmf_model(d)
+    want = 2 * math.log(2 / 3) + math.log(1 / 3)
+    assert core.log_likelihood(sample, d, sample.param_shape) == pytest.approx(want)
+    fit = estimate(sample, d)
+    assert fit.params.block("w").tolist() == pytest.approx([2 / 3, 0.0, 1 / 3])
+    assert fit.log_likelihood_at_optimum == pytest.approx(want)
+
+
 def test_pmf_estimator_reweights_the_support_by_the_data():
     m = pmf_model(DataSet(np.array([[0.0], [1.0], [2.0]])))
     # 7.0 and 0.5 lie off the support and are ignored; 1 + 1e-13 matches 1
@@ -235,3 +258,12 @@ def test_ols_with_zero_sigma_scores_only_exact_fits():
     assert core.log_likelihood(fit.model, DataSet(rows), p) == 0.0
     off = rows + [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]
     assert core.log_likelihood(fit.model, DataSet(off), p) == -math.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mvn_model(0), r"mvn_model needs dim >= 1"),
+    (lambda: pmf_model(DataSet(np.empty((0, 1)))), "pmf_model needs a nonempty support"),
+], ids=["mvn-dim", "pmf-empty"])
+def test_distribution_errors_name_their_cause(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()

@@ -171,3 +171,15 @@ def test_eval_mix_with_one_weight_shares_the_rest(text, weights):
     m = eval_model_expr(parse_model_expr(text))
     assert m.param_shape.block("w").tolist() == weights
     assert m.param_shape.fixed_mask[-len(weights):].all()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("normal$", r"unexpected character '\$'"),
+    ("cross(normal, 1)", "expected identifier, found '1'"),
+    ("cross(normal, )", "expected identifier, found '\\)'"),
+    ("truncate(normal)", "truncate needs min= and/or max="),
+    ("jacobian(normal)", r"jacobian needs f=, one of \['cube', 'log', 'reciprocal', 'sqrt'\]"),
+], ids=["character", "identifier", "end-of-args", "truncate-bounds", "jacobian-f"])
+def test_expression_errors_name_their_cause(text, message):
+    with pytest.raises(ExprError, match=message):
+        eval_model_expr(parse_model_expr(text))

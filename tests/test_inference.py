@@ -10,7 +10,7 @@ import pytest
 
 from modelkit import (CovarianceEstimate, DataSet, ModelError, Params,
                       RandomStream, bin_to_pmf, bootstrap_cov, builtin,
-                      entropy, estimate, fisher_info_cov, jackknife_cov,
+                      entropy, estimate, fisher_info_cov, fix, jackknife_cov,
                       kl_divergence, ks_stat,
                       mvn_model, normal_model, pmf_model, predict,
                       replication_cov, rmse)
@@ -397,3 +397,29 @@ def test_metrics_require_shared_support():
     c = pmf_model(DataSet(np.array([[0.0], [2.0]])))
     with pytest.raises(ModelError, match="shared support"):
         ks_stat(a, c)
+
+
+def _fitted_with_nothing_free():
+    m = normal_model()
+    return estimate(fix(m, m.param_shape.pin(mu=0.0, sigma=1.0)), DataSet(np.arange(3.0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: jackknife_cov(normal_model(), DataSet(np.arange(9.0))),
+     "jackknife needs at least 10 rows"),
+    (lambda: replication_cov(normal_model(), fit_model=mvn_model(2)),
+     "replication_cov: data dims incompatible"),
+    (lambda: fisher_info_cov(_fitted_with_nothing_free(), DataSet(np.arange(3.0))),
+     "fisher_info_cov: no free parameters"),
+    (lambda: bin_to_pmf(normal_model(), Params.scalars(mu=0.0, sigma=1.0), normal_model()),
+     "bin_to_pmf anchor must be a PMF model"),
+    (lambda: bin_to_pmf(mvn_model(2), mvn_model(2).param_shape, two_point(0.5)),
+     "bin_to_pmf: data spaces differ"),
+    (lambda: bin_to_pmf(builtin("uniform"), Params.scalars(a=5.0, b=6.0), two_point(0.5)),
+     "bin_to_pmf: model puts zero mass on the whole support"),
+    (lambda: ks_stat(normal_model(), two_point(0.5)), "comparison metrics need PMF models"),
+], ids=["jackknife-rows", "replication-dims", "fisher-free", "bin-anchor", "bin-dims",
+        "bin-mass", "metric-pmf"])
+def test_inference_errors_name_their_cause(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()

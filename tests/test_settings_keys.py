@@ -1,8 +1,11 @@
-"""The README's model-settings table names every settings key the library reads."""
+"""The README's model-settings table names every settings key the library reads,
+and its expression table every name the expression evaluator knows."""
 
 import ast
 import re
 from pathlib import Path
+
+from modelkit import expr
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +38,16 @@ def _keys_documented():
 
 def test_every_settings_key_read_is_in_the_readme_table():
     assert _keys_read() == _keys_documented()
+
+
+def _names_documented():
+    """The backquoted names in the first column of the table under README's
+    "Expressions" heading."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Expressions", 1)[1].split("\n#", 1)[0]
+    cells = re.findall(r"^\| ([^|]+) \|", section, re.MULTILINE)
+    return {name for cell in cells for name in re.findall(r"`([a-z_]+)`", cell)}
+
+
+def test_every_expression_name_is_in_the_readme_table():
+    assert _names_documented() == set(expr._REGISTRY)

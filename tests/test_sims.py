@@ -1,5 +1,7 @@
 """Simulation models: construction rules and derived oracle checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -45,10 +47,27 @@ def test_network_sigma_free_parameter():
 
 
 def test_network_config_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="network sim needs at least 2 agents"):
         NetworkSimConfig(n_agents=1)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="network sim needs sigma > 0"):
         NetworkSimConfig(sigma=0.0)
+
+
+@pytest.mark.parametrize("build, cfg, name, bad, message", [
+    (network_sim_model, NetworkSimConfig(n_agents=3), "sigma", -1.0, "sigma > 0"),
+    (demand_model, DemandConfig(n_agents=5), "price", 0.0, "price > 0"),
+    (search_model, SearchConfig(4, 4, 2), "n_pairs", 9, "grid too small"),
+], ids=["network", "demand", "search"])
+def test_a_config_is_frozen_so_its_model_keeps_the_checked_values(build, cfg, name, bad,
+                                                                  message):
+    m = build(cfg)
+    p = m.param_shape
+    want = core.draw(m, p, RandomStream(3), 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, bad)
+    assert core.draw(m, p, RandomStream(3), 2).tobytes() == want.tobytes()
+    with pytest.raises(ModelError, match=message):
+        dataclasses.replace(cfg, **{name: bad})
 
 
 def test_consumption_printed_optimum():
@@ -223,3 +242,13 @@ def test_demand_constraint_is_the_distance_outside_its_box():
     assert m.constraint(p) == 0.0
     assert m.constraint(p.with_blocks(mu_alpha=-3.0, mu_b=25.0)) == 6.0
     assert m.constraint(p.with_blocks(mu_alpha=4.5, mu_b=-12.0)) == 3.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DemandConfig(price=0.0), "demand sim needs price > 0"),
+    (lambda: DemandConfig(n_agents=0), "demand sim needs at least one agent"),
+    (lambda: SearchConfig(n_pairs=0), "search sim needs at least one pair"),
+], ids=["demand-price", "demand-agents", "search-pairs"])
+def test_sim_config_errors_name_their_cause(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()

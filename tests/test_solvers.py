@@ -242,6 +242,21 @@ def test_metropolis_start_needs_a_row_per_chain():
         solvers.metropolis(lambda xs: [0.0], np.array([0.0]))
 
 
+def test_a_chain_whose_start_row_is_not_finite_starts_from_a_finite_row():
+    # rows 1, 3 and 4 lie off the half-line x >= 0 and take the finite rows
+    # 0 and 2 in turn: 0, 2, 0
+    target = lambda xs: np.where(xs[:, 0] >= 0.0, -0.5 * xs[:, 0] ** 2, -np.inf)
+    st = McmcSettings(burnin=100)
+    starts = np.array([[0.5], [-1.0], [2.0], [-3.0], [-4.0]])
+    got = solvers.metropolis(target, starts, st, RandomStream(2), 50)
+    want = solvers.metropolis(target, starts[[0, 0, 2, 2, 0]], st, RandomStream(2), 50)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert starts[:, 0].tolist() == [0.5, -1.0, 2.0, -3.0, -4.0]  # the caller's rows
+    with pytest.raises(ModelError, match="metropolis: target not finite at "
+                                         "any of the 2 start rows"):
+        solvers.metropolis(target, np.array([[-1.0], [-2.0]]))
+
+
 def _scalar_metropolis(target, x0, st, stream, n_samples):
     """The one-chain loop that preceded lockstep chains, kept as the reference
     for the one-row path: target maps a vector to a float."""
@@ -501,3 +516,21 @@ def test_numeric_gradient_nonfinite_stencil():
     f = lambda x: math.sqrt(x[0]) if x[0] >= 0 else math.nan
     with pytest.raises(ModelError, match="stencil"):
         solvers.numeric_gradient(f, np.array([0.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solvers.simulated_annealing(lambda x: -math.inf, np.zeros(1)),
+     "infeasible start: objective not finite at x0"),
+    (lambda: solvers.memoize_rng_to_pmf(normal_model(), normal_model().param_shape, 0,
+                                        RandomStream(0)),
+     "memoize_rng_to_pmf: n must be positive"),
+    (lambda: solvers.kde_smooth(normal_model()), "kde_smooth expects a PMF model"),
+    (lambda: solvers.numeric_hessian(lambda x: math.nan, np.zeros(1)),
+     r"non-finite objective at stencil point \[0\.\]"),
+    (lambda: solvers.numeric_hessian(lambda x: -math.sqrt(x[0]) if x[0] >= 0 else math.nan,
+                                     np.zeros(1)),
+     r"non-finite objective at stencil point \[-"),
+], ids=["annealing-start", "memoize-n", "kde-pmf", "hessian-centre", "hessian-stencil"])
+def test_solver_errors_name_their_cause(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()

@@ -14,8 +14,8 @@ from scipy import stats
 
 from modelkit import (DataSet, MleSettings, Model, ModelError, Params,
                       RandomStream, UnresolvableElementError, builtin, cross,
-                      d_compose, dp_compose, estimate, fix, jacobian, mix,
-                      mix_cdf, normal_model, pd_compose, pmf_model,
+                      d_compose, dp_compose, estimate, fix, jacobian, ks_stat, mix,
+                      mix_cdf, mvn_model, normal_model, pd_compose, pmf_model,
                       posterior_draws, row_log_likelihood, swap, truncate)
 from modelkit import expr, transforms
 from modelkit import model as core
@@ -144,6 +144,57 @@ def test_truncate_from_above_renormalizes():
     assert logl1(t, 0.7, p) == -np.inf
     got = core.cdf(t, np.array([[0.0], [2.0]]), p)
     assert got == pytest.approx([0.5 / stats.norm.cdf(0.5), 1.0], abs=1e-9)
+
+
+_SUPPORT4 = DataSet(np.arange(4.0))
+
+
+@pytest.mark.parametrize("m, p, region, support", [
+    (builtin("poisson"), Params.scalars(lam=1.0), (1.5, None), np.arange(60.0)),
+    (builtin("poisson"), Params.scalars(lam=3.0), (2.0, None), np.arange(60.0)),
+    (builtin("poisson"), Params.scalars(lam=3.0), (1.5, 4.0), np.arange(60.0)),
+    (pmf_model(_SUPPORT4), None, (1.5, None), np.arange(4.0)),
+    (pmf_model(_SUPPORT4), None, (1.0, 2.5), np.arange(4.0)),
+    (pmf_model(DataSet([0.0, 0.5, 1.0])), None, (0.7, None), np.array([0.0, 0.5, 1.0])),
+], ids=["poisson-1.5", "poisson-2", "poisson-1.5-4", "pmf-1.5", "pmf-1-2.5", "pmf-0.7"])
+def test_truncating_a_discrete_model_renormalizes_at_any_bound(m, p, region, support):
+    p = p or m.param_shape
+    t = truncate(m, region)
+    x = support.reshape(-1, 1)
+    base = np.exp(row_log_likelihood(m, x, p))
+    kept = (support >= region[0]) & (support <= (region[1] or np.inf))
+    got = np.exp(row_log_likelihood(t, x, p))
+    assert got.tolist() == pytest.approx((np.where(kept, base, 0.0) / base[kept].sum()).tolist(),
+                                         rel=1e-12, abs=1e-300)
+    assert got.sum() == pytest.approx(1.0, abs=1e-12)
+    # the CDF climbs from 0 below the bound to 1 at the last support point
+    below = core.cdf(t, x, p)
+    assert np.all(below[support < region[0]] == 0.0)
+    assert below[-1] == pytest.approx(1.0, abs=1e-12)
+    assert below[kept].tolist() == pytest.approx(np.cumsum(got[kept]).tolist(), abs=1e-12)
+
+
+def test_a_truncated_pmf_is_not_compared_as_its_base():
+    m = pmf_model(_SUPPORT4)
+    t = truncate(m, (1.5, None))
+    assert "pmf_support" not in t.settings
+    with pytest.raises(ModelError, match="comparison metrics need PMF models"):
+        ks_stat(t, m)
+
+
+def test_a_transform_shares_its_bases_read_only_parameters():
+    base = normal_model()
+    pinned = base.param_shape.pin(sigma=1.0)
+    models = [truncate(base, (0.0, None)), jacobian(base, np.exp, np.log),
+              mix_cdf(base, pmf_model(DataSet([[0.0]]))),
+              pd_compose(base, fix(base, pinned))]
+    for m in models:
+        assert m.param_shape is base.param_shape
+    assert fix(base, pinned).param_shape is pinned
+    for m in models:
+        with pytest.raises(ValueError, match="read-only"):
+            m.param_shape.block("mu")[0] = 5.0
+    assert base.param_shape.scalar("mu") == 0.0
 
 
 def test_truncations_of_one_base_keep_their_own_mass():
@@ -626,7 +677,8 @@ def test_mh_chains_whose_prior_draw_is_off_the_likelihood_start_from_a_finite_dr
         assert abs(draws.mean() - counts.rows.mean()) < 0.5
     assert off >= 6  # most seeds had a start off the likelihood's support
     low = dp_compose(normal_model(), like, Params.scalars(mu=-10.0, sigma=1.0))
-    with pytest.raises(ModelError, match="not finite at any of the 8 prior draws"):
+    with pytest.raises(ModelError, match=r"dp_compose\(normal, poisson\): posterior_draws: "
+                       r"metropolis: target not finite at any of the 8 start rows"):
         posterior_draws(low, counts, 80, RandomStream(0))
 
 
@@ -659,3 +711,40 @@ def test_weighted_prior_draws_are_weighted_by_each_draws_likelihood(like, prior,
     want = pmf_model(DataSet(draws, weights=w / w.sum()))
     assert _bits(pd.param_shape.block("w")) == _bits(want.param_shape.block("w"))
     assert _bits(pd.settings["pmf_support"].rows) == _bits(want.settings["pmf_support"].rows)
+
+
+def _rng_only(m):
+    return dataclasses.replace(m, label="rng_only", logl=None, est=None, cdf=None)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fix(normal_model(), Params.scalars(mu=0.0)),
+     "fix: pinned length 1 != parameter length 2"),
+    (lambda: fix(normal_model(), normal_model().param_shape),
+     "fix: at least one entry must be pinned"),
+    (lambda: cross([normal_model()]), "cross needs at least two models"),
+    (lambda: mix([normal_model()]), "mix needs at least two models"),
+    (lambda: mix([normal_model(), normal_model()], weights=[1.0]),
+     "mix: 2 components but 1 weights"),
+    (lambda: mix_cdf(normal_model(), mvn_model(2)), "mix_cdf: component data spaces differ"),
+    (lambda: mix_cdf(builtin("poisson"), pmf_model(DataSet([[0.0]]))),
+     "mix_cdf: truncated component must expose mu and sigma"),
+    (lambda: truncate(mvn_model(2), (0.0, None)), "interval truncation needs a 1-D data space"),
+    (lambda: d_compose(normal_model(), mvn_model(2)),
+     r"d_compose: data dims differ \(1 vs 2\) and the to-model is not 1-D"),
+    (lambda: dp_compose(normal_model(), builtin("poisson"), Params.scalars(mu=0.0)),
+     "dp_compose: rho does not match the prior's parameters"),
+    (lambda: posterior_draws(normal_model(), DataSet([[1.0]]), 10),
+     "posterior_draws needs a dp_compose model"),
+    (lambda: posterior_draws(
+        dp_compose(_rng_only(normal_model()), builtin("poisson"),
+                   Params.scalars(mu=-10.0, sigma=1.0)), DataSet([[1.0], [2.0]]), 20),
+     "posterior_draws: data impossible under every prior draw"),
+    (lambda: pd_compose(normal_model(), normal_model()),
+     "pd_compose: parent data dim 1 != child free parameter count 2"),
+], ids=["fix-length", "fix-pinned", "cross-count", "mix-count", "mix-weights",
+        "mix_cdf-dims", "mix_cdf-mu-sigma", "truncate-dim", "d_compose-dims",
+        "dp_compose-rho", "posterior-kind", "posterior-impossible", "pd_compose-dims"])
+def test_transform_errors_name_their_cause(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()
