@@ -646,7 +646,7 @@ def _lockstep_fits(m: Model, base: DataSet, weights: np.ndarray) -> list:
                 out.append(e)
         return out
 
-    def score(which, X) -> list:
+    def score(which, X) -> np.ndarray | list:
         try:
             return _stacked_objective(m, base, weights[which], X)
         except ModelError:  # a stacked call cannot say whose vector failed
@@ -659,9 +659,10 @@ def _lockstep_fits(m: Model, base: DataSet, weights: np.ndarray) -> list:
 
 
 def _stacked_objective(m: Model, base: DataSet, weights: np.ndarray,
-                       X: np.ndarray) -> list:
-    """_mle_objective(m, DataSet(base.rows, weights[i]))(X[i]) for each i,
-    from one stacked m.logl over the base rows per block of vectors."""
+                       X: np.ndarray) -> np.ndarray:
+    """_mle_objective(m, DataSet(base.rows, weights[i]))(X[i]) for each i, as
+    a float array, from one stacked m.logl over the base rows per block of
+    vectors."""
     P = m.param_shape.stack(X)
     violation = _violations(m, P)
     out = _penalty(violation)
@@ -669,7 +670,7 @@ def _stacked_objective(m: Model, base: DataSet, weights: np.ndarray,
     if ok.size:
         out[ok] = _by_blocks(ok, base.rows, lambda block: _stacked_sums(
             m, base.rows, P[block], weights[block]), STACK_ENTRIES)
-    return out.tolist()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@ The optimizers (nelder_mead, simulated_annealing, coordinate_cycle) and the
 finite differences work on plain float vectors: each takes a function f of
 an np.ndarray returning a float and a start vector x0, and the optimizers
 return a SolveResult.  Nelder-Mead is a port of scipy's unbounded,
-non-adaptive ``optimize.minimize(method="Nelder-Mead")`` written as a
-generator: it yields a point and is sent that point's value, so
-nelder_mead runs one search and nelder_mead_lockstep runs K searches,
-scoring every pending point of a round in one call.  Either gives
-scipy's result bit for bit: the same x, value, iteration count and success
-flag.  Metropolis runs K chains in lockstep: it takes a
+non-adaptive ``optimize.minimize(method="Nelder-Mead")`` in two forms.
+nelder_mead runs one search as a generator, _simplex, which yields a point
+and is sent that point's value.  nelder_mead_lockstep runs K searches as
+one array program over their (K, n+1, n) simplices, scoring every pending
+point of a round in one call and moving every search on with masked
+updates.  Its fixed cost of some 150 numpy operations a round makes it
+several times slower than the generator for one search, hence the two.
+Either gives scipy's result bit for bit: the same x, value, iteration
+count and success flag.  Metropolis runs K chains in lockstep: it takes a
 (K, dim) array of start rows and a target that scores a (K, dim) array of
 points in one call, and returns the chains' samples as rows.  The model
 layer maps a vector to the model's Params (its layout and fixed mask) and
@@ -177,6 +180,34 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
         return _solved(stop.value)
 
 
+# What a lockstep search waits on: the value of an initial vertex, of the
+# reflection, of the expansion, of the outside or inside contraction, or of
+# a shrunk vertex; or nothing, once it is done
+_INIT, _REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK, _DONE = range(7)
+# the trial points after a reflection, xbar * a + worst vertex * b, in the
+# order _EXPAND, _OUTSIDE, _INSIDE
+_TRIALS = np.array([[3, -2], [1.5, -0.5], [0.5, 0.5]])
+
+
+def _round_values(values):
+    """A score call's values as a float array, nan for each ModelError, and
+    the ModelErrors by position."""
+    if isinstance(values, np.ndarray):
+        return values.astype(float, copy=False), {}
+    errors = {i: v for i, v in enumerate(values) if isinstance(v, ModelError)}
+    return np.array([math.nan if i in errors else v
+                     for i, v in enumerate(values)], float), errors
+
+
+def _sort_simplices(sim, fsim, rows):
+    """_simplex's argsort and take on the simplices of the int array rows, in
+    place; returns them sorted."""
+    ind, at = fsim[rows].argsort(1), rows[:, None]
+    sim[rows] = S = sim[at, ind]
+    fsim[rows] = F = fsim[at, ind]
+    return S, F
+
+
 def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
                          starts: np.ndarray, st: MleSettings | None = None) -> list:
     """nelder_mead from each row of the (K, dim) array starts, K searches in
@@ -184,39 +215,107 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
 
     ``score(which, points)`` evaluates search which[i]'s f at points[i] for
     the (M,) int array which and the (M, dim) array points, and returns M
-    values; a value may be a ModelError instead, which ends that search.
-    The first call scores every start; each later call scores the one point
-    every running search's generator waits on.  Returns one entry per
-    start: the SolveResult nelder_mead gives on the same values, bit for
-    bit, or the ModelError that ended the search (for a start that is not
-    finite, nelder_mead's "infeasible start").
+    values: a float array, or a sequence in which a value may be a
+    ModelError instead, which ends that search.  The first call scores
+    every start; each later call scores the one point every running search
+    waits on.  Returns one entry per start: the SolveResult nelder_mead
+    gives on the same values, bit for bit, or the ModelError that ended the
+    search (for a start that is not finite, nelder_mead's "infeasible
+    start").
+
+    The searches are one array program over their (K, dim + 1, dim)
+    simplices.  After each round's score call, masked updates take every
+    search one step of _simplex on, with _simplex's elementwise operations;
+    the searches that reach the top of _simplex's loop in the round are
+    sorted, tested and reflected together.
     """
     st = st or MleSettings()
     starts = np.asarray(starts, dtype=float)
-    results: list = [None] * len(starts)
-    searches, pending = {}, {}
-    for j, v in enumerate(score(np.arange(len(starts)), starts)):
-        if isinstance(v, ModelError):
-            results[j] = v
-        elif not np.isfinite(v):
-            results[j] = ModelError("infeasible start: objective not finite at x0")
-        else:
-            searches[j] = _simplex(starts[j], st)
-            pending[j] = next(searches[j])
-    while pending:
-        which = np.fromiter(pending, dtype=int, count=len(pending))
-        values = score(which, np.array(list(pending.values())))
-        for j, v in zip(which.tolist(), values):
-            if isinstance(v, ModelError):
-                results[j] = v
-                del pending[j]
-                continue
-            try:
-                pending[j] = searches[j].send(_cost(v))
-            except StopIteration as stop:
-                results[j] = _solved(stop.value)
-                del pending[j]
-    return results
+    k, n = starts.shape
+    tol, cap = st.tolerance, st.max_iter
+    results: list = [None] * k
+    # the simplices as _simplex builds them, and each search's state
+    sim = np.repeat(starts[:, None], n + 1, 1)
+    axes = np.arange(n)
+    edge = sim[:, axes + 1, axes]
+    sim[:, axes + 1, axes] = np.where(edge != 0, (1 + 0.05) * edge, 0.00025)
+    fsim = np.full((k, n + 1), np.inf)
+    point, xbar, xr = sim[:, 0].copy(), np.zeros((k, n)), np.zeros((k, n))
+    c, fxr = np.zeros(k), np.zeros(k)
+    phase, vertex = np.full(k, _INIT), np.zeros(k, int)
+    evals, iters = np.ones(k, int), np.zeros(k, int)  # each waits on vertex 0
+    v, errors = _round_values(score(np.arange(k), starts))
+    for i in np.flatnonzero(~np.isfinite(v)).tolist():
+        results[i] = errors.get(i) or ModelError(
+            "infeasible start: objective not finite at x0")
+        phase[i] = _DONE
+    while True:
+        R = np.flatnonzero(phase != _DONE)
+        if not R.size:
+            return results
+        v, errors = _round_values(score(R, point[R]))
+        for i, e in errors.items():
+            results[R[i]] = e
+            phase[R[i]] = _DONE
+        c[R] = np.where(np.isfinite(v), -v, 1e300)  # _cost
+        # each value settles its step as _simplex does: an initial or shrunk
+        # vertex takes it; a reflection is accepted as the worst vertex or
+        # tried further; an expansion, or a contraction that is kept,
+        # replaces the worst vertex, and one that is not starts a shrink
+        init, reflect, shrunk = phase == _INIT, phase == _REFLECT, phase == _SHRINK
+        expanded, outside = phase == _EXPAND, phase == _OUTSIDE
+        contracted = outside | (phase == _INSIDE)
+        fxr = np.where(reflect, c, fxr)
+        best, good, worse = c < fsim[:, 0], c < fsim[:, -2], c < fsim[:, -1]
+        contract = reflect & ~best & ~good
+        keep = expanded | np.where(outside, c <= fxr, worse) & contracted
+        last = reflect & good & ~best | keep
+        use_xr = expanded & ~(c < fxr)
+        put = init | shrunk | last
+        fsim[put, np.where(last, n, vertex)[put]] = np.where(use_xr, fxr, c)[put]
+        sim[last, n] = np.where(use_xr[:, None], xr, point)[last]
+        # the point each search asks for next: the next initial or shrunk
+        # vertex (moved before its cap check), or a trial point
+        shrink = contracted & ~keep
+        vertex = np.where(shrink, 1, vertex + (init | shrunk))
+        moved = shrink | shrunk & (vertex <= n)
+        if moved.any():
+            M, to = np.flatnonzero(moved), vertex[moved]
+            sim[M, to] = sim[M, 0] + 0.5 * (sim[M, to] - sim[M, 0])
+            phase[M] = _SHRINK
+        ask = moved | init & (vertex <= n)
+        point[ask] = sim[ask, vertex[ask]]
+        trial = np.flatnonzero(reflect & ~last)
+        kind = np.where(contract, np.where(worse, 1, 2), 0)[trial]
+        a, b = _TRIALS[kind].T[:, :, None]
+        point[trial] = a * xbar[trial] + b * sim[trial, n]
+        phase[trial] = _EXPAND + kind
+        ask[trial] = True
+        capped = ask & (evals >= cap)
+        evals += ask
+        # a capped step ends the iteration uncounted
+        begun = init & ((vertex > n) | capped)
+        ended = last | shrunk & (vertex > n)
+        iters += ended
+        if begun.any():  # sorted twice, as scipy does
+            _sort_simplices(sim, fsim, np.flatnonzero(begun))
+            iters[begun] = 1
+        # the top of _simplex's loop: stop, or reflect the worst vertex
+        T = np.flatnonzero(ended | capped | begun)
+        S, F = _sort_simplices(sim, fsim, T)
+        stop = (evals[T] >= cap) | (iters[T] >= cap)
+        done = stop | ((np.abs(S[:, 1:] - S[:, :1]).reshape(len(T), n * n).max(1) <= tol)
+                       & (np.abs(F[:, :1] - F[:, 1:]).max(1) <= tol))
+        if done.any():
+            for i in np.flatnonzero(done).tolist():
+                results[T[i]] = _solved((S[i, 0], np.min(F[i]), int(iters[T[i]]),
+                                         not stop[i]))
+            phase[T[done]] = _DONE
+            T, S = T[~done], S[~done]
+        phase[T] = _REFLECT
+        xbar[T] = centroid = S[:, :-1].sum(1) / n
+        point[T] = xr[T] = 2 * centroid - S[:, -1]
+        evals[T] += 1
 
 
 def simulated_annealing(f: Callable[[np.ndarray], float], x0: np.ndarray,
@@ -366,7 +465,10 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
 
 def effective_sample_size(x: np.ndarray) -> float:
     """Effective size of the 1-D sample x drawn as one autocorrelated series:
-    Geyer's initial positive sequence over the FFT autocorrelation."""
+    Geyer's initial positive sequence over the FFT autocorrelation.  As in
+    Stan (Vehtari et al. 2021, arXiv:1903.08008), the integrated
+    autocorrelation time is at least 1 / log10(n), so the size is positive,
+    finite and at most n log10(n) for an antithetic series too."""
     c = np.asarray(x, dtype=float) - np.mean(x)
     n = c.size
     f = np.fft.rfft(c, 2 * n)
@@ -380,7 +482,7 @@ def effective_sample_size(x: np.ndarray) -> float:
         if pair < 0:
             break
         tau += 2.0 * pair
-    return n / tau
+    return n / max(tau, 1 / math.log10(n))
 
 
 # ---------------------------------------------------------------------------

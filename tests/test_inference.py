@@ -169,12 +169,16 @@ def _counting(m):
 
 _WEIBULL = Params.scalars(k=1.5, lam=2.0)
 _BETA = Params.scalars(alpha=2.0, beta=3.0)
+_PINNED = builtin("weibull").param_shape.pin(k=1.5)
 
 
-@pytest.mark.parametrize("name,truth", [("weibull", _WEIBULL), ("beta", _BETA)])
+@pytest.mark.parametrize("name,truth", [("weibull", _WEIBULL), ("beta", _BETA),
+                                        ("pinned-weibull", _PINNED)])
 @pytest.mark.parametrize("method", ["bootstrap", "jackknife", "replication"])
 def test_lockstep_replicate_fits_are_the_sequential_fits(name, truth, method):
-    m, shapes = _counting(builtin(name))
+    # a pinned k leaves one free entry: each fit's simplex has two vertices
+    m, shapes = _counting(fix(builtin("weibull"), _PINNED) if name == "pinned-weibull"
+                          else builtin(name))
     d = DataSet(core.draw(m, truth, RandomStream(21), 30))
     if method == "bootstrap":
         got = bootstrap_cov(m, d, reps=100, s=RandomStream(22))
@@ -191,8 +195,11 @@ def test_lockstep_replicate_fits_are_the_sequential_fits(name, truth, method):
     assert (got.method, got.replicates) == (method, want.replicates)
     # a stackable model's bootstrap and jackknife fits share stacked calls;
     # fresh draws and other models are scored one vector at a time
-    stacked = name == "weibull" and method != "replication"
+    stacked = name != "beta" and method != "replication"
     assert any(len(shape) == 2 for shape in shapes) == stacked
+    if name == "pinned-weibull":  # every fit returns the pinned k unchanged
+        assert not got.matrix[0].any() and not got.matrix[:, 0].any()
+        assert got.matrix[1, 1] > 0
 
 
 def _with_a_rare_bad_row(weight):

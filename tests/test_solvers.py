@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,24 +70,48 @@ def _objective(kind, centre):
 
 
 _COORD = st.floats(-4, 4).map(lambda v: round(v, 2))
+_TOLERANCES = st.sampled_from([1e-8, 1e-3, 1e-12])
+_CAPS = st.one_of(st.integers(1, 60), st.just(5000))
 
 
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["quadratic", "abs", "steps", "walled"]),
-       data=st.data(),
-       tol=st.sampled_from([1e-8, 1e-3, 1e-12]),
-       cap=st.one_of(st.integers(1, 60), st.just(5000)))
-def test_nelder_mead_is_scipys_nelder_mead_property(kind, data, tol, cap):
-    dim = data.draw(st.integers(1, 4))
+def _search(data, dim):
+    """A drawn objective of each kind and a feasible start for it."""
+    kind = data.draw(st.sampled_from(["quadratic", "abs", "steps", "walled"]))
     centre = np.array(data.draw(st.lists(_COORD, min_size=dim, max_size=dim)))
     # zero coordinates take scipy's 0.00025 step instead of the 5% one
     x0 = np.array(data.draw(st.lists(st.one_of(st.just(0.0), _COORD),
                                      min_size=dim, max_size=dim)))
-    f = _objective(kind, centre)
     if kind == "walled":
         x0[0] = min(x0[0], centre[0] - 0.5)
+    return _objective(kind, centre), x0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), tol=_TOLERANCES, cap=_CAPS)
+def test_nelder_mead_is_scipys_nelder_mead_property(data, tol, cap):
+    f, x0 = _search(data, data.draw(st.integers(1, 4)))
     s = MleSettings(tolerance=tol, max_iter=cap)
     assert _same(_as_tuple(solvers.nelder_mead(f, x0, s)), _scipy_nelder_mead(f, x0, s))
+
+
+def _lockstep(fs, starts, s):
+    """nelder_mead_lockstep of the objectives fs from the rows of starts,
+    each round's values as one float array."""
+    def score(which, X):
+        return np.array([fs[j](x) for j, x in zip(which.tolist(), X)])
+    return solvers.nelder_mead_lockstep(score, starts, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), tol=_TOLERANCES, cap=_CAPS)
+def test_lockstep_searches_are_the_single_searches_property(data, tol, cap):
+    # up to 12 dimensions, so the centroid sums over up to 12 vertices
+    dim = data.draw(st.integers(1, 12))
+    fs, starts = zip(*[_search(data, dim) for _ in range(data.draw(st.integers(1, 8)))])
+    s = MleSettings(tolerance=tol, max_iter=cap)
+    got = _lockstep(fs, np.array(starts), s)
+    for f, x0, res in zip(fs, starts, got):
+        assert _same(_as_tuple(res), _as_tuple(solvers.nelder_mead(f, x0, s)))
 
 
 @pytest.mark.parametrize("x0", [[0.0, 1.0, -2.0], [-1.0, -4.0, -1.0]])
@@ -106,6 +131,27 @@ def test_every_evaluation_cap_stops_nelder_mead_where_scipy_stops(x0):
         s = MleSettings(tolerance=1e-6, max_iter=cap)
         assert _same(_as_tuple(solvers.nelder_mead(f, x0, s)),
                      _scipy_nelder_mead(f, x0, s)), cap
+
+
+def test_every_evaluation_cap_stops_lockstep_searches_where_single_searches_stop():
+    """Caps from 1 up past the longest run stop the searches inside the
+    initial simplex, between the steps of an iteration and between the
+    points of a shrink."""
+    f = _objective("steps", np.array([1.0, -2.0, 0.5]))
+    starts = np.array([[0.0, 1.0, -2.0], [-1.0, -4.0, -1.0], [2.5, 0.0, 3.0]])
+    longest = 0
+    for x0 in starts:
+        calls = []
+        full = solvers.nelder_mead(lambda x: calls.append(0) or f(x), x0,
+                                   MleSettings(tolerance=1e-6))
+        evals = len(calls) - 1  # the first call checks the start
+        assert evals > 4 + 2 * (full.iterations - 1), "the run never shrinks"
+        longest = max(longest, evals)
+    for cap in range(1, longest + 2):
+        s = MleSettings(tolerance=1e-6, max_iter=cap)
+        got = _lockstep([f] * 3, starts, s)
+        for x0, res in zip(starts, got):
+            assert _same(_as_tuple(res), _as_tuple(solvers.nelder_mead(f, x0, s))), cap
 
 
 def test_nelder_mead_scores_copies_of_its_points():
@@ -333,18 +379,37 @@ def test_one_likelihood_only_draw_is_the_scalar_chain():
     assert got.tobytes() == want.tobytes()
 
 
-def test_effective_sample_size_of_an_ar1_series():
-    # AR(1) with coefficient r: the effective size is n (1 - r) / (1 + r)
-    r, n = 0.8, 40000
-    e = RandomStream(2).normal(size=n)
+def _ar1(r, n, seed):
+    """n steps of the AR(1) series x[t] = r x[t - 1] + a standard Normal."""
+    e = RandomStream(seed).normal(size=n)
     x = np.empty(n)
     x[0] = e[0]
     for t in range(1, n):
         x[t] = r * x[t - 1] + e[t]
+    return x
+
+
+def test_effective_sample_size_of_an_ar1_series():
+    # AR(1) with coefficient r: the effective size is n (1 - r) / (1 + r)
+    n = 40000
+    x = _ar1(0.8, n, 2)
     assert solvers.effective_sample_size(x) == pytest.approx(n * 0.2 / 1.8, rel=0.15)
     iid = RandomStream(3).normal(size=5000)
     assert solvers.effective_sample_size(iid) == pytest.approx(5000, rel=0.15)
     assert solvers.effective_sample_size(np.full(10, 2.5)) == 1.0
+
+
+@pytest.mark.parametrize("x", [np.array([0.0, 1.0] * 5), np.array([3.0, 1.0, 2.0]),
+                               _ar1(-0.9, 1000, 4)], ids=["alternating", "three", "ar1-0.9"])
+def test_effective_sample_size_of_an_antithetic_series_is_capped_at_n_log10_n(x):
+    # Geyer's sum alone leaves an autocorrelation time near 0 here, and a
+    # negative or infinite size; it is floored at 1 / log10(n)
+    n = len(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solvers.effective_sample_size(x)
+    assert got == pytest.approx(n * math.log10(n), rel=1e-12)
+    assert math.ceil(n / got) >= 1  # check_ml_consistency's thinning step
 
 
 def test_invert_cdf_quantiles():
