@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -353,18 +354,31 @@ class Params:
     def free_values(self) -> np.ndarray:
         return self._vec[self._free]
 
+    @cached_property
+    def _free_columns(self) -> tuple:
+        """(where, count) of the free entries: where is a slice when they
+        are contiguous, as when nothing or only a head or tail is pinned,
+        else their indices."""
+        at = np.flatnonzero(self._free)
+        if at.size and at[-1] - at[0] + 1 == at.size:
+            return slice(int(at[0]), int(at[-1]) + 1), at.size
+        return at, at.size
+
     def stack(self, free_rows) -> "StackedParams":
         """K vectors over this layout and mask at once: row k of the (K,
         n_free) array fills the free entries of vector k, as ``with_free``
         does, and the pinned entries keep their values."""
         free = np.asarray(free_rows, dtype=float)
-        n_free = np.count_nonzero(self._free)
+        at, n_free = self._free_columns
         if free.ndim != 2 or free.shape[1] != n_free:
             raise ModelError(f"stack: expected a (K, {n_free}) array of free "
                              f"values, got shape {free.shape}")
-        vec = np.empty((free.shape[0], len(self._vec)))
-        vec[:] = self._vec
-        vec[:, self._free] = free
+        if n_free == len(self._vec):
+            vec = free.copy()
+        else:
+            vec = np.empty((free.shape[0], len(self._vec)))
+            vec[:] = self._vec
+            vec[:, at] = free
         return self._derive(vec, self.fixed_mask, StackedParams)
 
     def with_blocks(self, **values) -> "Params":

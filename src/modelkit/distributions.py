@@ -45,8 +45,8 @@ def _positive(*vals):
         return True, vals
     bad = vals[0] <= 0
     for v in vals[1:]:
-        bad = bad | (v <= 0)
-    if not bad.any():
+        bad |= v <= 0
+    if not np.count_nonzero(bad):
         return True, vals
     ok = ~bad
     return ok, tuple(np.where(ok, v, 1.0) for v in vals)
@@ -54,19 +54,25 @@ def _positive(*vals):
 
 def _log(v):
     """math.log of a float, or of each value of a (K, 1) column, one call
-    per vector: np.log rounds differently on some inputs."""
+    per vector: np.log rounds differently on some inputs.  Raises
+    ValueError, as math.log does, where a value is <= 0."""
     if isinstance(v, float):
         return math.log(v)
-    return np.array([math.log(x) for x in v.ravel().tolist()]).reshape(v.shape)
+    return np.fromiter(map(math.log, v.ravel().tolist()), float, v.size).reshape(v.shape)
 
 
 def _positive_part(v):
     """(ok, v where ok else 1.0, its _log) for a float or the (K, 1) column
-    of a stacked parameter, ok as _positive gives it."""
+    of a stacked parameter, ok as _positive gives it.  A column's logs are
+    its test: math.log raises on a value <= 0 and takes nan to nan, so only
+    a column that holds a value <= 0 is masked."""
     if isinstance(v, float):
         return (False, 1.0, 0.0) if v <= 0 else (True, v, math.log(v))
-    ok, (safe,) = _positive(v)
-    return ok, safe, _log(safe)
+    try:
+        return True, v, _log(v)
+    except ValueError:
+        ok, (safe,) = _positive(v)
+        return ok, safe, _log(safe)
 
 
 # ---------------------------------------------------------------------------

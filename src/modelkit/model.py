@@ -304,7 +304,7 @@ def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
     if m.logl_joint is not None:
         return float(m.logl_joint(d, p))
     _check_rows(m, d.rows)
-    return _weighted_sums(row_log_likelihood(m, d.rows, p), d.weights)[0]
+    return float(_weighted_sums(row_log_likelihood(m, d.rows, p), d.weights))
 
 
 def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray:
@@ -331,12 +331,19 @@ def _stacked_sums(m: Model, rows: np.ndarray, P: StackedParams, w: np.ndarray) -
     (n,), or (K, n) for a weight row per vector."""
     # C-ordered, as _weighted_sums needs: a logl may return another layout
     v = np.ascontiguousarray(m.logl(rows, P), dtype=float)
-    return np.array(_weighted_sums(v, w))
+    return _weighted_sums(v, w)
 
 
-def _weighted_sums(v: np.ndarray, w: np.ndarray) -> list:
-    """The sum of v * w over the last axis, as a list of 1 or K floats: v is
-    (n,) or (K, n), and w is (n,) or a weight row per row of v.
+# 0 * inf on a row of weight 0; as a decorator, errstate costs about half
+# what a with block does on every call
+@np.errstate(invalid="ignore")
+def _summed_products(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.add.reduce(v * w, axis=-1)
+
+
+def _weighted_sums(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The sum of v * w over the last axis: a numpy float for an (n,) v and a
+    (K,) array for a (K, n) one; w is (n,) or a weight row per row of v.
 
     A row of weight 0 counts for nothing but stays in place, so a finite
     sum is the result.  A sum that is not finite (0 * inf is nan) is taken
@@ -345,17 +352,22 @@ def _weighted_sums(v: np.ndarray, w: np.ndarray) -> list:
     row of a C-ordered v sums in the order the row alone would, bit for
     bit; a Fortran-ordered one does not.
     """
-    with np.errstate(invalid="ignore"):  # 0 * inf on a row of weight 0
-        sums = np.add.reduce(v * w, axis=-1)
-    totals = [float(sums)] if v.ndim == 1 else sums.tolist()
-    for k, total in enumerate(totals):
-        if not math.isfinite(total):
-            vk, wk = (a if a.ndim == 1 else a[k] for a in (v, w))
-            live = wk > 0
-            vk = vk[live]
-            totals[k] = (LOG_NEG_INF if np.any(np.isneginf(vk))
-                         else float(np.add.reduce(vk * wk[live])))
-    return totals
+    sums = _summed_products(v, w)
+    if v.ndim == 1:
+        return sums if math.isfinite(sums) else _live_sum(v, w)
+    bad = ~np.isfinite(sums)
+    if np.count_nonzero(bad):
+        for k in np.flatnonzero(bad).tolist():
+            sums[k] = _live_sum(v[k], w if w.ndim == 1 else w[k])
+    return sums
+
+
+def _live_sum(v: np.ndarray, w: np.ndarray) -> float:
+    """The sum of v * w over the rows of positive weight, -inf if one of
+    them scores -inf."""
+    live = w > 0
+    v = v[live]
+    return LOG_NEG_INF if np.any(np.isneginf(v)) else np.add.reduce(v * w[live])
 
 
 def row_log_likelihood(m: Model, rows: np.ndarray, p: Params) -> np.ndarray:

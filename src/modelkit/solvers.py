@@ -19,7 +19,9 @@ several times slower than the generator for one search, hence the two.
 Either gives scipy's result bit for bit: the same x, value, iteration
 count and success flag.  Metropolis runs K chains in lockstep: it takes a
 (K, dim) array of start rows and a target that scores a (K, dim) array of
-points in one call, and returns the chains' samples as rows.  The model
+points in one call, and returns the chains' samples as rows.  A step draws
+its Normals in one stream call and the uniforms of the chains that need one
+in one more, which gives the numbers one call per chain would.  The model
 layer maps a vector to the model's Params (its layout and fixed mask) and
 builds the fitted model from the result.
 """
@@ -165,7 +167,10 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
 
     Stops when the simplex collapses below st.tolerance or st.max_iter
     evaluations pass.  It runs one simplex generator, f scoring each point
-    it yields, so the result is scipy's bit for bit.
+    it yields, so the result is scipy's bit for bit.  f scores x0 twice:
+    once to check that it is finite, then as the simplex's first vertex.
+    A stochastic f, such as a live d_compose likelihood, draws afresh at
+    each call, so its result depends on both calls.
     """
     st = st or MleSettings()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
@@ -217,11 +222,13 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
     the (M,) int array which and the (M, dim) array points, and returns M
     values: a float array, or a sequence in which a value may be a
     ModelError instead, which ends that search.  The first call scores
-    every start; each later call scores the one point every running search
-    waits on.  Returns one entry per start: the SolveResult nelder_mead
-    gives on the same values, bit for bit, or the ModelError that ended the
-    search (for a start that is not finite, nelder_mead's "infeasible
-    start").
+    every start, which both checks it and is its simplex's first value;
+    each later call scores the one point every running search waits on.
+    Returns one entry per start: the SolveResult nelder_mead gives on the
+    same values, bit for bit, or the ModelError that ended the search (for
+    a start that is not finite, nelder_mead's "infeasible start").  score
+    must give a point the same value at every call: nelder_mead scores
+    each start twice, and lockstep searches once.
 
     The searches are one array program over their (K, dim + 1, dim)
     simplices.  After each round's score call, masked updates take every
@@ -240,23 +247,17 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
     edge = sim[:, axes + 1, axes]
     sim[:, axes + 1, axes] = np.where(edge != 0, (1 + 0.05) * edge, 0.00025)
     fsim = np.full((k, n + 1), np.inf)
-    point, xbar, xr = sim[:, 0].copy(), np.zeros((k, n)), np.zeros((k, n))
+    point, xbar, xr = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n))
     c, fxr = np.zeros(k), np.zeros(k)
     phase, vertex = np.full(k, _INIT), np.zeros(k, int)
-    evals, iters = np.ones(k, int), np.zeros(k, int)  # each waits on vertex 0
-    v, errors = _round_values(score(np.arange(k), starts))
+    evals, iters = np.ones(k, int), np.zeros(k, int)  # each scores vertex 0
+    R = np.arange(k)
+    v, errors = _round_values(score(R, starts))
     for i in np.flatnonzero(~np.isfinite(v)).tolist():
         results[i] = errors.get(i) or ModelError(
             "infeasible start: objective not finite at x0")
         phase[i] = _DONE
     while True:
-        R = np.flatnonzero(phase != _DONE)
-        if not R.size:
-            return results
-        v, errors = _round_values(score(R, point[R]))
-        for i, e in errors.items():
-            results[R[i]] = e
-            phase[R[i]] = _DONE
         c[R] = np.where(np.isfinite(v), -v, 1e300)  # _cost
         # each value settles its step as _simplex does: an initial or shrunk
         # vertex takes it; a reflection is accepted as the worst vertex or
@@ -316,6 +317,13 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
         xbar[T] = centroid = S[:, :-1].sum(1) / n
         point[T] = xr[T] = 2 * centroid - S[:, -1]
         evals[T] += 1
+        R = np.flatnonzero(phase != _DONE)
+        if not R.size:
+            return results
+        v, errors = _round_values(score(R, point[R]))
+        for i, e in errors.items():
+            results[R[i]] = e
+            phase[R[i]] = _DONE
 
 
 def simulated_annealing(f: Callable[[np.ndarray], float], x0: np.ndarray,
@@ -399,9 +407,11 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
     list of floats or a 1-D array), so every step makes one target call for
     all chains.  Each chain adds an isotropic Normal of scale st.step_scale
     and accepts with min(1, exp(delta log density)); the step's K x dim
-    Normals come from one stream call, then the uniforms of the chains that
-    need one, chain by chain.  The first st.burnin steps are discarded and
-    every st.thin-th step kept, until each chain holds ceil(n_samples / K)
+    Normals come from one stream call, then the uniforms of the m chains
+    whose finite candidate scores below their value, in chain order, from
+    one call of size m (a scalar call when m is 1), which gives the values
+    of m scalar calls.  The first st.burnin steps are discarded and every
+    st.thin-th step kept, until each chain holds ceil(n_samples / K)
     samples.  Chain.samples lists them chain after chain, cut to n_samples
     rows.  A start row where the target is not finite takes the finite
     rows in turn; a chain that accepts nothing in burnin raises "stuck chain".
@@ -428,22 +438,35 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
     # bound once: the step loop is the sampler's whole cost when the target
     # is cheap
     normal, uniform = stream.gen.normal, stream.gen.uniform
-    isfinite, exp = math.isfinite, math.exp
+    exp, inf = math.exp, math.inf
     chains, shape = range(k), (k, dim)
     kept, keep_at, last_burnin = 0, burnin, burnin - 1
     for i in range(total):
         cand = x + normal(size=shape) * scale
         cv = target_log_density(cand)
-        moved = []
+        # a finite candidate scoring at least its chain's value moves the
+        # chain; one scoring lower moves it if a uniform is below exp(delta)
+        moved, low = [], []
         for j in chains:
             c = cv[j]
-            if isfinite(c) and (c >= lv[j] or uniform() < exp(c - lv[j])):
-                lv[j] = c
-                accepted[j] += 1
+            if c >= lv[j]:
+                if c < inf:
+                    moved.append(j)
+            elif c > -inf:
+                low.append(j)
+        if len(low) == 1:
+            j = low[0]
+            if uniform() < exp(cv[j] - lv[j]):
                 moved.append(j)
+        elif low:
+            us = uniform(size=len(low)).tolist()
+            moved += [j for j, u in zip(low, us) if u < exp(cv[j] - lv[j])]
         # the chains that moved take their candidate rows: all of cand when
         # every chain moved, which is the common case of a single chain
         if moved:
+            for j in moved:
+                lv[j] = cv[j]
+                accepted[j] += 1
             if len(moved) == k:
                 x = cand
             else:

@@ -239,6 +239,19 @@ def test_stacked_params_blocks_scalars_and_rows():
     assert base.stack(np.empty((0, 2))).scalar("sigma").shape == (0, 1)
 
 
+@pytest.mark.parametrize("pinned", [(), ("a",), ("b",), ("c",), ("a", "c"), ("a", "b", "c")],
+                         ids=["none", "head", "middle", "tail", "ends", "all"])
+def test_stack_fills_the_free_entries_at_every_pin_pattern(pinned):
+    # the free entries may be all, a contiguous run, scattered, or none
+    base = Params.scalars(a=1.0, b=2.0, c=3.0).pin(**{n: -1.0 for n in pinned})
+    n_free = 3 - len(pinned)
+    free = np.arange(1.0, 1.0 + 2 * n_free).reshape(2, n_free) * 10.0
+    P = base.stack(free)
+    want = [base.with_free(row).vector.tobytes() for row in free]
+    free[:] = 0.0  # the stack holds its own copy of the caller's rows
+    assert [P[k].vector.tobytes() for k in range(2)] == want
+
+
 def test_stacked_params_errors():
     base = Params([("mu", [1.0, 2.0]), ("sigma", [3.0])])
     P = base.stack(np.zeros((2, 3)))

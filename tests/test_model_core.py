@@ -802,6 +802,51 @@ def test_stacked_likelihood_is_the_per_vector_likelihood_property(name, data):
         [core._violation(m, P[i]) for i in range(k)])
 
 
+# parameter columns a stacked logl masks, or must not: 0, negatives, nan
+# (which counts as not <= 0), +inf and -inf, and a column of nan only
+_EDGE_COLUMNS = {
+    "zero": [1.5, 0.0, 2.0],
+    "negative": [-1.0, 0.7, -0.0],
+    "nan": [np.nan, 1.5, 0.4],
+    "nan-and-zero": [np.nan, 0.0, 1.0],
+    "inf": [np.inf, 1.0, -np.inf],
+    "all-nan": [np.nan, np.nan, np.nan],
+}
+
+
+@pytest.mark.parametrize("column", sorted(_EDGE_COLUMNS))
+@pytest.mark.parametrize("name", sorted(_STACKABLE))
+def test_stacked_logl_is_the_one_vector_logl_at_degenerate_columns(name, column):
+    make, values, row_values = _STACKABLE[name]
+    m = make()
+    rows = np.array(row_values).reshape(-1, 1)
+    edge = _EDGE_COLUMNS[column]
+    # the edge column in each parameter in turn, the others at a usual value
+    for b in m.param_shape.names:
+        free = np.array([[edge[i] if c == b else values[c][-1] for c in m.param_shape.names]
+                         for i in range(len(edge))])
+        P = m.param_shape.stack(free)
+        with np.errstate(all="ignore"):  # inf - inf on the +inf vectors
+            try:
+                got = np.asarray(m.logl(rows, P))
+            except ValueError:
+                # weibull's math.log(k / lam) where k / lam is 0 (lam = inf)
+                # raises, and so does the vector's own call
+                assert any(_raises(ValueError, m.logl, rows, P[i])
+                           for i in range(len(P))), b
+                continue
+            for i in range(len(P)):
+                assert _bits(got[i]) == _bits(m.logl(rows, P[i])), (b, i)
+
+
+def _raises(error, f, *args) -> bool:
+    try:
+        f(*args)
+    except error:
+        return True
+    return False
+
+
 def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():
     base = builtin("poisson")
     scored = []

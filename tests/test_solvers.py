@@ -177,10 +177,11 @@ def test_lockstep_searches_are_the_single_searches():
     starts = np.array([[0.0, 0.0], [2.0, 2.0], [0.5, 1.0], [0.0, 0.0], [0.0, 0.0],
                        [1.0, 1.0]])
     s = MleSettings(tolerance=1e-10, max_iter=400)
-    rounds = []
+    rounds, points = [], []
 
     def score(which, X):
         rounds.append(which.tolist())
+        points.append(X.copy())
         assert X.shape == (len(which), 2)
         out = [fs[j](x) if fs[j] else ModelError("probe: no value here")
                for j, x in zip(which.tolist(), X)]
@@ -198,10 +199,17 @@ def test_lockstep_searches_are_the_single_searches():
     assert isinstance(got[3], ModelError) and "infeasible start" in str(got[3])
     assert isinstance(got[4], ModelError) and "evaluation failed" in str(got[4])
     assert isinstance(got[5], ModelError) and "no value here" in str(got[5])
-    # a round of the starts, then one round per evaluation of the longest
-    # search, each scoring one point of every search still running
+    # a round of the starts, whose values are the first vertices', then one
+    # round per further evaluation of the longest search, each scoring one
+    # point of every search still running: the second round scores the
+    # second vertices, the starts with their first coordinate moved.  A
+    # single search scores its start twice, a lockstep one once
     assert rounds[0] == [0, 1, 2, 3, 4, 5] and rounds[1] == [0, 1, 2, 4]
-    assert len(rounds) == max(calls)
+    assert points[0].tobytes() == starts.tobytes()
+    second = starts[[0, 1, 2, 4]]
+    second[:, 0] = np.where(second[:, 0] != 0, 1.05 * second[:, 0], 0.00025)
+    assert points[1].tobytes() == second.tobytes()
+    assert len(rounds) == max(calls) - 1
     assert all(4 not in r for r in rounds[20:])
 
 
@@ -325,6 +333,85 @@ def _scalar_metropolis(target, x0, st, stream, n_samples):
     return samples, accepted / total
 
 
+def _chainwise_metropolis(target, x0, st, stream, n_samples):
+    """The lockstep loop as it was before a step's uniforms came from one
+    stream call: chain by chain, one scalar uniform each, kept as the
+    reference the loop must equal bit for bit.  Returns (samples, rate)."""
+    x = np.array(x0, dtype=float)
+    k, dim = x.shape
+    lv = list(target(x))
+    ok = [j for j in range(k) if math.isfinite(lv[j])]
+    if not ok:
+        raise ModelError(f"metropolis: target not finite at any of the {k} start rows")
+    for i, j in enumerate(sorted(set(range(k)) - set(ok))):
+        x[j], lv[j] = x[ok[i % len(ok)]], lv[ok[i % len(ok)]]
+    per_chain = -(-n_samples // k)
+    total = st.burnin + per_chain * st.thin
+    samples = np.empty((per_chain, k, dim))
+    accepted = [0] * k
+    kept = 0
+    for i in range(total):
+        cand = x + stream.gen.normal(size=(k, dim)) * st.step_scale
+        cv = target(cand)
+        for j in range(k):
+            c = cv[j]
+            if math.isfinite(c) and (c >= lv[j] or
+                                     stream.gen.uniform() < math.exp(c - lv[j])):
+                x[j], lv[j] = cand[j], c
+                accepted[j] += 1
+        if i == st.burnin - 1 and 0 in accepted:
+            j = accepted.index(0)
+            raise ModelError(
+                f"stuck chain {j} of {k}: 0 acceptances in {st.burnin} burnin steps "
+                f"(log density {lv[j]:.3g}, step_scale {st.step_scale})")
+        if i >= st.burnin and (i - st.burnin) % st.thin == 0:
+            samples[kept] = x
+            kept += 1
+    rows = samples.transpose(1, 0, 2).reshape(k * per_chain, dim)
+    return rows[:n_samples], sum(accepted) / (total * k)
+
+
+def _rugged_target(walls, as_list):
+    """A Normal log density over (K, dim) points, -inf beyond a wall on the
+    sum of the coordinates, nan or +inf on some of its slopes, as a list or
+    an array."""
+    def target(xs):
+        out = -0.5 * np.sum(xs * xs, axis=1)
+        if "-inf" in walls:
+            out[xs.sum(1) < -0.5] = -np.inf
+        if "nan" in walls:
+            out[xs[:, 0] > 1.25] = np.nan
+        if "+inf" in walls:
+            out[xs[:, -1] < -1.75] = np.inf
+        return out.tolist() if as_list else out
+    return target
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 8), dim=st.integers(1, 3), data=st.data(),
+       burnin=st.integers(1, 40), thin=st.integers(1, 3),
+       n=st.integers(1, 60), scale=st.sampled_from([0.3, 1.0, 2.5, 40.0]),
+       walls=st.sets(st.sampled_from(["-inf", "nan", "+inf"])),
+       as_list=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_lockstep_metropolis_is_the_chainwise_loop_property(
+        k, dim, data, burnin, thin, n, scale, walls, as_list, seed):
+    x0 = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.5]), min_size=dim, max_size=dim),
+        min_size=k, max_size=k)))
+    target = _rugged_target(walls, as_list)
+    s = McmcSettings(burnin=burnin, step_scale=scale, thin=thin)
+    try:
+        want = _chainwise_metropolis(target, x0, s, RandomStream(seed), n)
+    except ModelError as e:  # no finite start, or a stuck chain
+        with pytest.raises(ModelError) as got:
+            solvers.metropolis(target, x0, s, RandomStream(seed), n)
+        assert str(got.value) == str(e)
+        return
+    chain = solvers.metropolis(target, x0, s, RandomStream(seed), n)
+    assert chain.samples.tobytes() == want[0].tobytes()
+    assert chain.acceptance_rate == want[1]
+
+
 @pytest.mark.parametrize("logd", [
     lambda x: -0.5 * float(x @ x),
     # a -inf region: the half-space x[0] + x[1] < 0 is impossible
@@ -358,15 +445,21 @@ def test_lockstep_chains_share_one_target_call_per_step():
 
 
 def test_a_stuck_chain_is_detected_while_the_others_move():
-    # chain 1 starts on a point mass; chains 0 and 2 walk a Normal
+    # chain 1 starts on a point mass; chains 0 and 2 walk a Normal, drawing
+    # uniforms in the same steps; the error is the chainwise loop's
     def target(xs):
         out = -0.5 * xs[:, 0] ** 2
         out[1] = 0.0 if xs[1, 0] == 100.0 else -np.inf
         return out
 
-    with pytest.raises(ModelError, match="stuck chain 1 of 3"):
-        solvers.metropolis(target, np.array([[0.0], [100.0], [0.0]]),
-                           McmcSettings(burnin=200), RandomStream(1), 30)
+    x0, s = np.array([[0.0], [100.0], [0.0]]), McmcSettings(burnin=200)
+    with pytest.raises(ModelError) as want:
+        _chainwise_metropolis(target, x0, s, RandomStream(1), 30)
+    with pytest.raises(ModelError) as got:
+        solvers.metropolis(target, x0, s, RandomStream(1), 30)
+    assert str(got.value) == str(want.value) == (
+        "stuck chain 1 of 3: 0 acceptances in 200 burnin steps "
+        "(log density 0, step_scale 1.0)")
 
 
 def test_one_likelihood_only_draw_is_the_scalar_chain():

@@ -9,8 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import stats
+from hypothesis import assume, given, settings, strategies as st
+from scipy import integrate, stats
 
 from modelkit import (DataSet, MleSettings, Model, ModelError, Params,
                       RandomStream, UnresolvableElementError, builtin, cross,
@@ -172,6 +172,44 @@ def test_truncating_a_discrete_model_renormalizes_at_any_bound(m, p, region, sup
     assert np.all(below[support < region[0]] == 0.0)
     assert below[-1] == pytest.approx(1.0, abs=1e-12)
     assert below[kept].tolist() == pytest.approx(np.cumsum(got[kept]).tolist(), abs=1e-12)
+
+
+_BOUND = st.one_of(st.none(), st.integers(-12, 32).map(lambda v: v / 4))
+
+
+def _bounds(data, lo_min):
+    """An interval (lo, hi), None for an open end, with lo <= hi."""
+    lo, hi = data.draw(_BOUND), data.draw(_BOUND)
+    if lo is not None and hi is not None and hi < lo:
+        lo, hi = hi, lo
+    return (max(lo, lo_min) if lo is not None else None), hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mu=st.integers(-4, 4).map(lambda v: v / 4),
+       sigma=st.sampled_from([0.4, 1.0, 2.5]))
+def test_truncated_normal_density_integrates_to_one_property(data, mu, sigma):
+    lo, hi = _bounds(data, -3.0)
+    cdf = stats.norm(mu, sigma).cdf
+    assume((1.0 if hi is None else cdf(hi)) - (0.0 if lo is None else cdf(lo)) > 1e-4)
+    t, p = truncate(normal_model(), (lo, hi)), Params.scalars(mu=mu, sigma=sigma)
+    total, _ = integrate.quad(lambda x: math.exp(logl1(t, x, p)),
+                              -np.inf if lo is None else lo, np.inf if hi is None else hi,
+                              epsabs=1e-11, epsrel=1e-11)
+    assert total == pytest.approx(1.0, abs=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lam=st.sampled_from([0.3, 1.0, 2.8, 7.5]))
+def test_truncated_poisson_mass_sums_to_one_property(data, lam):
+    lo, hi = _bounds(data, -1.0)
+    k = np.arange(120.0)
+    inside = (k >= (-np.inf if lo is None else lo)) & (k <= (np.inf if hi is None else hi))
+    assume(stats.poisson.pmf(k[inside], lam).sum() > 1e-4)
+    t, p = truncate(builtin("poisson"), (lo, hi)), Params.scalars(lam=lam)
+    got = np.exp(row_log_likelihood(t, k.reshape(-1, 1), p))
+    assert np.all(got[~inside] == 0.0)
+    assert got.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_a_truncated_pmf_is_not_compared_as_its_base():
