@@ -83,6 +83,19 @@ def _owned(a, dtype=float) -> np.ndarray:
     return a
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """A key per row of a 2-d float array, equal exactly where the rows'
+    float64 bits are, so for the same point; keys sort as int64 bits by column."""
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
+    return bits[:, 0] if bits.shape[1] == 1 else bits.view([("", "i8")] * bits.shape[1])[:, 0]
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows' distinct rows by ``row_keys`` in key order, each row's index into them)."""
+    keys, inv = np.unique(row_keys(rows), return_inverse=True)
+    return keys.view(float).reshape(-1, rows.shape[1]), inv
+
+
 class DataSet:
     """Ordered, weighted collection of fixed-dimension observation rows.
 
@@ -116,8 +129,8 @@ class DataSet:
             w = _owned(weights)
             if w.shape != (n,):
                 raise ModelError(f"weights shape {w.shape} does not match {n} rows")
-            if np.any(w < 0):
-                raise ModelError("weights must be nonnegative")
+            if not np.all((0 <= w) & (w < np.inf)):  # nan fails both
+                raise ModelError("weights must be finite and nonnegative")
             if n and not np.any(w > 0):
                 raise ModelError("at least one weight must be positive")
         self.weights = w
@@ -131,8 +144,8 @@ class DataSet:
         copies and with no groups, when at most a quarter of the rows are
         distinct; otherwise self, as for rows of no columns.
 
-        Rows are distinct when their bits differ; the distinct rows come in
-        the order of their bits and the weights add in row order.  This is
+        Rows whose float64 bits are equal are copies (``distinct_rows``), so
+        -0.0 and 0.0 stay two rows; the weights add in row order.  This is
         Apophenia's apop_data_pmf_compress.  It sorts, so a loop that scores
         one data set many times compresses it once before it starts, and a
         data set scored once is never examined.
@@ -140,21 +153,16 @@ class DataSet:
         n, dim = self.rows.shape
         if dim == 0:
             return self
-        bits = np.ascontiguousarray(self.rows).view(np.int64)
         # a row set has at least as many distinct rows as any of its rows have
         # distinct first values, so sorting the first value of n/4 + 1 rows
         # rules out continuous data
-        first = np.sort(bits[:n // 4 + 1, 0])
+        first = np.sort(self.rows[:n // 4 + 1, 0].view(np.int64))
         if 4 * (1 + np.count_nonzero(first[1:] != first[:-1])) > n:
             return self
-        if dim == 1:
-            uniq, inv = np.unique(bits[:, 0], return_inverse=True)
-        else:
-            uniq, inv = np.unique(bits, axis=0, return_inverse=True)
+        uniq, inv = distinct_rows(self.rows)
         if 4 * len(uniq) > n:
             return self
-        return DataSet(uniq.view(float).reshape(-1, dim),
-                       np.bincount(inv.reshape(-1), self.weights, len(uniq)), self.names)
+        return DataSet(uniq, np.bincount(inv, self.weights, len(uniq)), self.names)
 
     @property
     def dim(self) -> int:

@@ -7,6 +7,7 @@ strategies in the dispatch layer.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,6 +60,17 @@ def _log(v):
     if isinstance(v, float):
         return math.log(v)
     return np.fromiter(map(math.log, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+def _log_ratio(k, lam):
+    """_log(k / lam) for positive floats or (K, 1) columns, and log k -
+    log lam where k / lam underflows to 0 (as at lam = inf), where _log
+    raises."""
+    r = k / lam
+    try:
+        return _log(r)
+    except ValueError:
+        return np.where(r == 0, _log(k) - _log(lam), _log(np.where(r == 0, 1.0, r)))
 
 
 def _positive_part(v):
@@ -184,9 +196,11 @@ def pmf_model(support: DataSet) -> Model:
     """A data set reinterpreted as a distribution.
 
     Parameters are the per-row weights (block "w"); the support rows live in
-    settings["pmf_support"].  Likelihood is weight lookup, zero off-support;
-    CDF sums weights of componentwise-dominated rows; the estimator
-    re-normalizes observed frequencies over the support.
+    settings["pmf_support"], sorted by value.  Likelihood is the summed
+    weight of the support rows with the row's bits (``data.row_keys``), zero
+    off the support; the CDF sums the weights of the rows at or below a point
+    by value, so it steps at a row by its mass (at -0.0 and 0.0, two points,
+    by their sum); the estimator re-normalizes observed frequencies.
     """
     if len(support) == 0:
         raise ModelError("pmf_model needs a nonempty support")
@@ -194,33 +208,29 @@ def pmf_model(support: DataSet) -> Model:
     w0 = sup.weights / sup.weights.sum()
     rows0 = sup.rows
     k, dim = rows0.shape
-    # a row scores the summed weight of its equal support rows, adjacent once sorted
-    first = np.concatenate([[True], np.any(rows0[1:] != rows0[:-1], axis=1)])
-    runs = None if first.all() else (np.flatnonzero(first), np.cumsum(first) - 1)
+    lookup = functools.cache(lambda: core.support_index(rows0))  # sorted on first use
 
     last = {}  # the bytes of the last weight vector scored -> its log weights
 
     def log_weights(p):
-        """log(w_j / sum w) per support row, then -inf for index -1 (off the
-        support); math.log, as np.log rounds differently on some inputs."""
+        """log(w_j / sum w) per distinct support row, then -inf for index -1
+        (off the support); math.log, as np.log rounds differently on some inputs."""
         key = p.vector.tobytes()
         if key not in last:
             w = p.block("w")
             ws = w.sum()
-            if runs is not None:
-                w = np.add.reduceat(w, runs[0])[runs[1]]
+            w = np.bincount(lookup()(rows0), w, k)
             last.clear()
             last[key] = np.array([math.log(v / ws) if v > 0 else -np.inf for v in w]
                                  + [-np.inf])
         return last[key]
 
     def logl(rows, p):
-        return log_weights(p)[core.support_index(rows0, rows)]
+        return log_weights(p)[lookup()(rows)]
 
     def est(d):
-        j = core.support_index(rows0, d.rows)
-        on = j >= 0
-        w = np.bincount(j[on], weights=d.weights[on], minlength=k)
+        # index -1 (off the support) counts in bin 0, which is dropped
+        w = np.bincount(lookup()(d.rows) + 1, d.weights, k + 1)[1:]
         if w.sum() == 0:
             raise ModelError("pmf estimate: no data row lies on the support")
         return Params([("w", w / w.sum())])
@@ -273,7 +283,7 @@ def ols_model(design: DataSet) -> Model:
         beta = p.block("beta")
         sigma = p.scalar("sigma")
         resid = rows[:, 0] - with_constant(rows[:, 1:]) @ beta
-        on = core.support_index(xs, rows[:, 1:]) >= 0
+        on = core.support_index(xs)(rows[:, 1:]) >= 0
         if sigma <= 0:
             return np.where(on & (resid == 0.0), 0.0, -np.inf)
         z = resid / sigma
@@ -320,7 +330,7 @@ def weibull_model() -> Model:
         d = rows[:, 0]
         def score(s):
             r = d[s] / lam
-            return _log(k / lam) + (k - 1) * np.log(r) - r ** k
+            return _log_ratio(k, lam) + (k - 1) * np.log(r) - r ** k
 
         # (n,) for one vector, (K, n) for a stack; rows <= 0 score -inf
         out = core.masked(d > 0, score, np.shape(lam)[:-1])

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import model as core
 from . import solvers, transforms
-from .data import DataSet, ModelError, Params, RandomStream, write_csv
+from .data import DataSet, ModelError, Params, RandomStream, row_keys, write_csv
 from .model import FittedModel, Model
 
 
@@ -208,7 +208,7 @@ def _matched_weights(a: Model, b: Model):
     sb = b.settings.get("pmf_support")
     if sa is None or sb is None:
         raise ModelError("comparison metrics need PMF models")
-    if sa.rows.shape != sb.rows.shape or np.max(np.abs(sa.rows - sb.rows)) > 1e-12:
+    if sa.rows.shape != sb.rows.shape or np.any(row_keys(sa.rows) != row_keys(sb.rows)):
         raise ModelError("comparison metrics need a shared support; "
                          "use bin_to_pmf to match them")
     wa = a.param_shape.block("w")

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
-                   RandomStream, StackedParams, UnresolvableElementError)
+                   RandomStream, StackedParams, UnresolvableElementError,
+                   distinct_rows, row_keys)
 
 LOG_NEG_INF = float("-inf")
 
@@ -267,22 +268,25 @@ def _by_blocks(points, rows: np.ndarray, per_block, entries: int = 1 << 20) -> n
                            for i in range(0, len(points), step)])
 
 
-def support_index(support: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index of the first support row within 1e-12 of each row in every
-    coordinate, else -1."""
-    def first_hit(block):
-        hit = np.all(np.abs(support[None, :, :] - block[:, None, :]) <= 1e-12, axis=2)
-        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    return _by_blocks(rows, support, first_hit)
+def support_index(support: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The lookup of rows in a support: each row's index of the first support
+    row with equal bits (``data.row_keys``), else -1, searched in O(log k)."""
+    keys, first = np.unique(row_keys(support), return_index=True)
+    first = np.r_[first, -1]  # defined at the insertion point past the last key
+    def find(rows):
+        q = row_keys(rows)
+        at = np.searchsorted(keys, q)
+        return np.where(np.searchsorted(keys, q, "right") > at, first[at], -1)
+    return find
 
 
 def dominated_share(rows: np.ndarray, points: np.ndarray, weights=None) -> np.ndarray:
-    """Weight of the rows at or below each point (to 1e-12) in every
-    coordinate: each row weighs 1 / len(rows), or its entry of ``weights``.
-    Each point's share is summed on its own, so it depends on that point
-    alone."""
+    """Weight of the rows at or below each point in every coordinate, by
+    exact comparison of values (so -0.0 and 0.0 count at each other): each
+    row weighs 1 / len(rows), or its entry of ``weights``.  Each point's
+    share is summed on its own, so it depends on that point alone."""
     def share(block):
-        below = np.all(rows[None, :, :] <= block[:, None, :] + 1e-12, axis=2)
+        below = np.all(rows[None, :, :] <= block[:, None, :], axis=2)
         return (below.sum(axis=1) / rows.shape[0] if weights is None
                 else np.where(below, weights, 0.0).sum(axis=1))
     return _by_blocks(points, rows, share)
@@ -751,7 +755,8 @@ def _chi_square_check(m: Model, p: Params, draws: np.ndarray) -> ConsistencyChec
 
     n, dim = draws.shape
     if m.discrete or m.settings.get("pmf_support") is not None:
-        rows, counts = np.unique(draws, axis=0, return_counts=True)
+        rows, inv = distinct_rows(draws)
+        counts = np.bincount(inv)
         logq = row_log_likelihood(m, rows, p)
         q = np.exp(logq - np.max(logq))
     elif dim == 1:

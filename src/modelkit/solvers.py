@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
-                   RandomStream)
+                   RandomStream, distinct_rows)
 from . import model as core
 from .model import Model
 
@@ -591,15 +591,16 @@ def invert_cdf_draw(cdf: Callable[[float], float], p: Params | None,
 def memoize_rng_to_pmf(m: Model, p: Params, n: int, stream: RandomStream) -> Model:
     """Stochastic memoization: n seeded draws become an equal-weight PMF.
 
-    Duplicate draws merge with summed weight; weights total 1.
+    Draws with equal bits merge into one support row of weight count / n
+    (``data.distinct_rows``: -0.0 and 0.0 stay two, as in ``compressed``).
     """
     from .distributions import pmf_model
 
     if n <= 0:
         raise ModelError("memoize_rng_to_pmf: n must be positive")
     draws = core.draw(m, p, stream, n)
-    rows, counts = np.unique(draws, axis=0, return_counts=True)
-    return pmf_model(DataSet(rows, weights=counts / n))
+    rows, inv = distinct_rows(draws)
+    return pmf_model(DataSet(rows, weights=np.bincount(inv) / n))
 
 
 def kde_smooth(pmf: Model) -> Model:

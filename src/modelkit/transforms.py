@@ -175,7 +175,7 @@ def mix(ms: list[Model], weights=None) -> Model:
     est = None
     if all(m.est is not None for m in ms):
         def est(d):
-            return _em(ms, d, shape)
+            return _em(ms, d, shape, label)
 
     label = f"mix({', '.join(m.label for m in ms)})"
     return Model(label, dim, shape, logl=logl, est=est, rng=rng, cdf=cdf,
@@ -183,12 +183,13 @@ def mix(ms: list[Model], weights=None) -> Model:
                  transform=TransformRecord("mix", list(ms), {"weights": wblock}))
 
 
-def _em(ms, d: DataSet, shape: Params, max_iter=200, tol=1e-8):
+def _em(ms, d: DataSet, shape: Params, label: str, max_iter=200, tol=1e-8):
     """Expectation-maximization with closed-form weighted M-steps.
 
     Initialized by splitting the rows of positive weight into k chunks
     along the sort order of the first coordinate and fitting one component
     per chunk; rows of weight 0 count for nothing, so they are left out.
+    A row that every component scores -inf raises ModelError.
     """
     k = len(ms)
     live = d.weights > 0
@@ -204,6 +205,9 @@ def _em(ms, d: DataSet, shape: Params, max_iter=200, tol=1e-8):
             core.row_log_likelihood(ms[i], d.rows, ps[i]) + math.log(max(w[i], 1e-300))
             for i in range(k)])
         lse = core.log_sum_exp(comp)
+        if np.isneginf(lse).any():
+            raise ModelError(f"{label}: element Est: every component gives row "
+                             f"{d.rows[np.isneginf(lse)][0].tolist()} zero likelihood")
         ll = float(np.sum(lse * d.weights))
         resp = np.exp(comp - lse[:, None])
         for i in range(k):

@@ -24,6 +24,9 @@ def test_dataset_csv_round_trip(tmp_path):
     assert DataSet.from_csv(path).rows.shape == (0, 1)
     path.write_text("")  # an empty file: no rows, no columns
     assert DataSet.from_csv(path).rows.shape == (0, 0)
+    path.write_text("x,weight\n1,nan\n2,1\n3,1\n")
+    with pytest.raises(ModelError, match="weights must be finite"):
+        DataSet.from_csv(path)
 
 
 def test_dataset_headerless_csv(tmp_path):
@@ -42,6 +45,10 @@ def test_dataset_validation():
         DataSet(np.zeros((2, 1)), weights=[1.0, -1.0])
     with pytest.raises(ModelError, match="at least one weight must be positive"):
         DataSet(np.zeros((2, 1)), weights=[0.0, 0.0])
+    # a weight that is not finite would drop its row from a weighted sum
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelError, match="weights must be finite"):
+            DataSet(np.array([[1.0], [2.0], [3.0]]), weights=[bad, 1.0, 1.0])
     with pytest.raises(ModelError, match="groups"):
         DataSet(np.zeros((3, 1)), groups=[0, 1])
 

@@ -78,6 +78,20 @@ def test_weibull_oracle_values():
     assert cdf1(m, 1.5, p) == pytest.approx(0.7358824333500674, abs=1e-12)
 
 
+def test_weibull_logl_where_k_over_lam_underflows():
+    # k / lam is 0 in floating point; its log is log k - log lam
+    m = builtin("weibull")
+    rows = np.array([[0.5], [2.0]])
+    tiny = core.row_log_likelihood(m, rows, Params.scalars(k=1e-200, lam=1e200))
+    x = rows[:, 0]
+    want = (math.log(1e-200) - math.log(1e200) + (1e-200 - 1) * np.log(x / 1e200)
+            - (x / 1e200) ** 1e-200)
+    assert tiny.tobytes() == want.tobytes()
+    with np.errstate(divide="ignore"):
+        at_inf = core.row_log_likelihood(m, rows, Params.scalars(k=2.0, lam=math.inf))
+    assert np.all(np.isneginf(at_inf))
+
+
 def test_uniform_estimator_is_range():
     m = builtin("uniform")
     d = DataSet(np.array([[0.2], [0.9], [0.4]]))
@@ -145,13 +159,25 @@ def test_a_repeated_pmf_support_row_scores_its_total_weight():
     assert fit.log_likelihood_at_optimum == pytest.approx(want)
 
 
+def test_a_pmf_support_row_near_another_is_its_own_point():
+    # 1e-13 is a point of its own beside 0: each scores its own 1/3, and the
+    # CDF steps by that mass at each
+    m = pmf_model(DataSet(np.array([[0.0], [1e-13], [1.0]])))
+    p = m.param_shape
+    for x in (0.0, 1e-13):
+        assert math.exp(logl1(m, x, p)) == pytest.approx(1 / 3, abs=1e-15)
+        step = cdf1(m, x, p) - cdf1(m, np.nextafter(x, -1.0), p)
+        assert step == pytest.approx(1 / 3, abs=1e-15)
+
+
 def test_pmf_estimator_reweights_the_support_by_the_data():
     m = pmf_model(DataSet(np.array([[0.0], [1.0], [2.0]])))
-    # 7.0 and 0.5 lie off the support and are ignored; 1 + 1e-13 matches 1
+    # 7.0, 1 + 1e-13 and 0.5 lie off the support and are ignored: a row is
+    # a support point only when its bits equal a support row's
     d = DataSet(np.array([[1.0], [2.0], [7.0], [1.0 + 1e-13], [0.5]]),
                 weights=[1.0, 3.0, 5.0, 2.0, 4.0])
     fit = estimate(m, d)
-    assert fit.params.block("w").tolist() == [0.0, 0.5, 0.5]
+    assert fit.params.block("w").tolist() == [0.0, 0.25, 0.75]
     # the off-support rows score -inf under the fitted weights
     assert fit.log_likelihood_at_optimum == -math.inf
     sup2 = pmf_model(DataSet(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])))

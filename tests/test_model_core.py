@@ -16,6 +16,7 @@ from modelkit import (DataSet, Model, ModelError, Params, RandomStream,
 from modelkit import model as core
 from modelkit import solvers
 from modelkit import transforms
+from modelkit.data import distinct_rows
 from modelkit.solvers import effective_sample_size as ess
 
 
@@ -113,7 +114,7 @@ def test_empirical_cdf_matches_the_per_point_loop():
                   Params.scalars(**{"0.mu": 0.0, "0.sigma": 1.0, "1.mu": 1.0}))):
         pts = RandomStream(7).normal(size=(300, m.data_dim))
         draws = core._cdf_draws(m, p)
-        want = [np.mean(np.all(draws <= pt + 1e-12, axis=1)) for pt in pts]
+        want = [np.mean(np.all(draws <= pt, axis=1)) for pt in pts]
         assert np.array_equal(core.cdf(m, pts, p), np.clip(want, 0.0, 1.0))
 
 
@@ -513,14 +514,44 @@ def test_blocked_row_lookups_match_a_per_point_loop():
     pts = RandomStream(4).normal(size=(800, 2)).round(1)
     w = RandomStream(5).uniform(size=3000)
     share, count = core.dominated_share(rows, pts, w), core.dominated_share(rows, pts)
-    idx = core.support_index(rows, pts)
+    idx = core.support_index(rows)(pts)
     assert 0 < np.sum(idx >= 0) < len(pts)
+    assert core.support_index(rows[:0])(pts).tolist() == [-1] * len(pts)
     for i, pt in enumerate(pts):
-        below = np.all(rows <= pt + 1e-12, axis=1)
+        below = np.all(rows <= pt, axis=1)
         assert count[i] == below.sum() / len(rows)
         assert share[i] == pytest.approx(w[below].sum(), rel=1e-12, abs=0)
-        hit = np.flatnonzero(np.all(np.abs(rows - pt) <= 1e-12, axis=1))
+        hit = np.flatnonzero(np.all(rows.view(np.int64) == pt.view(np.int64), axis=1))
         assert idx[i] == (hit[0] if hit.size else -1)
+
+
+_POINT_VALUES = st.sampled_from([0.0, -0.0, 1e-13, 1.0, -2.5, np.nan])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rows_are_the_same_point_exactly_when_their_bits_are(data):
+    dim = data.draw(st.integers(1, 3))
+    row = st.lists(_POINT_VALUES, min_size=dim, max_size=dim)
+    pool = data.draw(st.lists(row, min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    support = np.array([pool[i] for i in picks])
+    queries = np.array(pool + data.draw(st.lists(row, max_size=3)))
+    w = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=len(support),
+                                    max_size=len(support))))
+
+    def same(a, b):
+        return a.tobytes() == b.tobytes()
+
+    uniq, inv = distinct_rows(support)
+    assert len({r.tobytes() for r in uniq}) == len(uniq)
+    assert all(same(uniq[j], r) for j, r in zip(inv, support))
+    want = [next((j for j, r in enumerate(support) if same(r, q)), -1) for q in queries]
+    assert core.support_index(support)(queries).tolist() == want
+    m = pmf_model(DataSet(support, weights=w))
+    mass = np.exp(core.row_log_likelihood(m, queries, m.param_shape))
+    total = [w[[same(r, q) for r in support]].sum() / w.sum() for q in queries]
+    assert mass == pytest.approx(total, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -827,24 +858,10 @@ def test_stacked_logl_is_the_one_vector_logl_at_degenerate_columns(name, column)
                          for i in range(len(edge))])
         P = m.param_shape.stack(free)
         with np.errstate(all="ignore"):  # inf - inf on the +inf vectors
-            try:
-                got = np.asarray(m.logl(rows, P))
-            except ValueError:
-                # weibull's math.log(k / lam) where k / lam is 0 (lam = inf)
-                # raises, and so does the vector's own call
-                assert any(_raises(ValueError, m.logl, rows, P[i])
-                           for i in range(len(P))), b
-                continue
+            # weibull's k / lam is 0 at lam = inf, and its log is log k - log lam
+            got = np.asarray(m.logl(rows, P))
             for i in range(len(P)):
                 assert _bits(got[i]) == _bits(m.logl(rows, P[i])), (b, i)
-
-
-def _raises(error, f, *args) -> bool:
-    try:
-        f(*args)
-    except error:
-        return True
-    return False
 
 
 def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize, stats
 
-from modelkit import (DataSet, McmcSettings, MleSettings, ModelError, Params,
-                      RandomStream, builtin, normal_model)
+from modelkit import (DataSet, McmcSettings, MleSettings, Model, ModelError,
+                      Params, RandomStream, builtin, normal_model)
 from modelkit import model as core
 from modelkit import solvers
 
@@ -597,6 +597,20 @@ def test_memoize_rng_to_pmf_counts():
     assert len(np.unique(sup.rows[:, 0])) == len(sup)
     at2 = float(w[sup.rows[:, 0] == 2.0][0])
     assert at2 == pytest.approx(4 * math.exp(-2) / 2, abs=0.02)
+
+
+def test_memoized_draws_keep_signed_zeros_apart_as_compressed_does():
+    def rng(p, stream, n):
+        return np.where(stream.uniform(size=(n, 1)) < 0.5, -0.0, 0.0)
+
+    m = Model("signed_zero", 1, Params.scalars(a=0.0), rng=rng)
+    n = 400
+    pmf = solvers.memoize_rng_to_pmf(m, m.param_shape, n, RandomStream(3))
+    sup = pmf.settings["pmf_support"]
+    c = DataSet(core.draw(m, m.param_shape, RandomStream(3), n)).compressed()
+    assert np.signbit(sup.rows[:, 0]).tolist() == [True, False]
+    assert sup.rows.tobytes() == c.rows.tobytes()
+    assert sup.weights.tobytes() == (c.weights / n).tobytes()
 
 
 def test_kde_smooth_is_a_density():

@@ -37,6 +37,31 @@ def test_fix_pins_and_estimates_the_rest(method):
     assert fit.params.scalar("mu") == pytest.approx(2.0, abs=1e-6)
 
 
+_PINNED_CATALOG = {
+    # name: (true values in layout order, the entry pinned)
+    "normal": ([1.0, 2.0], 0),
+    "exponential": ([1.5], 0),
+    "poisson": ([3.0], 0),
+    "beta": ([2.0, 3.0], 1),
+    "uniform": ([-1.0, 2.0], 0),
+    "weibull": ([1.5, 2.0], 0),
+    "multivariate_normal": ([0.5, -1.0, 2.0, 0.3, 0.3, 1.0], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CATALOG))
+def test_fix_then_estimate_returns_the_pinned_entry_unchanged(name):
+    m = builtin(name)
+    values, at = _PINNED_CATALOG[name]
+    truth = m.param_shape.replace(values)
+    mask = np.arange(len(values)) == at
+    pinned = Params([(n, truth.block(n)) for n in truth.names], mask)
+    draws = core.draw(m, truth, RandomStream(31), 300)
+    fit = estimate(fix(m, pinned), DataSet(draws))
+    assert fit.converged and fit.params.fixed_mask.tolist() == mask.tolist()
+    assert fit.params.vector[at].tobytes() == truth.vector[at].tobytes()
+
+
 def test_fix_delegates_likelihood():
     m = normal_model()
     fx = fix(m, m.param_shape.pin(sigma=1.0))
@@ -114,6 +139,17 @@ def test_mix_em_skips_a_component_that_scores_no_row():
     assert fit.params.scalar("0.mu") == pytest.approx(x.mean(), rel=1e-12)
     assert fit.params.scalar("0.sigma") == pytest.approx(x.std(), rel=1e-12)
     assert fit.params.scalar("1.mu") == start.scalar("mu")
+
+
+def test_mix_em_raises_on_a_row_no_component_can_score():
+    # both exponentials give -1.5 zero density, so the row has no
+    # responsibilities; EM names the mix, the element and the row
+    x = np.r_[RandomStream(6).uniform(0.1, 3.0, size=30), -1.5].reshape(-1, 1)
+    m = mix([builtin("exponential"), builtin("exponential")])
+    with pytest.raises(ModelError, match=re.escape(
+            "mix(exponential, exponential): element Est: every component "
+            "gives row [-1.5] zero likelihood")):
+        estimate(m, DataSet(x))
 
 
 def test_mix_em_leaves_out_rows_of_weight_zero():
