@@ -17,7 +17,7 @@ import numpy as np
 from . import distributions, expr, sims, transforms
 from . import model as core
 from .data import (DataSet, EMPTY_PARAMS, MleSettings, ModelError, Params,
-                   RandomStream, write_csv)
+                   RandomStream, distinct_rows, write_csv)
 
 
 def _fmt(x) -> str:
@@ -116,7 +116,9 @@ def _ex_network_cdf(seed, draws):
     point = np.full(a, float(a - 1))
     point[0] = 5.0
     val = float(np.mean(np.all(data <= point, axis=1)))
-    pairs, counts = np.unique(data[:, :2], axis=0, return_counts=True)
+    # link counts are whole numbers >= 0, so key order is value order
+    pairs, inv = distinct_rows(data[:, :2])
+    counts = np.bincount(inv)
     return _Result(
         {"orthant_cdf": val, "runs": float(draws)},
         (["most_links", "second_most", "runs"], np.column_stack([pairs, counts])),

@@ -88,6 +88,95 @@ def _positive_part(v):
 
 
 # ---------------------------------------------------------------------------
+# Sufficient statistics: each function below takes the rows of positive
+# weight and their weights (core.sufficient) and returns the weighted logl
+# sum as a function of a Params or a StackedParams, or None to score rows
+
+
+def _normal_stats(rows, w):
+    """W times the row value at the weighted mean, less M2 / (2 sigma^2) for
+    the centred M2; sigma <= 0, a point mass at mu, scores 0 when the rows
+    all lie at mu, else -inf.  Rows that all lie at one point (as one datum
+    does) score W times its row value, and one row of weight 1 its row
+    value, bit for bit."""
+    x = rows[:, 0]
+    if not np.isfinite(x).all():
+        return None
+    total, lo, hi = float(w.sum()), float(x.min()), float(x.max())
+    mean = lo if lo == hi else float(np.add.reduce(w * x)) / total
+    half_m2 = 0.5 * float(np.add.reduce(w * (x - mean) ** 2))
+
+    def from_stats(p):
+        ok, sigma, log_sigma = _positive_part(p.scalar("sigma"))
+        mu = p.scalar("mu")
+        z = (mean - mu) / sigma
+        vals = -0.5 * z * z - log_sigma - LOG_ROOT_2PI
+        # a factor 1 or a term 0 changes no bit, and one datum's posterior
+        # scores here at every Metropolis step
+        if total != 1.0:
+            vals = total * vals
+        if half_m2:
+            vals = vals - half_m2 / sigma / sigma
+        return vals if ok is True else np.where(
+            ok, vals, np.where((lo == mu) & (hi == mu), 0.0, -np.inf))
+    return from_stats
+
+
+def _exponential_stats(rows, w):
+    """-sum(w x) / mu - W log mu, for rows that are all >= 0."""
+    x = rows[:, 0]
+    if not (np.isfinite(x).all() and (x >= 0).all()):
+        return None
+    total, sx = float(w.sum()), float(np.add.reduce(w * x))
+
+    def from_stats(p):
+        ok, mu, log_mu = _positive_part(p.scalar("mu"))
+        vals = -sx / mu - total * log_mu
+        return vals if ok is True else np.where(ok, vals, -np.inf)
+    return from_stats
+
+
+def _counts(k):
+    """(whole, kk): which values are counts, whole numbers >= 0 to within
+    1e-9, and each count's whole value, 0.0 where it is no count."""
+    kk = np.round(k)
+    whole = (k >= 0) & (np.abs(k - kk) <= 1e-9)
+    return whole, np.where(whole, kk, 0.0)
+
+
+def _poisson_stats(rows, w):
+    """sum(w k) log lam - W lam - sum(w lgamma(k + 1)), for rows that are
+    all counts."""
+    whole, kk = _counts(rows[:, 0])
+    if not whole.all():
+        return None
+    total, sk = float(w.sum()), float(np.add.reduce(w * kk))
+    sg = float(np.add.reduce(w * special.gammaln(kk + 1)))
+
+    def from_stats(p):
+        ok, lam, log_lam = _positive_part(p.scalar("lam"))
+        vals = sk * log_lam - total * lam - sg
+        return vals if ok is True else np.where(ok, vals, -np.inf)
+    return from_stats
+
+
+def _beta_stats(rows, w):
+    """(alpha - 1) sum(w log x) + (beta - 1) sum(w log1p(-x)) - W betaln,
+    for rows that all lie in (0, 1)."""
+    x = rows[:, 0]
+    if not ((x > 0) & (x < 1)).all():
+        return None
+    total = float(w.sum())
+    slog, slog1p = float(np.add.reduce(w * np.log(x))), float(np.add.reduce(w * np.log1p(-x)))
+
+    def from_stats(p):
+        ok, (a, b) = _positive(p.scalar("alpha"), p.scalar("beta"))
+        vals = (a - 1) * slog + (b - 1) * slog1p - total * special.betaln(a, b)
+        return vals if ok is True else np.where(ok, vals, -np.inf)
+    return from_stats
+
+
+# ---------------------------------------------------------------------------
 # Normal
 
 
@@ -99,6 +188,7 @@ def normal_model() -> Model:
     sigma = 0, which the constraint flags rather than erroring.
     """
 
+    @core.sufficient(_normal_stats)
     @core.stackable
     def logl(rows, p):
         ok, sigma, log_sigma = _positive_part(p.scalar("sigma"))
@@ -364,6 +454,7 @@ def exponential_model() -> Model:
     estimator is the sample mean.
     """
 
+    @core.sufficient(_exponential_stats)
     @core.stackable
     def logl(rows, p):
         ok, mu, log_mu = _positive_part(p.scalar("mu"))
@@ -388,13 +479,11 @@ def exponential_model() -> Model:
 
 
 def poisson_model() -> Model:
+    @core.sufficient(_poisson_stats)
     @core.stackable
     def logl(rows, p):
         ok, lam, log_lam = _positive_part(p.scalar("lam"))
-        k = rows[:, 0]
-        kk = np.round(k)
-        whole = (k >= 0) & (np.abs(k - kk) <= 1e-9)
-        kk = np.where(whole, kk, 0.0)  # keeps the rows that score -inf finite
+        whole, kk = _counts(rows[:, 0])  # kk keeps the rows that score -inf finite
         vals = np.where(whole, kk * log_lam - lam - special.gammaln(kk + 1), -np.inf)
         return vals if ok is True else np.where(ok, vals, -np.inf)
 
@@ -419,6 +508,7 @@ def poisson_model() -> Model:
 def beta_model() -> Model:
     """Beta(alpha, beta) on (0,1); estimator falls through to MLE."""
 
+    @core.sufficient(_beta_stats)
     def logl(rows, p):
         a, b = p.scalar("alpha"), p.scalar("beta")
         if a <= 0 or b <= 0:

@@ -165,13 +165,13 @@ def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,
 def fisher_info_cov(fm: FittedModel, d: DataSet) -> CovarianceEstimate:
     """Inverse negative Hessian of the log-likelihood at the estimate."""
     shape = fm.params
-    d = core._compressed(fm.model, d)
     free = shape.free_values()
     if free.size == 0:
         raise ModelError("fisher_info_cov: no free parameters")
+    total = core.likelihood_sum(fm.model, d)
 
     def f(x: np.ndarray) -> float:
-        return core.log_likelihood(fm.model, d, shape.with_free(x))
+        return total(shape.with_free(x))
 
     H = solvers.numeric_hessian(f, free)
     eig = np.linalg.eigvalsh(0.5 * (H + H.T))

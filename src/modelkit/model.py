@@ -98,6 +98,18 @@ class Model:
     loses it.  A constraint marked ``stackable`` likewise takes a
     StackedParams and returns the K violations, a (K,) or (K, 1) array.
 
+    A logl marked with the ``sufficient`` decorator scores a data set from
+    a few weighted sums of its rows (the Fisher-Neyman factorization):
+    ``logl.sufficient(rows, weights)``, given the rows of positive weight
+    and their weights, returns a function from a Params or a StackedParams
+    to the weighted sum of the logl values (a float, or shaped as the
+    stack's ``scalar`` columns), or None when the rows must be scored one
+    by one, as when a row lies outside the support.  likelihood_sum reduces
+    a data set to those sums once for the loops that score it many times;
+    a sum from statistics can differ from the row sum in its last bits.
+    ``fix`` keeps the mark, an interval ``truncate`` and a ``cross`` pass it
+    on, and every other transform drops it.
+
     Besides the elements and ``settings``, a model keeps its own state:
     ``transform`` (the TransformRecord of the transform that built it, else
     None), ``strategy`` (resolve(self), decided once at construction) and
@@ -156,6 +168,15 @@ def stackable(element: Callable) -> Callable:
     StackedParams (see Model)."""
     element.stackable = True
     return element
+
+
+def sufficient(summarize: Callable) -> Callable[[Callable], Callable]:
+    """Mark a closed-form logl as scored from the statistics summarize(rows,
+    weights) reduces a data set to (see Model)."""
+    def mark(element: Callable) -> Callable:
+        element.sufficient = summarize
+        return element
+    return mark
 
 
 def masked(ok: np.ndarray, score: Callable, lead: tuple = ()) -> np.ndarray:
@@ -328,6 +349,49 @@ def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray
     _check_rows(m, d.rows)
     return _by_blocks(P, d.rows, lambda block: _stacked_sums(m, d.rows, block, d.weights),
                       STACK_ENTRIES)
+
+
+def likelihood_sum(m: Model, d: DataSet) -> Callable:
+    """The weighted log-likelihood sum of d under m as a function of the
+    parameters, for a loop that scores d many times: a Params gives
+    log_likelihood(m, d, p), a float, and a StackedParams
+    stacked_log_likelihood(m, d, P), a (K,) array.
+
+    d is prepared once.  Its rows are compressed, unless m's likelihood is
+    joint, which need not be a sum over rows.  When m's logl carries the
+    ``sufficient`` mark, the rows of positive weight are then reduced to
+    its statistics, so that each call costs the same at any number of rows;
+    its sums can differ from the row sums in the last bits.  Any other
+    model, or a mark that declines d's rows, scores the rows at every call.
+    """
+    if m.logl_joint is None:
+        d = d.compressed()
+        from_stats = _from_stats(m, d)
+        if from_stats is not None:
+            def total(p):
+                _check_params(m, p)
+                s = from_stats(p)
+                return np.reshape(s, len(p)) if isinstance(p, StackedParams) else float(s)
+            return total
+
+    def total(p):
+        if isinstance(p, StackedParams):
+            return stacked_log_likelihood(m, d, p)
+        return log_likelihood(m, d, p)
+    return total
+
+
+def _from_stats(m: Model, d: DataSet) -> Callable | None:
+    """The sum from the statistics of d's rows of positive weight that m's
+    ``sufficient`` mark gives, or None: m's logl has no mark, d's rows
+    are not m's data rows (scoring them raises), or the mark declines them."""
+    summarize = getattr(m.logl, "sufficient", None)
+    if summarize is None or d.dim != m.data_dim or not len(d):
+        return None
+    live = d.weights > 0
+    if live.all():  # no copy
+        return summarize(d.rows, d.weights)
+    return summarize(d.rows[live], d.weights[live])
 
 
 def _stacked_sums(m: Model, rows: np.ndarray, P: StackedParams, w: np.ndarray) -> np.ndarray:
@@ -582,17 +646,17 @@ def _fitted_mle(m: Model, res) -> FittedModel:
 
 def _mle_objective(m: Model, d: DataSet) -> Callable[[np.ndarray], float]:
     """Log-likelihood of d at the free vector, with a steep penalty wherever
-    the parameters break the constraint; d's rows are compressed once for
-    all the scorings an optimizer makes."""
+    the parameters break the constraint; d is prepared once
+    (likelihood_sum) for all the scorings an optimizer makes."""
     shape = m.param_shape
-    d = _compressed(m, d)
+    total = likelihood_sum(m, d)
 
     def objective(free: np.ndarray) -> float:
         p = shape.with_free(free)
         v = _violation(m, p)
         if v > 0:
             return _penalty(v)
-        return log_likelihood(m, d, p)
+        return total(p)
     return objective
 
 
@@ -616,23 +680,19 @@ def _violations(m: Model, P: StackedParams) -> np.ndarray:
     return np.array([_violation(m, P[k]) for k in range(len(P))])
 
 
-def _compressed(m: Model, d: DataSet) -> DataSet:
-    """d.compressed(), for a loop that scores d under m many times; d itself
-    when m's likelihood is joint, which need not be a sum over rows."""
-    return d if m.logl_joint is not None else d.compressed()
-
-
 def _fits_in_lockstep(m: Model, base: DataSet) -> bool:
     """Whether fits of m on base's rows with other weights share stacked
     likelihood calls (_lockstep_fits): estimate would run Nelder-Mead,
     base's rows have m's dimension, m's logl stacks over them, and they do
     not compress, so that neither do the rows each fit scores.  Such an m's
     likelihood is closed-form, so estimate's preconditions hold for every
-    weight row."""
+    weight row.  A logl with the ``sufficient`` mark fits each weight row
+    from its own statistics, as estimate does."""
     return (_mle_settings(m).method == "nelder_mead"
             and m.strategy["Est"] != "closed-form"
             and not m.param_shape.fixed_mask.all()
             and base.dim == m.data_dim and _stacks(m, base)
+            and not hasattr(m.logl, "sufficient")
             and base.compressed() is base)
 
 

@@ -10,13 +10,15 @@ mutated.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from typing import Callable
 
 import numpy as np
 
 from . import model as core
 from .data import (DataSet, McmcSettings, MleSettings, ModelError, Params,
-                   RandomStream)
+                   RandomStream, StackedParams, row_keys)
 from .model import Model, TransformRecord
 
 TRUNC_SEED = 0x5EED_0004
@@ -78,6 +80,22 @@ def cross(ms: list[Model]) -> Model:
         for i, m in enumerate(ms):
             out += core.row_log_likelihood(m, rows[:, d_off[i]:d_off[i + 1]], ps[i])
         return out
+
+    parts = [getattr(m.logl, "sufficient", None) for m in ms]
+    if all(parts):
+        def summarize(rows, w):
+            """The sum of the parts' sums, when every part takes its columns."""
+            sums = [s(rows[:, d_off[i]:d_off[i + 1]], w) for i, s in enumerate(parts)]
+            if any(f is None for f in sums):
+                return None
+
+            def from_stats(p):
+                if isinstance(p, StackedParams):
+                    return np.array([[from_stats(p[k])] for k in range(len(p))])
+                return sum(f(q) for f, q in zip(sums, p.split(shapes)))
+            return from_stats
+
+        logl = core.sufficient(summarize)(logl)
 
     def rng(p, stream, n):
         ps = p.split(shapes)
@@ -233,7 +251,9 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
 
     The mixing weight is not a free parameter; it is recomputed from the
     current (mu, sigma) as Phi(0; mu, sigma), the mass the truncation
-    removed.
+    removed.  A row is the atom when its bits are the atom's, and the CDF
+    steps at the atom by exact comparison, so -0.0 is the body's at an
+    atom at 0.0 and a CDF point just below the atom reads 0.
     """
     if trunc.data_dim != point.data_dim:
         raise ModelError("mix_cdf: component data spaces differ")
@@ -244,13 +264,14 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
     sup = point.settings.get("pmf_support")
     if sup is not None and len(sup) == 1:
         loc = float(sup.rows[0, 0])
+    atom = row_keys(np.array([[loc]]))[0]  # the atom is the row with loc's bits
 
     def w0(p):
         return float(core.special.ndtr((loc - p.scalar("mu")) / p.scalar("sigma")))
 
     def logl(rows, p):
         w = w0(p)
-        at = np.abs(rows[:, 0] - loc) <= 1e-12
+        at = row_keys(rows[:, :1]) == atom
         out = core.masked(~at, lambda s: (core.row_log_likelihood(trunc, rows[s], p)
                                           + (math.log1p(-w) if w < 1 else -np.inf)))
         out[at] = math.log(w) if w > 0 else -np.inf
@@ -270,7 +291,7 @@ def mix_cdf(trunc: Model, point: Model) -> Model:
         w = w0(p)
         x = points[:, 0]
         base = core.cdf(trunc, points[:, :1], p)
-        return np.where(x >= loc - 1e-12, w + (1 - w) * base, 0.0)
+        return np.where(x >= loc, w + (1 - w) * base, 0.0)
 
     return Model(f"mix_cdf({trunc.label}, {point.label})", trunc.data_dim,
                  trunc.param_shape, logl=logl, rng=rng, cdf=cdf,
@@ -342,6 +363,25 @@ def truncate(m: Model, region) -> Model:
         # whose mass is too small raises only once a row falls in it
         return core.masked(in_region(rows), lambda s: (
             core.row_log_likelihood(m, rows[s], p) - math.log(mass(p))))
+
+    base_summarize = getattr(m.logl, "sufficient", None)
+    if interval and base_summarize is not None:
+        def summarize(rows, w):
+            """The base sum less W log mass(p), when every row is in the region."""
+            base = base_summarize(rows, w) if in_region(rows).all() else None
+            if base is None:
+                return None
+            total = float(w.sum())
+
+            def from_stats(p):
+                if isinstance(p, StackedParams):
+                    log_mass = np.array([[math.log(mass(p[k]))] for k in range(len(p))])
+                else:
+                    log_mass = math.log(mass(p))
+                return base(p) - total * log_mass
+            return from_stats
+
+        logl = core.sufficient(summarize)(logl)
 
     def rng(p, stream, n):
         out = np.empty((n, m.data_dim))
@@ -532,8 +572,8 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
     over the likelihood's data space whose parameters are the quantity the
     prior describes: log L'(d, p) = log L_prior(p; rho) + log L_like(d; p).
     Its logl_joint is the one-vector case of _dp_joint, the joint density
-    at a stack of K vectors.  Use posterior_draws() to sample p given
-    observed data.
+    at a stack of K vectors, with d's rows scored as they are.  Use
+    posterior_draws() to sample p given observed data.
     """
     n_free = int((~like.param_shape.fixed_mask).sum())
     if prior.data_dim != n_free:
@@ -545,7 +585,8 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
     shape = Params([("p", np.zeros(n_free))])
 
     def logl_joint(d, p):
-        return float(_dp_joint(prior, like, rho, d, p.vector.reshape(1, -1))[0])
+        like_sum = functools.partial(core.stacked_log_likelihood, like, d)
+        return float(_dp_joint(prior, like, rho, like_sum, p.vector.reshape(1, -1))[0])
 
     def constraint(p):
         return core._violation(like, like.param_shape.with_free(p.vector))
@@ -555,17 +596,17 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
                  transform=TransformRecord("dp_compose", [prior, like], {"rho": rho}))
 
 
-def _dp_joint(prior: Model, like: Model, rho: Params, d: DataSet,
+def _dp_joint(prior: Model, like: Model, rho: Params, like_sum: Callable,
               free: np.ndarray) -> np.ndarray:
     """log L_prior(p; rho) + log L_like(d; p) at each row p of the (K,
-    n_free) array free, as a (K,) array.  The prior scores all K rows in one
-    call; the likelihood scores d, in one stacked call, only at the rows
-    whose prior density is finite, and the others get -inf."""
-    def like_at(rows):
-        return core.stacked_log_likelihood(like, d, like.param_shape.stack(rows))
-
+    n_free) array free, as a (K,) array; like_sum maps a StackedParams of
+    like's to the (K,) sums log L_like(d; p), as likelihood_sum(like, d)
+    does.  The prior scores all K rows in one call; like_sum is called once,
+    only at the rows whose prior density is finite, and the others get
+    -inf."""
     lp = core.row_log_likelihood(prior, free, rho)
-    return core.masked(np.isfinite(lp), lambda s: lp[s] + like_at(free[s]))
+    return core.masked(np.isfinite(lp), lambda s: (
+        lp[s] + like_sum(like.param_shape.stack(free[s]))))
 
 
 def posterior_draws(post: Model, d: DataSet, n: int,
@@ -609,7 +650,7 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         draws = stream.normal(mean, math.sqrt(var), size=(n, 1))
         return pmf_model(DataSet(draws))
 
-    d = core._compressed(like, d)  # scored at every step or every draw
+    like_sum = core.likelihood_sum(like, d)  # scored at every step or every draw
 
     if prior.strategy["L"] != "memoized PMF":
         from . import solvers
@@ -617,7 +658,7 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         x0 = core.draw(prior, rho, stream.split(0), min(core.MCMC_CHAINS, max(n, 1)))
 
         def target(xs: np.ndarray) -> list:
-            return _dp_joint(prior, like, rho, d, xs).tolist()
+            return _dp_joint(prior, like, rho, like_sum, xs).tolist()
 
         try:
             chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
@@ -628,7 +669,7 @@ def posterior_draws(post: Model, d: DataSet, n: int,
 
     # RNG-only prior: weight prior draws by the data likelihood
     draws = core.draw(prior, rho, stream, n)
-    logw = core.stacked_log_likelihood(like, d, like.param_shape.stack(draws))
+    logw = like_sum(like.param_shape.stack(draws))
     mx = np.max(logw)
     if not np.isfinite(mx):
         raise ModelError("posterior_draws: data impossible under every prior draw")

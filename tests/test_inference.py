@@ -202,6 +202,22 @@ def test_lockstep_replicate_fits_are_the_sequential_fits(name, truth, method):
         assert got.matrix[1, 1] > 0
 
 
+@pytest.mark.parametrize("method", ["bootstrap", "jackknife"])
+def test_fits_from_sufficient_statistics_are_the_sequential_fits(method):
+    # a pinned sigma makes the Normal's estimate an MLE whose logl stacks;
+    # its fits read each replicate's statistics, as estimate does
+    m = fix(normal_model(), normal_model().param_shape.pin(sigma=1.0))
+    d = DataSet(core.draw(m, m.param_shape, RandomStream(37), 30))
+    assert not core._fits_in_lockstep(m, d)
+    if method == "bootstrap":
+        got = bootstrap_cov(m, d, reps=100, s=RandomStream(38))
+        want, _ = _sequential_cov(m, _resamples(d, 100, RandomStream(38)), method)
+    else:
+        got = jackknife_cov(m, d)
+        want, _ = _sequential_cov(m, _leave_one_out(d), method, jackknife=True)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
 def _with_a_rare_bad_row(weight):
     """30 Weibull draws and a row at 0, which a Weibull scores -inf, drawn
     into a resample with probability ``weight`` / 30 per draw."""
@@ -299,6 +315,11 @@ def test_fits_that_do_not_stack_hold_one_replicate_at_a_time(method, monkeypatch
         most.append(len(live))
         return base.logl(rows, p)
 
+    def summarize(rows, w):  # a fit reads its replicate once, into statistics
+        most.append(len(live))
+        return base.logl.sufficient(rows, w)
+
+    logl.sufficient = summarize
     m = dataclasses.replace(base, logl=logl)
     d = DataSet(core.draw(m, _BETA, RandomStream(29), 30))
     monkeypatch.setattr("modelkit.inference.DataSet", Tracked)

@@ -478,7 +478,9 @@ def _masked_cases():
     counts = DataSet(np.array([[0.0], [2.0], [3.0], [2.0], [5.0]]))
 
     def joint(free):
-        return transforms._dp_joint(prior, like, post.transform.data["rho"], counts, free)
+        return transforms._dp_joint(prior, like, post.transform.data["rho"],
+                                    functools.partial(core.stacked_log_likelihood, like, counts),
+                                    free)
 
     return {
         "beta": (scorer(beta, ab), x, [[1.5]]),
@@ -959,3 +961,158 @@ def test_models_that_do_not_stack_are_scored_one_vector_at_a_time():
         [core.log_likelihood(joint, empty, Q[i]) for i in range(2)])
     with pytest.raises(ModelError, match="parameter length 2 != expected 1"):
         core.stacked_log_likelihood(builtin("exponential"), d, P)
+
+
+# ---------------------------------------------------------------------------
+# Sums from sufficient statistics: a data set read once per fit
+
+# each model's parameter values (degenerate ones included) and its rows in
+# and outside the support
+_SUFFICIENT_PARAMS = {"mu": [-1.0, 0.0, 0.4, 1.0, 3.0], "sigma": [-1.0, 0.0, 0.3, 1.0, 2.5],
+                      "lam": [-1.0, 0.0, 0.4, 1.0, 3.0], "alpha": [-1.0, 0.0, 0.7, 1.0, 2.5],
+                      "beta": [-0.5, 0.0, 1.7, 3.0]}
+_SUFFICIENT_ROWS = {
+    "normal": (st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.7]), st.floats(-5.0, 5.0)),
+               [math.inf, math.nan]),
+    "exponential": (st.one_of(st.sampled_from([0.0, 0.5, 2.0, 7.5]), st.floats(0.0, 10.0)),
+                    [-1.0, -1e-3]),
+    "poisson": (st.sampled_from([0.0, 1.0, 2.0, 3.0, 9.0, 40.0]), [-1.0, 0.5, 2.0 + 1e-6]),
+    "beta": (st.one_of(st.sampled_from([0.1, 0.5, 0.9]), st.floats(1e-6, 1.0, exclude_max=True)),
+             [0.0, 1.0, -0.2, 1.3]),
+}
+_REGIONS = {"normal": (-1.0, 2.0), "exponential": (0.5, None), "poisson": (1.0, 6.0),
+            "beta": (0.2, None)}
+_PINS = {"normal": {"sigma": 1.0}, "exponential": {"mu": 2.0}, "poisson": {"lam": 2.0},
+         "beta": {"beta": 1.7}}
+
+
+def _sufficient_cases():
+    """name -> (model, the catalog name of each data column, the region of
+    an interval truncation or None)."""
+    out = {}
+    for name in _SUFFICIENT_ROWS:
+        m = builtin(name)
+        out[name] = (m, [name], None)
+        out[f"truncate-{name}"] = (transforms.truncate(m, _REGIONS[name]), [name],
+                                   _REGIONS[name])
+        out[f"fix-{name}"] = (fix(m, m.param_shape.pin(**_PINS[name])), [name], None)
+    for a, b in [("normal", "poisson"), ("beta", "exponential")]:
+        out[f"cross-{a}-{b}"] = (cross([builtin(a), builtin(b)]), [a, b], None)
+    return out
+
+
+_SUFFICIENT = _sufficient_cases()
+
+
+def _row_sum(m, d, p):
+    """The weighted row sum, or the ModelError scoring the rows raises."""
+    try:
+        return core._weighted_sums(core.row_log_likelihood(m, d.rows, p), d.weights)
+    except ModelError as e:
+        return e
+
+
+def _agrees(got, want, bound):
+    """got is want within bound, and exactly want where want is -inf, 0 or nan."""
+    if not math.isfinite(want) or want == 0:
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(_SUFFICIENT))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sums_from_statistics_are_the_row_sums_property(name, data):
+    m, columns, region = _SUFFICIENT[name]
+    assert callable(m.logl.sufficient)
+    n = data.draw(st.integers(1, 40))
+    rows = np.array([[data.draw(_SUFFICIENT_ROWS[c][0]) for c in columns] for _ in range(n)])
+    if region is not None:
+        lo, hi = region
+        rows = np.clip(rows, lo, hi if hi is not None else np.inf)
+    w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                    min_size=n, max_size=n)))
+    w[data.draw(st.integers(0, n - 1))] = 1.0
+    inside = data.draw(st.booleans())
+    if not inside:  # one row off the support (or the region), of any weight
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, len(columns) - 1))
+        rows[i, j] = data.draw(st.sampled_from(_SUFFICIENT_ROWS[columns[j]][1]
+                                               + ([region[0] - 0.5] if region else [])))
+    d = DataSet(rows, w)
+    live = w > 0
+    # the mark reads the statistics exactly when the rows of positive weight
+    # all lie in the support (and in the region)
+    off = not inside and w[i] > 0
+    assert (core._from_stats(m, d.compressed()) is None) == off
+    total = core.likelihood_sum(m, d)
+    free = [l for l, fixed in zip(m.param_shape.labels(), m.param_shape.fixed_mask)
+            if not fixed]
+    k = data.draw(st.integers(1, 4))
+    P = m.param_shape.stack([[data.draw(st.sampled_from(_SUFFICIENT_PARAMS[l.split(".")[-1]]))
+                              for l in free] for _ in range(k)])
+    with np.errstate(all="ignore"):
+        for i in range(k):
+            want = _row_sum(m, d, P[i])
+            if isinstance(want, ModelError):  # a truncation's region mass is too small
+                with pytest.raises(ModelError, match=re.escape(str(want))):
+                    total(P[i])
+                continue
+            bound = 1e-9 * float(np.sum(np.abs(w[live] * core.row_log_likelihood(
+                m, rows, P[i])[live])))
+            got = total(P[i])
+            assert isinstance(got, float) and _agrees(got, float(want), bound), (got, want)
+            stacked = core.stacked_log_likelihood(m, d, P[i:i + 1])[0]
+            assert _agrees(got, float(stacked), bound)
+            # the stack's sums are its vectors' sums, bit for bit
+            assert _bits(total(P[i:i + 1])) == _bits([got])
+        if all(not isinstance(_row_sum(m, d, P[i]), ModelError) for i in range(k)):
+            got = total(P)
+            assert got.shape == (k,)
+            assert _bits(got) == _bits([total(P[i]) for i in range(k)])
+
+
+@pytest.mark.parametrize("name, truth", [
+    ("normal", Params.scalars(mu=1.0, sigma=2.0)), ("exponential", Params.scalars(mu=2.0)),
+    ("poisson", Params.scalars(lam=3.0)), ("beta", Params.scalars(alpha=0.7, beta=1.7))])
+def test_models_with_sufficient_statistics_pass_the_consistency_check(name, truth):
+    m = builtin(name)
+    assert check_ml_consistency(m, truth, RandomStream(41), 20000).passed
+    # the MLE from statistics recovers what the closed form or the row sums give
+    draws = DataSet(core.draw(m, truth, RandomStream(42), 2000))
+    start = dataclasses.replace(m, param_shape=truth, est=None)
+    rows_only = dataclasses.replace(start, logl=lambda rows, p: m.logl(rows, p))
+    assert not hasattr(rows_only.logl, "sufficient")
+    assert estimate(start, draws).params.flatten() == pytest.approx(
+        estimate(rows_only, draws).params.flatten(), rel=1e-6)
+
+
+def test_transforms_pass_the_sufficient_mark_on_only_where_it_holds():
+    normal, weibull = normal_model(), builtin("weibull")
+    marked = [fix(normal, normal.param_shape.pin(sigma=1.0)),
+              transforms.truncate(normal, (0.0, None)),
+              cross([normal, builtin("poisson")])]
+    assert all(callable(m.logl.sufficient) for m in marked)
+    plain = {
+        "predicate-truncate": (transforms.truncate(normal, lambda rows: rows[:, 0] > 0.0),
+                               Params.scalars(mu=0.5, sigma=1.0)),
+        "jacobian": (transforms.jacobian(builtin("exponential"), lambda x: 1.0 / x,
+                                         lambda y: 1.0 / y), Params.scalars(mu=2.0)),
+        "truncate-weibull": (transforms.truncate(weibull, (0.0, None)),
+                             Params.scalars(k=1.5, lam=2.0)),
+        "cross-weibull": (cross([normal, weibull]),
+                          cross([normal, weibull]).param_shape.replace([0.5, 1.0, 1.5, 2.0])),
+        "mix": (transforms.mix([normal, normal]),
+                transforms.mix([normal, normal]).param_shape),
+    }
+    # repeated rows, so that likelihood_sum compresses them
+    rows = np.round(RandomStream(43).uniform(0.5, 2.5, size=(400, 2)) * 2) / 2
+    for name, (m, p) in plain.items():
+        assert not hasattr(m.logl, "sufficient"), name
+        d = DataSet(rows[:, :m.data_dim], weights=np.arange(400) % 3 * 0.5)
+        c = d.compressed()
+        assert len(c) < len(d)
+        total = core.likelihood_sum(m, d)
+        # the rows of the compressed data set, scored as before, bit for bit
+        assert _bits(total(p)) == _bits(core.log_likelihood(m, c, p)), name
+        P = m.param_shape.stack(np.array([p.vector, p.vector]))
+        assert _bits(total(P)) == _bits(core.stacked_log_likelihood(m, c, P)), name

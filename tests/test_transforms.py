@@ -390,6 +390,18 @@ def test_mix_cdf_atom_and_body():
     assert np.mean(draws == 0.0) == pytest.approx(w, abs=0.02)
 
 
+def test_mix_cdf_atom_is_the_row_with_its_bits_and_its_cdf_steps_exactly():
+    body = truncate(normal_model(), (0.0, None))
+    m = expr.eval_model_expr(expr.parse_model_expr("mixcdf(truncate(normal, min=0))"))
+    p = Params.scalars(mu=0.0, sigma=1.0)  # an atom of weight 1/2
+    assert core.cdf(m, [[-5e-13], [-0.0], [0.0]], p).tolist() == [0.0, 0.5, 0.5]
+    assert logl1(m, 0.0, p) == math.log(0.5)
+    # a row near the atom, or at -0.0, is the body's: it is not the atom
+    for x in (1e-13, -0.0):
+        assert logl1(m, x, p) == logl1(body, x, p) + math.log1p(-0.5)
+    assert logl1(m, 1e-13, p) != math.log(0.5)
+
+
 def test_jacobian_reciprocal_density():
     j = jacobian(builtin("exponential"), lambda x: 1.0 / x, lambda y: 1.0 / y)
     p = Params.scalars(mu=1.0)
@@ -708,10 +720,17 @@ def test_stacked_joint_density_is_logl_joint_row_by_row(case):
         return lp + core.log_likelihood(like, data, like.param_shape.with_free(row))
 
     for data in (d, d.compressed()):
-        got = transforms._dp_joint(prior, like, rho, data, free)
+        rows_sum = functools.partial(core.stacked_log_likelihood, like, data)
+        got = transforms._dp_joint(prior, like, rho, rows_sum, free)
         want = [post.logl_joint(data, post.param_shape.replace(row)) for row in free]
         assert _bits(got) == _bits(want) == _bits([one_vector(data, row) for row in free])
-        assert _bits(transforms._dp_joint(prior, like, rho, data, free[:1])) == _bits(want[:1])
+        assert _bits(transforms._dp_joint(prior, like, rho, rows_sum, free[:1])) == _bits(want[:1])
+        # posterior_draws scores the sums from statistics: one datum's is
+        # its row value, bit for bit, and many rows' agree to the last bits
+        summed = transforms._dp_joint(prior, like, rho, core.likelihood_sum(like, data), free)
+        if case == 0:
+            assert _bits(summed) == _bits(got)
+        assert summed == pytest.approx(got, rel=1e-12, abs=0)
     if case == 1:
         assert got[10] == -np.inf and np.isfinite(got[11])
 
@@ -726,6 +745,15 @@ def test_mh_posterior_makes_one_likelihood_call_of_k_vectors_per_step(n, k):
         shapes.append(p.vector.shape)
         return base.logl(rows, p)
 
+    def summarize(rows, w):  # the chains score the sum from statistics
+        from_stats = base.logl.sufficient(rows, w)
+
+        def counted_sum(p):
+            shapes.append(p.vector.shape)
+            return from_stats(p)
+        return counted_sum
+
+    counted.sufficient = summarize
     like = fix(dataclasses.replace(base, logl=counted), base.param_shape.pin(sigma=1.0))
     post = dp_compose(normal_model(), like, Params.scalars(mu=0.0, sigma=1.0))
     pd = posterior_draws(post.with_settings(posterior_strategy="mh"),
@@ -779,8 +807,12 @@ def test_weighted_prior_draws_are_weighted_by_each_draws_likelihood(like, prior,
     draws = core.draw(prior, rho, RandomStream(21), n)
     c = d.compressed()
     assert (len(c) < len(d)) == (rows is None)
-    logw = np.array([core.log_likelihood(like, c, like.param_shape.with_free(x))
-                     for x in draws])
+    # each draw's sum from likelihood_sum, which scores the rows of c or
+    # their statistics, and which agrees with the row sums to the last bits
+    total = core.likelihood_sum(like, d)
+    logw = np.array([total(like.param_shape.with_free(x)) for x in draws])
+    assert logw == pytest.approx([core.log_likelihood(like, c, like.param_shape.with_free(x))
+                                  for x in draws], rel=1e-12, abs=0)
     w = np.exp(logw - np.max(logw))
     want = pmf_model(DataSet(draws, weights=w / w.sum()))
     assert _bits(pd.param_shape.block("w")) == _bits(want.param_shape.block("w"))
