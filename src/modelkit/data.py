@@ -176,6 +176,14 @@ class DataSet:
         order = np.lexsort(self.rows.T[::-1]) if self.dim else np.arange(len(self))
         return DataSet(self.rows[order], self.weights[order], self.names)
 
+    def positive(self) -> "DataSet":
+        """The rows of positive weight, with their weights and groups; self
+        when every weight is positive."""
+        live = self.weights > 0
+        return self if live.all() else DataSet(
+            self.rows[live], self.weights[live], self.names,
+            None if self.groups is None else self.groups[live])
+
     def group_list(self) -> list["DataSet"]:
         if self.groups is None:
             return [self]

@@ -539,7 +539,7 @@ def uniform_model() -> Model:
         return np.where((x >= a) & (x <= b), -math.log(b - a), -np.inf)
 
     def est(d):
-        x = d.rows[d.weights > 0, 0]
+        x = d.rows[:, 0]
         return Params.scalars(a=float(x.min()), b=float(x.max()))
 
     def rng(p, stream, n):

@@ -66,9 +66,10 @@ class Model:
 
     Element signatures (all vectorized over rows):
       logl(rows (n,d), p)   -> (n,) per-row log-likelihood
-      logl_joint(d, p)      -> float, for non-iid likelihoods (compositions)
-      est(d: DataSet)       -> Params, fitted to the rows as weighted by
-                               d.weights (a row of weight 0 counts for nothing)
+      logl_joint(d)         -> score, d prepared once: score(p) a float and
+                               score(P) a (K,) array (compositions)
+      est(d: DataSet)       -> Params, fitted to the weighted rows (estimate
+                               passes only the rows of positive weight)
       rng(p, stream, n)     -> (n,d) draws
       cdf(points (n,d), p)  -> (n,) orthant probabilities
       constraint(p)         -> violation distance (0 when satisfied)
@@ -322,12 +323,12 @@ def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
 
     Independent rows multiply, so logs add; row weights scale each term.
     Every row of d is scored and summed with its weight in place, by
-    _weighted_sums' rule.  A caller that scores one data set many times
-    passes its compressed() rows, so that repeated rows are scored once.
+    _weighted_sums' rule.  A joint likelihood prepares d and scores p once.
+    A caller that scores one data set many times uses likelihood_sum.
     """
     _check_params(m, p)
     if m.logl_joint is not None:
-        return float(m.logl_joint(d, p))
+        return float(m.logl_joint(d)(p))
     _check_rows(m, d.rows)
     return float(_weighted_sums(row_log_likelihood(m, d.rows, p), d.weights))
 
@@ -339,11 +340,13 @@ def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray
     A model whose logl is ``stackable`` scores d's rows once for all K
     vectors, in blocks of vectors whose row values number about
     STACK_ENTRIES, and sums each vector's values as log_likelihood does.
-    Any other model, a joint-only one included, is scored one vector at a
-    time, and so is any model when d has so many rows that a block would
-    hold a single vector.
+    A joint likelihood prepares d once and scores the stack.  Any other
+    model is scored one vector at a time, and so is any model when d has so
+    many rows that a block would hold a single vector.
     """
     _check_params(m, P)
+    if m.logl_joint is not None:
+        return m.logl_joint(d)(P)
     if not _stacks(m, d):
         return np.array([log_likelihood(m, d, P[k]) for k in range(len(P))])
     _check_rows(m, d.rows)
@@ -357,27 +360,27 @@ def likelihood_sum(m: Model, d: DataSet) -> Callable:
     log_likelihood(m, d, p), a float, and a StackedParams
     stacked_log_likelihood(m, d, P), a (K,) array.
 
-    d is prepared once.  Its rows are compressed, unless m's likelihood is
-    joint, which need not be a sum over rows.  When m's logl carries the
-    ``sufficient`` mark, the rows of positive weight are then reduced to
-    its statistics, so that each call costs the same at any number of rows;
-    its sums can differ from the row sums in the last bits.  Any other
-    model, or a mark that declines d's rows, scores the rows at every call.
+    d is prepared once.  A joint likelihood is given d as it is and
+    prepares what it needs.  Otherwise d's rows are compressed, and when
+    m's logl carries the ``sufficient`` mark, the rows of positive weight
+    are reduced to its statistics, so that each call costs the same at any
+    number of rows; its sums can differ from the row sums in the last bits.
+    Any other model, or a mark that declines d's rows, scores the rows at
+    every call.
     """
-    if m.logl_joint is None:
+    if m.logl_joint is not None:
+        score = m.logl_joint(d)
+    else:
         d = d.compressed()
-        from_stats = _from_stats(m, d)
-        if from_stats is not None:
-            def total(p):
-                _check_params(m, p)
-                s = from_stats(p)
-                return np.reshape(s, len(p)) if isinstance(p, StackedParams) else float(s)
-            return total
+        score = _from_stats(m, d)
+    if score is None:  # d's rows, scored at every call
+        return lambda p: (stacked_log_likelihood(m, d, p) if isinstance(p, StackedParams)
+                          else log_likelihood(m, d, p))
 
     def total(p):
-        if isinstance(p, StackedParams):
-            return stacked_log_likelihood(m, d, p)
-        return log_likelihood(m, d, p)
+        _check_params(m, p)
+        s = score(p)
+        return s.reshape(len(p)) if isinstance(p, StackedParams) else float(s)
     return total
 
 
@@ -388,10 +391,8 @@ def _from_stats(m: Model, d: DataSet) -> Callable | None:
     summarize = getattr(m.logl, "sufficient", None)
     if summarize is None or d.dim != m.data_dim or not len(d):
         return None
-    live = d.weights > 0
-    if live.all():  # no copy
-        return summarize(d.rows, d.weights)
-    return summarize(d.rows[live], d.weights[live])
+    d = d.positive()
+    return summarize(d.rows, d.weights)
 
 
 def _stacked_sums(m: Model, rows: np.ndarray, P: StackedParams, w: np.ndarray) -> np.ndarray:
@@ -614,7 +615,7 @@ def estimate(m: Model, d: DataSet, settings: MleSettings | None = None) -> Fitte
 
     if shape.fixed_mask.all() or m.strategy["Est"] == "closed-form":
         # no optimizer run: nothing free to estimate, or a closed form
-        p = shape if shape.fixed_mask.all() else m.est(d)
+        p = shape if shape.fixed_mask.all() else m.est(d.positive())
         return FittedModel(m, p, log_likelihood(m, d, p), 0, True, _violation(m, p))
 
     if (m.strategy["L"] == "memoized PMF" and not m.discrete

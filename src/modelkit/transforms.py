@@ -10,9 +10,7 @@ mutated.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -204,14 +202,12 @@ def mix(ms: list[Model], weights=None) -> Model:
 def _em(ms, d: DataSet, shape: Params, label: str, max_iter=200, tol=1e-8):
     """Expectation-maximization with closed-form weighted M-steps.
 
-    Initialized by splitting the rows of positive weight into k chunks
-    along the sort order of the first coordinate and fitting one component
-    per chunk; rows of weight 0 count for nothing, so they are left out.
-    A row that every component scores -inf raises ModelError.
+    Initialized by splitting d's rows (all of positive weight, as estimate
+    passes them) into k chunks along the sort order of the first coordinate
+    and fitting one component per chunk; each M-step fits a component to
+    the rows it weighs above 0.  A row every component scores -inf raises.
     """
     k = len(ms)
-    live = d.weights > 0
-    d = DataSet(d.rows[live], d.weights[live])
     order = np.argsort(d.rows[:, 0], kind="stable")
     chunks = np.array_split(order, k)
     ps = [ms[i].est(DataSet(d.rows[chunks[i]], d.weights[chunks[i]]))
@@ -232,7 +228,7 @@ def _em(ms, d: DataSet, shape: Params, label: str, max_iter=200, tol=1e-8):
             wi = d.weights * resp[:, i]
             if wi.sum() <= 0:
                 continue
-            ps[i] = ms[i].est(DataSet(d.rows, wi))
+            ps[i] = ms[i].est(DataSet(d.rows, wi).positive())
         w = (d.weights[:, None] * resp).sum(axis=0)
         w = w / w.sum()
         if abs(ll - prev) < tol * max(1.0, abs(ll)):
@@ -541,7 +537,9 @@ def d_compose(from_model: Model, to_model: Model,
     shapes = [m.param_shape for m in models]
     shape = Params.product(zip(("to.", "from."), shapes))
 
-    def logl_joint(d, p):
+    def score(p):  # the joint score of any data set, d being empty
+        if isinstance(p, StackedParams):  # one vector at a time
+            return np.array([score(p[k]) for k in range(len(p))])
         p_to, p_from = p.split(shapes)
         stream = nseq if live else RandomStream(nseq._path)
         rows = core.draw(from_model, p_from, stream, n_draws)
@@ -554,7 +552,7 @@ def d_compose(from_model: Model, to_model: Model,
 
     settings = {"mle": MleSettings(method="annealing", max_iter=400)} if live else {}
     return Model(f"d_compose({from_model.label}, {to_model.label})", 0, shape,
-                 logl_joint=logl_joint, constraint=constraint, settings=settings,
+                 logl_joint=lambda d: score, constraint=constraint, settings=settings,
                  transform=TransformRecord(
                      "d_compose", [from_model, to_model],
                      {"seed": nseq._path, "n_draws": n_draws, "live": live}))
@@ -571,9 +569,9 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
     space; ``rho`` pins the prior's own parameters.  The result is a model
     over the likelihood's data space whose parameters are the quantity the
     prior describes: log L'(d, p) = log L_prior(p; rho) + log L_like(d; p).
-    Its logl_joint is the one-vector case of _dp_joint, the joint density
-    at a stack of K vectors, with d's rows scored as they are.  Use
-    posterior_draws() to sample p given observed data.
+    Its logl_joint(d) prepares likelihood_sum(like, d) once; the prior
+    scores a whole stack in one call, and like only the vectors it finds
+    possible.  Use posterior_draws() to sample p given observed data.
     """
     n_free = int((~like.param_shape.fixed_mask).sum())
     if prior.data_dim != n_free:
@@ -584,9 +582,16 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
         raise ModelError("dp_compose: rho does not match the prior's parameters")
     shape = Params([("p", np.zeros(n_free))])
 
-    def logl_joint(d, p):
-        like_sum = functools.partial(core.stacked_log_likelihood, like, d)
-        return float(_dp_joint(prior, like, rho, like_sum, p.vector.reshape(1, -1))[0])
+    def logl_joint(d):
+        like_sum, stack = core.likelihood_sum(like, d), like.param_shape.stack
+
+        def score(p):
+            stacked = isinstance(p, StackedParams)
+            free = p.vector if stacked else p.vector.reshape(1, -1)
+            lp = core.row_log_likelihood(prior, free, rho)
+            s = core.masked(np.isfinite(lp), lambda s: lp[s] + like_sum(stack(free[s])))
+            return s if stacked else float(s[0])
+        return score
 
     def constraint(p):
         return core._violation(like, like.param_shape.with_free(p.vector))
@@ -594,19 +599,6 @@ def dp_compose(prior: Model, like: Model, rho: Params) -> Model:
     return Model(f"dp_compose({prior.label}, {like.label})", like.data_dim,
                  shape, logl_joint=logl_joint, constraint=constraint,
                  transform=TransformRecord("dp_compose", [prior, like], {"rho": rho}))
-
-
-def _dp_joint(prior: Model, like: Model, rho: Params, like_sum: Callable,
-              free: np.ndarray) -> np.ndarray:
-    """log L_prior(p; rho) + log L_like(d; p) at each row p of the (K,
-    n_free) array free, as a (K,) array; like_sum maps a StackedParams of
-    like's to the (K,) sums log L_like(d; p), as likelihood_sum(like, d)
-    does.  The prior scores all K rows in one call; like_sum is called once,
-    only at the rows whose prior density is finite, and the others get
-    -inf."""
-    lp = core.row_log_likelihood(prior, free, rho)
-    return core.masked(np.isfinite(lp), lambda s: (
-        lp[s] + like_sum(like.param_shape.stack(free[s]))))
 
 
 def posterior_draws(post: Model, d: DataSet, n: int,
@@ -644,21 +636,20 @@ def posterior_draws(post: Model, d: DataSet, n: int,
     conj = _conjugate_normal(prior, like, rho) if forced is None else None
     if conj is not None:
         mu0, s0, s = conj
-        nobs = float(d.weights.sum())
-        var = 1.0 / (1.0 / s0 ** 2 + nobs / s ** 2)
-        mean = var * (mu0 / s0 ** 2 + float(d.weights @ d.rows[:, 0]) / s ** 2)
+        live = d.positive()
+        var = 1.0 / (1.0 / s0 ** 2 + float(live.weights.sum()) / s ** 2)
+        mean = var * (mu0 / s0 ** 2 + float(live.weights @ live.rows[:, 0]) / s ** 2)
         draws = stream.normal(mean, math.sqrt(var), size=(n, 1))
         return pmf_model(DataSet(draws))
-
-    like_sum = core.likelihood_sum(like, d)  # scored at every step or every draw
 
     if prior.strategy["L"] != "memoized PMF":
         from . import solvers
 
         x0 = core.draw(prior, rho, stream.split(0), min(core.MCMC_CHAINS, max(n, 1)))
+        joint, stack = post.logl_joint(d), post.param_shape.stack  # d prepared once
 
         def target(xs: np.ndarray) -> list:
-            return _dp_joint(prior, like, rho, like_sum, xs).tolist()
+            return joint(stack(xs)).tolist()
 
         try:
             chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
@@ -669,7 +660,7 @@ def posterior_draws(post: Model, d: DataSet, n: int,
 
     # RNG-only prior: weight prior draws by the data likelihood
     draws = core.draw(prior, rho, stream, n)
-    logw = like_sum(like.param_shape.stack(draws))
+    logw = core.likelihood_sum(like, d)(like.param_shape.stack(draws))
     mx = np.max(logw)
     if not np.isfinite(mx):
         raise ModelError("posterior_draws: data impossible under every prior draw")
@@ -719,8 +710,8 @@ def pd_compose(parent: Model, child: Model) -> Model:
                 for g in d.group_list()]
         return DataSet(np.array(rows))
 
-    def logl_joint(d, p):
-        return core.log_likelihood(parent, child_rows(d), p)
+    def logl_joint(d):  # each group fitted once per data set
+        return core.likelihood_sum(parent, child_rows(d))
 
     def est(d):
         return core.estimate(parent, child_rows(d)).params

@@ -5,7 +5,9 @@ deleting a name it patches or reads breaks only the traced bench.  This test
 runs the tracer in a child process, as the bench does, so the patching
 leaves the test process's modelkit untouched.  The child also runs a
 bootstrap whose fits run in lockstep and a KDE-smoothed 2-D memoized
-likelihood, so that fitter and the KDE kernel run under the tracer.
+likelihood, so that fitter and the KDE kernel run under the tracer, and a
+posterior's Metropolis chains and a d_compose fit, which score through the
+joint likelihood the tracer wraps as an element.
 """
 
 import subprocess
@@ -20,9 +22,11 @@ _CHILD = textwrap.dedent("""
     sys.path[:0] = [sys.argv[1], sys.argv[2]]
     import spans
     tr = spans.install()
-    from modelkit import (DataSet, KdeSettings, RandomStream, bootstrap_cov,
-                          cli, draw, log_likelihood, mvn_model, normal_model,
-                          weibull_model)
+    import numpy as np
+    from modelkit import (DataSet, KdeSettings, MleSettings, Params, RandomStream,
+                          bootstrap_cov, builtin, cli, d_compose, dp_compose, draw,
+                          estimate, fix, log_likelihood, mvn_model, normal_model,
+                          posterior_draws, weibull_model)
     assert cli.run_example("roundtrip", draws=300, out=sys.argv[3]) == 0
     # a likelihood-only sampler runs the Metropolis solver
     l_only = dataclasses.replace(normal_model(), rng=None, cdf=None, est=None)
@@ -36,9 +40,20 @@ _CHILD = textwrap.dedent("""
                              settings={"kde": KdeSettings(), "memoize_draws": 200})
     log_likelihood(mv, DataSet(draw(mv, mv.param_shape, RandomStream(3), 20)),
                    mv.param_shape)
+    # joint likelihoods: a posterior's chains and a d_compose fit
+    like = fix(normal_model(), normal_model().param_shape.pin(sigma=1.0))
+    post = dp_compose(normal_model(), like, Params.scalars(mu=0.0, sigma=1.0))
+    posterior_draws(post.with_settings(posterior_strategy="mh"),
+                    DataSet([[2.0], [1.5]]), 20, RandomStream(4))
+    dc = d_compose(builtin("exponential"), builtin("exponential"), n_draws=20)
+    estimate(dc, DataSet(np.empty((0, 0))), MleSettings(max_iter=30))
     m = spans.layer_metrics(tr)
     assert m["model.estimate.calls"] > 0, m
-    assert m["solvers.metropolis.calls"] == 1, m
+    assert m["solvers.metropolis.calls"] == 2, m
+    assert m["transforms.posterior_draws.self_s"] > 0, m
+    assert m["transforms.dp_compose.self_s"] > 0, m
+    assert m["transforms.d_compose.self_s"] > 0, m
+    assert m["solvers.nelder_mead.calls"] >= 1, m
     assert m["transforms.truncate.self_s"] > 0, m
     assert m["inference.bootstrap_cov.self_s"] > 0, m
     assert m["solvers.kde_smooth.calls"] >= 1, m

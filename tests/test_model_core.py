@@ -474,13 +474,10 @@ def _masked_cases():
     mu_sigma = Params.scalars(mu=0.5, sigma=1.0)
     post = transforms.dp_compose(transforms.truncate(normal, (0.0, None)),
                                  builtin("poisson"), Params.scalars(mu=2.0, sigma=1.0))
-    prior, like = post.transform.bases
-    counts = DataSet(np.array([[0.0], [2.0], [3.0], [2.0], [5.0]]))
+    joint_score = post.logl_joint(DataSet(np.array([[0.0], [2.0], [3.0], [2.0], [5.0]])))
 
     def joint(free):
-        return transforms._dp_joint(prior, like, post.transform.data["rho"],
-                                    functools.partial(core.stacked_log_likelihood, like, counts),
-                                    free)
+        return joint_score(post.param_shape.stack(free))
 
     return {
         "beta": (scorer(beta, ab), x, [[1.5]]),
@@ -649,17 +646,23 @@ def test_distinct_rows_tell_apart_rows_that_differ_only_in_bits():
 
 def test_a_joint_likelihood_is_fitted_on_its_rows_as_they_are():
     # a joint likelihood need not be a sum over rows, so the MLE does not
-    # compress the rows it is given; a row-wise one does
-    seen = []
+    # compress the rows it is given, and prepares them once per fit; a
+    # row-wise one compresses them
+    seen, scores = [], []
 
-    def logl_joint(d, p):
+    def logl_joint(d):
         seen.append(len(d))
-        return -float(np.sum((d.rows[:, 0] - p.scalar("mu")) ** 2))
+
+        def score(p):
+            scores.append(p)
+            return -float(np.sum((d.rows[:, 0] - p.scalar("mu")) ** 2))
+        return score
 
     joint = Model("joint", 1, Params.scalars(mu=0.0), logl_joint=logl_joint)
     d = DataSet(np.arange(400.0) % 5)
-    core.estimate(joint, d)
-    assert set(seen) == {400}
+    fit = core.estimate(joint, d)
+    assert seen == [400] and len(scores) > 1
+    assert fit.params.scalar("mu") == pytest.approx(2.0, abs=1e-4)
     base = normal_model()
     scored = []
 
@@ -669,6 +672,18 @@ def test_a_joint_likelihood_is_fitted_on_its_rows_as_they_are():
 
     core.estimate(dataclasses.replace(base, logl=logl, est=None), d)
     assert set(scored) == {5}
+
+
+@pytest.mark.parametrize("name", ["normal", "exponential", "poisson", "uniform"])
+def test_a_closed_form_estimate_leaves_out_rows_of_weight_zero(name):
+    # the row inf weighs 0, so it counts for nothing: its 0 * inf must not
+    # make the estimate nan
+    m = builtin(name)
+    d = DataSet(np.array([[1.0], [2.0], [np.inf]]), weights=[1.0, 1.0, 0.0])
+    got, want = estimate(m, d), estimate(m, DataSet(np.array([[1.0], [2.0]])))
+    assert np.all(np.isfinite(got.params.flatten()))
+    assert _bits(got.params.flatten()) == _bits(want.params.flatten())
+    assert got.log_likelihood_at_optimum == want.log_likelihood_at_optimum
 
 
 def test_cdf_only_discrete_likelihood_is_the_point_mass_in_two_dimensions():

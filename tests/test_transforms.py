@@ -162,6 +162,15 @@ def test_mix_em_leaves_out_rows_of_weight_zero():
     assert got.params.flatten().tobytes() == want.params.flatten().tobytes()
 
 
+def test_mix_em_fits_each_component_to_the_rows_it_weighs():
+    # off its interval the uniform's responsibility is 0, so an M-step that
+    # gave it those rows would stretch its interval over the Normal's rows
+    s = RandomStream(13)
+    x = np.r_[s.uniform(0.0, 1.0, size=60), s.normal(10.0, 0.5, size=40)]
+    fit = estimate(mix([builtin("uniform"), normal_model()]), DataSet(x.reshape(-1, 1)))
+    assert 0.0 <= fit.params.scalar("0.a") < fit.params.scalar("0.b") < 1.0
+
+
 def test_truncate_renormalizes():
     t = truncate(normal_model(), (0.0, None))
     p = Params.scalars(mu=1.0, sigma=1.0)
@@ -720,19 +729,83 @@ def test_stacked_joint_density_is_logl_joint_row_by_row(case):
         return lp + core.log_likelihood(like, data, like.param_shape.with_free(row))
 
     for data in (d, d.compressed()):
-        rows_sum = functools.partial(core.stacked_log_likelihood, like, data)
-        got = transforms._dp_joint(prior, like, rho, rows_sum, free)
-        want = [post.logl_joint(data, post.param_shape.replace(row)) for row in free]
-        assert _bits(got) == _bits(want) == _bits([one_vector(data, row) for row in free])
-        assert _bits(transforms._dp_joint(prior, like, rho, rows_sum, free[:1])) == _bits(want[:1])
-        # posterior_draws scores the sums from statistics: one datum's is
-        # its row value, bit for bit, and many rows' agree to the last bits
-        summed = transforms._dp_joint(prior, like, rho, core.likelihood_sum(like, data), free)
+        score = post.logl_joint(data)
+        got = score(post.param_shape.stack(free))
+        want = [score(post.param_shape.replace(row)) for row in free]
+        assert _bits(got) == _bits(want)
+        assert _bits(score(post.param_shape.stack(free[:1]))) == _bits(want[:1])
+        assert _bits(want) == _bits([core.log_likelihood(post, data, post.param_shape.replace(row))
+                                     for row in free])
+        # the joint scores like's sums from statistics: one datum's is its
+        # row value, bit for bit, and many rows' agree to the last bits
+        rows = [one_vector(data, row) for row in free]
         if case == 0:
-            assert _bits(summed) == _bits(got)
-        assert summed == pytest.approx(got, rel=1e-12, abs=0)
+            assert _bits(got) == _bits(rows)
+        assert got == pytest.approx(rows, rel=1e-12, abs=0)
     if case == 1:
         assert got[10] == -np.inf and np.isfinite(got[11])
+
+
+def test_a_posterior_mode_reads_its_data_set_once_per_fit():
+    # 2,000 counts hold about ten distinct values and Poisson has
+    # statistics, so a fit reduces them once and scores no row afterwards
+    base = builtin("poisson")
+    calls = {"logl": 0, "sufficient": 0}
+
+    @functools.wraps(base.logl)
+    def counted(rows, p):
+        calls["logl"] += 1
+        return base.logl(rows, p)
+
+    def summarize(rows, w):
+        calls["sufficient"] += 1
+        return base.logl.sufficient(rows, w)
+
+    counted.sufficient = summarize
+    like = dataclasses.replace(base, logl=counted)
+    prior, rho = truncate(normal_model(), (0.0, None)), Params.scalars(mu=2.0, sigma=1.0)
+    counts = DataSet(core.draw(base, Params.scalars(lam=2.0), RandomStream(9), 2000))
+    fit = estimate(dp_compose(prior, like, rho), counts)
+    assert calls == {"logl": 0, "sufficient": 1}
+    assert fit.iterations > 10
+    # the same search with like's rows scored at every evaluation
+    rows_only = dataclasses.replace(base, logl=lambda rows, p: base.logl(rows, p))
+    by_rows = estimate(dp_compose(prior, rows_only, rho), counts)
+    assert fit.params.flatten() == pytest.approx(by_rows.params.flatten(), abs=1e-6)
+
+
+def test_a_pinned_hierarchy_fits_each_group_once_per_data_set():
+    base = builtin("exponential")
+    fitted = []
+
+    def est(d):
+        fitted.append(len(d))
+        return base.est(d)
+
+    h = pd_compose(normal_model(), dataclasses.replace(base, est=est))
+    pinned = h.param_shape.pin(sigma=1.0)
+    stream = RandomStream(33)
+    rows = np.concatenate([core.draw(base, Params.scalars(mu=1.0 + 0.1 * g), stream, 50)
+                           for g in range(20)])
+    d = DataSet(rows, groups=np.repeat(np.arange(20), 50))
+    fit = estimate(fix(h, pinned), d)
+    assert fitted == [50] * 20 and fit.iterations > 10
+    # the parent's own fit to the 20 child estimates
+    means = DataSet(rows.reshape(20, 50).mean(axis=1).reshape(-1, 1))
+    want = estimate(fix(normal_model(), pinned), means)
+    assert fit.params.scalar("mu") == pytest.approx(want.params.scalar("mu"), abs=1e-9)
+
+
+def test_conjugate_posterior_leaves_out_rows_of_weight_zero():
+    # the row inf weighs 0, so it counts for nothing: 0 * inf is no sum
+    like = fix(normal_model(), normal_model().param_shape.pin(sigma=1.0))
+    post = dp_compose(normal_model(), like, Params.scalars(mu=0.0, sigma=1.0))
+    d = DataSet(np.array([[1.0], [2.0], [np.inf]]), weights=[1.0, 1.0, 0.0])
+    for m in (post, post.with_settings(posterior_strategy="mh")):
+        got = posterior_draws(m, d, 50, RandomStream(3)).settings["pmf_support"].rows
+        want = posterior_draws(m, DataSet(np.array([[1.0], [2.0]])), 50,
+                               RandomStream(3)).settings["pmf_support"].rows
+        assert np.all(np.isfinite(got)) and _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("n, k", [(203, 8), (5, 5)])
