@@ -46,8 +46,8 @@ def _write_gnuplot(path: Path, series):
         for i, block in enumerate(series):
             if i:
                 fh.write("\n")
-            for row in np.atleast_2d(np.asarray(block, dtype=float)):
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            for row in np.atleast_2d(np.asarray(block, dtype=float)).tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def _ecdf(values: np.ndarray, cap: int = 500) -> np.ndarray:

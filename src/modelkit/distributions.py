@@ -136,6 +136,7 @@ def _exponential_stats(rows, w):
     return from_stats
 
 
+@np.errstate(invalid="ignore")  # inf - inf at a row of inf, which is no count
 def _counts(k):
     """(whole, kk): which values are counts, whole numbers >= 0 to within
     1e-9, and each count's whole value, 0.0 where it is no count."""

@@ -551,8 +551,8 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
     the data space with p pinned, in lockstep from one start point."""
     from . import solvers
 
-    def target(xs: np.ndarray) -> list:
-        return row_log_likelihood(m, xs, p).tolist()
+    def target(xs: np.ndarray) -> np.ndarray:
+        return row_log_likelihood(m, xs, p)
 
     start = m.settings.get("mcmc_start")
     x0 = origin = np.atleast_1d(np.asarray(

@@ -19,11 +19,11 @@ several times slower than the generator for one search, hence the two.
 Either gives scipy's result bit for bit: the same x, value, iteration
 count and success flag.  Metropolis runs K chains in lockstep: it takes a
 (K, dim) array of start rows and a target that scores a (K, dim) array of
-points in one call, and returns the chains' samples as rows.  A step draws
-its Normals in one stream call and the uniforms of the chains that need one
-in one more, which gives the numbers one call per chain would.  The model
-layer maps a vector to the model's Params (its layout and fixed mask) and
-builds the fitted model from the result.
+points in one call, and returns the chains' samples as rows.  It draws the
+Normal moves and the uniforms of a block of steps in one call each, and
+steps every chain by array operations.  The model layer maps a vector to
+the model's Params (its layout and fixed mask) and builds the fitted model
+from the result.
 """
 
 from __future__ import annotations
@@ -395,6 +395,9 @@ def coordinate_cycle(f: Callable[[np.ndarray], float], x0: np.ndarray,
 # ---------------------------------------------------------------------------
 # Markov chain Monte Carlo
 
+# steps whose Normal moves and uniforms metropolis draws in one call each
+MH_BLOCK = 256
+
 
 def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
                x0: np.ndarray, st: McmcSettings | None = None,
@@ -403,18 +406,22 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
     """Random-walk Metropolis: K chains in lockstep from the K start rows of
     the (K, dim) array x0.
 
-    The target maps a (K, dim) array of points to their K log densities (a
-    list of floats or a 1-D array), so every step makes one target call for
-    all chains.  Each chain adds an isotropic Normal of scale st.step_scale
-    and accepts with min(1, exp(delta log density)); the step's K x dim
-    Normals come from one stream call, then the uniforms of the m chains
-    whose finite candidate scores below their value, in chain order, from
-    one call of size m (a scalar call when m is 1), which gives the values
-    of m scalar calls.  The first st.burnin steps are discarded and every
-    st.thin-th step kept, until each chain holds ceil(n_samples / K)
-    samples.  Chain.samples lists them chain after chain, cut to n_samples
-    rows.  A start row where the target is not finite takes the finite
-    rows in turn; a chain that accepts nothing in burnin raises "stuck chain".
+    The target maps a (K, dim) array of points to their K log densities (an
+    array, or a list of floats), so every step makes one target call for all
+    chains.  Each chain adds an isotropic Normal of scale st.step_scale and
+    moves when log u < delta log density, for a uniform u in [0, 1); a
+    candidate scoring nan or +-inf never moves a chain.  The random numbers
+    come from two child generators seeded by one ``integers`` call on the
+    stream: before each block of up to MH_BLOCK steps, one call draws the
+    block's (B, K, dim) Normal moves and one its (B, K) uniforms, step by
+    step and chain after chain, so the samples do not depend on the block
+    size.  A step uses its K uniforms whether or not a chain needs one.  The
+    first st.burnin steps are discarded and every st.thin-th step kept,
+    until each chain holds ceil(n_samples / K) samples.  Chain.samples lists
+    them chain after chain, cut to n_samples rows.  A start row where the
+    target is not finite takes the finite rows in turn; a chain that accepts
+    nothing in burnin raises "stuck chain" once burnin ends, where a block
+    ends too.
     """
     st = st or McmcSettings()
     stream = stream or RandomStream(0xAC)
@@ -423,67 +430,53 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
         raise ModelError(f"metropolis: x0 has shape {x.shape}; the start rows "
                          f"of K chains need shape (K, dim)")
     k, dim = x.shape
-    lv = list(target_log_density(x))
-    ok = [j for j in range(k) if math.isfinite(lv[j])]
+    lv = np.array(target_log_density(x), dtype=float)
+    finite = np.isfinite(lv)
+    ok = np.flatnonzero(finite).tolist()
     if not ok:
         raise ModelError(f"metropolis: target not finite at any of the {k} start rows")
-    for i, j in enumerate(sorted(set(range(k)) - set(ok))):
+    for i, j in enumerate(np.flatnonzero(~finite).tolist()):
         x[j], lv[j] = x[ok[i % len(ok)]], lv[ok[i % len(ok)]]
 
     per_chain = -(-n_samples // k)
     burnin, thin, scale = st.burnin, st.thin, st.step_scale
     total = burnin + per_chain * thin
     samples = np.empty((per_chain, k, dim))
-    accepted = [0] * k
-    # bound once: the step loop is the sampler's whole cost when the target
-    # is cheap
-    normal, uniform = stream.gen.normal, stream.gen.uniform
-    exp, inf = math.exp, math.inf
-    chains, shape = range(k), (k, dim)
-    kept, keep_at, last_burnin = 0, burnin, burnin - 1
-    for i in range(total):
-        cand = x + normal(size=shape) * scale
-        cv = target_log_density(cand)
-        # a finite candidate scoring at least its chain's value moves the
-        # chain; one scoring lower moves it if a uniform is below exp(delta)
-        moved, low = [], []
-        for j in chains:
-            c = cv[j]
-            if c >= lv[j]:
-                if c < inf:
-                    moved.append(j)
-            elif c > -inf:
-                low.append(j)
-        if len(low) == 1:
-            j = low[0]
-            if uniform() < exp(cv[j] - lv[j]):
-                moved.append(j)
-        elif low:
-            us = uniform(size=len(low)).tolist()
-            moved += [j for j, u in zip(low, us) if u < exp(cv[j] - lv[j])]
-        # the chains that moved take their candidate rows: all of cand when
-        # every chain moved, which is the common case of a single chain
-        if moved:
-            for j in moved:
-                lv[j] = cv[j]
-                accepted[j] += 1
-            if len(moved) == k:
-                x = cand
-            else:
-                for j in moved:
-                    x[j] = cand[j]
-        if i == last_burnin and 0 in accepted:
-            j = accepted.index(0)
+    accepted = np.zeros(k, dtype=np.int64)
+    moves_gen, u_gen = map(np.random.default_rng,
+                           stream.gen.integers(1 << 63, size=2).tolist())
+    less, copyto, inf = np.less, np.copyto, math.inf
+    done, kept, keep_at = 0, 0, burnin
+    while done < total:
+        # a block ends at the burnin boundary, where the stuck-chain check runs
+        b = min(MH_BLOCK, (burnin if done < burnin else total) - done)
+        moves = moves_gen.normal(0.0, scale, (b, k, dim))
+        with np.errstate(divide="ignore"):  # u = 0 gives -inf: any finite move
+            logu = np.log(u_gen.random((b, k)))
+        flags = np.empty((b, k), dtype=bool)  # the chains each step moves
+        keep = keep_at - done  # the block's next kept step
+        for s, move, lu, mv, mv_rows in zip(range(b), moves, logu, flags,
+                                            flags[:, :, None]):
+            cand = x + move
+            cv = target_log_density(cand)
+            less(lu, cv - lv, out=mv)  # false at a nan or -inf candidate
+            mv &= less(cv, inf)
+            copyto(x, cand, where=mv_rows)
+            copyto(lv, cv, where=mv)
+            if s == keep:
+                samples[kept] = x
+                kept += 1
+                keep += thin
+        accepted += flags.sum(axis=0)
+        keep_at, done = done + keep, done + b
+        if done == burnin and not accepted.all():
+            j = int(np.argmin(accepted))
             raise ModelError(
                 f"stuck chain {j} of {k}: 0 acceptances in {burnin} burnin steps "
                 f"(log density {lv[j]:.3g}, step_scale {scale})")
-        if i == keep_at:
-            samples[kept] = x
-            kept += 1
-            keep_at += thin
     # chain after chain
     rows = samples.transpose(1, 0, 2).reshape(k * per_chain, dim)
-    return Chain(rows[:n_samples], sum(accepted) / (total * k))
+    return Chain(rows[:n_samples], int(accepted.sum()) / (total * k))
 
 
 def effective_sample_size(x: np.ndarray) -> float:

@@ -617,8 +617,11 @@ def posterior_draws(post: Model, d: DataSet, n: int,
     (McmcSettings(step_scale=0.5)) from K prior draws, a draw where the
     joint density is not finite taking a finite one in turn; every step
     scores the K candidates in one joint-density call, and the draws come
-    chain after chain.  Its errors name the model.  The weights of prior
-    draws come from one stacked likelihood call over all n draws.
+    chain after chain.  A chain moves when log u < delta joint density, its
+    moves and uniforms drawn a block of steps at a time from two child
+    generators of the stream (solvers.metropolis).  Its errors name the
+    model.  The weights of prior draws come from one stacked likelihood call
+    over all n draws.
     """
     from .distributions import pmf_model
 
@@ -648,8 +651,8 @@ def posterior_draws(post: Model, d: DataSet, n: int,
         x0 = core.draw(prior, rho, stream.split(0), min(core.MCMC_CHAINS, max(n, 1)))
         joint, stack = post.logl_joint(d), post.param_shape.stack  # d prepared once
 
-        def target(xs: np.ndarray) -> list:
-            return joint(stack(xs)).tolist()
+        def target(xs: np.ndarray) -> np.ndarray:
+            return joint(stack(xs))
 
         try:
             chain = solvers.metropolis(target, x0, McmcSettings(step_scale=0.5),
@@ -705,10 +708,15 @@ def pd_compose(parent: Model, child: Model) -> Model:
             f"pd_compose: parent data dim {parent.data_dim} != child free "
             f"parameter count {n_free}")
 
+    # the last data set and its child estimates: a closed-form estimate's
+    # est and its score at the optimum fit each group once between them
+    last = [None, None]
+
     def child_rows(d: DataSet) -> DataSet:
-        rows = [core.estimate(child, g).params.free_values()
-                for g in d.group_list()]
-        return DataSet(np.array(rows))
+        if last[0] is not d:
+            last[:] = d, DataSet(np.array([core.estimate(child, g).params.free_values()
+                                           for g in d.group_list()]))
+        return last[1]
 
     def logl_joint(d):  # each group fitted once per data set
         return core.likelihood_sum(parent, child_rows(d))

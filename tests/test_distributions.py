@@ -1,6 +1,7 @@
 """Catalog distributions against independently frozen oracle values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,21 @@ def test_poisson_pmf_value():
     assert math.exp(logl1(m, 2.0, p)) == pytest.approx(
         4 * math.exp(-2) / 2, abs=1e-12)
     assert m.discrete
+
+
+def test_poisson_likelihood_of_rows_of_inf_raises_no_warning():
+    m, p = builtin("poisson"), Params.scalars(lam=1.5)
+    rows = np.array([[1.0], [2.0], [np.inf], [-np.inf], [np.nan], [2.5], [3.0 + 1e-10]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = core.log_likelihood(m, DataSet(rows[:3], weights=[1.0, 1.0, 0.0]), p)
+        vals = row_log_likelihood(m, rows, p)
+    assert got == core.log_likelihood(m, DataSet(rows[:2]), p)
+    assert np.isneginf(vals[2:6]).all()
+    # the finite rows score as the whole-number test 1e-9 wide gives
+    kk = np.round(rows[[0, 1, 6], 0])
+    want = kk * math.log(1.5) - 1.5 - np.array([math.lgamma(k + 1) for k in kk])
+    assert vals[[0, 1, 6]] == pytest.approx(want, abs=1e-12)
 
 
 def test_beta_oracle_and_mle():

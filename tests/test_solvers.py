@@ -311,9 +311,25 @@ def test_a_chain_whose_start_row_is_not_finite_starts_from_a_finite_row():
         solvers.metropolis(target, np.array([[-1.0], [-2.0]]))
 
 
+def _child_generators(stream):
+    """The two generators metropolis draws its moves and its uniforms from,
+    seeded by one integers call on the stream."""
+    return map(np.random.default_rng, stream.gen.integers(1 << 63, size=2).tolist())
+
+
+def _moves(c, lv, u):
+    """Whether a candidate scoring c moves a chain at lv, given its uniform:
+    c below +inf and log u < c - lv, with np.log as metropolis takes it
+    (math.log differs from it in the last bit of some values)."""
+    with np.errstate(divide="ignore"):
+        return c < math.inf and bool(np.log(u) < c - lv)
+
+
 def _scalar_metropolis(target, x0, st, stream, n_samples):
-    """The one-chain loop that preceded lockstep chains, kept as the reference
-    for the one-row path: target maps a vector to a float."""
+    """One chain, one scalar step at a time, kept as the reference for the
+    one-row path: target maps a vector to a float.  Each step draws its
+    Normal move and its uniform from the two child generators."""
+    moves, uniforms = _child_generators(stream)
     x = np.array(x0, dtype=float)
     dim = x.size
     lv = target(x)
@@ -322,9 +338,9 @@ def _scalar_metropolis(target, x0, st, stream, n_samples):
     accepted = 0
     kept = 0
     for i in range(total):
-        cand = x + stream.normal(size=dim) * st.step_scale
+        cand = x + moves.normal(0.0, st.step_scale, size=dim)
         cv = target(cand)
-        if math.isfinite(cv) and (cv >= lv or stream.uniform() < math.exp(cv - lv)):
+        if _moves(cv, lv, uniforms.random()):
             x, lv = cand, cv
             accepted += 1
         if i >= st.burnin and (i - st.burnin) % st.thin == 0 and kept < n_samples:
@@ -334,9 +350,11 @@ def _scalar_metropolis(target, x0, st, stream, n_samples):
 
 
 def _chainwise_metropolis(target, x0, st, stream, n_samples):
-    """The lockstep loop as it was before a step's uniforms came from one
-    stream call: chain by chain, one scalar uniform each, kept as the
-    reference the loop must equal bit for bit.  Returns (samples, rate)."""
+    """The lockstep loop as scalar steps chain by chain, kept as the reference
+    the array program must equal bit for bit: at each step every chain draws
+    its Normal move in turn, one target call scores the K candidates, and
+    every chain draws its uniform in turn.  Returns (samples, rate)."""
+    moves, uniforms = _child_generators(stream)
     x = np.array(x0, dtype=float)
     k, dim = x.shape
     lv = list(target(x))
@@ -351,13 +369,12 @@ def _chainwise_metropolis(target, x0, st, stream, n_samples):
     accepted = [0] * k
     kept = 0
     for i in range(total):
-        cand = x + stream.gen.normal(size=(k, dim)) * st.step_scale
+        cand = np.array([x[j] + moves.normal(0.0, st.step_scale, size=dim)
+                         for j in range(k)])
         cv = target(cand)
         for j in range(k):
-            c = cv[j]
-            if math.isfinite(c) and (c >= lv[j] or
-                                     stream.gen.uniform() < math.exp(c - lv[j])):
-                x[j], lv[j] = cand[j], c
+            if _moves(cv[j], lv[j], uniforms.random()):
+                x[j], lv[j] = cand[j], cv[j]
                 accepted[j] += 1
         if i == st.burnin - 1 and 0 in accepted:
             j = accepted.index(0)
@@ -470,6 +487,41 @@ def test_one_likelihood_only_draw_is_the_scalar_chain():
         lambda x: float(core.row_log_likelihood(m, x.reshape(1, -1), p)[0]),
         np.zeros(1), McmcSettings(), RandomStream(3), 1)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, solvers.MH_BLOCK])
+def test_metropolis_samples_do_not_depend_on_the_block_size(block, monkeypatch):
+    # 300 burnin steps and 300 kept ones: blocks of 7 and of the default
+    # size end inside both, and at the burnin boundary
+    target = _rugged_target({"-inf", "nan", "+inf"}, as_list=False)
+    x0 = np.array([[0.0, 0.5], [1.5, -1.0], [0.5, 0.5], [-1.0, 0.0]])
+    s = McmcSettings(burnin=300, step_scale=1.0, thin=3)
+    want = _chainwise_metropolis(target, x0, s, RandomStream(4), 400)
+    monkeypatch.setattr(solvers, "MH_BLOCK", block)
+    chain = solvers.metropolis(target, x0, s, RandomStream(4), 400)
+    assert chain.samples.tobytes() == want[0].tobytes()
+    assert chain.acceptance_rate == want[1]
+    # the stuck-chain check fires after exactly burnin steps: the start call
+    # and one call per step
+    calls = []
+
+    def stuck(xs):
+        calls.append(xs.shape)
+        return np.where(xs[:, 0] == 100.0, 0.0, -np.inf)
+
+    with pytest.raises(ModelError, match="^stuck chain 0 of 1: 0 acceptances "
+                                         "in 200 burnin steps"):
+        solvers.metropolis(stuck, np.array([[100.0]]), McmcSettings(burnin=200),
+                           RandomStream(1), 30)
+    assert len(calls) == 1 + 200
+
+
+def test_successive_likelihood_only_draws_from_one_stream_differ():
+    m = dataclasses.replace(builtin("normal"), rng=None, cdf=None, est=None)
+    p, stream = Params.scalars(mu=1.0, sigma=2.0), RandomStream(3)
+    first, second = core.draw(m, p, stream, 40), core.draw(m, p, stream, 40)
+    assert not np.array_equal(first, second)
+    assert core.draw(m, p, RandomStream(3), 40).tobytes() == first.tobytes()
 
 
 def _ar1(r, n, seed):

@@ -796,6 +796,39 @@ def test_a_pinned_hierarchy_fits_each_group_once_per_data_set():
     assert fit.params.scalar("mu") == pytest.approx(want.params.scalar("mu"), abs=1e-9)
 
 
+def test_a_closed_form_hierarchy_estimate_fits_each_group_once():
+    base = builtin("exponential")
+    fitted = []
+
+    def est(d):
+        fitted.append(len(d))
+        return base.est(d)
+
+    h = pd_compose(normal_model(), dataclasses.replace(base, est=est))
+    stream = RandomStream(34)
+    sets = []
+    for shift in (0.0, 1.0):
+        rows = np.concatenate([core.draw(base, Params.scalars(mu=1.0 + shift + 0.1 * g),
+                                         stream, 30) for g in range(4)])
+        means = [base.est(DataSet(g)).free_values() for g in rows.reshape(4, 30, 1)]
+        sets.append((DataSet(rows, groups=np.repeat(np.arange(4), 30)),
+                     DataSet(np.array(means))))
+    for i, (d, means) in enumerate(sets):
+        fit = estimate(h, d)
+        assert fitted == [30] * 4 * (i + 1)
+        # the parent's closed-form fit to the four child estimates, scored
+        # by the parent's likelihood of them
+        want = estimate(normal_model(), means).params
+        assert _bits(fit.params.flatten()) == _bits(want.flatten())
+        assert (fit.log_likelihood_at_optimum
+                == core.likelihood_sum(normal_model(), means)(want))
+    # a data set other than the last one is fitted anew
+    d, means = sets[0]
+    assert (core.log_likelihood(h, d, want)
+            == core.likelihood_sum(normal_model(), means)(want))
+    assert fitted == [30] * 12
+
+
 def test_conjugate_posterior_leaves_out_rows_of_weight_zero():
     # the row inf weighs 0, so it counts for nothing: 0 * inf is no sum
     like = fix(normal_model(), normal_model().param_shape.pin(sigma=1.0))
