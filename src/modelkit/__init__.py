@@ -12,8 +12,7 @@ from .data import (DataSet, KdeSettings, McmcSettings, MleSettings,
                    ModelError, Params, RandomStream, StackedParams,
                    UnresolvableElementError)
 from .model import (FittedModel, Model, cdf, check_ml_consistency, draw,
-                    estimate, log_likelihood, row_log_likelihood, stackable,
-                    stacked_log_likelihood)
+                    estimate, log_likelihood, row_log_likelihood, stackable)
 from .distributions import (beta_model, builtin, exponential_model,
                             mvn_model, normal_model, ols_model, pmf_model,
                             poisson_model, uniform_model, weibull_model)
@@ -34,7 +33,6 @@ __all__ = [
     "UnresolvableElementError", "MleSettings", "McmcSettings", "KdeSettings",
     "Model", "FittedModel", "estimate", "draw", "cdf", "log_likelihood",
     "row_log_likelihood", "check_ml_consistency", "stackable",
-    "stacked_log_likelihood",
     "normal_model", "mvn_model", "pmf_model", "ols_model", "weibull_model",
     "exponential_model", "poisson_model", "beta_model", "uniform_model",
     "builtin",

@@ -401,7 +401,7 @@ def ols_model(design: DataSet) -> Model:
         return Params([("beta", beta), ("sigma", [sigma])])
 
     return Model("ols", 1 + n_x, shape, logl=logl, est=est, rng=rng,
-                 constraint=lambda p: max(0.0, -p.scalar("sigma")))
+                 constraint=lambda p: _strict_positive(p.scalar("sigma")))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,11 +97,27 @@ def _fits(m: Model, datasets):
             yield e
 
 
+def _weighted_fits(m: Model, d: DataSet, weight_rows):
+    """The fits of _fits on d's rows weighed by each row of the iterable
+    weight_rows.  When m and d allow it (model._fits_in_lockstep), the fits
+    run in lockstep, a chunk of weight rows holding at most about
+    BLOCK_ENTRIES values at a time; else one at a time."""
+    if not core._fits_in_lockstep(m, d):
+        return _fits(m, (DataSet(d.rows, w) for w in weight_rows))
+    weight_rows = iter(weight_rows)
+    per_chunk = max(1, core.BLOCK_ENTRIES // len(d))
+    fits = []
+    while len(chunk := np.array(list(itertools.islice(weight_rows, per_chunk)), float)):
+        fits += core._lockstep_fits(m, d, chunk)
+    return fits
+
+
 def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
                   s: RandomStream | None = None) -> CovarianceEstimate:
     """Covariance of estimates over resamples drawn with replacement.  A
-    resample draws n rows by weight; it is d's rows, each weighed by the
-    number of times it was drawn."""
+    resample draws n rows by weight from d's n rows of positive weight; it
+    is those rows, each weighed by the number of times it was drawn."""
+    d = d.positive()
     if len(d) < 10:
         raise ModelError("bootstrap needs at least 10 rows")
     if reps < 100:
@@ -108,37 +125,23 @@ def bootstrap_cov(m: Model, d: DataSet, reps: int = 500,
     s = s or RandomStream(0xB007)
     n = len(d)
     prob = d.weights / d.weights.sum()
-
-    def counts(r: int) -> np.ndarray:
-        return np.bincount(s.split(r).choice(n, p=prob, size=n), minlength=n)
-
-    if core._fits_in_lockstep(m, d):
-        # every resample's weights at once: at most reps x STACK_ENTRIES/2
-        fits = core._lockstep_fits(m, d, np.array([counts(r) for r in range(reps)], float))
-    else:
-        fits = _fits(m, (DataSet(d.rows, counts(r)) for r in range(reps)))
-    return _replicate_cov(m, fits, reps, "bootstrap")
+    counts = (np.bincount(s.split(r).choice(n, p=prob, size=n), minlength=n)
+              for r in range(reps))
+    return _replicate_cov(m, _weighted_fits(m, d, counts), reps, "bootstrap")
 
 
 def jackknife_cov(m: Model, d: DataSet) -> CovarianceEstimate:
-    """Leave-one-out covariance over the n fits that each weigh one row 0,
-    with the standard (n-1)/n inflation."""
+    """Leave-one-out covariance over the n fits that each weigh one of d's n
+    rows of positive weight 0, with the standard (n-1)/n inflation."""
+    if np.count_nonzero(d.weights) < 2:  # a replicate would weigh no row
+        raise ModelError("jackknife needs two rows of positive weight")
+    d = d.positive()
     n = len(d)
     if n < 10:
         raise ModelError("jackknife needs at least 10 rows")
-    if np.count_nonzero(d.weights) < 2:  # else a replicate would weigh no row
-        raise ModelError("jackknife needs two rows of positive weight")
-
-    def left_out(i: int) -> np.ndarray:
-        w = d.weights.copy()
-        w[i] = 0.0
-        return w
-
-    if core._fits_in_lockstep(m, d):
-        fits = core._lockstep_fits(m, d, np.array([left_out(i) for i in range(n)]))
-    else:
-        fits = _fits(m, (DataSet(d.rows, left_out(i)) for i in range(n)))
-    return _replicate_cov(m, fits, n, "jackknife", jackknife=True)
+    left_out = (np.where(np.arange(n) == i, 0.0, d.weights) for i in range(n))
+    return _replicate_cov(m, _weighted_fits(m, d, left_out), n, "jackknife",
+                          jackknife=True)
 
 
 def replication_cov(m: Model, reps: int = 100, s: RandomStream | None = None,

@@ -92,11 +92,11 @@ class Model:
     A logl marked with the ``stackable`` decorator also takes a
     StackedParams of K vectors (its ``scalar`` a (K, 1) column, its
     ``block`` (K, width)) and returns a (K, n) array whose row k equals,
-    bit for bit, the (n,) result at vector k alone.  stacked_log_likelihood
-    then scores K vectors in one call; other models are scored one vector
-    at a time.  The mark is an attribute of the function, so ``fix`` and a
-    ``functools.wraps`` wrapper keep it, and a model given another logl
-    loses it.  A constraint marked ``stackable`` likewise takes a
+    bit for bit, the (n,) result at vector k alone.  log_likelihood then
+    scores a stack of K vectors in one call; other models score a stack one
+    vector at a time.  The mark is an attribute of the function, so ``fix``
+    and a ``functools.wraps`` wrapper keep it, and a model given another
+    logl loses it.  A constraint marked ``stackable`` likewise takes a
     StackedParams and returns the K violations, a (K,) or (K, 1) array.
 
     A logl marked with the ``sufficient`` decorator scores a data set from
@@ -277,12 +277,16 @@ def _stacks(m: Model, d: DataSet) -> bool:
             and 2 * d.rows.size <= STACK_ENTRIES)
 
 
-def _by_blocks(points, rows: np.ndarray, per_block, entries: int = 1 << 20) -> np.ndarray:
-    """per_block over blocks of points (an array's rows, or a stack's
-    vectors) small enough that comparing one with every row makes about
-    ``entries`` entries, joined; each block's temporaries are freed before
-    the next is made.  Points that fit in one block, none included, are
-    that block."""
+# Entries one block of point-by-row comparisons, or one chunk of replicate
+# weight rows (inference), holds: 8 MB of floats.
+BLOCK_ENTRIES = 1 << 20
+
+
+def _by_blocks(points, rows: np.ndarray, per_block, entries: int = BLOCK_ENTRIES) -> np.ndarray:
+    """per_block over blocks of points (an array's rows) small enough that
+    comparing one with every row makes about ``entries`` entries, joined;
+    each block's temporaries are freed before the next is made.  Points
+    that fit in one block, none included, are that block."""
     step = max(1, entries // max(rows.size, 1))
     if len(points) <= step:
         return per_block(points)
@@ -318,47 +322,37 @@ def dominated_share(rows: np.ndarray, points: np.ndarray, weights=None) -> np.nd
 # Likelihood
 
 
-def log_likelihood(m: Model, d: DataSet, p: Params) -> float:
-    """Weighted sum over rows of the per-row log-likelihood.
+def log_likelihood(m: Model, d: DataSet, p: Params) -> float | np.ndarray:
+    """Weighted sum over rows of the per-row log-likelihood: a float at a
+    Params, and at a StackedParams of K vectors a (K,) array equal, bit for
+    bit, to the K sums at P[k].
 
     Independent rows multiply, so logs add; row weights scale each term.
     Every row of d is scored and summed with its weight in place, by
     _weighted_sums' rule.  A joint likelihood prepares d and scores p once.
-    A caller that scores one data set many times uses likelihood_sum.
+    A model whose logl is ``stackable`` scores d's rows once for all the
+    vectors of a stack (_stacked_sums); any other model, and any model when
+    d has so many rows that a block would hold a single vector, scores a
+    stack one vector at a time.  A caller that scores one data set many
+    times uses likelihood_sum.
     """
     _check_params(m, p)
+    stacked = isinstance(p, StackedParams)
     if m.logl_joint is not None:
-        return float(m.logl_joint(d)(p))
+        s = m.logl_joint(d)(p)
+        return s if stacked else float(s)
+    if stacked and not _stacks(m, d):
+        return np.array([log_likelihood(m, d, p[k]) for k in range(len(p))])
     _check_rows(m, d.rows)
+    if stacked:
+        return _stacked_sums(m, d.rows, p, d.weights)
     return float(_weighted_sums(row_log_likelihood(m, d.rows, p), d.weights))
-
-
-def stacked_log_likelihood(m: Model, d: DataSet, P: StackedParams) -> np.ndarray:
-    """log_likelihood(m, d, P[k]) for each of the K vectors of P, as a (K,)
-    array equal to those calls bit for bit.
-
-    A model whose logl is ``stackable`` scores d's rows once for all K
-    vectors, in blocks of vectors whose row values number about
-    STACK_ENTRIES, and sums each vector's values as log_likelihood does.
-    A joint likelihood prepares d once and scores the stack.  Any other
-    model is scored one vector at a time, and so is any model when d has so
-    many rows that a block would hold a single vector.
-    """
-    _check_params(m, P)
-    if m.logl_joint is not None:
-        return m.logl_joint(d)(P)
-    if not _stacks(m, d):
-        return np.array([log_likelihood(m, d, P[k]) for k in range(len(P))])
-    _check_rows(m, d.rows)
-    return _by_blocks(P, d.rows, lambda block: _stacked_sums(m, d.rows, block, d.weights),
-                      STACK_ENTRIES)
 
 
 def likelihood_sum(m: Model, d: DataSet) -> Callable:
     """The weighted log-likelihood sum of d under m as a function of the
-    parameters, for a loop that scores d many times: a Params gives
-    log_likelihood(m, d, p), a float, and a StackedParams
-    stacked_log_likelihood(m, d, P), a (K,) array.
+    parameters, for a loop that scores d many times: log_likelihood(m, d, p),
+    a float at a Params and a (K,) array at a StackedParams.
 
     d is prepared once.  A joint likelihood is given d as it is and
     prepares what it needs.  Otherwise d's rows are compressed, and when
@@ -374,8 +368,7 @@ def likelihood_sum(m: Model, d: DataSet) -> Callable:
         d = d.compressed()
         score = _from_stats(m, d)
     if score is None:  # d's rows, scored at every call
-        return lambda p: (stacked_log_likelihood(m, d, p) if isinstance(p, StackedParams)
-                          else log_likelihood(m, d, p))
+        return lambda p: log_likelihood(m, d, p)
 
     def total(p):
         _check_params(m, p)
@@ -395,12 +388,21 @@ def _from_stats(m: Model, d: DataSet) -> Callable | None:
     return summarize(d.rows, d.weights)
 
 
-def _stacked_sums(m: Model, rows: np.ndarray, P: StackedParams, w: np.ndarray) -> np.ndarray:
-    """The weighted sums of one stacked m.logl(rows, P), a (K,) array; w is
-    (n,), or (K, n) for a weight row per vector."""
+def _stacked_sums(m: Model, rows: np.ndarray, P: StackedParams, w: np.ndarray,
+                  at: np.ndarray | None = None) -> np.ndarray:
+    """The weighted sums of a stacked m.logl(rows, P), a (K,) array: w is
+    (n,), or an (R, n) array of weight rows of which row at[k], for the
+    (K,) int array at, weighs vector k.  One logl call scores a block of
+    vectors whose row values number about STACK_ENTRIES; a block is a slice
+    of P and copies only its own weight rows."""
+    step = max(1, STACK_ENTRIES // max(rows.size, 1))
+    if len(P) > step:
+        return np.concatenate([
+            _stacked_sums(m, rows, P[i:i + step], w, None if at is None else at[i:i + step])
+            for i in range(0, len(P), step)])
     # C-ordered, as _weighted_sums needs: a logl may return another layout
     v = np.ascontiguousarray(m.logl(rows, P), dtype=float)
-    return _weighted_sums(v, w)
+    return _weighted_sums(v, w if at is None else w[at])
 
 
 # 0 * inf on a row of weight 0; as a decorator, errstate costs about half
@@ -667,18 +669,17 @@ def _penalty(v):
     return -1e12 * (1.0 + v)
 
 
-def _violation(m: Model, p: Params) -> float:
-    return float(m.constraint(p)) if m.constraint is not None else 0.0
-
-
-def _violations(m: Model, P: StackedParams) -> np.ndarray:
-    """_violation at each vector of P, as a (K,) array: one call of a
+def _violation(m: Model, p: Params) -> float | np.ndarray:
+    """How far p breaks m's constraint, 0 where it holds: a float at a
+    Params, and at a StackedParams a (K,) array, from one call of a
     stackable constraint, else one call per vector."""
+    if not isinstance(p, StackedParams):
+        return float(m.constraint(p)) if m.constraint is not None else 0.0
     if m.constraint is None:
-        return np.zeros(len(P))
+        return np.zeros(len(p))
     if getattr(m.constraint, "stackable", False):
-        return np.asarray(m.constraint(P), dtype=float).reshape(len(P))
-    return np.array([_violation(m, P[k]) for k in range(len(P))])
+        return np.asarray(m.constraint(p), dtype=float).reshape(len(p))
+    return np.array([_violation(m, p[k]) for k in range(len(p))])
 
 
 def _fits_in_lockstep(m: Model, base: DataSet) -> bool:
@@ -725,7 +726,7 @@ def _lockstep_fits(m: Model, base: DataSet, weights: np.ndarray) -> list:
 
     def score(which, X) -> np.ndarray | list:
         try:
-            return _stacked_objective(m, base, weights[which], X)
+            return _stacked_objective(m, base, weights, which, X)
         except ModelError:  # a stacked call cannot say whose vector failed
             return one_by_one(which, X)
 
@@ -736,17 +737,16 @@ def _lockstep_fits(m: Model, base: DataSet, weights: np.ndarray) -> list:
 
 
 def _stacked_objective(m: Model, base: DataSet, weights: np.ndarray,
-                       X: np.ndarray) -> np.ndarray:
-    """_mle_objective(m, DataSet(base.rows, weights[i]))(X[i]) for each i, as
-    a float array, from one stacked m.logl over the base rows per block of
-    vectors."""
+                       which: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """_mle_objective(m, DataSet(base.rows, weights[which[i]]))(X[i]) for
+    each i, as a float array, from one stacked m.logl over the base rows per
+    block of vectors."""
     P = m.param_shape.stack(X)
-    violation = _violations(m, P)
+    violation = _violation(m, P)
     out = _penalty(violation)
-    ok = np.flatnonzero(~(violation > 0))
-    if ok.size:
-        out[ok] = _by_blocks(ok, base.rows, lambda block: _stacked_sums(
-            m, base.rows, P[block], weights[block]), STACK_ENTRIES)
+    ok = ~(violation > 0)
+    if ok.any():
+        out[ok] = _stacked_sums(m, base.rows, P[ok], weights, which[ok])
     return out
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import model as core
 from .data import (DataSet, KdeSettings, MleSettings, ModelError, Params,
                    RandomStream)
+from .distributions import _strict_positive
 from .model import Model, special
 
 
@@ -59,7 +60,7 @@ def network_sim_model(cfg: NetworkSimConfig | None = None,
 
     if sigma_free:
         shape = Params.scalars(sigma=cfg.sigma)
-        constraint = lambda p: max(0.0, 1e-8 - p.scalar("sigma"))
+        constraint = lambda p: _strict_positive(p.scalar("sigma"))
     else:
         shape = Params([])
         constraint = None

@@ -9,21 +9,20 @@ The optimizers (nelder_mead, simulated_annealing, coordinate_cycle) and the
 finite differences work on plain float vectors: each takes a function f of
 an np.ndarray returning a float and a start vector x0, and the optimizers
 return a SolveResult.  Nelder-Mead is a port of scipy's unbounded,
-non-adaptive ``optimize.minimize(method="Nelder-Mead")`` in two forms.
-nelder_mead runs one search as a generator, _simplex, which yields a point
-and is sent that point's value.  nelder_mead_lockstep runs K searches as
-one array program over their (K, n+1, n) simplices, scoring every pending
-point of a round in one call and moving every search on with masked
-updates.  Its fixed cost of some 150 numpy operations a round makes it
-several times slower than the generator for one search, hence the two.
-Either gives scipy's result bit for bit: the same x, value, iteration
-count and success flag.  Metropolis runs K chains in lockstep: it takes a
-(K, dim) array of start rows and a target that scores a (K, dim) array of
-points in one call, and returns the chains' samples as rows.  It draws the
-Normal moves and the uniforms of a block of steps in one call each, and
-steps every chain by array operations.  The model layer maps a vector to
-the model's Params (its layout and fixed mask) and builds the fitted model
-from the result.
+non-adaptive ``optimize.minimize(method="Nelder-Mead")``.  nelder_mead
+runs one search as a plain loop that calls f at each point.
+nelder_mead_lockstep runs K searches as one array program over their
+(K, n+1, n) simplices, scoring every pending point of a round in one call
+and moving every search on with masked updates.  Its fixed cost of some
+150 numpy operations a round makes it several times slower than the loop
+for one search, hence the two.  Either gives scipy's result bit for bit:
+the same x, value, iteration count and success flag.  Metropolis runs K
+chains in lockstep: it takes a (K, dim) array of start rows and a target
+that scores a (K, dim) array of points in one call, and returns the
+chains' samples as rows.  It draws the Normal moves and the uniforms of a
+block of steps in one call each, and steps every chain by array
+operations.  The model layer maps a vector to the model's Params (its
+layout and fixed mask) and builds the fitted model from the result.
 """
 
 from __future__ import annotations
@@ -64,21 +63,52 @@ class _Capped(Exception):
     """The evaluation cap is reached: it ends the current iteration."""
 
 
-def _simplex(x0, st: MleSettings):
-    """Nelder-Mead minimization from x0, as a generator: it yields each
-    point to evaluate, a copy, and is sent its value; it returns (x, value,
-    iterations, converged).
+def _initial_simplices(starts: np.ndarray) -> np.ndarray:
+    """scipy's initial simplex for each start, (..., n) to (..., n+1, n):
+    the start, then one vertex per coordinate that scales it by 1.05, or
+    sets it to 0.00025 where it is zero."""
+    n = starts.shape[-1]
+    sim = np.repeat(starts[..., None, :], n + 1, -2)
+    axes = np.arange(n)
+    edge = sim[..., axes + 1, axes]
+    sim[..., axes + 1, axes] = np.where(edge != 0, (1 + 0.05) * edge, 0.00025)
+    return sim
+
+
+def _cost(value) -> float:
+    """The value the simplex minimizes for a value of the maximized f:
+    -value, and 1e300 where it is not finite."""
+    return -value if math.isfinite(value) else 1e300
+
+
+def _solved(x, cost, iterations, converged) -> SolveResult:
+    return SolveResult(x, -float(cost), iterations, converged)
+
+
+def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
+                st: MleSettings | None = None) -> SolveResult:
+    """Simplex maximization of f from the start vector x0.
+
+    Stops when the simplex collapses below st.tolerance or st.max_iter
+    evaluations pass.  f is called on a copy of each point.  f scores x0
+    twice: once to check that it is finite, then as the simplex's first
+    vertex.  A stochastic f, such as a live d_compose likelihood, draws
+    afresh at each call, so its result depends on both calls.
 
     A port of scipy's unbounded, non-adaptive Nelder-Mead (reflection 1,
-    expansion 2, contraction and shrink 1/2) with xatol = fatol =
-    st.tolerance and maxiter = maxfev = st.max_iter, which keeps each of
-    scipy's choices: the initial simplex scales each nonzero coordinate of
-    x0 by 1.05 and sets a zero one to 0.00025; the vertices are ordered by
-    np.argsort and np.take; convergence is tested at the top of each
-    iteration; the cap is checked before each evaluation, and a capped one
-    ends the iteration; the search converged unless it reached either cap.
+    expansion 2, contraction and shrink 1/2), minimizing _cost(f), with
+    xatol = fatol = st.tolerance and maxiter = maxfev = st.max_iter, which
+    keeps each of scipy's choices, so the result is scipy's bit for bit:
+    the initial simplex scales each nonzero coordinate of x0 by 1.05 and
+    sets a zero one to 0.00025; the vertices are ordered by np.argsort and
+    np.take; convergence is tested at the top of each iteration; the cap is
+    checked before each evaluation, and a capped one ends the iteration;
+    the search converged unless it reached either cap.
     """
+    st = st or MleSettings()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    if not np.isfinite(f(x0.copy())):
+        raise ModelError("infeasible start: objective not finite at x0")
     n = len(x0)
     tol, cap = st.tolerance, st.max_iter
     evals = 0
@@ -88,18 +118,13 @@ def _simplex(x0, st: MleSettings):
         if evals >= cap:
             raise _Capped
         evals += 1
-        return (yield x.copy())
+        return _cost(f(x.copy()))
 
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
+    sim = _initial_simplices(x0)
     fsim = np.full(n + 1, np.inf)
     try:
         for k in range(n + 1):
-            fsim[k] = yield from value_at(sim[k])
+            fsim[k] = value_at(sim[k])
     except _Capped:
         pass
     # sorted twice, as scipy does
@@ -115,10 +140,10 @@ def _simplex(x0, st: MleSettings):
                 break
             xbar = sim[:-1].sum(0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = yield from value_at(xr)
+            fxr = value_at(xr)
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = yield from value_at(xe)
+                fxe = value_at(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
@@ -128,61 +153,27 @@ def _simplex(x0, st: MleSettings):
             else:
                 if fxr < fsim[-1]:  # contract outside
                     xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = yield from value_at(xc)
+                    fxc = value_at(xc)
                     shrink = not fxc <= fxr
                     if not shrink:
                         sim[-1], fsim[-1] = xc, fxc
                 else:  # contract inside
                     xcc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxcc = yield from value_at(xcc)
+                    fxcc = value_at(xcc)
                     shrink = not fxcc < fsim[-1]
                     if not shrink:
                         sim[-1], fsim[-1] = xcc, fxcc
                 if shrink:
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = yield from value_at(sim[j])
+                        fsim[j] = value_at(sim[j])
             iterations += 1
         except _Capped:
             pass
         ind = fsim.argsort()
         sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
-    return sim[0], np.min(fsim), iterations, not (evals >= cap or iterations >= cap)
-
-
-def _cost(value) -> float:
-    """The value the simplex minimizes for a value of the maximized f:
-    -value, and 1e300 where it is not finite."""
-    return -value if math.isfinite(value) else 1e300
-
-
-def _solved(done) -> SolveResult:
-    x, cost, iterations, converged = done
-    return SolveResult(x, -float(cost), iterations, converged)
-
-
-def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
-                st: MleSettings | None = None) -> SolveResult:
-    """Simplex maximization of f from the start vector x0.
-
-    Stops when the simplex collapses below st.tolerance or st.max_iter
-    evaluations pass.  It runs one simplex generator, f scoring each point
-    it yields, so the result is scipy's bit for bit.  f scores x0 twice:
-    once to check that it is finite, then as the simplex's first vertex.
-    A stochastic f, such as a live d_compose likelihood, draws afresh at
-    each call, so its result depends on both calls.
-    """
-    st = st or MleSettings()
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
-    if not np.isfinite(f(x0.copy())):
-        raise ModelError("infeasible start: objective not finite at x0")
-    search = _simplex(x0, st)
-    try:
-        x = next(search)
-        while True:
-            x = search.send(_cost(f(x)))
-    except StopIteration as stop:
-        return _solved(stop.value)
+    return _solved(sim[0], np.min(fsim), iterations,
+                   not (evals >= cap or iterations >= cap))
 
 
 # What a lockstep search waits on: the value of an initial vertex, of the
@@ -205,8 +196,8 @@ def _round_values(values):
 
 
 def _sort_simplices(sim, fsim, rows):
-    """_simplex's argsort and take on the simplices of the int array rows, in
-    place; returns them sorted."""
+    """nelder_mead's argsort and take on the simplices of the int array
+    rows, in place; returns them sorted."""
     ind, at = fsim[rows].argsort(1), rows[:, None]
     sim[rows] = S = sim[at, ind]
     fsim[rows] = F = fsim[at, ind]
@@ -232,8 +223,8 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
 
     The searches are one array program over their (K, dim + 1, dim)
     simplices.  After each round's score call, masked updates take every
-    search one step of _simplex on, with _simplex's elementwise operations;
-    the searches that reach the top of _simplex's loop in the round are
+    search one step of nelder_mead on, with its elementwise operations;
+    the searches that reach the top of nelder_mead's loop in the round are
     sorted, tested and reflected together.
     """
     st = st or MleSettings()
@@ -241,11 +232,8 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
     k, n = starts.shape
     tol, cap = st.tolerance, st.max_iter
     results: list = [None] * k
-    # the simplices as _simplex builds them, and each search's state
-    sim = np.repeat(starts[:, None], n + 1, 1)
-    axes = np.arange(n)
-    edge = sim[:, axes + 1, axes]
-    sim[:, axes + 1, axes] = np.where(edge != 0, (1 + 0.05) * edge, 0.00025)
+    # the simplices as nelder_mead builds them, and each search's state
+    sim = _initial_simplices(starts)
     fsim = np.full((k, n + 1), np.inf)
     point, xbar, xr = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n))
     c, fxr = np.zeros(k), np.zeros(k)
@@ -259,7 +247,7 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
         phase[i] = _DONE
     while True:
         c[R] = np.where(np.isfinite(v), -v, 1e300)  # _cost
-        # each value settles its step as _simplex does: an initial or shrunk
+        # each value settles its step as nelder_mead does: an initial or shrunk
         # vertex takes it; a reflection is accepted as the worst vertex or
         # tried further; an expansion, or a contraction that is kept,
         # replaces the worst vertex, and one that is not starts a shrink
@@ -301,7 +289,7 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
         if begun.any():  # sorted twice, as scipy does
             _sort_simplices(sim, fsim, np.flatnonzero(begun))
             iters[begun] = 1
-        # the top of _simplex's loop: stop, or reflect the worst vertex
+        # the top of nelder_mead's loop: stop, or reflect the worst vertex
         T = np.flatnonzero(ended | capped | begun)
         S, F = _sort_simplices(sim, fsim, T)
         stop = (evals[T] >= cap) | (iters[T] >= cap)
@@ -309,8 +297,8 @@ def nelder_mead_lockstep(score: Callable[[np.ndarray, np.ndarray], Sequence],
                        & (np.abs(F[:, :1] - F[:, 1:]).max(1) <= tol))
         if done.any():
             for i in np.flatnonzero(done).tolist():
-                results[T[i]] = _solved((S[i, 0], np.min(F[i]), int(iters[T[i]]),
-                                         not stop[i]))
+                results[T[i]] = _solved(S[i, 0], np.min(F[i]), int(iters[T[i]]),
+                                        not stop[i])
             phase[T[done]] = _DONE
             T, S = T[~done], S[~done]
         phase[T] = _REFLECT

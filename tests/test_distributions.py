@@ -293,6 +293,17 @@ def test_mvn_likelihood_is_minus_inf_at_a_singular_covariance():
     assert core.log_likelihood(m, DataSet(np.zeros((3, 2))), p) == -math.inf
 
 
+def test_a_fit_at_zero_sigma_flags_its_constraint():
+    # an exact-fit design and constant data both estimate sigma = 0, which
+    # breaks sigma > 0 by the catalog's 1e-8
+    rows = np.array([[1.0, 0.0], [3.0, 1.0], [5.0, 2.0]])  # y = 1 + 2x
+    ols = estimate(ols_model(DataSet(rows)), DataSet(rows))
+    flat = estimate(normal_model(), DataSet(np.full(5, 2.0)))
+    for fit in (ols, flat):
+        assert fit.params.scalar("sigma") == 0.0
+        assert fit.constraint_violation == 1e-8
+
+
 def test_ols_with_zero_sigma_scores_only_exact_fits():
     rows = np.array([[1.0, 0.0], [3.0, 1.0], [5.0, 2.0]])  # y = 1 + 2x
     fit = estimate(ols_model(DataSet(rows)), DataSet(rows))

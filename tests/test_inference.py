@@ -266,16 +266,78 @@ def test_a_stacked_call_that_raises_fails_only_the_fits_whose_vector_raises():
 
 @pytest.mark.parametrize("zeros", [False, True], ids=["stacked", "zero-weights"])
 def test_lockstep_jackknife_of_a_weighted_data_set(zeros):
-    # rows of weight 0 stay in place, so their fits stack too
+    # rows of weight 0 count for nothing: the replicates leave out each row
+    # of positive weight in turn, and their fits stack
     m, shapes = _counting(builtin("weibull"))
     w = 1.0 + np.arange(20) % 3
     if zeros:
         w[::5] = 0.0
     d = DataSet(core.draw(m, _WEIBULL, RandomStream(28), 20), w)
-    want, _ = _sequential_cov(m, _leave_one_out(d), "jackknife", jackknife=True)
+    want, _ = _sequential_cov(m, _leave_one_out(d.positive()), "jackknife",
+                              jackknife=True)
+    assert want.replicates == (16 if zeros else 20)
     del shapes[:]
     assert jackknife_cov(m, d).matrix.tobytes() == want.matrix.tobytes()
     assert any(len(shape) == 2 for shape in shapes)
+
+
+@pytest.mark.parametrize("method", ["bootstrap", "jackknife"])
+def test_lockstep_replicate_fits_run_in_chunks_of_bounded_weight_values(method,
+                                                                        monkeypatch):
+    # each chunk of weight rows holds at most BLOCK_ENTRIES values, and the
+    # fits are the same however the replicates are chunked, and however a
+    # round's stacked call is split into blocks of vectors
+    m = builtin("weibull")
+    d = DataSet(core.draw(m, _WEIBULL, RandomStream(21), 30))
+    sizes, lockstep_fits = [], core._lockstep_fits
+
+    def counted(m, base, weights):
+        sizes.append(weights.size)
+        return lockstep_fits(m, base, weights)
+
+    def run():
+        if method == "bootstrap":
+            return bootstrap_cov(m, d, reps=100, s=RandomStream(22))
+        return jackknife_cov(m, d)
+
+    monkeypatch.setattr(core, "_lockstep_fits", counted)
+    whole = run()
+    replicates = 100 if method == "bootstrap" else 30
+    assert sizes == [30 * replicates]
+    del sizes[:]
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 30 * 7 + 29)  # 7 weight rows
+    monkeypatch.setattr(core, "STACK_ENTRIES", 30 * 5)  # 5 vectors a block
+    assert run().matrix.tobytes() == whole.matrix.tobytes()
+    assert len(sizes) == -(-replicates // 7) and max(sizes) <= 30 * 7
+    assert sum(sizes) == 30 * replicates
+
+
+def _normal_with_zero_weight_rows():
+    """12 Normal draws, and 6 rows at 5.0 of weight 0."""
+    draws = RandomStream(3).normal(0.0, 1.0, size=12)
+    return draws, DataSet(np.r_[draws, np.full(6, 5.0)], np.r_[np.ones(12), np.zeros(6)])
+
+
+@pytest.mark.parametrize("name", ["normal", "weibull"])
+@pytest.mark.parametrize("method", ["bootstrap", "jackknife"])
+def test_rows_of_weight_zero_count_for_nothing_in_replicate_covariances(method, name):
+    # a normal fits in closed form, one replicate at a time; a weibull's
+    # replicates fit in lockstep
+    m = builtin(name)
+    draws, d = _normal_with_zero_weight_rows()
+    if name == "weibull":
+        draws = np.exp(draws)
+        d = DataSet(np.r_[draws, np.full(6, 5.0)], d.weights)
+    cov = bootstrap_cov if method == "bootstrap" else jackknife_cov
+    assert cov(m, d).matrix.tobytes() == cov(m, DataSet(draws)).matrix.tobytes()
+
+
+@pytest.mark.parametrize("method", ["bootstrap", "jackknife"])
+def test_replicate_covariances_count_only_rows_of_positive_weight(method):
+    d = DataSet(np.r_[np.arange(9.0), np.zeros(5)], np.r_[np.ones(9), np.zeros(5)])
+    cov = bootstrap_cov if method == "bootstrap" else jackknife_cov
+    with pytest.raises(ModelError, match=f"{method} needs at least 10 rows"):
+        cov(normal_model(), d)
 
 
 @pytest.mark.parametrize("name", ["weibull", "beta"])

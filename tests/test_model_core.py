@@ -625,7 +625,7 @@ def test_only_compressed_sorts_the_rows(monkeypatch):
     d = DataSet(np.arange(400.0) % 5)
     for _ in range(3):
         core.log_likelihood(m, d, p)
-        core.stacked_log_likelihood(m, d, m.param_shape.stack([[1.0], [2.0]]))
+        core.log_likelihood(m, d, m.param_shape.stack([[1.0], [2.0]]))
     assert calls == []  # scoring never looks at the rows
     c = d.compressed()
     assert calls == ["sort", "unique"]
@@ -782,7 +782,7 @@ def test_stacked_sum_matches_the_reference_rule_at_every_vector_property(data):
     P = _STACKED_IDENTITY.param_shape.stack(np.zeros((data.draw(st.integers(1, 5)), 1)))
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _reference_log_likelihood(v, w).hex()
-        got = core.stacked_log_likelihood(_STACKED_IDENTITY, d, P)
+        got = core.log_likelihood(_STACKED_IDENTITY, d, P)
         assert [x.hex() for x in got.tolist()] == [expected] * len(P)
 
 
@@ -794,7 +794,7 @@ def test_stacked_sums_do_not_depend_on_the_layout_the_logl_returns():
     P = _STACKED_IDENTITY.param_shape.stack(np.zeros((4, 1)))
     for d in (DataSet(rows), DataSet(rows, weights=np.arange(2000) % 4 * 0.5)):
         want = core.log_likelihood(_STACKED_IDENTITY, d, P[0])
-        got = core.stacked_log_likelihood(_STACKED_IDENTITY, d, P)
+        got = core.log_likelihood(_STACKED_IDENTITY, d, P)
         assert [x.hex() for x in got.tolist()] == [want.hex()] * 4
 
 
@@ -840,13 +840,13 @@ def test_stacked_likelihood_is_the_per_vector_likelihood_property(name, data):
     per_row = np.asarray(m.logl(rows, P))  # the stacked logl contract itself
     assert per_row.shape == (k, n)
     for data in (d, d.compressed()):
-        got = core.stacked_log_likelihood(m, data, P)
+        got = core.log_likelihood(m, data, P)
         assert got.shape == (k,)
         for i in range(k):
             assert _bits(got[i]) == _bits(core.log_likelihood(m, data, P[i]))
             assert _bits(per_row[i]) == _bits(core.row_log_likelihood(m, rows, P[i]))
     # a stackable constraint gives each vector's violation too
-    assert _bits(core._violations(m, P)) == _bits(
+    assert _bits(core._violation(m, P)) == _bits(
         [core._violation(m, P[i]) for i in range(k)])
 
 
@@ -899,7 +899,7 @@ def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():
     assert n_distinct < 20 and len(c) == n_distinct
     P = m.param_shape.stack([[2.5], [0.7], [0.0], [-1.0], [4.0], [1e-3], [2.5], [30.0]])
     del scored[:]
-    merged = core.stacked_log_likelihood(m, c, P)
+    merged = core.log_likelihood(m, c, P)
     assert scored == [(n_distinct, (8, 1))]
     want = [core.log_likelihood(m, c, P[i]) for i in range(len(P))]
     assert _bits(merged) == _bits(want)
@@ -907,10 +907,10 @@ def test_stacked_poisson_scores_the_distinct_rows_of_a_large_data_set():
     # every row, in blocks of 16 vectors: 2,000 rows x 16 fill one block
     many = m.param_shape.stack(np.linspace(0.5, 5.0, 40)[:, None])
     del scored[:]
-    full = core.stacked_log_likelihood(m, d, many)
+    full = core.log_likelihood(m, d, many)
     assert scored == [(2000, (16, 1)), (2000, (16, 1)), (2000, (8, 1))]
     assert _bits(full) == _bits([core.log_likelihood(m, d, many[i]) for i in range(40)])
-    assert full == pytest.approx(core.stacked_log_likelihood(m, c, many), rel=1e-12)
+    assert full == pytest.approx(core.log_likelihood(m, c, many), rel=1e-12)
 
 
 def test_the_stackable_mark_travels_with_the_function():
@@ -928,10 +928,10 @@ def test_the_stackable_mark_travels_with_the_function():
     d = DataSet(np.array([[0.5], [1.5]]))
     P = m.param_shape.stack([[0.0, 1.0], [1.0, 2.0], [0.5, 0.5]])
     want = [core.log_likelihood(m, d, P[i]) for i in range(3)]
-    assert _bits(core.stacked_log_likelihood(wrapped, d, P)) == _bits(want)
+    assert _bits(core.log_likelihood(wrapped, d, P)) == _bits(want)
     assert calls == [3]  # one call of three vectors
     del calls[:]
-    assert _bits(core.stacked_log_likelihood(plain, d, P)) == _bits(want)
+    assert _bits(core.log_likelihood(plain, d, P)) == _bits(want)
     assert calls == [2, 2, 2]  # one call per vector, each a Params of length 2
 
 
@@ -962,20 +962,20 @@ def test_models_that_do_not_stack_are_scored_one_vector_at_a_time():
     assert not hasattr(beta.logl, "stackable")
     d = DataSet(np.array([[0.5], [0.25], [0.75]]))
     P = beta.param_shape.stack([[1.5, 2.0], [0.0, 1.0], [0.7, 0.3]])
-    assert _bits(core.stacked_log_likelihood(beta, d, P)) == _bits(
+    assert _bits(core.log_likelihood(beta, d, P)) == _bits(
         [core.log_likelihood(beta, d, P[i]) for i in range(3)])
-    assert _bits(core._violations(beta, P)) == _bits(
+    assert _bits(core._violation(beta, P)) == _bits(
         [core._violation(beta, P[i]) for i in range(3)])
     # a model without a constraint breaks none at any vector
     Q = _STACKED_IDENTITY.param_shape.stack(np.zeros((2, 1)))
-    assert _bits(core._violations(_STACKED_IDENTITY, Q)) == _bits([0.0, 0.0])
+    assert _bits(core._violation(_STACKED_IDENTITY, Q)) == _bits([0.0, 0.0])
     joint = transforms.d_compose(normal_model(), normal_model(), n_draws=20)
     Q = joint.param_shape.stack([[0.0, 1.0, 0.0, 1.0], [1.0, 2.0, 0.5, 1.5]])
     empty = DataSet(np.empty((1, 0)))
-    assert _bits(core.stacked_log_likelihood(joint, empty, Q)) == _bits(
+    assert _bits(core.log_likelihood(joint, empty, Q)) == _bits(
         [core.log_likelihood(joint, empty, Q[i]) for i in range(2)])
     with pytest.raises(ModelError, match="parameter length 2 != expected 1"):
-        core.stacked_log_likelihood(builtin("exponential"), d, P)
+        core.log_likelihood(builtin("exponential"), d, P)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1076,7 @@ def test_sums_from_statistics_are_the_row_sums_property(name, data):
                 m, rows, P[i])[live])))
             got = total(P[i])
             assert isinstance(got, float) and _agrees(got, float(want), bound), (got, want)
-            stacked = core.stacked_log_likelihood(m, d, P[i:i + 1])[0]
+            stacked = core.log_likelihood(m, d, P[i:i + 1])[0]
             assert _agrees(got, float(stacked), bound)
             # the stack's sums are its vectors' sums, bit for bit
             assert _bits(total(P[i:i + 1])) == _bits([got])
@@ -1130,4 +1130,4 @@ def test_transforms_pass_the_sufficient_mark_on_only_where_it_holds():
         # the rows of the compressed data set, scored as before, bit for bit
         assert _bits(total(p)) == _bits(core.log_likelihood(m, c, p)), name
         P = m.param_shape.stack(np.array([p.vector, p.vector]))
-        assert _bits(total(P)) == _bits(core.stacked_log_likelihood(m, c, P)), name
+        assert _bits(total(P)) == _bits(core.log_likelihood(m, c, P)), name

@@ -46,6 +46,13 @@ def test_network_sigma_free_parameter():
     assert sparse.mean() < dense.mean()
 
 
+def test_network_sigma_constraint_is_the_catalog_rule():
+    c = network_sim_model(sigma_free=True).constraint
+    assert c(Params.scalars(sigma=1.0)) == c(Params.scalars(sigma=1e-9)) == 0.0
+    assert c(Params.scalars(sigma=0.0)) == 1e-8
+    assert c(Params.scalars(sigma=-1.0)) == 1.0 + 1e-8
+
+
 def test_network_config_validation():
     with pytest.raises(ModelError, match="network sim needs at least 2 agents"):
         NetworkSimConfig(n_agents=1)

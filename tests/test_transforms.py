@@ -431,6 +431,27 @@ def test_jacobian_group_law():
     assert np.max(np.abs(a - b)) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(first=st.sampled_from(["cube", "sqrt", "reciprocal"]),
+       second=st.sampled_from(sorted(expr._JACOBIAN_FNS)),
+       mu=st.floats(0.25, 4.0),
+       xs=st.lists(st.floats(0.2, 5.0), min_size=1, max_size=20))
+def test_jacobian_group_law_property(first, second, mu, xs):
+    # the first map keeps (0, inf), so the second may be any map, log
+    # included; log first would hand cube's inverse y ** (1/3) negative y
+    f1, g1 = expr._JACOBIAN_FNS[first]
+    f2, g2 = expr._JACOBIAN_FNS[second]
+    base = builtin("exponential")
+    nested = jacobian(jacobian(base, f1, g1), f2, g2)
+    direct = jacobian(base, lambda x: f2(f1(x)), lambda y: g1(g2(y)))
+    p = Params.scalars(mu=mu)
+    probes = f2(f1(np.array(xs).reshape(-1, 1)))
+    a = row_log_likelihood(nested, probes, p)
+    b = row_log_likelihood(direct, probes, p)
+    assert np.all(np.isfinite(b))
+    assert np.max(np.abs(a - b)) <= 1e-9
+
+
 def test_jacobian_draws_and_estimates_through_the_map():
     base = normal_model()
     lognormal = jacobian(base, np.exp, np.log)
