@@ -503,7 +503,7 @@ class MleSettings:
 @dataclass(frozen=True)
 class McmcSettings:
     """Random-walk Metropolis with an isotropic Normal step."""
-    burnin: int = 2000  # steps discarded before the first kept sample
+    burnin: int = 2000  # cap on burn-in steps; it ends sooner where the chains agree
     step_scale: float = 1.0  # standard deviation of the step in every coordinate
     thin: int = 1  # keep every thin-th step after burnin
 

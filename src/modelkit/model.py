@@ -46,8 +46,11 @@ MEMOIZE_SEED = 0x5EED_0001
 CDF_SEED = 0x5EED_0002
 # draws behind an empirical-draws CDF
 CDF_DRAWS = 10000
-# lockstep chains behind a likelihood-backed sampler (fewer when n is smaller)
+# lockstep Metropolis chains behind n draws: one per MCMC_CHAIN_DRAWS draws,
+# at least MCMC_CHAINS and at most MCMC_MAX_CHAINS, never more than n
 MCMC_CHAINS = 8
+MCMC_MAX_CHAINS = 64
+MCMC_CHAIN_DRAWS = 125
 # entries a model's cache keeps before it drops the least recently used
 CACHE_ENTRIES = 64
 
@@ -548,9 +551,20 @@ def draw(m: Model, p: Params, stream: RandomStream, n: int) -> np.ndarray:
 _START_LADDER = tuple(s * 2.0 ** k for k in range(-1, 11) for s in (1.0, -1.0))
 
 
+def mcmc_chains(n: int) -> int:
+    """The number of lockstep Metropolis chains behind n draws:
+    min(n, clamp(n // MCMC_CHAIN_DRAWS, MCMC_CHAINS, MCMC_MAX_CHAINS)), and
+    at least 1."""
+    return max(1, min(n, MCMC_MAX_CHAINS, max(MCMC_CHAINS, n // MCMC_CHAIN_DRAWS)))
+
+
 def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.ndarray:
-    """Likelihood-backed sampler: MCMC_CHAINS (at most n) random walks over
-    the data space with p pinned, in lockstep from one start point."""
+    """Likelihood-backed sampler: mcmc_chains(n) random walks over the data
+    space with p pinned, in lockstep.  Chain 0 starts at settings
+    ["mcmc_start"] (the origin by default, or the first rung of
+    _START_LADDER with a finite likelihood); the others start at that point
+    plus a Normal(0, step_scale) jitter drawn from the stream, or at the
+    point itself where the jittered start has no finite likelihood."""
     from . import solvers
 
     def target(xs: np.ndarray) -> np.ndarray:
@@ -574,8 +588,12 @@ def _draw_metropolis(m: Model, p: Params, stream: RandomStream, n: int) -> np.nd
             raise ModelError(
                 f"{m.label}: element RNG: metropolis found no start point with "
                 f"a finite likelihood; set settings['mcmc_start']")
-    starts = np.tile(x0, (min(MCMC_CHAINS, max(n, 1)), 1))
-    return solvers.metropolis(target, starts, McmcSettings(), stream, n_samples=n).samples
+    st, k = McmcSettings(), mcmc_chains(n)
+    starts = np.tile(x0, (k, 1))
+    if k > 1:
+        starts[1:] += stream.normal(0.0, st.step_scale, size=(k - 1, m.data_dim))
+        starts[~np.isfinite(target(starts))] = x0
+    return solvers.metropolis(target, starts, st, stream, n_samples=n).samples
 
 
 def cdf(m: Model, points, p: Params) -> np.ndarray:

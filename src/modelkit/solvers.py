@@ -20,9 +20,10 @@ the same x, value, iteration count and success flag.  Metropolis runs K
 chains in lockstep: it takes a (K, dim) array of start rows and a target
 that scores a (K, dim) array of points in one call, and returns the
 chains' samples as rows.  It draws the Normal moves and the uniforms of a
-block of steps in one call each, and steps every chain by array
-operations.  The model layer maps a vector to the model's Params (its
-layout and fixed mask) and builds the fitted model from the result.
+block of steps in one call each, steps every chain by array operations,
+and ends burn-in where the chains' split_rhat says they agree.  The model
+layer maps a vector to the model's Params (its layout and fixed mask) and
+builds the fitted model from the result.
 """
 
 from __future__ import annotations
@@ -50,9 +51,14 @@ class SolveResult:
 @dataclass
 class Chain:
     """Metropolis run: samples as rows, chain after chain, one per post-burnin,
-    post-thin step; the acceptance rate is over every chain's steps."""
+    post-thin step; the acceptance rate is over every step each chain ran;
+    burnin is the number of steps run before the first kept sample, and rhat
+    the largest split-R-hat at the last burn-in check point (inf when no
+    check ran)."""
     samples: np.ndarray
     acceptance_rate: float
+    burnin: int
+    rhat: float
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +391,114 @@ def coordinate_cycle(f: Callable[[np.ndarray], float], x0: np.ndarray,
 
 # steps whose Normal moves and uniforms metropolis draws in one call each
 MH_BLOCK = 256
+# burn-in ends at the first check point, step RHAT_FIRST and every RHAT_EVERY
+# steps after it, where split_rhat of the chains' recent draws is below
+# RHAT_LIMIT in every coordinate
+RHAT_LIMIT = 1.05
+RHAT_FIRST = 100
+RHAT_EVERY = 50
+
+
+def _moments(seqs: np.ndarray):
+    """Means and sums of squared deviations over axis 1 of the (S, n, C)
+    array of S sequences of n draws in C columns, as two (S, C) arrays.  The
+    draws are measured from each sequence's first, so that a constant
+    sequence has a sum of exactly 0; a matrix product and an einsum are
+    several times faster here than numpy's reductions over rows."""
+    d = seqs - seqs[:, :1]
+    dmean = np.ones(seqs.shape[1]) @ d / seqs.shape[1]
+    d -= dmean[:, None]
+    return seqs[:, 0] + dmean, np.einsum("ijk,ijk->ik", d, d)
+
+
+def _rhat(m: int, means: np.ndarray, sq_devs: np.ndarray) -> np.ndarray:
+    """R-hat of each column from the (S, dim) means and sums of squared
+    deviations of S sequences of m draws (see split_rhat)."""
+    s = len(means)
+    w = sq_devs.sum(axis=0) / (s * (m - 1))
+    dev = means - means.sum(axis=0) / s
+    var_plus = (m - 1) / m * w + np.einsum("ij,ij->j", dev, dev) / (s - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(w > 0, np.sqrt(var_plus / w), math.inf)
+
+
+def split_rhat(draws: np.ndarray) -> np.ndarray:
+    """Split-R-hat of each coordinate of the (n, K, dim) draws of K chains
+    (Gelman & Rubin 1992, split as in Vehtari et al. 2021, not rank-
+    normalized), as a (dim,) array.  Each chain's first and last m = n // 2
+    draws are two sequences (an odd n leaves out the middle draw).  With W
+    the mean of the 2K within-sequence variances and B / m the variance of
+    the 2K sequence means, R-hat = sqrt(((m - 1) / m W + B / m) / W); it is
+    inf where W is 0 (every sequence constant) or m is below 2."""
+    x = np.asarray(draws, dtype=float)
+    n, k, dim = x.shape
+    m = n // 2
+    if m < 2:
+        return np.full(dim, math.inf)
+    # sequence j of chain c and coordinate i is seqs[j, :, c * dim + i]
+    means, sq_devs = _moments(np.stack((x[:m], x[n - m:])).reshape(2, m, k * dim))
+    return _rhat(m, means.reshape(2 * k, dim), sq_devs.reshape(2 * k, dim))
+
+
+def _merged(n: np.ndarray, means: np.ndarray, sq_devs: np.ndarray):
+    """The mean and sum of squared deviations of consecutive pieces of one
+    sequence from the pieces' (J,) lengths and (J, C) moments (Chan et al.'s
+    pooled formula).  Means are measured from the first piece's, so that
+    constant pieces at one value pool to a sum of exactly 0."""
+    d = means - means[0]
+    dmean = n @ d / n.sum()
+    d -= dmean
+    return means[0] + dmean, sq_devs.sum(axis=0) + n @ (d * d)
+
+
+class _BurnIn:
+    """What the stop rule of a burn-in of at most cap steps keeps of K
+    chains' draws.  Check points fall at step RHAT_FIRST, every RHAT_EVERY
+    steps after it, and at the cap from RHAT_FIRST on; a check at step c
+    reads split-R-hat over the second half of the burn-in, steps c - 2q to
+    c - q and c - q to c, q = c // 4.  Every step where such a sequence
+    starts or ends is a mark.  The draws since the last mark fill a small
+    buffer, and at the mark they are kept only as their per-chain means and
+    squared deviations (_moments), which a check pools into the 2K
+    sequences' (_merged)."""
+
+    def __init__(self, cap: int, k: int, dim: int):
+        self.cap, self.k, self.dim = cap, k, dim
+        self.checks = {*range(RHAT_FIRST, cap, RHAT_EVERY), cap} if cap >= RHAT_FIRST else set()
+        marks = sorted({cap, *(c - j * (c // 4) for c in self.checks for j in (0, 1, 2))})
+        # piece j holds the steps from mark j - 1 (or 0) to mark j
+        self.marks, self.piece_at = marks, {t: j for j, t in enumerate(marks)}
+        self.lengths = np.diff(marks, prepend=0).astype(float)
+        self.means = np.empty((len(marks), k * dim))
+        self.sq_devs = np.empty((len(marks), k * dim))
+        self.buffer = np.empty((int(self.lengths.max()), k, dim))
+        self.mark, self.start = 0, 0  # the next mark's index, the last mark
+        self.rhat = math.inf  # the largest split-R-hat at the last check
+
+    def rows(self, done: int):
+        """The buffer rows for the steps after step done, and the number of
+        steps from done to the next mark."""
+        return self.buffer[done - self.start:], self.marks[self.mark] - done
+
+    def ends_at(self, done: int) -> bool:
+        """Whether burn-in ends after step done, the rows of every step up
+        to it filled: at a check where split-R-hat is below RHAT_LIMIT in
+        every coordinate, and at the cap."""
+        if done < self.marks[self.mark]:
+            return False
+        n, j = done - self.start, self.mark
+        means, sq_devs = _moments(self.buffer[:n].reshape(1, n, -1))
+        self.means[j], self.sq_devs[j] = means[0], sq_devs[0]
+        self.mark, self.start = j + 1, done
+        if done not in self.checks:
+            return done == self.cap
+        q = done // 4
+        lo, mid = self.piece_at[done - 2 * q] + 1, self.piece_at[done - q] + 1
+        halves = [_merged(self.lengths[a:b], self.means[a:b], self.sq_devs[a:b])
+                  for a, b in ((lo, mid), (mid, j + 1))]
+        means, sq_devs = (np.concatenate(h).reshape(2 * self.k, self.dim) for h in zip(*halves))
+        self.rhat = float(np.max(_rhat(q, means, sq_devs), initial=-math.inf))
+        return done == self.cap or self.rhat < RHAT_LIMIT
 
 
 def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
@@ -403,13 +517,17 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
     stream: before each block of up to MH_BLOCK steps, one call draws the
     block's (B, K, dim) Normal moves and one its (B, K) uniforms, step by
     step and chain after chain, so the samples do not depend on the block
-    size.  A step uses its K uniforms whether or not a chain needs one.  The
-    first st.burnin steps are discarded and every st.thin-th step kept,
-    until each chain holds ceil(n_samples / K) samples.  Chain.samples lists
-    them chain after chain, cut to n_samples rows.  A start row where the
-    target is not finite takes the finite rows in turn; a chain that accepts
-    nothing in burnin raises "stuck chain" once burnin ends, where a block
-    ends too.
+    size.  A step uses its K uniforms whether or not a chain needs one.
+
+    Burn-in ends at the first check point where split-R-hat over the second
+    half of the burn-in so far is below RHAT_LIMIT in every coordinate, and
+    at the cap st.burnin at the latest (_BurnIn); a block ends at each step
+    the rule reads, so where burn-in ends does not depend on MH_BLOCK
+    either.  Then every st.thin-th step is kept, until each chain holds
+    ceil(n_samples / K) samples.  Chain.samples lists them chain after
+    chain, cut to n_samples rows.  A start row where the target is not
+    finite takes the finite rows in turn; a chain that accepts nothing in
+    burn-in raises "stuck chain" where burn-in ends.
     """
     st = st or McmcSettings()
     stream = stream or RandomStream(0xAC)
@@ -427,22 +545,27 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
         x[j], lv[j] = x[ok[i % len(ok)]], lv[ok[i % len(ok)]]
 
     per_chain = -(-n_samples // k)
-    burnin, thin, scale = st.burnin, st.thin, st.step_scale
-    total = burnin + per_chain * thin
+    thin, scale = st.thin, st.step_scale
+    record = _BurnIn(st.burnin, k, dim)
     samples = np.empty((per_chain, k, dim))
     accepted = np.zeros(k, dtype=np.int64)
     moves_gen, u_gen = map(np.random.default_rng,
                            stream.gen.integers(1 << 63, size=2).tolist())
     less, copyto, inf = np.less, np.copyto, math.inf
-    done, kept, keep_at = 0, 0, burnin
+    burnin, total = None, math.inf  # until burn-in ends
+    done, kept, keep_at = 0, 0, 0
     while done < total:
-        # a block ends at the burnin boundary, where the stuck-chain check runs
-        b = min(MH_BLOCK, (burnin if done < burnin else total) - done)
+        if burnin is None:  # burn-in: every step goes to the record
+            out, left = record.rows(done)
+            b, keep, every = min(MH_BLOCK, left), 0, 1
+        else:  # every thin-th step goes to the samples
+            b, out, keep, every = (min(MH_BLOCK, total - done), samples[kept:],
+                                   keep_at - done, thin)
         moves = moves_gen.normal(0.0, scale, (b, k, dim))
         with np.errstate(divide="ignore"):  # u = 0 gives -inf: any finite move
             logu = np.log(u_gen.random((b, k)))
         flags = np.empty((b, k), dtype=bool)  # the chains each step moves
-        keep = keep_at - done  # the block's next kept step
+        i = 0
         for s, move, lu, mv, mv_rows in zip(range(b), moves, logu, flags,
                                             flags[:, :, None]):
             cand = x + move
@@ -452,19 +575,23 @@ def metropolis(target_log_density: Callable[[np.ndarray], Sequence[float]],
             copyto(x, cand, where=mv_rows)
             copyto(lv, cv, where=mv)
             if s == keep:
-                samples[kept] = x
-                kept += 1
-                keep += thin
+                out[i] = x
+                i += 1
+                keep += every
         accepted += flags.sum(axis=0)
-        keep_at, done = done + keep, done + b
-        if done == burnin and not accepted.all():
-            j = int(np.argmin(accepted))
-            raise ModelError(
-                f"stuck chain {j} of {k}: 0 acceptances in {burnin} burnin steps "
-                f"(log density {lv[j]:.3g}, step_scale {scale})")
+        done += b
+        if burnin is not None:
+            kept, keep_at = kept + i, done + keep - b
+        elif record.ends_at(done):
+            if not accepted.all():
+                j = int(np.argmin(accepted))
+                raise ModelError(
+                    f"stuck chain {j} of {k}: 0 acceptances in {done} burnin steps "
+                    f"(log density {lv[j]:.3g}, step_scale {scale})")
+            burnin, total, keep_at = done, done + per_chain * thin, done
     # chain after chain
     rows = samples.transpose(1, 0, 2).reshape(k * per_chain, dim)
-    return Chain(rows[:n_samples], int(accepted.sum()) / (total * k))
+    return Chain(rows[:n_samples], int(accepted.sum()) / (total * k), burnin, record.rhat)
 
 
 def effective_sample_size(x: np.ndarray) -> float:

@@ -613,15 +613,16 @@ def posterior_draws(post: Model, d: DataSet, n: int,
     ``settings["posterior_strategy"]`` set to "mh" skips the conjugate form;
     any other value than "mh" or None raises.
 
-    Metropolis-Hastings runs K = min(MCMC_CHAINS, n) chains in lockstep
+    Metropolis-Hastings runs K = core.mcmc_chains(n) chains in lockstep
     (McmcSettings(step_scale=0.5)) from K prior draws, a draw where the
     joint density is not finite taking a finite one in turn; every step
     scores the K candidates in one joint-density call, and the draws come
     chain after chain.  A chain moves when log u < delta joint density, its
     moves and uniforms drawn a block of steps at a time from two child
-    generators of the stream (solvers.metropolis).  Its errors name the
-    model.  The weights of prior draws come from one stacked likelihood call
-    over all n draws.
+    generators of the stream, and burn-in ends where the chains' split-R-hat
+    falls below solvers.RHAT_LIMIT (solvers.metropolis).  Its errors name
+    the model.  The weights of prior draws come from one stacked likelihood
+    call over all n draws.
     """
     from .distributions import pmf_model
 
@@ -648,7 +649,7 @@ def posterior_draws(post: Model, d: DataSet, n: int,
     if prior.strategy["L"] != "memoized PMF":
         from . import solvers
 
-        x0 = core.draw(prior, rho, stream.split(0), min(core.MCMC_CHAINS, max(n, 1)))
+        x0 = core.draw(prior, rho, stream.split(0), core.mcmc_chains(n))
         joint, stack = post.logl_joint(d), post.param_shape.stack  # d prepared once
 
         def target(xs: np.ndarray) -> np.ndarray:

@@ -129,6 +129,52 @@ def test_metropolis_starts_inside_a_support_that_excludes_the_origin():
     assert abs(x.mean() - 0.4) <= 5 * 0.2 / math.sqrt(ess(x))
 
 
+def _captured_chains(monkeypatch):
+    """The (start rows, Chain) of every solvers.metropolis call from now on."""
+    runs, run = [], solvers.metropolis
+
+    def captured(target, x0, *args, **kwargs):
+        chain = run(target, x0, *args, **kwargs)
+        runs.append((np.array(x0), chain))
+        return chain
+
+    monkeypatch.setattr(solvers, "metropolis", captured)
+    return runs
+
+
+def test_metropolis_chains_grow_with_the_sample():
+    # one chain per 125 draws, from 8 to 64, never more than the draws
+    got = {n: core.mcmc_chains(n) for n in (0, 1, 5, 8, 203, 1000, 1125, 2000, 8000, 30000)}
+    assert got == {0: 1, 1: 1, 5: 5, 8: 8, 203: 8, 1000: 8, 1125: 9, 2000: 16,
+                   8000: 64, 30000: 64}
+
+
+def test_likelihood_only_chains_start_dispersed_around_the_start(monkeypatch):
+    # chain 0 starts at the origin, the others at a Normal(0, step_scale)
+    # jitter of it from the caller's stream, or at the origin where the
+    # jittered start lies off the exponential's support
+    m = dataclasses.replace(builtin("exponential"), rng=None, cdf=None, est=None)
+    runs = _captured_chains(monkeypatch)
+    core.draw(m, Params.scalars(mu=2.0), RandomStream(2), 40)
+    (starts, _), = runs
+    jitter = RandomStream(2).normal(0.0, 1.0, size=(7, 1))
+    assert starts.shape == (8, 1) and starts[0, 0] == 0.0
+    assert np.array_equal(starts[1:], np.where(jitter >= 0.0, jitter, 0.0))
+    assert 0 < np.sum(jitter < 0.0) < 7  # both cases occur
+
+
+def test_a_chain_started_far_from_its_target_ends_burnin_near_it(monkeypatch):
+    # every chain starts near 0, 50 standard deviations from a Normal(50, 1)
+    m = dataclasses.replace(builtin("normal"), rng=None, cdf=None, est=None)
+    runs = _captured_chains(monkeypatch)
+    for seed in range(3):
+        x = core.draw(m, Params.scalars(mu=50.0, sigma=1.0), RandomStream(seed), 2000)[:, 0]
+        starts, chain = runs[-1]
+        assert np.all(np.abs(starts) < 5.0)
+        assert chain.burnin < 2000 and chain.rhat < solvers.RHAT_LIMIT
+        assert abs(x.mean() - 50.0) <= 5 / math.sqrt(ess(x))
+
+
 def test_metropolis_without_a_finite_start_names_the_model():
     m = Model("nowhere", 1, Params.scalars(mu=0.0),
               logl=lambda rows, p: np.full(rows.shape[0], -np.inf))

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import re
+import statistics
 import subprocess
 import sys
 import warnings
@@ -325,35 +327,75 @@ def _moves(c, lv, u):
         return c < math.inf and bool(np.log(u) < c - lv)
 
 
+def _direct_rhat(chains):
+    """Split-R-hat of one coordinate by the textbook formula, with the
+    statistics module's correctly rounded means and variances: chains lists
+    K equal-length lists of floats, each cut into its first and last n // 2
+    draws; inf where the within variance W is 0, so where every sequence is
+    constant, or a sequence holds fewer than 2 draws."""
+    n = len(chains[0])
+    m = n // 2
+    if m < 2:
+        return math.inf
+    seqs = [c[:m] for c in chains] + [c[n - m:] for c in chains]
+    w = statistics.fmean(statistics.variance(s) for s in seqs)
+    b_over_m = statistics.variance([statistics.mean(s) for s in seqs])
+    return math.sqrt(((m - 1) / m * w + b_over_m) / w) if w > 0 else math.inf
+
+
+def _burnin_check(trace, cap):
+    """The stop rule after the burn-in steps whose (K, dim) positions trace
+    lists: check points fall at step 100, every 50 steps after it and at
+    the cap; at one, R-hat is read over the last 2 (t // 4) steps and
+    burn-in ends when it is below 1.05 in every coordinate.  Burn-in always
+    ends at the cap.  Returns (ends, the largest R-hat or None)."""
+    t = len(trace)
+    if t < 100 or ((t - 100) % 50 and t != cap):
+        return t == cap, None
+    window = trace[t - 2 * (t // 4):]
+    k, dim = window[0].shape
+    rhat = max(_direct_rhat([[float(row[c, i]) for row in window] for c in range(k)])
+               for i in range(dim))
+    return t == cap or rhat < 1.05, rhat
+
+
 def _scalar_metropolis(target, x0, st, stream, n_samples):
     """One chain, one scalar step at a time, kept as the reference for the
     one-row path: target maps a vector to a float.  Each step draws its
-    Normal move and its uniform from the two child generators."""
+    Normal move and its uniform from the two child generators.  Returns
+    (samples, rate, burnin)."""
     moves, uniforms = _child_generators(stream)
     x = np.array(x0, dtype=float)
     dim = x.size
     lv = target(x)
-    total = st.burnin + n_samples * st.thin
-    samples = np.empty((n_samples, dim))
-    accepted = 0
-    kept = 0
-    for i in range(total):
+    accepted, trace = 0, []
+
+    def step():
+        nonlocal x, lv, accepted
         cand = x + moves.normal(0.0, st.step_scale, size=dim)
         cv = target(cand)
         if _moves(cv, lv, uniforms.random()):
             x, lv = cand, cv
             accepted += 1
-        if i >= st.burnin and (i - st.burnin) % st.thin == 0 and kept < n_samples:
-            samples[kept] = x
-            kept += 1
-    return samples, accepted / total
+
+    while not trace or not _burnin_check(trace, st.burnin)[0]:
+        step()
+        trace.append(x[None])
+    burnin = len(trace)
+    samples = np.empty((n_samples, dim))
+    for i in range(n_samples * st.thin):
+        step()
+        if i % st.thin == 0:
+            samples[i // st.thin] = x
+    return samples, accepted / (burnin + n_samples * st.thin), burnin
 
 
 def _chainwise_metropolis(target, x0, st, stream, n_samples):
     """The lockstep loop as scalar steps chain by chain, kept as the reference
     the array program must equal bit for bit: at each step every chain draws
     its Normal move in turn, one target call scores the K candidates, and
-    every chain draws its uniform in turn.  Returns (samples, rate)."""
+    every chain draws its uniform in turn; burn-in ends by _burnin_check.
+    Returns (samples, rate, burnin, rhat), rhat inf when no check ran."""
     moves, uniforms = _child_generators(stream)
     x = np.array(x0, dtype=float)
     k, dim = x.shape
@@ -363,12 +405,9 @@ def _chainwise_metropolis(target, x0, st, stream, n_samples):
         raise ModelError(f"metropolis: target not finite at any of the {k} start rows")
     for i, j in enumerate(sorted(set(range(k)) - set(ok))):
         x[j], lv[j] = x[ok[i % len(ok)]], lv[ok[i % len(ok)]]
-    per_chain = -(-n_samples // k)
-    total = st.burnin + per_chain * st.thin
-    samples = np.empty((per_chain, k, dim))
-    accepted = [0] * k
-    kept = 0
-    for i in range(total):
+    accepted, trace, rhat, ends = [0] * k, [], math.inf, False
+
+    def step():
         cand = np.array([x[j] + moves.normal(0.0, st.step_scale, size=dim)
                          for j in range(k)])
         cv = target(cand)
@@ -376,16 +415,36 @@ def _chainwise_metropolis(target, x0, st, stream, n_samples):
             if _moves(cv[j], lv[j], uniforms.random()):
                 x[j], lv[j] = cand[j], cv[j]
                 accepted[j] += 1
-        if i == st.burnin - 1 and 0 in accepted:
-            j = accepted.index(0)
-            raise ModelError(
-                f"stuck chain {j} of {k}: 0 acceptances in {st.burnin} burnin steps "
-                f"(log density {lv[j]:.3g}, step_scale {st.step_scale})")
-        if i >= st.burnin and (i - st.burnin) % st.thin == 0:
-            samples[kept] = x
-            kept += 1
+
+    while not ends:
+        step()
+        trace.append(x.copy())
+        ends, checked = _burnin_check(trace, st.burnin)
+        rhat = rhat if checked is None else checked
+    burnin = len(trace)
+    if 0 in accepted:
+        j = accepted.index(0)
+        raise ModelError(
+            f"stuck chain {j} of {k}: 0 acceptances in {burnin} burnin steps "
+            f"(log density {lv[j]:.3g}, step_scale {st.step_scale})")
+    per_chain = -(-n_samples // k)
+    samples = np.empty((per_chain, k, dim))
+    for i in range(per_chain * st.thin):
+        step()
+        if i % st.thin == 0:
+            samples[i // st.thin] = x
     rows = samples.transpose(1, 0, 2).reshape(k * per_chain, dim)
-    return rows[:n_samples], sum(accepted) / (total * k)
+    return rows[:n_samples], sum(accepted) / ((burnin + per_chain * st.thin) * k), burnin, rhat
+
+
+def _assert_is_chain(chain, want):
+    """chain equals the chainwise reference's result: samples bit for bit,
+    rate and burn-in exactly, R-hat to rounding."""
+    samples, rate, burnin, rhat = want
+    assert chain.samples.tobytes() == samples.tobytes()
+    assert chain.acceptance_rate == rate
+    assert chain.burnin == burnin
+    assert chain.rhat == pytest.approx(rhat, rel=1e-12)
 
 
 def _rugged_target(walls, as_list):
@@ -406,7 +465,7 @@ def _rugged_target(walls, as_list):
 
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(1, 8), dim=st.integers(1, 3), data=st.data(),
-       burnin=st.integers(1, 40), thin=st.integers(1, 3),
+       burnin=st.integers(1, 40) | st.integers(95, 260), thin=st.integers(1, 3),
        n=st.integers(1, 60), scale=st.sampled_from([0.3, 1.0, 2.5, 40.0]),
        walls=st.sets(st.sampled_from(["-inf", "nan", "+inf"])),
        as_list=st.booleans(), seed=st.integers(0, 2 ** 16))
@@ -424,9 +483,7 @@ def test_lockstep_metropolis_is_the_chainwise_loop_property(
             solvers.metropolis(target, x0, s, RandomStream(seed), n)
         assert str(got.value) == str(e)
         return
-    chain = solvers.metropolis(target, x0, s, RandomStream(seed), n)
-    assert chain.samples.tobytes() == want[0].tobytes()
-    assert chain.acceptance_rate == want[1]
+    _assert_is_chain(solvers.metropolis(target, x0, s, RandomStream(seed), n), want)
 
 
 @pytest.mark.parametrize("logd", [
@@ -437,11 +494,12 @@ def test_lockstep_metropolis_is_the_chainwise_loop_property(
 def test_one_row_metropolis_is_the_scalar_loop(logd):
     st = McmcSettings(burnin=300, step_scale=0.8, thin=3)
     x0 = np.array([0.5, 0.25])
-    want, rate = _scalar_metropolis(logd, x0, st, RandomStream(11), 700)
+    want, rate, burnin = _scalar_metropolis(logd, x0, st, RandomStream(11), 700)
     chain = solvers.metropolis(lambda xs: [logd(xs[0])], x0[None], st,
                                RandomStream(11), 700)
     assert chain.samples.tobytes() == want.tobytes()
     assert chain.acceptance_rate == rate
+    assert chain.burnin == burnin
 
 
 def test_lockstep_chains_share_one_target_call_per_step():
@@ -454,6 +512,8 @@ def test_lockstep_chains_share_one_target_call_per_step():
 
     starts = 10.0 * np.arange(k)[:, None]
     chain = solvers.metropolis(target, starts, st, RandomStream(3), n)
+    # a cap below the first check point: 50 burnin steps, and no R-hat read
+    assert chain.burnin == st.burnin and chain.rhat == math.inf
     # ceil(10 / 3) = 4 samples per chain, chain after chain, cut to 10 rows
     assert calls == [(k, 1)] * (1 + st.burnin + 4 * st.thin)
     assert chain.samples.shape == (n, 1)
@@ -479,30 +539,51 @@ def test_a_stuck_chain_is_detected_while_the_others_move():
         "(log density 0, step_scale 1.0)")
 
 
+def test_a_stuck_chain_raises_where_an_early_burnin_ends():
+    # the last of 16 chains sits on a point mass at the mode of the others'
+    # Normal: it barely moves R-hat, burn-in ends before the cap, and the
+    # message names the steps run
+    def target(xs):
+        out = -0.5 * xs[:, 0] ** 2
+        out[-1] = 0.0 if xs[-1, 0] == 0.0 else -np.inf
+        return out
+
+    x0 = np.linspace(-1.0, 0.0, 16)[:, None]
+    s = McmcSettings(burnin=2000)
+    with pytest.raises(ModelError) as want:
+        _chainwise_metropolis(target, x0, s, RandomStream(5), 160)
+    with pytest.raises(ModelError) as got:
+        solvers.metropolis(target, x0, s, RandomStream(5), 160)
+    assert str(got.value) == str(want.value)
+    steps = int(re.search(r"0 acceptances in (\d+) burnin steps", str(got.value))[1])
+    assert str(got.value).startswith("stuck chain 15 of 16") and steps < 2000
+
+
 def test_one_likelihood_only_draw_is_the_scalar_chain():
+    # one draw runs one chain, started at the origin with no jitter
     m = dataclasses.replace(builtin("normal"), rng=None, cdf=None, est=None)
     p = Params.scalars(mu=1.0, sigma=2.0)
     got = core.draw(m, p, RandomStream(3), 1)
-    want, _ = _scalar_metropolis(
+    want, _, burnin = _scalar_metropolis(
         lambda x: float(core.row_log_likelihood(m, x.reshape(1, -1), p)[0]),
         np.zeros(1), McmcSettings(), RandomStream(3), 1)
     assert got.tobytes() == want.tobytes()
+    assert burnin < McmcSettings().burnin
 
 
 @pytest.mark.parametrize("block", [1, 7, solvers.MH_BLOCK])
 def test_metropolis_samples_do_not_depend_on_the_block_size(block, monkeypatch):
-    # 300 burnin steps and 300 kept ones: blocks of 7 and of the default
-    # size end inside both, and at the burnin boundary
+    # burn-in ends at a check point inside a block of 7 and of the default
+    # size; then 300 kept steps, and blocks end inside them too
     target = _rugged_target({"-inf", "nan", "+inf"}, as_list=False)
     x0 = np.array([[0.0, 0.5], [1.5, -1.0], [0.5, 0.5], [-1.0, 0.0]])
-    s = McmcSettings(burnin=300, step_scale=1.0, thin=3)
-    want = _chainwise_metropolis(target, x0, s, RandomStream(4), 400)
+    s = McmcSettings(burnin=600, step_scale=1.0, thin=3)
+    want = _chainwise_metropolis(target, x0, s, RandomStream(3), 400)
+    assert want[2] < s.burnin and want[2] % 7 and want[2] % solvers.MH_BLOCK
     monkeypatch.setattr(solvers, "MH_BLOCK", block)
-    chain = solvers.metropolis(target, x0, s, RandomStream(4), 400)
-    assert chain.samples.tobytes() == want[0].tobytes()
-    assert chain.acceptance_rate == want[1]
-    # the stuck-chain check fires after exactly burnin steps: the start call
-    # and one call per step
+    _assert_is_chain(solvers.metropolis(target, x0, s, RandomStream(3), 400), want)
+    # a stuck chain never lets R-hat fall (W is 0), so the check fires after
+    # exactly burnin steps: the start call and one call per step
     calls = []
 
     def stuck(xs):
@@ -514,6 +595,62 @@ def test_metropolis_samples_do_not_depend_on_the_block_size(block, monkeypatch):
         solvers.metropolis(stuck, np.array([[100.0]]), McmcSettings(burnin=200),
                            RandomStream(1), 30)
     assert len(calls) == 1 + 200
+
+
+def test_burnin_runs_to_the_cap_while_the_chains_disagree():
+    # two modes at -10 and +10 of scale 0.5, steps of 0.5, and chains
+    # started in both: no chain crosses, so R-hat stays far above the limit
+    def target(xs):
+        return np.logaddexp(-0.5 * ((xs[:, 0] + 10.0) / 0.5) ** 2,
+                            -0.5 * ((xs[:, 0] - 10.0) / 0.5) ** 2)
+
+    x0 = np.array([[-10.0], [10.0], [-9.5], [9.5]])
+    s = McmcSettings(burnin=1000, step_scale=0.5)
+    chain = solvers.metropolis(target, x0, s, RandomStream(6), 400)
+    assert chain.burnin == s.burnin and chain.rhat > 10.0
+    # the acceptance rate counts the steps run: the cap, then 100 a chain
+    assert chain.acceptance_rate == _chainwise_metropolis(
+        target, x0, s, RandomStream(6), 400)[1]
+
+
+def test_a_window_in_which_no_chain_moves_does_not_end_burnin():
+    # one chain on a standard Normal with steps of 40 moves at steps 12, 38
+    # and 45, then holds one value: W = 0 at the checks at 100 and 101, so
+    # burn-in runs to the cap (a W of rounding errors read 0.98 at step 100)
+    target = lambda xs: -0.5 * xs[:, 0] ** 2
+    chain = solvers.metropolis(target, np.array([[0.5]]),
+                               McmcSettings(burnin=101, step_scale=40.0), RandomStream(6), 1)
+    assert chain.burnin == 101 and chain.rhat == math.inf
+    assert chain.acceptance_rate == 3 / 102
+
+
+def test_split_rhat_is_the_textbook_formula():
+    rng = np.random.default_rng(12)
+    walks = rng.normal(size=(41, 3, 2)).cumsum(axis=0)  # odd n: the middle draw out
+    cases = [walks, walks[:40], rng.normal(size=(200, 5, 1)),
+             rng.normal(size=(10, 1, 3)) + np.array([0.0, 5.0, -3.0]),
+             np.array([[[1.0], [2.0]], [[1.5], [2.5]], [[0.5], [2.0]], [[1.0], [3.0]]])]
+    for draws in cases:
+        n, k, dim = draws.shape
+        want = [_direct_rhat([draws[:, c, i].tolist() for c in range(k)]) for i in range(dim)]
+        got = solvers.split_rhat(draws)
+        assert got.shape == (dim,)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    # agreeing chains read near 1, chains around separate centres far above
+    assert solvers.split_rhat(rng.normal(size=(400, 4, 1)))[0] < 1.05
+    assert solvers.split_rhat(rng.normal(size=(400, 4, 1)) + 3.0 * np.arange(4)[:, None])[0] > 2
+    # W = 0: constant chains at one value or at several, and too short a run;
+    # a mean of 25 draws of 0.1 is not exactly 0.1, and the deviations from
+    # it would make W a rounding error
+    assert solvers.split_rhat(np.full((50, 3, 2), 7.0)).tolist() == [math.inf] * 2
+    assert solvers.split_rhat(np.full((50, 1, 1), 0.1)).tolist() == [math.inf]
+    halves = np.repeat([[[0.1]], [[1 / 3]]], 25, axis=0)
+    assert solvers.split_rhat(halves).tolist() == [math.inf]
+    steps = np.broadcast_to(np.arange(3.0)[:, None], (50, 3, 1))
+    assert solvers.split_rhat(steps).tolist() == [math.inf]
+    mixed = np.concatenate([np.full((60, 1, 1), 2.0), rng.normal(size=(60, 1, 1))], axis=2)
+    assert solvers.split_rhat(mixed)[0] == math.inf and np.isfinite(solvers.split_rhat(mixed)[1])
+    assert solvers.split_rhat(rng.normal(size=(3, 4, 2))).tolist() == [math.inf] * 2
 
 
 def test_successive_likelihood_only_draws_from_one_stream_differ():

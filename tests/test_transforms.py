@@ -17,7 +17,7 @@ from modelkit import (DataSet, MleSettings, Model, ModelError, Params,
                       d_compose, dp_compose, estimate, fix, jacobian, ks_stat, mix,
                       mix_cdf, mvn_model, normal_model, pd_compose, pmf_model,
                       posterior_draws, row_log_likelihood, swap, truncate)
-from modelkit import expr, transforms
+from modelkit import expr, solvers, transforms
 from modelkit import model as core
 
 
@@ -862,8 +862,16 @@ def test_conjugate_posterior_leaves_out_rows_of_weight_zero():
         assert np.all(np.isfinite(got)) and _bits(got) == _bits(want)
 
 
-@pytest.mark.parametrize("n, k", [(203, 8), (5, 5)])
-def test_mh_posterior_makes_one_likelihood_call_of_k_vectors_per_step(n, k):
+@pytest.mark.parametrize("n, k", [(203, 8), (5, 5), (4000, 32)])
+def test_mh_posterior_makes_one_likelihood_call_of_k_vectors_per_step(n, k, monkeypatch):
+    assert core.mcmc_chains(n) == k
+    chains, run = [], solvers.metropolis
+
+    def captured(*args, **kwargs):
+        chains.append(run(*args, **kwargs))
+        return chains[-1]
+
+    monkeypatch.setattr(solvers, "metropolis", captured)
     base = normal_model()
     shapes = []
 
@@ -886,8 +894,10 @@ def test_mh_posterior_makes_one_likelihood_call_of_k_vectors_per_step(n, k):
     pd = posterior_draws(post.with_settings(posterior_strategy="mh"),
                          DataSet(np.array([[2.0]])), n, RandomStream(4))
     assert len(pd.settings["pmf_support"]) == n
-    # the start, burnin, then ceil(n / k) kept steps
-    assert shapes == [(k, 2)] * (1 + 2000 + -(-n // k))
+    # the start, the burn-in steps run, then ceil(n / k) kept steps
+    (chain,) = chains
+    assert chain.burnin <= 2000
+    assert shapes == [(k, 2)] * (1 + chain.burnin + -(-n // k))
 
 
 def test_mh_chains_whose_prior_draw_is_off_the_likelihood_start_from_a_finite_draw():
